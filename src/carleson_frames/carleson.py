@@ -139,8 +139,8 @@ def carleson_product(seq: LambdaSequence, n: int, k_trunc: int):
     Returns (P_n, tail_error); tail_error bounds the total defect
     sum_{k>k_trunc}(1 - factor_k), so the untruncated product is at least
     P_n * (1 - tail_error). A repeated point yields P_n = 0 exactly (reported,
-    not raised). Factors are accumulated in log space with compensated
-    summation, in fixed index order.
+    not raised). Factors are accumulated in log space with correctly rounded
+    summation.
     """
     if k_trunc < 1:
         raise ValueError("k_trunc must be >= 1")

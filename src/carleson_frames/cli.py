@@ -83,6 +83,11 @@ class ConfigError(ValueError):
     pass
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ConfigError(message)
+
+
 def _require_keys(mapping: dict, allowed: set, context: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
@@ -233,6 +238,12 @@ def _param(args, params: dict, flag_name: str, key: str, default, cast):
     return default
 
 
+def _dimension(args, params: dict) -> int:
+    dimension = _param(args, params, "dimension", "dimension", 40, int)
+    _require(dimension >= 1, f"dimension (--M) must be >= 1, got {dimension}")
+    return dimension
+
+
 def _int_list(text) -> list:
     if isinstance(text, (list, tuple)):
         return [int(v) for v in text]
@@ -271,6 +282,9 @@ def _cmd_check_carleson(args) -> int:
     fail_threshold = _param(args, params, "fail_threshold", "fail_threshold", 1e-12, float)
     n_drop = _param(args, params, "drop_prefix", "drop_prefix", 0, int)
     do_assert = bool(getattr(args, "assert_carleson", False) or params.get("assert_carleson", False))
+    _require(n_max >= 1, f"n_max (--n-max) must be >= 1, got {n_max}")
+    _require(k_trunc >= n_max, f"k_trunc (--k-trunc) must be >= n_max = {n_max}, got {k_trunc}")
+    _require(n_drop >= 0, f"drop_prefix (--drop-prefix) must be >= 0, got {n_drop}")
     resolved["params"] = {
         "n_max": n_max,
         "k_trunc": k_trunc,
@@ -305,7 +319,7 @@ def _cmd_bounds(args) -> int:
         _param(args, params, "offset", "offset", 0, int),
         _param(args, params, "start", "start", 0, int),
     )
-    dimension = _param(args, params, "dimension", "dimension", 40, int)
+    dimension = _dimension(args, params)
     tol = _param(args, params, "tol", "tol", 1e-10, float)
     resolved["params"] = {
         "stride": scheme.stride,
@@ -332,7 +346,7 @@ def _cmd_subsample_sweep(args) -> int:
     )
     strides = _param(args, params, "strides", "strides", [1, 2, 3, 5], _int_list)
     starts = _param(args, params, "starts", "starts", [0], _int_list)
-    dimension = _param(args, params, "dimension", "dimension", 40, int)
+    dimension = _dimension(args, params)
     tol = _param(args, params, "tol", "tol", 1e-10, float)
     resolved["params"] = {
         "strides": strides,
@@ -372,6 +386,29 @@ def _cmd_subsample_sweep(args) -> int:
     return EXIT_OK
 
 
+def _weave_not_found(resolved: dict, reference, message: str, sweep) -> int:
+    report = _report(
+        "weave",
+        resolved,
+        {
+            "found": False,
+            "message": message,
+            "reference_bounds": reference.to_jsonable(),
+            "sweep": [
+                {
+                    "start_index": point.start_index,
+                    "value": point.value,
+                    "truncation_bound": _finite_or_inf(point.truncation_bound),
+                }
+                for point in sweep
+            ],
+        },
+    )
+    _emit(report, resolved)
+    print(f"weaving index not found: {message}")
+    return EXIT_ANALYSIS
+
+
 def _cmd_weave(args) -> int:
     resolved = _resolve(args, "weave")
     params = resolved["params"]
@@ -381,9 +418,10 @@ def _cmd_weave(args) -> int:
     stride = _param(args, params, "stride", "stride", 2, int)
     pattern_spec = _param(args, params, "pattern", "pattern", "constant:1", str)
     safety = _param(args, params, "safety", "safety", 0.5, float)
-    dimension = _param(args, params, "dimension", "dimension", 40, int)
+    dimension = _dimension(args, params)
     j_max = _param(args, params, "j_max", "j_max", 10_000, int)
     tol = _param(args, params, "tol", "tol", 1e-10, float)
+    _require(0.0 < safety <= 1.0, f"safety (--safety) must lie in (0, 1], got {safety}")
     resolved["params"] = {
         "stride": stride,
         "pattern": pattern_spec,
@@ -394,31 +432,18 @@ def _cmd_weave(args) -> int:
     }
     pattern = pattern_from_spec(pattern_spec, stride)
     reference = frame_bounds(system, SubsampleScheme(stride), dimension, tol)
+    if reference.a_est <= 0.0:
+        message = (
+            f"reference A_est = {reference.a_est!r} at M={dimension} is below the "
+            "eigensolver's resolution, so no defect threshold can be set"
+        )
+        return _weave_not_found(resolved, reference, message, ())
     try:
         result = find_weaving_index(
             system, pattern, reference.a_est, safety, dimension, j_max, tol
         )
     except WeavingSearchError as exc:
-        report = _report(
-            "weave",
-            resolved,
-            {
-                "found": False,
-                "message": str(exc),
-                "reference_bounds": reference.to_jsonable(),
-                "sweep": [
-                    {
-                        "start_index": point.start_index,
-                        "value": point.value,
-                        "truncation_bound": _finite_or_inf(point.truncation_bound),
-                    }
-                    for point in exc.sweep
-                ],
-            },
-        )
-        _emit(report, resolved)
-        print(f"weaving index not found: {exc}")
-        return EXIT_ANALYSIS
+        return _weave_not_found(resolved, reference, str(exc), exc.sweep)
     payload = result.to_jsonable()
     payload["found"] = True
     payload["reference_bounds"] = reference.to_jsonable()
@@ -446,6 +471,8 @@ def _cmd_adversary(args) -> int:
     levels = _param(args, params, "levels", "levels", 6, int)
     budget = _param(args, params, "budget", "budget", 10**6, int)
     estimate_dimension = _param(args, params, "estimate_dimension", "estimate_dimension", 0, int)
+    _require(levels >= 1, f"levels (--L) must be >= 1, got {levels}")
+    _require(budget >= 1, f"budget (--budget) must be >= 1, got {budget}")
     resolved["params"] = {
         "oracle": oracle_kind,
         "levels": levels,
@@ -614,7 +641,7 @@ def _reproduction_checks(dimension: int) -> list:
 def _cmd_reproduce_paper(args) -> int:
     resolved = _resolve(args, "reproduce-paper")
     params = resolved["params"]
-    dimension = _param(args, params, "dimension", "dimension", 40, int)
+    dimension = _dimension(args, params)
     resolved["params"] = {"dimension": dimension}
     # the suite pins its own systems; defaults would be misleading audit trail
     resolved.pop("sequence", None)

@@ -1,9 +1,10 @@
 """Dense Hermitian numerics: extremal eigenvalues with a residual certificate,
-compensated summation, and integer powers that stay accurate near the unit
-circle.
+correctly rounded summation, and integer powers that stay accurate near the
+unit circle.
 
 Everything here operates on immutable inputs and is safe to call
-concurrently; summation order is fixed by the caller, never reordered.
+concurrently; sums are correctly rounded, so they do not depend on the order
+of their terms.
 """
 
 import math
@@ -26,17 +27,23 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Dense complex Hermitian matrix, validated at assembly.
+    """Dense Hermitian matrix, validated at assembly.
 
-    Conjugate symmetry must hold entrywise within four units in the last
-    place of the largest entry; anything worse raises NonHermitianError.
-    The stored array is made read-only.
+    The stored dtype follows the data: float64 when the input is real or its
+    imaginary part is identically zero (real symmetric, so the eigensolver
+    runs the real LAPACK driver), complex128 otherwise. Conjugate symmetry
+    must hold entrywise within four units in the last place of the largest
+    entry; anything worse raises NonHermitianError. The stored array is made
+    read-only.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.data, dtype=np.complex128, copy=True)
+        a = np.asarray(self.data)
+        if np.iscomplexobj(a) and not np.any(a.imag):
+            a = a.real
+        a = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64, copy=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NonHermitianError(f"expected a square matrix, got shape {a.shape}")
         if a.size:
@@ -91,18 +98,8 @@ def extremal_eigenvalues(matrix, tol: float = 1e-10) -> ExtremalEigenvalues:
 
 
 def compensated_sum(terms: Iterable[float]) -> float:
-    """Neumaier-compensated sequential sum; deterministic for a fixed order."""
-    total = 0.0
-    compensation = 0.0
-    for term in terms:
-        term = float(term)
-        partial = total + term
-        if abs(total) >= abs(term):
-            compensation += (total - partial) + term
-        else:
-            compensation += (term - partial) + total
-        total = partial
-    return total + compensation
+    """Correctly rounded sum (``math.fsum``); independent of the term order."""
+    return math.fsum(terms)
 
 
 def complex_pow(z, p: int):

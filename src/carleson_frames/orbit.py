@@ -164,19 +164,22 @@ def _progression_matrix(arrays: SystemArrays, first_exponent: int, step: int) ->
     p = first_exponent + step*t, t >= 0, summed in closed form.
 
     Real positive systems route the denominator 1 - w^step through modulus
-    gaps, which keeps it exact when the eigenvalues crowd the circle.
+    gaps, which keeps it exact when the eigenvalues crowd the circle, and
+    with real weights the whole matrix is assembled in float64.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
     if first_exponent < 0:
         raise ValueError("first_exponent must be >= 0")
-    coeffs = np.outer(arrays.phi, arrays.phi.conj())
     if arrays.real_positive:
+        phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
+        coeffs = np.outer(phi, phi.conj())
         w = np.outer(arrays.lam.real, arrays.lam.real)
         # 1 - w = g_m + g_n - g_m g_n exactly, hence 1 - w^step via gap powers
         h = np.add.outer(arrays.gaps, arrays.gaps) - np.outer(arrays.gaps, arrays.gaps)
         denominator = one_minus_pow(h, step)
         return coeffs * (complex_pow(w, first_exponent) / denominator)
+    coeffs = np.outer(arrays.phi, arrays.phi.conj())
     w = np.outer(arrays.lam, arrays.lam.conj())
     denominator = 1.0 - complex_pow(w, step)
     if np.any(denominator == 0.0):
@@ -187,7 +190,10 @@ def _progression_matrix(arrays: SystemArrays, first_exponent: int, step: int) ->
 def frame_operator_matrix(
     system: OrbitSystem, scheme: SubsampleScheme, dimension: int
 ) -> np.ndarray:
-    """Closed-form M x M frame operator of {T^(Nk+j) phi}_{k>=K}; Hermitian PSD."""
+    """Closed-form M x M frame operator of {T^(Nk+j) phi}_{k>=K}; Hermitian PSD.
+
+    float64 (real symmetric) for real positive eigenvalues with real weights,
+    complex128 otherwise."""
     arrays = system_arrays(system, dimension)
     return _progression_matrix(arrays, scheme.exponent(scheme.start), scheme.stride)
 

@@ -199,6 +199,44 @@ def test_weave_not_found_exits_one(tmp_path):
     assert len(report["result"]["sweep"]) == 1
 
 
+def test_weave_reference_below_resolution_exits_one(tmp_path, capsys):
+    # at alpha = 1.05 the reference A_est (about 3e-55) is below what the
+    # eigensolver resolves, so it reads 0 and no defect threshold exists
+    out = tmp_path / "weave.json"
+    code = run_cli(
+        "weave", "--alpha", "1.05", "--N", "2", "--M", "40", "--J-max", "200",
+        "--out", str(out),
+    )
+    assert code == 1
+    assert "below the eigensolver's resolution" in capsys.readouterr().out
+    result = read_json(out)["result"]
+    assert result["found"] is False
+    assert "\n" not in result["message"]
+    assert result["reference_bounds"]["a_est"] == 0.0
+    assert result["reference_bounds"]["dimension"] == 40
+    assert result["sweep"] == []
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("bounds", "--M", "0"), "--M"),
+        (("subsample-sweep", "--M", "0"), "--M"),
+        (("check-carleson", "--n-max", "300", "--k-trunc", "200"), "--k-trunc"),
+        (("check-carleson", "--n-max", "0"), "--n-max"),
+        (("weave", "--safety", "0"), "--safety"),
+        (("adversary", "--L", "0"), "--L"),
+    ],
+)
+def test_out_of_range_parameters_exit_two(tmp_path, capsys, argv, flag):
+    out = tmp_path / "report.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error:") and flag in lines[0]
+    assert not out.exists()
+
+
 def test_weave_pattern_specs():
     assert run_cli("weave", "--alpha", "2", "--N", "2", "--pattern", "seeded:42:32") == 0
     assert run_cli("weave", "--alpha", "2", "--N", "2", "--pattern", "periodic:0,1") == 0

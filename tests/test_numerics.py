@@ -42,12 +42,48 @@ def test_rejects_non_hermitian():
         extremal_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NonHermitianError):
         HermitianMatrix(np.ones((2, 3)))
+    # real symmetry is checked to the same 4 ulps, also when the input is
+    # complex with a zero imaginary part
+    with pytest.raises(NonHermitianError):
+        HermitianMatrix(np.array([[1.0, 2.0], [2.0 + 1e-12, 1.0]]))
+    with pytest.raises(NonHermitianError):
+        HermitianMatrix(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=np.complex128))
 
 
 def test_hermitian_matrix_is_immutable():
     m = HermitianMatrix(np.eye(3))
     with pytest.raises(ValueError):
         m.data[0, 0] = 2.0
+
+
+def test_hermitian_matrix_dtype_follows_data():
+    real = np.array([[2.0, 1.0], [1.0, 3.0]])
+    assert HermitianMatrix(real).data.dtype == np.float64
+    assert HermitianMatrix(np.eye(2, dtype=int)).data.dtype == np.float64
+    zero_imaginary = HermitianMatrix(real.astype(np.complex128))
+    assert zero_imaginary.data.dtype == np.float64
+    np.testing.assert_array_equal(zero_imaginary.data, real)
+    complex_entries = np.array([[2.0, 1.0 + 1e-300j], [1.0 - 1e-300j, 3.0]])
+    assert HermitianMatrix(complex_entries).data.dtype == np.complex128
+
+
+def test_real_and_complex_paths_agree():
+    # a real SPD matrix and its phase similarity D S D*, D = diag(e^(i theta)),
+    # share their spectrum; the first runs the real driver, the second the
+    # complex one
+    rng = np.random.default_rng(19)
+    raw = rng.normal(size=(24, 24))
+    s = raw @ raw.T
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=24))
+    rotated = s * np.outer(phase, phase.conj())
+    assert HermitianMatrix(s).data.dtype == np.float64
+    assert HermitianMatrix(rotated).data.dtype == np.complex128
+    real_lo, real_hi, real_residual = extremal_eigenvalues(s)
+    complex_lo, complex_hi, complex_residual = extremal_eigenvalues(rotated)
+    slack = 16.0 * np.finfo(np.float64).eps * real_hi
+    assert abs(real_lo - complex_lo) <= slack
+    assert abs(real_hi - complex_hi) <= slack
+    assert max(real_residual, complex_residual) <= 1e-13
 
 
 def test_rejects_nonpositive_tol():

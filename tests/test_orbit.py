@@ -180,6 +180,33 @@ def test_deep_scheme_lower_bound_matches_mpmath(stride, offset):
     assert estimate.a_est == pytest.approx(reference, rel=1e-6, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "stride,offset,start,dim,reference,rel",
+    [
+        (1, 0, 0, 40, 2.5623096045062615e-05, 1e-11),
+        (5, 4, 3, 20, 7.23633386451466e-15, 2e-8),
+    ],
+)
+def test_lower_bound_relative_accuracy_against_mpmath(stride, offset, start, dim, reference, rel):
+    pytest.importorskip("mpmath")
+    exact = mpmath_frame_lower_bound(2.0, dim, stride, offset, start, dps=100)
+    assert exact == pytest.approx(reference, rel=1e-15, abs=0.0)
+    estimate = frame_bounds(SYSTEM, SubsampleScheme(stride, offset, start), dim)
+    assert estimate.a_est == pytest.approx(exact, rel=rel, abs=0.0)
+
+
+def test_frame_operator_dtype_follows_data():
+    scheme = SubsampleScheme(2, 1, 0)
+    assert frame_operator_matrix(SYSTEM, scheme, 6).dtype == np.float64
+    complex_weights = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1j))
+    assert frame_operator_matrix(complex_weights, scheme, 6).dtype == np.complex128
+    spiral = OrbitSystem(
+        ExplicitSequence(tuple(0.5 * (1 - 2.0**-k) * (1 + 1j) for k in range(1, 7))),
+        ConstantWeights(1.0),
+    )
+    assert frame_operator_matrix(spiral, scheme, 6).dtype == np.complex128
+
+
 @pytest.mark.parametrize("stride", [2, 3, 4])
 def test_union_decomposition(stride):
     dim = 20
