@@ -69,10 +69,8 @@ from .sequences import (
     ValidationReport,
     Weights,
     drop_prefix,
-    lambda_at,
     signed_gap_at,
     validate,
-    weight_at,
 )
 from .weaving import (
     ConstantPattern,

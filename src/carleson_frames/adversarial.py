@@ -15,13 +15,13 @@ deterministic and reproducible.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Protocol
 
 import numpy as np
 
-from .numerics import HermitianMatrix, complex_pow, compensated_sum, extremal_eigenvalues, one_minus_pow
-from .orbit import OrbitSystem
+from .numerics import HermitianMatrix, compensated_sum, extremal_eigenvalues
+from .orbit import OrbitSystem, orbit_coefficient
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -53,10 +53,7 @@ class OrbitFrameOracle:
     def coefficient(self, basis_index: int, frame_index: int) -> complex:
         if frame_index < 0:
             raise IndexError("frame indices start at 0")
-        self.system.ensure_valid(basis_index)
-        gap = self.system.lambdas.modulus_gap_at(basis_index)
-        c = self.system.weights.value_at(basis_index) * math.sqrt(one_minus_pow(gap, 2))
-        return c * complex_pow(self.system.lambdas.value_at(basis_index), frame_index)
+        return orbit_coefficient(self.system, basis_index, frame_index)
 
     def tail_energy(self, basis_index: int, start: int) -> float:
         if start < 0:
@@ -93,16 +90,6 @@ class AdversarialStep:
     bound: float
     threshold: float
 
-    def to_jsonable(self) -> dict:
-        return {
-            "level": self.level,
-            "witness": self.witness,
-            "coefficient_sum": self.coefficient_sum,
-            "tail_value": self.tail_value,
-            "bound": self.bound,
-            "threshold": self.threshold,
-        }
-
 
 @dataclass(frozen=True)
 class AdversarialCertificate:
@@ -125,7 +112,7 @@ class AdversarialCertificate:
             "picked_indices": list(self.picked_indices),
             "witnesses": list(self.witnesses),
             "step_bounds": list(self.step_bounds),
-            "steps": [step.to_jsonable() for step in self.steps],
+            "steps": [asdict(step) for step in self.steps],
             "initial_tail": self.initial_tail,
             "search_budget": self.search_budget,
         }
@@ -227,19 +214,15 @@ def estimate_subsequence_lower_bound(
     oracle: FrameOracle,
     indices,
     dimension: int,
-    terms: int | None = None,
     tol: float = 1e-10,
 ) -> float:
     """Smallest eigenvalue of the truncated frame operator of {f_k : k in indices}
     over basis coordinates 1..dimension.
 
     This over-estimates the family's lower bound on the truncated space; for
-    adversarial picks it collapses toward zero. `terms` optionally caps how
-    many indices are used (the leading ones).
+    adversarial picks it collapses toward zero.
     """
     index_list = list(indices)
-    if terms is not None:
-        index_list = index_list[:terms]
     if not index_list:
         raise ValueError("index family must not be empty")
     if dimension < 1:

@@ -12,7 +12,7 @@ reported as Inconclusive - evidence is never conflated with proof.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -274,17 +274,9 @@ def drop_prefix_check(
         end_gap = seq.modulus_gap_at(window_end)
         if not all(seq.modulus_gap_at(n) > end_gap for n in range(1, n_drop + 1)):
             verdict = Verdict.INCONCLUSIVE
-    parameters = dict(report.parameters)
-    parameters["n_drop"] = n_drop
-    return CarlesonReport(
-        products=report.products,
-        inf_estimate=report.inf_estimate,
-        ratio_sup=report.ratio_sup,
-        certified_c=report.certified_c,
-        verdict=verdict,
-        parameters=parameters,
-        dropped_products=dropped,
-        n_drop=n_drop,
+    parameters = dict(report.parameters, n_drop=n_drop)
+    return replace(
+        report, verdict=verdict, parameters=parameters, dropped_products=dropped, n_drop=n_drop
     )
 
 
@@ -304,14 +296,6 @@ class LimitModulusEvidence:
 
     def __bool__(self) -> bool:
         return self.passes
-
-    def to_jsonable(self) -> dict:
-        return {
-            "passes": self.passes,
-            "final_gap": self.final_gap,
-            "threshold": self.threshold,
-            "trailing": [[k, gap] for k, gap in self.trailing],
-        }
 
 
 def limit_modulus_check(

@@ -2,19 +2,26 @@
 
 One analysis per invocation. Exit codes: 0 success, 1 negative analysis
 verdict (where the run asserts one) or numerical non-convergence, 2 usage or
-config errors. Reports embed the fully resolved configuration; the only
-nondeterministic field is the `generated_at` timestamp in the meta header.
+config errors, including out-of-range or malformed parameters and inputs the
+library rejects (each with one line on standard error and no report).
+Reports embed the fully resolved configuration; the only nondeterministic
+field is the `generated_at` timestamp in the meta header.
+
+Every subcommand parameter is one row of `PARAMS`, which gives its flag, its
+config-file key, its default, its range check and its echo in `config.params`;
+flags override file values, which override defaults.
 """
 
 import argparse
 import datetime
 import json
 import math
-import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .adversarial import (
+    DEFAULT_SEARCH_BUDGET,
     OrbitFrameOracle,
     OrthonormalBasisOracle,
     SearchBudgetExceededError,
@@ -22,9 +29,17 @@ from .adversarial import (
     estimate_subsequence_lower_bound,
     reverify_certificate,
 )
-from .carleson import Verdict, carleson_inf_estimate, drop_prefix_check, ratio_test
+from .carleson import (
+    DEFAULT_FAIL_THRESHOLD,
+    Verdict,
+    carleson_inf_estimate,
+    drop_prefix_check,
+    ratio_test,
+)
 from .numerics import EigensolverError
 from .orbit import (
+    DEFAULT_DIMENSION,
+    DEFAULT_EIG_TOL,
     OrbitSystem,
     SubsampleScheme,
     bounds_from_matrix,
@@ -42,6 +57,8 @@ from .sequences import (
     TwoPointAugmented,
 )
 from .weaving import (
+    DEFAULT_J_MAX,
+    DEFAULT_SAFETY,
     ConstantPattern,
     ExplicitPattern,
     PeriodicPattern,
@@ -57,8 +74,6 @@ EXIT_OK = 0
 EXIT_ANALYSIS = 1
 EXIT_USAGE = 2
 
-THREADS_ENV = "CARLESON_FRAMES_THREADS"
-
 _SEQUENCE_KEYS = {
     "geometric": {"alpha"},
     "explicit": {"values"},
@@ -69,23 +84,65 @@ _WEIGHT_KEYS = {
     "constant": {"value"},
     "explicit": {"values", "c1", "c2"},
 }
-_PARAM_KEYS = {
-    "check-carleson": {"n_max", "k_trunc", "fail_threshold", "drop_prefix", "assert_carleson"},
-    "bounds": {"stride", "offset", "start", "dimension", "tol"},
-    "subsample-sweep": {"strides", "starts", "dimension", "tol"},
-    "weave": {"stride", "pattern", "safety", "dimension", "j_max", "tol"},
-    "adversary": {"oracle", "levels", "budget", "estimate_dimension"},
-    "reproduce-paper": {"dimension"},
-}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
+def _int_list(text) -> list:
+    if isinstance(text, (list, tuple)):
+        return [int(v) for v in text]
+    return [int(part) for part in str(text).split(",") if part != ""]
+
+
+class Param(NamedTuple):
+    """One parameter of one subcommand. `name` is its config-file key and report
+    field; `cast` reads a flag string or a file value; `valid` is (description,
+    predicate) on the cast value, or None when every castable value is valid."""
+
+    command: str
+    name: str
+    flag: str
+    default: object
+    cast: Callable
+    valid: tuple | None
+
+
+_AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_POSITIVE = ("> 0", lambda v: v > 0)
+
+PARAMS = (
+    Param("check-carleson", "n_max", "--n-max", 30, int, _AT_LEAST_1),
+    Param("check-carleson", "k_trunc", "--k-trunc", 200, int, None),
+    Param("check-carleson", "fail_threshold", "--fail-threshold", DEFAULT_FAIL_THRESHOLD, float, None),
+    Param("check-carleson", "drop_prefix", "--drop-prefix", 0, int, _AT_LEAST_0),
+    Param("check-carleson", "assert_carleson", "--assert-carleson", False, bool, None),
+    Param("bounds", "stride", "--N", 1, int, _AT_LEAST_1),
+    Param("bounds", "offset", "--j", 0, int, None),
+    Param("bounds", "start", "--K", 0, int, _AT_LEAST_0),
+    Param("bounds", "dimension", "--M", DEFAULT_DIMENSION, int, _AT_LEAST_1),
+    Param("bounds", "tol", "--tol", DEFAULT_EIG_TOL, float, _POSITIVE),
+    Param("subsample-sweep", "strides", "--N", "1,2,3,5", _int_list,
+          ("a nonempty list of integers >= 1", lambda v: bool(v) and min(v) >= 1)),
+    Param("subsample-sweep", "starts", "--K", "0", _int_list,
+          ("a nonempty list of integers >= 0", lambda v: bool(v) and min(v) >= 0)),
+    Param("subsample-sweep", "dimension", "--M", DEFAULT_DIMENSION, int, _AT_LEAST_1),
+    Param("subsample-sweep", "tol", "--tol", DEFAULT_EIG_TOL, float, _POSITIVE),
+    Param("weave", "stride", "--N", 2, int, _AT_LEAST_1),
+    Param("weave", "pattern", "--pattern", "constant:1", str, None),
+    Param("weave", "safety", "--safety", DEFAULT_SAFETY, float, ("in (0, 1]", lambda v: 0.0 < v <= 1.0)),
+    Param("weave", "dimension", "--M", DEFAULT_DIMENSION, int, _AT_LEAST_1),
+    Param("weave", "j_max", "--J-max", DEFAULT_J_MAX, int, _AT_LEAST_0),
+    Param("weave", "tol", "--tol", DEFAULT_EIG_TOL, float, _POSITIVE),
+    Param("adversary", "oracle", "--oracle", "orbit", str,
+          ("orbit or orthonormal", lambda v: v in ("orbit", "orthonormal"))),
+    Param("adversary", "levels", "--L", 6, int, _AT_LEAST_1),
+    Param("adversary", "budget", "--budget", DEFAULT_SEARCH_BUDGET, int, _AT_LEAST_1),
+    Param("adversary", "estimate_dimension", "--estimate-dim", 0, int, _AT_LEAST_0),
+    Param("reproduce-paper", "dimension", "--M", DEFAULT_DIMENSION, int, _AT_LEAST_1),
+)
 
 
 def _require_keys(mapping: dict, allowed: set, context: str) -> None:
@@ -107,13 +164,19 @@ def _parse_complex(value):
     raise ConfigError(f"cannot parse complex number from {value!r}")
 
 
-def sequence_from_config(config: dict):
+def _config_kind(config, kinds: dict, what: str) -> str:
+    """The `kind` of a sequence or weights config, after checking its keys."""
     if not isinstance(config, dict) or "kind" not in config:
-        raise ConfigError("sequence config must be an object with a 'kind' field")
+        raise ConfigError(f"{what} config must be an object with a 'kind' field")
     kind = config["kind"]
-    if kind not in _SEQUENCE_KEYS:
-        raise ConfigError(f"unknown sequence kind {kind!r}")
-    _require_keys({k: v for k, v in config.items() if k != "kind"}, _SEQUENCE_KEYS[kind], "sequence")
+    if kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    _require_keys({k: v for k, v in config.items() if k != "kind"}, kinds[kind], what)
+    return kind
+
+
+def sequence_from_config(config: dict):
+    kind = _config_kind(config, _SEQUENCE_KEYS, "sequence")
     try:
         if kind == "geometric":
             return GeometricApproach(float(config["alpha"]))
@@ -127,12 +190,7 @@ def sequence_from_config(config: dict):
 
 
 def weights_from_config(config: dict):
-    if not isinstance(config, dict) or "kind" not in config:
-        raise ConfigError("weights config must be an object with a 'kind' field")
-    kind = config["kind"]
-    if kind not in _WEIGHT_KEYS:
-        raise ConfigError(f"unknown weights kind {kind!r}")
-    _require_keys({k: v for k, v in config.items() if k != "kind"}, _WEIGHT_KEYS[kind], "weights")
+    kind = _config_kind(config, _WEIGHT_KEYS, "weights")
     try:
         if kind == "constant":
             return ConstantWeights(_parse_complex(config["value"]))
@@ -162,19 +220,6 @@ def pattern_from_spec(spec: str, stride: int):
     raise ConfigError(f"unknown pattern kind in {spec!r}")
 
 
-def _threads() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {value}")
-    return value
-
-
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -186,179 +231,127 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     _require_keys(data, {"sequence", "weights", "analysis", "params", "output"}, "config")
+    for section in ("params", "output"):
+        if not isinstance(data.get(section, {}), dict):
+            raise ConfigError(f"config {section} must be a JSON object")
     return data
 
 
-def _resolve(args, command: str):
+def _resolve_params(args, command: str, file_params: dict) -> dict:
+    """Each param of `command`: flag, else config-file value, else default;
+    cast and range-checked."""
+    rows = [row for row in PARAMS if row.command == command]
+    _require_keys(file_params, {row.name for row in rows}, f"{command} params")
+    params = {}
+    for row in rows:
+        raw = getattr(args, row.name)
+        if raw is None:
+            raw = file_params.get(row.name, row.default)
+        try:
+            value = row.cast(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot parse {row.name} ({row.flag}) from {raw!r}") from exc
+        if row.valid is not None and not row.valid[1](value):
+            raise ConfigError(f"{row.name} ({row.flag}) must be {row.valid[0]}, got {value!r}")
+        params[row.name] = value
+    return params
+
+
+def _resolve(args) -> dict:
     """Merge defaults <- config file <- flags into one resolved config dict."""
-    file_config = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    command = args.command
+    file_config = _load_config_file(args.config) if args.config else {}
     analysis = file_config.get("analysis")
     if analysis is not None and analysis != command:
         raise ConfigError(f"config analysis {analysis!r} does not match subcommand {command!r}")
 
+    output = dict(file_config.get("output", {}))
+    _require_keys(output, {"json", "csv"}, "output")
+    if args.out:
+        output["json"] = args.out
+    if getattr(args, "csv", None):
+        output["csv"] = args.csv
+    resolved = {
+        "analysis": command,
+        "params": _resolve_params(args, command, file_config.get("params", {})),
+        "output": output,
+    }
+    # reproduce-paper pins its own systems; defaults would be a misleading audit trail
+    if "sequence" not in _COMMANDS[command][2]:
+        return resolved
+
     sequence_config = file_config.get("sequence", {"kind": "geometric", "alpha": 2.0})
-    if getattr(args, "values", None):
+    if args.values:
         sequence_config = {"kind": "explicit", "values": args.values.split(",")}
-    elif getattr(args, "alpha", None) is not None:
+    elif args.alpha is not None:
         sequence_config = {"kind": "geometric", "alpha": args.alpha}
-    if getattr(args, "two_point_q", None) is not None:
+    if args.two_point_q is not None:
         sequence_config = {"kind": "two_point", "q": args.two_point_q, "base": sequence_config}
-    if getattr(args, "power", None) is not None:
+    if args.power is not None:
         sequence_config = {"kind": "power", "exponent": args.power, "base": sequence_config}
 
     weights_config = file_config.get("weights", {"kind": "constant", "value": 1.0})
     if getattr(args, "weight_value", None) is not None:
         weights_config = {"kind": "constant", "value": args.weight_value}
 
-    params = dict(file_config.get("params", {}))
-    _require_keys(params, _PARAM_KEYS[command], f"{command} params")
-
-    output = dict(file_config.get("output", {}))
-    _require_keys(output, {"json", "csv"}, "output")
-    if getattr(args, "out", None):
-        output["json"] = args.out
-    if getattr(args, "csv", None):
-        output["csv"] = args.csv
-
-    return {
-        "analysis": command,
-        "sequence": sequence_config,
-        "weights": weights_config,
-        "params": params,
-        "output": output,
-    }
+    resolved["sequence"] = sequence_config
+    resolved["weights"] = weights_config
+    return resolved
 
 
-def _param(args, params: dict, flag_name: str, key: str, default, cast):
-    value = getattr(args, flag_name, None)
-    if value is not None:
-        return cast(value)
-    if key in params:
-        return cast(params[key])
-    return default
-
-
-def _dimension(args, params: dict) -> int:
-    dimension = _param(args, params, "dimension", "dimension", 40, int)
-    _require(dimension >= 1, f"dimension (--M) must be >= 1, got {dimension}")
-    return dimension
-
-
-def _int_list(text) -> list:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(part) for part in str(text).split(",") if part != ""]
-
-
-def _report(command: str, resolved: dict, result: dict) -> dict:
-    return {
-        "meta": {
-            "tool": "carleson-frames",
-            "version": __version__,
-            "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "threads": _threads(),
-        },
-        "config": resolved,
-        "result": result,
-    }
-
-
-def _emit(report: dict, resolved: dict) -> None:
-    path = resolved["output"].get("json")
-    if path:
-        write_json(path, report)
-
-
-def _finite_or_inf(value: float):
-    return value if math.isfinite(value) else "inf"
-
-
-def _cmd_check_carleson(args) -> int:
-    resolved = _resolve(args, "check-carleson")
-    params = resolved["params"]
-    sequence = sequence_from_config(resolved["sequence"])
-    n_max = _param(args, params, "n_max", "n_max", 30, int)
-    k_trunc = _param(args, params, "k_trunc", "k_trunc", 200, int)
-    fail_threshold = _param(args, params, "fail_threshold", "fail_threshold", 1e-12, float)
-    n_drop = _param(args, params, "drop_prefix", "drop_prefix", 0, int)
-    do_assert = bool(getattr(args, "assert_carleson", False) or params.get("assert_carleson", False))
-    _require(n_max >= 1, f"n_max (--n-max) must be >= 1, got {n_max}")
-    _require(k_trunc >= n_max, f"k_trunc (--k-trunc) must be >= n_max = {n_max}, got {k_trunc}")
-    _require(n_drop >= 0, f"drop_prefix (--drop-prefix) must be >= 0, got {n_drop}")
-    resolved["params"] = {
-        "n_max": n_max,
-        "k_trunc": k_trunc,
-        "fail_threshold": fail_threshold,
-        "drop_prefix": n_drop,
-        "assert_carleson": do_assert,
-    }
-
-    if n_drop > 0:
-        report_data = drop_prefix_check(sequence, n_drop, n_max, k_trunc, fail_threshold)
-    else:
-        report_data = carleson_inf_estimate(sequence, n_max, k_trunc, fail_threshold)
-    report = _report("check-carleson", resolved, report_data.to_jsonable())
-    _emit(report, resolved)
-    csv_path = resolved["output"].get("csv")
-    if csv_path:
-        write_csv(csv_path, ("n", "P_n", "tail_error"), report_data.csv_rows())
-    print(report_data.to_text())
-    if do_assert and report_data.verdict is not Verdict.CERTIFIED_HOLDS:
-        return EXIT_ANALYSIS
-    return EXIT_OK
-
-
-def _cmd_bounds(args) -> int:
-    resolved = _resolve(args, "bounds")
-    params = resolved["params"]
-    system = OrbitSystem(
+def _system(resolved: dict) -> OrbitSystem:
+    return OrbitSystem(
         sequence_from_config(resolved["sequence"]), weights_from_config(resolved["weights"])
     )
-    scheme = SubsampleScheme(
-        _param(args, params, "stride", "stride", 1, int),
-        _param(args, params, "offset", "offset", 0, int),
-        _param(args, params, "start", "start", 0, int),
+
+
+def _emit_csv(resolved: dict, header, rows) -> None:
+    path = resolved["output"].get("csv")
+    if path:
+        write_csv(path, header, rows)
+
+
+# Each handler runs one analysis on the resolved config, prints its summary,
+# writes its CSV table if asked, and returns (exit code, report result).
+
+
+def _cmd_check_carleson(resolved: dict) -> tuple:
+    p = resolved["params"]
+    if p["k_trunc"] < p["n_max"]:
+        raise ConfigError(
+            f"k_trunc (--k-trunc) must be >= n_max = {p['n_max']}, got {p['k_trunc']}"
+        )
+    sequence = sequence_from_config(resolved["sequence"])
+    # with drop_prefix 0 this is carleson_inf_estimate on the whole sequence
+    report_data = drop_prefix_check(
+        sequence, p["drop_prefix"], p["n_max"], p["k_trunc"], p["fail_threshold"]
     )
-    dimension = _dimension(args, params)
-    tol = _param(args, params, "tol", "tol", 1e-10, float)
-    resolved["params"] = {
-        "stride": scheme.stride,
-        "offset": scheme.offset,
-        "start": scheme.start,
-        "dimension": dimension,
-        "tol": tol,
-    }
-    estimate = frame_bounds(system, scheme, dimension, tol)
-    report = _report("bounds", resolved, estimate.to_jsonable())
-    _emit(report, resolved)
+    _emit_csv(resolved, ("n", "P_n", "tail_error"), report_data.csv_rows())
+    print(report_data.to_text())
+    failed = p["assert_carleson"] and report_data.verdict is not Verdict.CERTIFIED_HOLDS
+    return EXIT_ANALYSIS if failed else EXIT_OK, report_data.to_jsonable()
+
+
+def _cmd_bounds(resolved: dict) -> tuple:
+    p = resolved["params"]
+    scheme = SubsampleScheme(p["stride"], p["offset"], p["start"])
+    estimate = frame_bounds(_system(resolved), scheme, p["dimension"], p["tol"])
     print(
         f"scheme (N={scheme.stride}, j={scheme.offset}, K={scheme.start})  "
-        f"M={dimension}  A_est={estimate.a_est:.17g}  B_est={estimate.b_est:.17g}"
+        f"M={p['dimension']}  A_est={estimate.a_est:.17g}  B_est={estimate.b_est:.17g}"
     )
-    return EXIT_OK
+    return EXIT_OK, estimate.to_jsonable()
 
 
-def _cmd_subsample_sweep(args) -> int:
-    resolved = _resolve(args, "subsample-sweep")
-    params = resolved["params"]
-    system = OrbitSystem(
-        sequence_from_config(resolved["sequence"]), weights_from_config(resolved["weights"])
-    )
-    strides = _param(args, params, "strides", "strides", [1, 2, 3, 5], _int_list)
-    starts = _param(args, params, "starts", "starts", [0], _int_list)
-    dimension = _dimension(args, params)
-    tol = _param(args, params, "tol", "tol", 1e-10, float)
-    resolved["params"] = {
-        "strides": strides,
-        "starts": starts,
-        "dimension": dimension,
-        "tol": tol,
-    }
+def _cmd_subsample_sweep(resolved: dict) -> tuple:
+    p = resolved["params"]
+    system = _system(resolved)
     rows = []
-    for stride in strides:
-        for start in starts:
+    for stride in p["strides"]:
+        for start in p["starts"]:
             for offset in range(stride):
-                estimate = frame_bounds(system, SubsampleScheme(stride, offset, start), dimension, tol)
+                scheme = SubsampleScheme(stride, offset, start)
+                estimate = frame_bounds(system, scheme, p["dimension"], p["tol"])
                 rows.append(
                     {
                         "stride": stride,
@@ -368,145 +361,79 @@ def _cmd_subsample_sweep(args) -> int:
                         "b_est": estimate.b_est,
                     }
                 )
-    report = _report("subsample-sweep", resolved, {"dimension": dimension, "rows": rows})
-    _emit(report, resolved)
-    csv_path = resolved["output"].get("csv")
-    if csv_path:
-        write_csv(
-            csv_path,
-            ("N", "j", "K", "A_est", "B_est"),
-            ((r["stride"], r["offset"], r["start"], r["a_est"], r["b_est"]) for r in rows),
-        )
+    _emit_csv(
+        resolved,
+        ("N", "j", "K", "A_est", "B_est"),
+        ((r["stride"], r["offset"], r["start"], r["a_est"], r["b_est"]) for r in rows),
+    )
     print(f"{'N':>4} {'j':>4} {'K':>4} {'A_est':>24} {'B_est':>24}")
     for row in rows:
         print(
             f"{row['stride']:>4} {row['offset']:>4} {row['start']:>4} "
             f"{row['a_est']:>24.17g} {row['b_est']:>24.17g}"
         )
-    return EXIT_OK
+    return EXIT_OK, {"dimension": p["dimension"], "rows": rows}
 
 
-def _weave_not_found(resolved: dict, reference, message: str, sweep) -> int:
-    report = _report(
-        "weave",
-        resolved,
-        {
-            "found": False,
-            "message": message,
-            "reference_bounds": reference.to_jsonable(),
-            "sweep": [
-                {
-                    "start_index": point.start_index,
-                    "value": point.value,
-                    "truncation_bound": _finite_or_inf(point.truncation_bound),
-                }
-                for point in sweep
-            ],
-        },
-    )
-    _emit(report, resolved)
-    print(f"weaving index not found: {message}")
-    return EXIT_ANALYSIS
-
-
-def _cmd_weave(args) -> int:
-    resolved = _resolve(args, "weave")
-    params = resolved["params"]
-    system = OrbitSystem(
-        sequence_from_config(resolved["sequence"]), weights_from_config(resolved["weights"])
-    )
-    stride = _param(args, params, "stride", "stride", 2, int)
-    pattern_spec = _param(args, params, "pattern", "pattern", "constant:1", str)
-    safety = _param(args, params, "safety", "safety", 0.5, float)
-    dimension = _dimension(args, params)
-    j_max = _param(args, params, "j_max", "j_max", 10_000, int)
-    tol = _param(args, params, "tol", "tol", 1e-10, float)
-    _require(0.0 < safety <= 1.0, f"safety (--safety) must lie in (0, 1], got {safety}")
-    resolved["params"] = {
-        "stride": stride,
-        "pattern": pattern_spec,
-        "safety": safety,
-        "dimension": dimension,
-        "j_max": j_max,
-        "tol": tol,
-    }
-    pattern = pattern_from_spec(pattern_spec, stride)
-    reference = frame_bounds(system, SubsampleScheme(stride), dimension, tol)
-    if reference.a_est <= 0.0:
-        message = (
-            f"reference A_est = {reference.a_est!r} at M={dimension} is below the "
-            "eigensolver's resolution, so no defect threshold can be set"
-        )
-        return _weave_not_found(resolved, reference, message, ())
+def _cmd_weave(resolved: dict) -> tuple:
+    p = resolved["params"]
+    system = _system(resolved)
+    dimension = p["dimension"]
+    pattern = pattern_from_spec(p["pattern"], p["stride"])
+    reference = frame_bounds(system, SubsampleScheme(p["stride"]), dimension, p["tol"])
     try:
+        if reference.a_est <= 0.0:
+            raise WeavingSearchError(
+                f"reference A_est = {reference.a_est!r} at M={dimension} is below the "
+                "eigensolver's resolution, so no defect threshold can be set",
+                (),
+            )
         result = find_weaving_index(
-            system, pattern, reference.a_est, safety, dimension, j_max, tol
+            system, pattern, reference.a_est, p["safety"], dimension, p["j_max"], p["tol"]
         )
     except WeavingSearchError as exc:
-        return _weave_not_found(resolved, reference, str(exc), exc.sweep)
-    payload = result.to_jsonable()
-    payload["found"] = True
-    payload["reference_bounds"] = reference.to_jsonable()
-    report = _report("weave", resolved, payload)
-    _emit(report, resolved)
-    csv_path = resolved["output"].get("csv")
-    if csv_path:
-        write_csv(
-            csv_path,
-            ("J", "defect", "truncation_bound"),
-            ((p.start_index, p.value, p.truncation_bound) for p in result.sweep),
-        )
+        print(f"weaving index not found: {exc}")
+        return EXIT_ANALYSIS, {
+            "found": False,
+            "message": str(exc),
+            "reference_bounds": reference.to_jsonable(),
+            "sweep": [point.to_jsonable() for point in exc.sweep],
+        }
+    _emit_csv(
+        resolved,
+        ("J", "defect", "truncation_bound"),
+        ((point.start_index, point.value, point.truncation_bound) for point in result.sweep),
+    )
     print(
         f"weaving index J={result.start_index}  defect={result.defect:.17g}  "
         f"predicted lower bound={result.predicted_lower_bound:.17g}  "
         f"verified lambda_min={result.verified_bounds.a_est:.17g}"
     )
-    return EXIT_OK
+    payload = result.to_jsonable()
+    payload["found"] = True
+    payload["reference_bounds"] = reference.to_jsonable()
+    return EXIT_OK, payload
 
 
-def _cmd_adversary(args) -> int:
-    resolved = _resolve(args, "adversary")
-    params = resolved["params"]
-    oracle_kind = _param(args, params, "oracle", "oracle", "orbit", str)
-    levels = _param(args, params, "levels", "levels", 6, int)
-    budget = _param(args, params, "budget", "budget", 10**6, int)
-    estimate_dimension = _param(args, params, "estimate_dimension", "estimate_dimension", 0, int)
-    _require(levels >= 1, f"levels (--L) must be >= 1, got {levels}")
-    _require(budget >= 1, f"budget (--budget) must be >= 1, got {budget}")
-    resolved["params"] = {
-        "oracle": oracle_kind,
-        "levels": levels,
-        "budget": budget,
-        "estimate_dimension": estimate_dimension,
-    }
-    if oracle_kind == "orbit":
-        oracle = OrbitFrameOracle(
-            OrbitSystem(
-                sequence_from_config(resolved["sequence"]),
-                weights_from_config(resolved["weights"]),
-            )
-        )
-    elif oracle_kind == "orthonormal":
-        oracle = OrthonormalBasisOracle()
+def _cmd_adversary(resolved: dict) -> tuple:
+    p = resolved["params"]
+    if p["oracle"] == "orbit":
+        oracle = OrbitFrameOracle(_system(resolved))
     else:
-        raise ConfigError(f"unknown oracle kind {oracle_kind!r}")
+        oracle = OrthonormalBasisOracle()
     try:
-        certificate = build_adversarial_subsequence(oracle, levels, budget)
+        certificate = build_adversarial_subsequence(oracle, p["levels"], p["budget"])
     except SearchBudgetExceededError as exc:
-        report = _report("adversary", resolved, {"built": False, "message": str(exc)})
-        _emit(report, resolved)
         print(f"adversarial construction failed: {exc}")
-        return EXIT_ANALYSIS
+        return EXIT_ANALYSIS, {"built": False, "message": str(exc)}
     deviation = reverify_certificate(oracle, certificate)
     payload = certificate.to_jsonable()
     payload["built"] = True
     payload["reverification_deviation"] = deviation
-    if estimate_dimension > 0:
+    if p["estimate_dimension"] > 0:
         payload["picked_lower_bound_estimate"] = estimate_subsequence_lower_bound(
-            oracle, certificate.picked_indices, estimate_dimension
+            oracle, certificate.picked_indices, p["estimate_dimension"]
         )
-    report = _report("adversary", resolved, payload)
-    _emit(report, resolved)
     print(f"picked indices: {list(certificate.picked_indices)}")
     print(f"witnesses:      {list(certificate.witnesses)}")
     for step in certificate.steps:
@@ -514,7 +441,7 @@ def _cmd_adversary(args) -> int:
             f"level {step.level}: bound {step.bound:.17g} <= 2^-{step.level} = {step.threshold:.17g}"
         )
     print(f"reverification deviation: {deviation:.3e}")
-    return EXIT_OK
+    return EXIT_OK, payload
 
 
 def _reproduction_checks(dimension: int) -> list:
@@ -638,24 +565,26 @@ def _reproduction_checks(dimension: int) -> list:
     return checks
 
 
-def _cmd_reproduce_paper(args) -> int:
-    resolved = _resolve(args, "reproduce-paper")
-    params = resolved["params"]
-    dimension = _dimension(args, params)
-    resolved["params"] = {"dimension": dimension}
-    # the suite pins its own systems; defaults would be misleading audit trail
-    resolved.pop("sequence", None)
-    resolved.pop("weights", None)
-    checks = _reproduction_checks(dimension)
+def _cmd_reproduce_paper(resolved: dict) -> tuple:
+    checks = _reproduction_checks(resolved["params"]["dimension"])
     all_pass = all(check["pass"] for check in checks)
-    report = _report(
-        "reproduce-paper", resolved, {"checks": checks, "all_pass": all_pass}
-    )
-    _emit(report, resolved)
     for check in checks:
         print(f"{'PASS' if check['pass'] else 'FAIL'}  {check['name']}")
     print(f"{'PASS' if all_pass else 'FAIL'}  overall")
-    return EXIT_OK if all_pass else EXIT_ANALYSIS
+    return EXIT_OK if all_pass else EXIT_ANALYSIS, {"checks": checks, "all_pass": all_pass}
+
+
+# subcommand -> (handler, help, flag groups besides --config, --out and PARAMS)
+_COMMANDS = {
+    "check-carleson": (_cmd_check_carleson, "certify or refute the Carleson condition", ("sequence", "csv")),
+    "bounds": (_cmd_bounds, "frame-bound estimates for one subsample scheme", ("sequence", "weights")),
+    "subsample-sweep": (_cmd_subsample_sweep, "sweep (N, j, K) schemes and tabulate bounds",
+                        ("sequence", "weights", "csv")),
+    "weave": (_cmd_weave, "find and verify a weaving index; --pattern is constant:J | periodic:a,b,.. | "
+              "explicit:a,b,.. | seeded:SEED:LEN", ("sequence", "weights", "csv")),
+    "adversary": (_cmd_adversary, "build an adversarial non-frame subsequence certificate", ("sequence", "weights")),
+    "reproduce-paper": (_cmd_reproduce_paper, "run the full desk-scale reproduction suite", ()),
+}
 
 
 def _add_sequence_flags(parser: argparse.ArgumentParser) -> None:
@@ -669,79 +598,33 @@ def _add_sequence_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--power", type=int, help="raise the sequence entrywise to this power")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=str, help="JSON experiment config file")
-    parser.add_argument("--out", type=str, help="write the JSON report here")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carleson-frames",
         description="Operator-orbit frame analyses on the unit disc.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-carleson", help="certify or refute the Carleson condition")
-    _add_common_flags(p)
-    _add_sequence_flags(p)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--k-trunc", dest="k_trunc", type=int)
-    p.add_argument("--fail-threshold", dest="fail_threshold", type=float)
-    p.add_argument("--drop-prefix", dest="drop_prefix", type=int)
-    p.add_argument("--assert-carleson", dest="assert_carleson", action="store_true")
-    p.add_argument("--csv", type=str)
-    p.set_defaults(func=_cmd_check_carleson)
-
-    p = sub.add_parser("bounds", help="frame-bound estimates for one subsample scheme")
-    _add_common_flags(p)
-    _add_sequence_flags(p)
-    p.add_argument("--weight-value", dest="weight_value", type=float)
-    p.add_argument("--N", dest="stride", type=int)
-    p.add_argument("--j", dest="offset", type=int)
-    p.add_argument("--K", dest="start", type=int)
-    p.add_argument("--M", dest="dimension", type=int)
-    p.add_argument("--tol", type=float)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("subsample-sweep", help="sweep (N, j, K) schemes and tabulate bounds")
-    _add_common_flags(p)
-    _add_sequence_flags(p)
-    p.add_argument("--weight-value", dest="weight_value", type=float)
-    p.add_argument("--N", dest="strides", type=str, help="comma-separated stride list")
-    p.add_argument("--K", dest="starts", type=str, help="comma-separated start list")
-    p.add_argument("--M", dest="dimension", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--csv", type=str)
-    p.set_defaults(func=_cmd_subsample_sweep)
-
-    p = sub.add_parser("weave", help="find and verify a weaving index")
-    _add_common_flags(p)
-    _add_sequence_flags(p)
-    p.add_argument("--weight-value", dest="weight_value", type=float)
-    p.add_argument("--N", dest="stride", type=int)
-    p.add_argument("--pattern", type=str, help="constant:J | periodic:a,b,.. | explicit:a,b,.. | seeded:SEED:LEN")
-    p.add_argument("--safety", type=float)
-    p.add_argument("--M", dest="dimension", type=int)
-    p.add_argument("--J-max", dest="j_max", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--csv", type=str)
-    p.set_defaults(func=_cmd_weave)
-
-    p = sub.add_parser("adversary", help="build an adversarial non-frame subsequence certificate")
-    _add_common_flags(p)
-    _add_sequence_flags(p)
-    p.add_argument("--weight-value", dest="weight_value", type=float)
-    p.add_argument("--oracle", type=str, choices=("orbit", "orthonormal"))
-    p.add_argument("--L", dest="levels", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--estimate-dim", dest="estimate_dimension", type=int)
-    p.set_defaults(func=_cmd_adversary)
-
-    p = sub.add_parser("reproduce-paper", help="run the full desk-scale reproduction suite")
-    _add_common_flags(p)
-    p.add_argument("--M", dest="dimension", type=int)
-    p.set_defaults(func=_cmd_reproduce_paper)
-
+    for command, (handler, help_text, groups) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", type=str, help="JSON experiment config file")
+        p.add_argument("--out", type=str, help="write the JSON report here")
+        if "sequence" in groups:
+            _add_sequence_flags(p)
+        if "weights" in groups:
+            p.add_argument("--weight-value", dest="weight_value", type=float)
+        if "csv" in groups:
+            p.add_argument("--csv", type=str, help="write the table as CSV here")
+        for row in PARAMS:
+            if row.command != command:
+                continue
+            help_text = f"config key {row.name}, default {row.default}"
+            if row.valid is not None:
+                help_text += f", must be {row.valid[0]}"
+            if row.cast is bool:
+                p.add_argument(row.flag, dest=row.name, action="store_true", default=None, help=help_text)
+            else:
+                p.add_argument(row.flag, dest=row.name, help=help_text)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -752,16 +635,28 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        resolved = _resolve(args)
+        code, result = args.func(resolved)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EigensolverError, SearchBudgetExceededError) as exc:
+    except (EigensolverError, SearchBudgetExceededError, WeavingSearchError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    except InvariantViolation as exc:
+    except (ValueError, IndexError) as exc:
+        # InvariantViolation, and the library's other checks on its inputs,
+        # such as an explicit sequence shorter than the truncation dimension
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    path = resolved["output"].get("json")
+    if path:
+        meta = {
+            "tool": "carleson-frames",
+            "version": __version__,
+            "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        }
+        write_json(path, {"meta": meta, "config": resolved, "result": result})
+    return code
 
 
 if __name__ == "__main__":

@@ -56,10 +56,6 @@ class HermitianMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
-    @property
-    def dimension(self) -> int:
-        return int(self.data.shape[0])
-
 
 class ExtremalEigenvalues(NamedTuple):
     lambda_min: float

@@ -15,7 +15,7 @@ one-sided orientation is part of every estimate's meaning.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -85,9 +85,6 @@ class SubsampleScheme:
     def exponent(self, k: int) -> int:
         return self.stride * k + self.offset
 
-    def to_jsonable(self) -> dict:
-        return {"stride": self.stride, "offset": self.offset, "start": self.start}
-
 
 @dataclass(frozen=True)
 class FrameBoundEstimate:
@@ -105,13 +102,7 @@ class FrameBoundEstimate:
     scheme: SubsampleScheme | None
 
     def to_jsonable(self) -> dict:
-        return {
-            "a_est": self.a_est,
-            "b_est": self.b_est,
-            "dimension": self.dimension,
-            "eig_residual": self.eig_residual,
-            "scheme": self.scheme.to_jsonable() if self.scheme else None,
-        }
+        return asdict(self)
 
 
 class SystemArrays(NamedTuple):
@@ -204,10 +195,6 @@ class TruncatedFrameOperator:
 
     matrix: np.ndarray
     tail_bound: np.ndarray
-
-    @property
-    def max_tail(self) -> float:
-        return float(np.max(self.tail_bound))
 
 
 def frame_operator_bruteforce(

@@ -3,7 +3,6 @@ digits (round-trip safe), and atomic file writes (temp + rename)."""
 
 import csv
 import json
-import math
 import os
 import tempfile
 
@@ -11,12 +10,8 @@ import numpy as np
 
 
 def format_float(value) -> str:
-    value = float(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if math.isnan(value):
-        return "nan"
-    return f"{value:.17g}"
+    """17 significant digits; inf, -inf and nan as those words."""
+    return f"{float(value):.17g}"
 
 
 def canonical_json(data) -> str:
@@ -24,14 +19,16 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Call write(handle) on a temp file next to `path`, then rename it over
+    `path`; line endings are written as given."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     handle = tempfile.NamedTemporaryFile(
-        mode="w", encoding="utf-8", dir=directory, delete=False, suffix=".tmp"
+        mode="w", encoding="utf-8", newline="", dir=directory, delete=False, suffix=".tmp"
     )
     try:
         with handle:
-            handle.write(text)
+            write(handle)
         os.replace(handle.name, path)
     except BaseException:
         os.unlink(handle.name)
@@ -39,7 +36,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_json(path: str, data) -> None:
-    atomic_write_text(path, canonical_json(data))
+    text = canonical_json(data)
+    _atomic_write(path, lambda handle: handle.write(text))
 
 
 def _cell(value) -> str:
@@ -49,32 +47,16 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (complex, np.complexfloating)):
-        return f"{format_float(value.real)},{format_float(value.imag)}"
     return format_float(value)
 
 
 def write_csv(path: str, header, rows) -> None:
     """RFC-4180 CSV ('.' decimal separator, CRLF, minimal quoting)."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    handle = tempfile.NamedTemporaryFile(
-        mode="w", encoding="utf-8", newline="", dir=directory, delete=False, suffix=".tmp"
-    )
-    try:
-        with handle:
-            writer = csv.writer(handle, lineterminator="\r\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(value) for value in row])
-        os.replace(handle.name, path)
-    except BaseException:
-        os.unlink(handle.name)
-        raise
 
+    def write(handle):
+        writer = csv.writer(handle, lineterminator="\r\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(value) for value in row])
 
-def write_matrix_csv(path: str, matrix) -> None:
-    """Row-major matrix dump; each cell is the quoted pair "re,im"."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    header = [f"col_{j + 1}" for j in range(matrix.shape[1])]
-    rows = ([complex(entry) for entry in row] for row in matrix)
-    write_csv(path, header, rows)
+    _atomic_write(path, write)

@@ -18,6 +18,13 @@ class InvariantViolation(ValueError):
     """A structural invariant (unit disc, weight bounds, hypotheses) is broken."""
 
 
+def _check_index(k, length: int | None, what: str) -> None:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise IndexError(f"{what} indices start at 1, got {k!r}")
+    if length is not None and k > length:
+        raise IndexError(f"index {k} beyond {what} length {length}")
+
+
 class LambdaSequence(ABC):
     """Abstract sequence {lambda_k}_{k>=1} strictly inside the open unit disc."""
 
@@ -58,30 +65,19 @@ class LambdaSequence(ABC):
             return 0.0
         return None
 
-    def _check_index(self, k: int) -> None:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise IndexError(f"sequence indices start at 1, got {k!r}")
-        if self.length is not None and k > self.length:
-            raise IndexError(f"index {k} beyond sequence length {self.length}")
-
     def value_at(self, k: int) -> complex:
-        self._check_index(k)
+        _check_index(k, self.length, "sequence")
         if self._unchecked_gap(k) <= 0.0:
             raise InvariantViolation(f"|lambda_{k}| >= 1 leaves the open unit disc")
         return self._unchecked_value(k)
 
     def modulus_gap_at(self, k: int) -> float:
         """1 - |lambda_k|, computed in stable closed form."""
-        self._check_index(k)
+        _check_index(k, self.length, "sequence")
         gap = self._unchecked_gap(k)
         if gap <= 0.0:
             raise InvariantViolation(f"|lambda_{k}| >= 1 leaves the open unit disc")
         return gap
-
-
-def lambda_at(seq: LambdaSequence, k: int) -> complex:
-    """Evaluate lambda_k (index-checked, unit-disc-checked)."""
-    return seq.value_at(k)
 
 
 def signed_gap_at(seq: LambdaSequence, k: int) -> float:
@@ -183,8 +179,6 @@ class ExplicitSequence(LambdaSequence):
         return self._strictly_increasing
 
     def tail_modulus_gap_sum(self, k_start):
-        if k_start > len(self.values):
-            return 0.0
         return compensated_sum(1.0 - abs(v) for v in self.values[k_start - 1 :])
 
 
@@ -381,10 +375,7 @@ class Weights(ABC):
     def _unchecked_value(self, k: int) -> complex: ...
 
     def value_at(self, k: int) -> complex:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise IndexError(f"weight indices start at 1, got {k!r}")
-        if self.length is not None and k > self.length:
-            raise IndexError(f"index {k} beyond weight list length {self.length}")
+        _check_index(k, self.length, "weight")
         value = self._unchecked_value(k)
         magnitude = abs(value)
         if magnitude < self.c1 or magnitude > self.c2:
@@ -392,11 +383,6 @@ class Weights(ABC):
                 f"|m_{k}| = {magnitude!r} breaches certified bounds [{self.c1}, {self.c2}]"
             )
         return value
-
-
-def weight_at(weights: Weights, k: int) -> complex:
-    """Evaluate m_k (index-checked, bound-checked)."""
-    return weights.value_at(k)
 
 
 @dataclass(frozen=True)
@@ -480,22 +466,6 @@ class ValidationReport:
     @property
     def all_checks_pass(self) -> bool:
         return self.in_disc and self.distinct and self.monotone_moduli and self.real_positive_window
-
-    def to_jsonable(self) -> dict:
-        return {
-            "n_checked": self.n_checked,
-            "in_disc": self.in_disc,
-            "first_out_of_disc": self.first_out_of_disc,
-            "distinct": self.distinct,
-            "first_duplicate": list(self.first_duplicate) if self.first_duplicate else None,
-            "monotone_moduli": self.monotone_moduli,
-            "first_non_monotone": self.first_non_monotone,
-            "real_positive_window": self.real_positive_window,
-            "flags": {
-                "real_positive": self.real_positive,
-                "strictly_increasing_moduli": self.strictly_increasing_moduli,
-            },
-        }
 
 
 def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:

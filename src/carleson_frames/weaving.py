@@ -17,8 +17,7 @@ M-truncated model, which is what this module verifies numerically.
 """
 
 import math
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,24 +50,30 @@ def _xorshift64(state: int) -> int:
     return state
 
 
-class WeavePattern(ABC):
+@dataclass(frozen=True)
+class WeavePattern:
     """Choice of offsets k -> j_k in {0, .., N-1} for a fixed stride N.
 
-    `period` is the cycle length for periodic kinds and None for finite-support
-    kinds, whose offsets are 0 beyond `offsets`.
+    With a `period` the offsets cycle: j_k = offsets[k % period], and the
+    period is len(offsets). With period None the pattern has finite support:
+    j_k = offsets[k] for k < len(offsets) and 0 beyond. Build patterns with
+    ConstantPattern, PeriodicPattern, ExplicitPattern or SeededPattern.
     """
 
-    @property
-    @abstractmethod
-    def stride(self) -> int: ...
+    stride: int
+    offsets: tuple
+    period: int | None
 
-    @property
-    @abstractmethod
-    def offsets(self) -> tuple: ...
-
-    @property
-    @abstractmethod
-    def period(self) -> int | None: ...
+    def __post_init__(self):
+        if self.stride < 1:
+            raise InvariantViolation("stride N must be >= 1")
+        offsets = tuple(int(j) for j in self.offsets)
+        for j in offsets:
+            if not 0 <= j < self.stride:
+                raise InvariantViolation(f"offset {j} outside [0, {self.stride})")
+        if self.period is not None and (not offsets or self.period != len(offsets)):
+            raise InvariantViolation("a periodic pattern needs a nonempty cycle of length period")
+        object.__setattr__(self, "offsets", offsets)
 
     def offset_at(self, k: int) -> int:
         if k < 0:
@@ -81,141 +86,57 @@ class WeavePattern(ABC):
     def max_offset(self) -> int:
         return max(self.offsets, default=0)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": type(self).__name__,
-            "stride": self.stride,
-            "offsets": list(self.offsets),
-            "period": self.period,
-        }
+
+def ConstantPattern(stride: int, offset: int) -> WeavePattern:
+    """j_k = offset for every k."""
+    return WeavePattern(stride, (offset,), 1)
 
 
-def _check_offsets(stride, offsets):
-    if stride < 1:
-        raise InvariantViolation("stride N must be >= 1")
-    for j in offsets:
-        if not 0 <= j < stride:
-            raise InvariantViolation(f"offset {j} outside [0, {stride})")
-
-
-@dataclass(frozen=True)
-class ConstantPattern(WeavePattern):
-    """j_k = j for every k."""
-
-    stride_n: int
-    offset: int
-
-    def __post_init__(self):
-        _check_offsets(self.stride_n, (self.offset,))
-
-    @property
-    def stride(self):
-        return self.stride_n
-
-    @property
-    def offsets(self):
-        return (self.offset,)
-
-    @property
-    def period(self):
-        return 1
-
-
-@dataclass(frozen=True)
-class PeriodicPattern(WeavePattern):
+def PeriodicPattern(stride: int, cycle) -> WeavePattern:
     """j_k cycles through a fixed finite list."""
-
-    stride_n: int
-    cycle: tuple
-
-    def __post_init__(self):
-        cycle = tuple(int(j) for j in self.cycle)
-        if not cycle:
-            raise InvariantViolation("periodic pattern needs a nonempty cycle")
-        _check_offsets(self.stride_n, cycle)
-        object.__setattr__(self, "cycle", cycle)
-
-    @property
-    def stride(self):
-        return self.stride_n
-
-    @property
-    def offsets(self):
-        return self.cycle
-
-    @property
-    def period(self):
-        return len(self.cycle)
+    cycle = tuple(cycle)
+    return WeavePattern(stride, cycle, len(cycle))
 
 
-@dataclass(frozen=True)
-class ExplicitPattern(WeavePattern):
+def ExplicitPattern(stride: int, values) -> WeavePattern:
     """Finitely many explicit swaps; j_k = 0 beyond the list."""
-
-    stride_n: int
-    values: tuple
-
-    def __post_init__(self):
-        values = tuple(int(j) for j in self.values)
-        _check_offsets(self.stride_n, values)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def stride(self):
-        return self.stride_n
-
-    @property
-    def offsets(self):
-        return self.values
-
-    @property
-    def period(self):
-        return None
+    return WeavePattern(stride, values, None)
 
 
-@dataclass(frozen=True)
-class SeededPattern(WeavePattern):
+def SeededPattern(stride: int, seed: int, length: int) -> WeavePattern:
     """`length` pseudo-random offsets, 0 beyond; bit-reproducible by construction.
 
     The stream is the 64-bit xorshift generator with shift triplet
     (13, 7, 17), seeded with `seed` (a zero seed is remapped to a fixed
     nonzero constant), each output reduced modulo the stride.
     """
-
-    stride_n: int
-    seed: int
-    length: int
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise InvariantViolation("length must be nonnegative")
-        state = int(self.seed) & _MASK64
-        if state == 0:
-            state = _FALLBACK_SEED
-        produced = []
-        for _ in range(self.length):
-            state = _xorshift64(state)
-            produced.append(state % self.stride_n)
-        _check_offsets(self.stride_n, produced)
-        object.__setattr__(self, "_offsets", tuple(produced))
-
-    @property
-    def stride(self):
-        return self.stride_n
-
-    @property
-    def offsets(self):
-        return self._offsets
-
-    @property
-    def period(self):
-        return None
+    if stride < 1:
+        raise InvariantViolation("stride N must be >= 1")
+    if length < 0:
+        raise InvariantViolation("length must be nonnegative")
+    state = int(seed) & _MASK64
+    if state == 0:
+        state = _FALLBACK_SEED
+    produced = []
+    for _ in range(length):
+        state = _xorshift64(state)
+        produced.append(state % stride)
+    return WeavePattern(stride, tuple(produced), None)
 
 
 class DefectPoint(NamedTuple):
     start_index: int
     value: float
     truncation_bound: float
+
+    def to_jsonable(self) -> dict:
+        return {
+            "start_index": self.start_index,
+            "value": self.value,
+            "truncation_bound": self.truncation_bound
+            if math.isfinite(self.truncation_bound)
+            else "inf",
+        }
 
 
 def _require_weavable(system: OrbitSystem) -> None:
@@ -355,24 +276,7 @@ class WeavingResult:
     sweep: tuple
 
     def to_jsonable(self) -> dict:
-        return {
-            "start_index": self.start_index,
-            "defect": self.defect,
-            "a_est_used": self.a_est_used,
-            "safety": self.safety,
-            "predicted_lower_bound": self.predicted_lower_bound,
-            "verified_bounds": self.verified_bounds.to_jsonable(),
-            "sweep": [
-                {
-                    "start_index": point.start_index,
-                    "value": point.value,
-                    "truncation_bound": point.truncation_bound
-                    if math.isfinite(point.truncation_bound)
-                    else "inf",
-                }
-                for point in self.sweep
-            ],
-        }
+        return dict(asdict(self), sweep=[point.to_jsonable() for point in self.sweep])
 
 
 def find_weaving_index(

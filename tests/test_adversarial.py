@@ -129,7 +129,7 @@ def test_estimate_picks_only_is_rank_deficient():
 
 
 def test_estimate_terms_cap():
-    capped = estimate_subsequence_lower_bound(ORACLE, range(600), 10, terms=3)
+    capped = estimate_subsequence_lower_bound(ORACLE, range(3), 10)
     assert capped <= 1e-12  # only 3 vectors cannot span 10 coordinates
 
 

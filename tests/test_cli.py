@@ -92,6 +92,8 @@ def test_unknown_config_fields_rejected(tmp_path, capsys):
     assert run_cli("check-carleson", "--config", str(config)) == 2
     config.write_text(json.dumps({"analysis": "weave"}))
     assert run_cli("check-carleson", "--config", str(config)) == 2
+    config.write_text(json.dumps({"params": [1]}))
+    assert run_cli("check-carleson", "--config", str(config)) == 2
 
 
 def test_explicit_sequence_config(tmp_path):
@@ -226,6 +228,12 @@ def test_weave_reference_below_resolution_exits_one(tmp_path, capsys):
         (("check-carleson", "--n-max", "0"), "--n-max"),
         (("weave", "--safety", "0"), "--safety"),
         (("adversary", "--L", "0"), "--L"),
+        (("bounds", "--alpha", "2", "--tol", "0"), "--tol"),
+        (("subsample-sweep", "--alpha", "2", "--N", "1,x"), "--N"),
+        (("subsample-sweep", "--N", "0"), "--N"),
+        (("weave", "--J-max", "-1"), "--J-max"),
+        (("adversary", "--estimate-dim", "-3"), "--estimate-dim"),
+        (("bounds", "--N", "not-an-int"), "--N"),
     ],
 )
 def test_out_of_range_parameters_exit_two(tmp_path, capsys, argv, flag):
@@ -235,6 +243,86 @@ def test_out_of_range_parameters_exit_two(tmp_path, capsys, argv, flag):
     assert len(lines) == 1
     assert lines[0].startswith("config error:") and flag in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--values", "0.3,0.5"),
+        ("weave", "--values", "0.1,0.2,0.3", "--M", "40"),
+        ("adversary", "--values", "0.5", "--L", "2"),
+    ],
+)
+def test_explicit_sequence_too_short_exits_two(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("invalid input:") and "entries" in lines[0]
+    assert not out.exists()
+
+
+def test_malformed_config_param_exits_two(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": {"n_max": "x"}}))
+    out = tmp_path / "report.json"
+    assert run_cli("check-carleson", "--config", str(config), "--out", str(out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error:") and "--n-max" in lines[0]
+    assert not out.exists()
+
+
+# per subcommand: a config-file value and a different flag value for every param
+PARAM_CASES = {
+    "check-carleson": (
+        {"n_max": 4, "k_trunc": 40, "fail_threshold": 1e-10, "drop_prefix": 1, "assert_carleson": True},
+        {"n_max": ("--n-max", "5", 5), "k_trunc": ("--k-trunc", "50", 50),
+         "fail_threshold": ("--fail-threshold", "1e-9", 1e-9), "drop_prefix": ("--drop-prefix", "2", 2),
+         "assert_carleson": ("--assert-carleson", None, True)},
+    ),
+    "bounds": (
+        {"stride": 3, "offset": 2, "start": 1, "dimension": 10, "tol": 1e-9},
+        {"stride": ("--N", "2", 2), "offset": ("--j", "1", 1), "start": ("--K", "2", 2),
+         "dimension": ("--M", "12", 12), "tol": ("--tol", "1e-8", 1e-8)},
+    ),
+    "subsample-sweep": (
+        {"strides": [2], "starts": [1], "dimension": 10, "tol": 1e-9},
+        {"strides": ("--N", "3", [3]), "starts": ("--K", "0,2", [0, 2]), "dimension": ("--M", "12", 12),
+         "tol": ("--tol", "1e-8", 1e-8)},
+    ),
+    "weave": (
+        {"stride": 3, "pattern": "constant:2", "safety": 0.4, "dimension": 10, "j_max": 300, "tol": 1e-9},
+        {"stride": ("--N", "2", 2), "pattern": ("--pattern", "periodic:0,1", "periodic:0,1"),
+         "safety": ("--safety", "0.6", 0.6), "dimension": ("--M", "12", 12), "j_max": ("--J-max", "200", 200),
+         "tol": ("--tol", "1e-8", 1e-8)},
+    ),
+    "adversary": (
+        {"oracle": "orthonormal", "levels": 3, "budget": 1000, "estimate_dimension": 4},
+        {"oracle": ("--oracle", "orbit", "orbit"), "levels": ("--L", "2", 2), "budget": ("--budget", "2000", 2000),
+         "estimate_dimension": ("--estimate-dim", "5", 5)},
+    ),
+    "reproduce-paper": ({"dimension": 24}, {"dimension": ("--M", "30", 30)}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARAM_CASES))
+def test_every_param_from_config_file_and_flag(tmp_path, command):
+    file_values, flags = PARAM_CASES[command]
+    names = {row.name for row in cli.PARAMS if row.command == command}
+    assert set(file_values) == set(flags) == names
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"analysis": command, "params": file_values}))
+    out = tmp_path / "report.json"
+
+    assert run_cli(command, "--config", str(config), "--out", str(out)) in (0, 1)
+    assert read_json(out)["config"]["params"] == file_values
+
+    argv = [command, "--config", str(config), "--out", str(out)]
+    for flag, text, _ in flags.values():
+        argv += [flag] if text is None else [flag, text]
+    assert run_cli(*argv) in (0, 1)
+    assert read_json(out)["config"]["params"] == {name: value for name, (_, _, value) in flags.items()}
 
 
 def test_weave_pattern_specs():
@@ -264,15 +352,6 @@ def test_adversary_orthonormal(tmp_path):
     assert report["result"]["step_bounds"] == [0.0, 0.0, 0.0, 0.0]
 
 
-def test_threads_env_var(tmp_path, monkeypatch):
-    out = tmp_path / "r.json"
-    monkeypatch.setenv("CARLESON_FRAMES_THREADS", "2")
-    assert run_cli("bounds", "--alpha", "2", "--N", "1", "--out", str(out)) == 0
-    assert read_json(out)["meta"]["threads"] == 2
-    monkeypatch.setenv("CARLESON_FRAMES_THREADS", "zero")
-    assert run_cli("bounds", "--alpha", "2", "--N", "1") == 2
-
-
 def test_reproduce_paper_passes_and_is_deterministic(tmp_path, capsys):
     out = tmp_path / "repro.json"
     assert run_cli("reproduce-paper", "--out", str(out)) == 0
@@ -285,6 +364,13 @@ def test_reproduce_paper_passes_and_is_deterministic(tmp_path, capsys):
     strip = lambda blob: [line for line in blob.splitlines() if b"generated_at" not in line]
     assert strip(first) == strip(second)
     assert len(first.splitlines()) == len(second.splitlines())
+
+
+def test_reproduce_paper_search_exhaustion_exits_one(capsys):
+    # at M = 10 the coordinate tail bound alone exceeds the weaving threshold
+    assert run_cli("reproduce-paper", "--M", "10") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("analysis error:")
 
 
 def test_console_entry_point_runs():

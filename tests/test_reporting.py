@@ -2,17 +2,7 @@ import csv
 import json
 import math
 
-import numpy as np
-
-from carleson_frames import ConstantWeights, GeometricApproach, OrbitSystem, SubsampleScheme
-from carleson_frames.orbit import frame_operator_matrix
-from carleson_frames.reporting import (
-    canonical_json,
-    format_float,
-    write_csv,
-    write_json,
-    write_matrix_csv,
-)
+from carleson_frames.reporting import canonical_json, format_float, write_csv, write_json
 
 
 def test_format_float_round_trips():
@@ -47,16 +37,3 @@ def test_write_csv_rfc4180(tmp_path):
     assert rows[1] == ["1", format_float(1.0 / 3.0)]
     assert rows[2] == ["2", "inf"]
 
-
-def test_matrix_csv_round_trip(tmp_path):
-    system = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
-    matrix = frame_operator_matrix(system, SubsampleScheme(2, 1, 0), 5)
-    path = tmp_path / "matrix.csv"
-    write_matrix_csv(str(path), matrix)
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == [f"col_{j}" for j in range(1, 6)]
-    parsed = np.array(
-        [[complex(*map(float, cell.split(","))) for cell in row] for row in rows[1:]]
-    )
-    np.testing.assert_array_equal(parsed, matrix)

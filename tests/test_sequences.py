@@ -13,22 +13,20 @@ from carleson_frames import (
     PowerSequence,
     TwoPointAugmented,
     drop_prefix,
-    lambda_at,
     signed_gap_at,
     validate,
-    weight_at,
 )
 
 
 def test_geometric_values():
     seq = GeometricApproach(2.0)
-    assert lambda_at(seq, 1) == 0.5
-    assert lambda_at(seq, 3) == 0.875
+    assert seq.value_at(1) == 0.5
+    assert seq.value_at(3) == 0.875
 
 
 def test_power_of_geometric():
     seq = PowerSequence(GeometricApproach(2.0), 2)
-    assert lambda_at(seq, 1) == 0.25
+    assert seq.value_at(1) == 0.25
 
 
 def test_geometric_rejects_bad_alpha():
@@ -48,7 +46,7 @@ def test_geometric_gap_ratio_is_exactly_one_over_alpha(alpha, k):
 def test_gap_stays_exact_far_beyond_double_resolution():
     # the value itself rounds to 1.0 long before k = 200; the gap must not
     seq = GeometricApproach(2.0)
-    assert lambda_at(seq, 200) == 1.0
+    assert seq.value_at(200) == 1.0
     assert seq.modulus_gap_at(200) == 2.0 ** (-200)
 
 
@@ -62,21 +60,21 @@ def test_power_one_is_identity(k):
 
 def test_explicit_sequence_indexing_and_disc_check():
     seq = ExplicitSequence((0.3, -0.3j))
-    assert lambda_at(seq, 2) == -0.3j
+    assert seq.value_at(2) == -0.3j
     with pytest.raises(IndexError):
-        lambda_at(seq, 3)
+        seq.value_at(3)
     with pytest.raises(IndexError):
-        lambda_at(seq, 0)
+        seq.value_at(0)
     bad = ExplicitSequence((1.2,))
     with pytest.raises(InvariantViolation):
-        lambda_at(bad, 1)
+        bad.value_at(1)
 
 
 def test_two_point_prepends_pair():
     seq = TwoPointAugmented(0.3, GeometricApproach(2.0))
-    assert lambda_at(seq, 1) == 0.3
-    assert lambda_at(seq, 2) == -0.3
-    assert lambda_at(seq, 3) == 0.5
+    assert seq.value_at(1) == 0.3
+    assert seq.value_at(2) == -0.3
+    assert seq.value_at(3) == 0.5
     with pytest.raises(InvariantViolation):
         TwoPointAugmented(1.3, GeometricApproach(2.0))
 
@@ -85,7 +83,7 @@ def test_even_power_of_real_sequence_is_positive():
     seq = PowerSequence(TwoPointAugmented(0.3, GeometricApproach(2.0)), 2)
     assert seq.real_positive
     assert not seq.strictly_increasing_moduli
-    assert lambda_at(seq, 1) == lambda_at(seq, 2) == 0.09 + 0j
+    assert seq.value_at(1) == seq.value_at(2) == 0.09 + 0j
 
 
 def test_signed_gap():
@@ -172,7 +170,7 @@ def test_tail_gap_sums():
 
 def test_constant_weights():
     weights = ConstantWeights(1.0)
-    assert weight_at(weights, 7) == 1.0
+    assert weights.value_at(7) == 1.0
     assert weights.c1 == weights.c2 == 1.0
     complex_weights = ConstantWeights(3 + 4j)
     assert complex_weights.c1 == 5.0
@@ -182,11 +180,11 @@ def test_constant_weights():
 
 def test_explicit_weights_bounds():
     weights = ExplicitWeights((1.0, 2.0), 1.0, 2.0)
-    assert weight_at(weights, 2) == 2.0
+    assert weights.value_at(2) == 2.0
     with pytest.raises(IndexError):
-        weight_at(weights, 3)
+        weights.value_at(3)
     breached = ExplicitWeights((1.0, 3.0), 1.0, 2.0)
     with pytest.raises(InvariantViolation):
-        weight_at(breached, 2)
+        breached.value_at(2)
     with pytest.raises(InvariantViolation):
         ExplicitWeights((1.0,), 2.0, 1.0)

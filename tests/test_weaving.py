@@ -41,6 +41,10 @@ def test_pattern_offsets_and_validation():
         PeriodicPattern(2, ())
     with pytest.raises(InvariantViolation):
         SeededPattern(2, 1, -1)
+    with pytest.raises(InvariantViolation):
+        SeededPattern(0, 1, 4)  # checked before the stream is reduced mod N
+    # every constructor builds the one value type
+    assert PeriodicPattern(3, (2,)) == ConstantPattern(3, 2)
 
 
 def test_seeded_pattern_is_bit_reproducible():
