@@ -21,7 +21,7 @@ from typing import Protocol
 import numpy as np
 
 from .numerics import HermitianMatrix, compensated_sum, extremal_eigenvalues
-from .orbit import OrbitSystem, orbit_coefficient
+from .orbit import OrbitSystem, orbit_coefficient, system_arrays
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -45,7 +45,8 @@ class OrbitFrameOracle:
 
     coefficient(j, k) = m_j lambda_j^k sqrt(1 - |lambda_j|^2) and the tails
     sum to |m_j|^2 |lambda_j|^(2K) by geometric summation; both closed forms
-    stay accurate deep into the basis via modulus gaps.
+    stay accurate deep into the basis via modulus gaps. A query at basis
+    index j reads the system's validated window of the first j coordinates.
     """
 
     system: OrbitSystem
@@ -58,9 +59,9 @@ class OrbitFrameOracle:
     def tail_energy(self, basis_index: int, start: int) -> float:
         if start < 0:
             raise IndexError("frame indices start at 0")
-        self.system.ensure_valid(basis_index)
-        gap = self.system.lambdas.modulus_gap_at(basis_index)
-        weight = abs(self.system.weights.value_at(basis_index))
+        arrays = system_arrays(self.system, basis_index)
+        gap = float(arrays.gaps[basis_index - 1])
+        weight = abs(complex(arrays.weights[basis_index - 1]))
         # |lambda|^(2K) = exp(2K log(1 - gap)), stable for any K
         return weight * weight * math.exp(2.0 * start * math.log1p(-gap))
 

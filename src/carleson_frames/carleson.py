@@ -16,8 +16,10 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 from .numerics import compensated_sum
-from .sequences import LambdaSequence, drop_prefix, signed_gap_at
+from .sequences import InvariantViolation, LambdaSequence, _check_index, _first, drop_prefix, validate
 
 DEFAULT_FAIL_THRESHOLD = 1e-12
 DEFAULT_EVIDENCE_THRESHOLD = 1e-3
@@ -103,22 +105,15 @@ class RatioTest(NamedTuple):
     certified_c: float | None
 
 
-def _pseudo_hyperbolic_factor(seq, k, n, real, anchor_gap, anchor_value):
-    """|lambda_k - lambda_n| / |1 - conj(lambda_k) lambda_n| for one pair.
-
-    Real sequences go through signed gaps so the factor stays exact when both
-    points crowd the circle; complex sequences use the direct formula.
-    """
-    if real:
-        gap_k = signed_gap_at(seq, k)
-        numerator = abs(anchor_gap - gap_k)
-        denominator = anchor_gap + gap_k - anchor_gap * gap_k
-        return numerator / denominator
-    value_k = seq.value_at(k)
-    return abs(value_k - anchor_value) / abs(1.0 - value_k.conjugate() * anchor_value)
+def _in_disc(window, first: int = 1):
+    """The window, after raising for its first point outside the disc at an index >= first."""
+    k = _first(window.gaps[first - 1 :] <= 0.0)
+    if k is not None:
+        raise InvariantViolation(f"|lambda_{first - 1 + k}| >= 1 leaves the open unit disc")
+    return window
 
 
-def _tail_error(seq: LambdaSequence, n: int, k_trunc: int) -> float:
+def _tail_error(seq: LambdaSequence, window, n: int, k_trunc: int) -> float:
     """Bound on sum_{k > k_trunc} (1 - factor_k), derivable only for the
     real positive strictly increasing kinds with closed-form gap tails."""
     length = seq.length
@@ -127,10 +122,43 @@ def _tail_error(seq: LambdaSequence, n: int, k_trunc: int) -> float:
     if seq.real_positive and seq.strictly_increasing_moduli:
         tail = seq.tail_modulus_gap_sum(k_trunc + 1)
         if tail is not None:
-            gap_n = seq.modulus_gap_at(n)
+            gap_n = float(window.gaps[n - 1])
             # 1 - factor <= (1-l_k)(1+l_n)/(1-l_n) for increasing positive points
             return (2.0 - gap_n) / gap_n * tail
     return math.inf
+
+
+def _product_entry(seq: LambdaSequence, window, n: int, k_trunc: int) -> ProductEntry:
+    """P_n over the window from one row of factors
+    |lambda_k - lambda_n| / |1 - conj(lambda_k) lambda_n|, k != n.
+
+    Real sequences go through signed gaps, which keeps the factors exact when
+    the points crowd the circle; complex ones use the direct formula in real
+    arithmetic that rounds like Python's complex numbers. A point outside the
+    disc raises (lambda_n first, then k upward) unless an exact zero factor
+    (a repeated point) comes first, which ends the product at P_n = 0.
+    """
+    if n > k_trunc:
+        raise ValueError("need n <= k_trunc")
+    _check_index(n, seq.length, "sequence")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if window.signed_gaps is not None:
+            g = window.signed_gaps
+            anchor = g[n - 1]
+            factors = np.abs(anchor - g) / (anchor + g - anchor * g)
+        else:
+            re, im = window.values.real, window.values.imag
+            a, b = re[n - 1], im[n - 1]
+            factors = np.hypot(re - a, im - b) / np.hypot(1.0 - (re * a + im * b), re * b - im * a)
+    factors[n - 1] = 1.0  # no factor for k = n: log(1) = 0 adds nothing to the sum
+    outside = window.gaps <= 0.0
+    k = n if outside[n - 1] else _first((factors == 0.0) | outside)
+    if k is not None and outside[k - 1]:
+        raise InvariantViolation(f"|lambda_{k}| >= 1 leaves the open unit disc")
+    tail = _tail_error(seq, window, n, k_trunc)
+    if k is not None:
+        return ProductEntry(n, 0.0, tail)
+    return ProductEntry(n, math.exp(compensated_sum(map(math.log, factors.tolist()))), tail)
 
 
 def carleson_product(seq: LambdaSequence, n: int, k_trunc: int):
@@ -144,22 +172,12 @@ def carleson_product(seq: LambdaSequence, n: int, k_trunc: int):
     """
     if k_trunc < 1:
         raise ValueError("k_trunc must be >= 1")
-    if n > k_trunc:
-        raise ValueError("need n <= k_trunc")
-    limit = k_trunc if seq.length is None else min(k_trunc, seq.length)
-    real = seq.is_real
-    anchor_gap = signed_gap_at(seq, n) if real else 0.0
-    anchor_value = seq.value_at(n)
-    tail = _tail_error(seq, n, k_trunc)
-    logs = []
-    for k in range(1, limit + 1):
-        if k == n:
-            continue
-        factor = _pseudo_hyperbolic_factor(seq, k, n, real, anchor_gap, anchor_value)
-        if factor == 0.0:
-            return 0.0, tail
-        logs.append(math.log(factor))
-    return math.exp(compensated_sum(logs)), tail
+    entry = _product_entry(seq, validate(seq, k_trunc), n, k_trunc)
+    return entry.value, entry.tail_error
+
+
+def _ratio_sup(gaps: np.ndarray) -> float:
+    return float(np.max(gaps[1:] / gaps[:-1]))
 
 
 def ratio_test(seq: LambdaSequence, k_max: int) -> RatioTest:
@@ -174,13 +192,7 @@ def ratio_test(seq: LambdaSequence, k_max: int) -> RatioTest:
     limit = k_max if seq.length is None else min(k_max, seq.length)
     if limit < 2:
         raise ValueError("need at least two evaluable indices")
-    sup = 0.0
-    previous = seq.modulus_gap_at(1)
-    for k in range(2, limit + 1):
-        current = seq.modulus_gap_at(k)
-        sup = max(sup, current / previous)
-        previous = current
-    return RatioTest(sup, seq.ratio_certificate())
+    return RatioTest(_ratio_sup(_in_disc(validate(seq, limit)).gaps), seq.ratio_certificate())
 
 
 def _verdict(entries, seq, fail_threshold):
@@ -215,14 +227,12 @@ def carleson_inf_estimate(
     if n_max > k_trunc:
         raise ValueError("need n_max <= k_trunc")
     limit_n = n_max if seq.length is None else min(n_max, seq.length)
-    entries = tuple(
-        ProductEntry(n, *carleson_product(seq, n, k_trunc)) for n in range(1, limit_n + 1)
-    )
+    window = validate(seq, k_trunc)
+    entries = tuple(_product_entry(seq, window, n, k_trunc) for n in range(1, limit_n + 1))
     inf_estimate = min(entry.value for entry in entries)
     ratio_sup = None
-    window = k_trunc if seq.length is None else min(k_trunc, seq.length)
-    if seq.strictly_increasing_moduli and window >= 2:
-        ratio_sup = ratio_test(seq, window).ratio_sup
+    if seq.strictly_increasing_moduli and window.n_checked >= 2:
+        ratio_sup = _ratio_sup(_in_disc(window).gaps)
     parameters = {
         "n_max": n_max,
         "k_trunc": k_trunc,
@@ -260,9 +270,8 @@ def drop_prefix_check(
         return carleson_inf_estimate(seq, n_max, k_trunc, fail_threshold)
     tail_seq = drop_prefix(seq, n_drop)  # raises on empty remainder
     report = carleson_inf_estimate(tail_seq, n_max, k_trunc, fail_threshold)
-    dropped = tuple(
-        ProductEntry(n, *carleson_product(seq, n, k_trunc)) for n in range(1, n_drop + 1)
-    )
+    window = validate(seq, k_trunc)
+    dropped = tuple(_product_entry(seq, window, n, k_trunc) for n in range(1, n_drop + 1))
     verdict = report.verdict
     if any(entry.value == 0.0 for entry in dropped):
         verdict = Verdict.CERTIFIED_FAILS
@@ -270,9 +279,7 @@ def drop_prefix_check(
         # beyond the window the certified tail keeps increasing, so the prefix
         # stays distinct from it iff every dropped modulus is below the last
         # windowed modulus
-        window_end = k_trunc if seq.length is None else min(k_trunc, seq.length)
-        end_gap = seq.modulus_gap_at(window_end)
-        if not all(seq.modulus_gap_at(n) > end_gap for n in range(1, n_drop + 1)):
+        if not np.all(window.gaps[:n_drop] > window.gaps[-1]):
             verdict = Verdict.INCONCLUSIVE
     parameters = dict(report.parameters, n_drop=n_drop)
     return replace(
@@ -307,7 +314,8 @@ def limit_modulus_check(
         raise ValueError("k_max must be >= 1")
     limit = k_max if seq.length is None else min(k_max, seq.length)
     first = max(1, limit - 4)
-    trailing = tuple((k, seq.modulus_gap_at(k)) for k in range(first, limit + 1))
+    gaps = _in_disc(validate(seq, limit), first).gaps[first - 1 :]
+    trailing = tuple(zip(range(first, limit + 1), gaps.tolist()))
     final_gap = trailing[-1][1]
     return LimitModulusEvidence(
         passes=final_gap < evidence_threshold,

@@ -15,7 +15,7 @@ one-sided orientation is part of every estimate's meaning.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +28,7 @@ from .numerics import (
     extremal_eigenvalues,
     one_minus_pow,
 )
-from .sequences import InvariantViolation, LambdaSequence, Weights, validate
+from .sequences import InvariantViolation, LambdaSequence, Weights, _first, validate
 
 DEFAULT_DIMENSION = 40
 DEFAULT_EIG_TOL = 1e-10
@@ -42,23 +42,12 @@ class SingularDenominatorError(ArithmeticError):
 @dataclass(frozen=True)
 class OrbitSystem:
     """Eigenvalue sequence plus weights; induces phi = sum c_n e_n and the
-    diagonal operator T e_n = lambda_n e_n."""
+    diagonal operator T e_n = lambda_n e_n. Keeps its validated coordinate
+    windows, one per truncation M (see `system_arrays`)."""
 
     lambdas: LambdaSequence
     weights: Weights
-
-    def ensure_valid(self, prefix: int) -> None:
-        report = validate(self.lambdas, prefix)
-        if not report.in_disc:
-            raise InvariantViolation(
-                f"lambda_{report.first_out_of_disc} leaves the open unit disc"
-            )
-        if not report.distinct:
-            raise InvariantViolation(f"repeated eigenvalue at indices {report.first_duplicate}")
-        if self.weights.length is not None and self.weights.length < prefix:
-            raise IndexError(f"weights provide {self.weights.length} < {prefix} entries")
-        if self.lambdas.length is not None and self.lambdas.length < prefix:
-            raise IndexError(f"sequence provides {self.lambdas.length} < {prefix} entries")
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -114,18 +103,36 @@ class SystemArrays(NamedTuple):
 
 
 def system_arrays(system: OrbitSystem, dimension: int) -> SystemArrays:
-    """Validated coordinate data for the first `dimension` indices."""
+    """Validated, read-only coordinate data for the first `dimension` indices,
+    built on first use and then kept on the system."""
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
-    system.ensure_valid(dimension)
-    seq = system.lambdas
-    lam = np.array([seq.value_at(k) for k in range(1, dimension + 1)], dtype=np.complex128)
-    gaps = np.array([seq.modulus_gap_at(k) for k in range(1, dimension + 1)], dtype=np.float64)
-    weights = np.array(
-        [system.weights.value_at(k) for k in range(1, dimension + 1)], dtype=np.complex128
-    )
-    phi = weights * np.sqrt(one_minus_pow(gaps, 2))
-    return SystemArrays(lam, gaps, weights, phi, seq.real_positive)
+    if dimension in system._windows:
+        return system._windows[dimension]
+    seq, weights = system.lambdas, system.weights
+    report = validate(seq, dimension)
+    if not report.in_disc:
+        raise InvariantViolation(f"lambda_{report.first_out_of_disc} leaves the open unit disc")
+    if not report.distinct:
+        raise InvariantViolation(f"repeated eigenvalue at indices {report.first_duplicate}")
+    if weights.length is not None and weights.length < dimension:
+        raise IndexError(f"weights provide {weights.length} < {dimension} entries")
+    if seq.length is not None and seq.length < dimension:
+        raise IndexError(f"sequence provides {seq.length} < {dimension} entries")
+    m = np.array([weights._unchecked_value(k) for k in range(1, dimension + 1)], dtype=np.complex128)
+    magnitudes = np.hypot(m.real, m.imag)  # rounds exactly like abs() of a Python complex
+    k = _first((magnitudes < weights.c1) | (magnitudes > weights.c2))
+    if k is not None:
+        raise InvariantViolation(
+            f"|m_{k}| = {float(magnitudes[k - 1])!r} breaches certified bounds "
+            f"[{weights.c1}, {weights.c2}]"
+        )
+    phi = m * np.sqrt(one_minus_pow(report.gaps, 2))
+    m.setflags(write=False)
+    phi.setflags(write=False)
+    arrays = SystemArrays(report.values, report.gaps, m, phi, seq.real_positive)
+    system._windows[dimension] = arrays
+    return arrays
 
 
 def phi_coefficients(system: OrbitSystem, dimension: int) -> np.ndarray:
@@ -141,13 +148,12 @@ def phi_norm_squared(system: OrbitSystem, dimension: int) -> float:
 
 
 def orbit_coefficient(system: OrbitSystem, n: int, power: int) -> complex:
-    """<T^p phi, e_n> = m_n lambda_n^p sqrt(1 - |lambda_n|^2), exact closed form."""
+    """<T^p phi, e_n> = m_n lambda_n^p sqrt(1 - |lambda_n|^2), exact closed form,
+    read from the validated window of the first n coordinates."""
     if power < 0:
         raise ValueError("power must be nonnegative")
-    system.ensure_valid(n)
-    gap = system.lambdas.modulus_gap_at(n)
-    c_n = system.weights.value_at(n) * math.sqrt(one_minus_pow(gap, 2))
-    return c_n * complex_pow(system.lambdas.value_at(n), power)
+    arrays = system_arrays(system, n)
+    return complex(arrays.phi[n - 1]) * complex_pow(complex(arrays.lam[n - 1]), power)
 
 
 def _progression_matrix(arrays: SystemArrays, first_exponent: int, step: int) -> np.ndarray:

@@ -5,17 +5,32 @@ closed forms (no recurrences that accumulate rounding). Besides the point
 value, every kind exposes the modulus gap 1 - |lambda_k| in a
 cancellation-free form; downstream code that must stay accurate while the
 points crowd the unit circle works on gaps, not on the rounded values.
+
+`validate` evaluates the closed forms once into a read-only window of arrays,
+which the analyses read; the scalar accessors check on every call.
 """
 
+import cmath
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .numerics import complex_pow, compensated_sum, one_minus_pow
 
 
 class InvariantViolation(ValueError):
     """A structural invariant (unit disc, weight bounds, hypotheses) is broken."""
+
+
+def _finite_values(values, what: str) -> tuple:
+    vals = tuple(complex(v) for v in values)
+    if not vals:
+        raise InvariantViolation(f"{what} must not be empty")
+    if not all(map(cmath.isfinite, vals)):
+        raise InvariantViolation(f"{what} values must be finite")
+    return vals
 
 
 def _check_index(k, length: int | None, what: str) -> None:
@@ -66,9 +81,7 @@ class LambdaSequence(ABC):
         return None
 
     def value_at(self, k: int) -> complex:
-        _check_index(k, self.length, "sequence")
-        if self._unchecked_gap(k) <= 0.0:
-            raise InvariantViolation(f"|lambda_{k}| >= 1 leaves the open unit disc")
+        self.modulus_gap_at(k)  # the index and unit-disc checks
         return self._unchecked_value(k)
 
     def modulus_gap_at(self, k: int) -> float:
@@ -101,6 +114,8 @@ class GeometricApproach(LambdaSequence):
     """
 
     alpha: float
+    length = None
+    is_real = real_positive = strictly_increasing_moduli = True
 
     def __post_init__(self):
         a = float(self.alpha)
@@ -108,27 +123,11 @@ class GeometricApproach(LambdaSequence):
             raise InvariantViolation("alpha must be a finite real > 1")
         object.__setattr__(self, "alpha", a)
 
-    @property
-    def length(self) -> int | None:
-        return None
-
     def _unchecked_value(self, k):
         return complex(1.0 - self.alpha ** (-k))
 
     def _unchecked_gap(self, k):
         return self.alpha ** (-k)
-
-    @property
-    def is_real(self):
-        return True
-
-    @property
-    def real_positive(self):
-        return True
-
-    @property
-    def strictly_increasing_moduli(self):
-        return True
 
     def ratio_certificate(self):
         return 1.0 / self.alpha
@@ -143,18 +142,18 @@ class ExplicitSequence(LambdaSequence):
     """Finite, explicitly listed sequence; structural flags come from the list."""
 
     values: tuple
+    # set per instance from the list in __post_init__
+    is_real = real_positive = strictly_increasing_moduli = False
 
     def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
-        if not vals:
-            raise InvariantViolation("explicit sequence must not be empty")
+        vals = _finite_values(self.values, "explicit sequence")
         object.__setattr__(self, "values", vals)
         real = all(v.imag == 0.0 for v in vals)
-        object.__setattr__(self, "_is_real", real)
-        object.__setattr__(self, "_real_positive", real and all(v.real > 0.0 for v in vals))
+        object.__setattr__(self, "is_real", real)
+        object.__setattr__(self, "real_positive", real and all(v.real > 0.0 for v in vals))
         gaps = [1.0 - abs(v) for v in vals]
         increasing = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
-        object.__setattr__(self, "_strictly_increasing", increasing)
+        object.__setattr__(self, "strictly_increasing_moduli", increasing)
 
     @property
     def length(self):
@@ -165,18 +164,6 @@ class ExplicitSequence(LambdaSequence):
 
     def _unchecked_gap(self, k):
         return 1.0 - abs(self.values[k - 1])
-
-    @property
-    def is_real(self):
-        return self._is_real
-
-    @property
-    def real_positive(self):
-        return self._real_positive
-
-    @property
-    def strictly_increasing_moduli(self):
-        return self._strictly_increasing
 
     def tail_modulus_gap_sum(self, k_start):
         return compensated_sum(1.0 - abs(v) for v in self.values[k_start - 1 :])
@@ -193,6 +180,7 @@ class TwoPointAugmented(LambdaSequence):
 
     q: float
     base: LambdaSequence
+    real_positive = strictly_increasing_moduli = False
 
     def __post_init__(self):
         q = float(self.q)
@@ -220,14 +208,6 @@ class TwoPointAugmented(LambdaSequence):
     @property
     def is_real(self):
         return self.base.is_real
-
-    @property
-    def real_positive(self):
-        return False
-
-    @property
-    def strictly_increasing_moduli(self):
-        return False
 
     def tail_modulus_gap_sum(self, k_start):
         if k_start >= 3:
@@ -392,10 +372,12 @@ class ConstantWeights(Weights):
     value: complex
 
     def __post_init__(self):
-        v = complex(self.value)
+        (v,) = _finite_values((self.value,), "constant weight")
         if v == 0:
             raise InvariantViolation("constant weight must be nonzero")
         object.__setattr__(self, "value", v)
+
+    length = None
 
     @property
     def c1(self):
@@ -404,10 +386,6 @@ class ConstantWeights(Weights):
     @property
     def c2(self):
         return abs(self.value)
-
-    @property
-    def length(self):
-        return None
 
     def _unchecked_value(self, k):
         return self.value
@@ -422,9 +400,7 @@ class ExplicitWeights(Weights):
     upper: float
 
     def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
-        if not vals:
-            raise InvariantViolation("explicit weights must not be empty")
+        vals = _finite_values(self.values, "explicit weights")
         lo, hi = float(self.lower), float(self.upper)
         if not (0.0 < lo <= hi < math.inf):
             raise InvariantViolation("need 0 < C1 <= C2 < inf")
@@ -448,9 +424,16 @@ class ExplicitWeights(Weights):
         return self.values[k - 1]
 
 
+def _first(mask: np.ndarray) -> int | None:
+    """1-based index of the first True entry, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) + 1 if hits.size else None
+
+
 @dataclass(frozen=True)
 class ValidationReport:
-    """Window report over indices 1..n_checked; failures are reported, not raised."""
+    """Read-only values, modulus gaps and (real sequences) signed gaps 1 - lambda_k
+    of indices 1..n_checked, with the checks on them; failures are reported, not raised."""
 
     n_checked: int
     in_disc: bool
@@ -462,6 +445,9 @@ class ValidationReport:
     real_positive_window: bool
     real_positive: bool
     strictly_increasing_moduli: bool
+    values: np.ndarray = field(compare=False, repr=False)
+    gaps: np.ndarray = field(compare=False, repr=False)
+    signed_gaps: np.ndarray | None = field(compare=False, repr=False)
 
     @property
     def all_checks_pass(self) -> bool:
@@ -469,8 +455,8 @@ class ValidationReport:
 
 
 def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
-    """Check indices 1..n_max (capped at the length): in-disc, pairwise distinct,
-    strictly increasing moduli, real positivity.
+    """Evaluate indices 1..n_max (capped at the length) once and check them:
+    in-disc, pairwise distinct, strictly increasing moduli, real positivity.
 
     Pure and idempotent; distinctness of real sequences is decided on signed
     gaps so that generator kinds stay resolvable far beyond the range where
@@ -479,31 +465,21 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     limit = n_max if seq.length is None else min(n_max, seq.length)
+    indices = range(1, limit + 1)
+    gaps = np.array([seq._unchecked_gap(k) for k in indices], dtype=np.float64)
+    values = np.array([seq._unchecked_value(k) for k in indices], dtype=np.complex128)
+    signed = np.where(values.real >= 0.0, gaps, 2.0 - gaps) if seq.is_real else None
+    for array in (gaps, values, signed):
+        if array is not None:
+            array.setflags(write=False)
 
-    gaps = [seq._unchecked_gap(k) for k in range(1, limit + 1)]
-    values = [seq._unchecked_value(k) for k in range(1, limit + 1)]
-
-    first_out = next((k + 1 for k, g in enumerate(gaps) if g <= 0.0), None)
-
-    seen: dict = {}
-    first_dup = None
-    use_signed = seq.is_real
-    for k in range(1, limit + 1):
-        if use_signed:
-            gap = gaps[k - 1]
-            key = gap if values[k - 1].real >= 0.0 else 2.0 - gap
-        else:
-            key = values[k - 1]
-        if key in seen:
-            first_dup = (seen[key], k)
-            break
-        seen[key] = k
-
-    first_non_mono = next(
-        (k + 1 for k in range(limit - 1) if not gaps[k] > gaps[k + 1]), None
-    )
-
-    window_positive = seq.is_real and all(v.imag == 0.0 and v.real > 0.0 for v in values)
+    keys = values if signed is None else signed
+    _, first_seen, key_of = np.unique(keys, return_index=True, return_inverse=True, equal_nan=False)
+    repeat = _first(first_seen[key_of] != np.arange(limit))
+    first_dup = None if repeat is None else (int(first_seen[key_of[repeat - 1]]) + 1, repeat)
+    first_out = _first(gaps <= 0.0)
+    first_non_mono = _first(~(gaps[:-1] > gaps[1:]))
+    window_positive = seq.is_real and bool(np.all((values.imag == 0.0) & (values.real > 0.0)))
 
     return ValidationReport(
         n_checked=limit,
@@ -516,4 +492,7 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
         real_positive_window=window_positive,
         real_positive=seq.real_positive,
         strictly_increasing_moduli=seq.strictly_increasing_moduli,
+        values=values,
+        gaps=gaps,
+        signed_gaps=signed,
     )

@@ -289,6 +289,7 @@ def find_weaving_index(
     tol: float = DEFAULT_EIG_TOL,
 ) -> WeavingResult:
     """Smallest J with defect(J) < safety * a_est, then a direct verification.
+    It stops at J = 0 when the coordinate tail bound alone reaches the threshold.
 
     a_est comes from a truncated model and over-estimates the true lower
     bound, hence the safety factor and the follow-up verification: the woven
@@ -308,6 +309,12 @@ def find_weaving_index(
         if value + bound < threshold:
             found = j
             break
+        if bound >= threshold:  # the coordinate tail bound is the same for every J
+            raise WeavingSearchError(
+                f"coordinate tail bound {bound:.3e} beyond M={dimension} is not below "
+                f"{threshold:.3e}, so no J can succeed",
+                tuple(sweep),
+            )
     if found is None:
         raise WeavingSearchError(
             f"defect never fell below {threshold:.3e} for J <= {j_max}", tuple(sweep)

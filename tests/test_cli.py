@@ -234,6 +234,11 @@ def test_weave_reference_below_resolution_exits_one(tmp_path, capsys):
         (("weave", "--J-max", "-1"), "--J-max"),
         (("adversary", "--estimate-dim", "-3"), "--estimate-dim"),
         (("bounds", "--N", "not-an-int"), "--N"),
+        (("check-carleson", "--values", "0.3,nan,0.5", "--n-max", "3", "--k-trunc", "3"),
+         "sequence config"),
+        (("bounds", "--values", "nan,0.5,0.7", "--M", "3"), "sequence config"),
+        (("bounds", "--alpha", "2", "--weight-value", "nan"), "weights config"),
+        (("bounds", "--alpha", "2", "--weight-value", "inf"), "weights config"),
     ],
 )
 def test_out_of_range_parameters_exit_two(tmp_path, capsys, argv, flag):

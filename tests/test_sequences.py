@@ -94,6 +94,22 @@ def test_signed_gap():
         signed_gap_at(ExplicitSequence((0.3j,)), 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExplicitSequence((0.3, math.nan, 0.5)),
+        lambda: ExplicitSequence((0.3, complex(0.1, math.inf))),
+        lambda: ExplicitWeights((1.0, math.nan), 0.5, 2.0),
+        lambda: ExplicitWeights((1.0, complex(1.0, -math.inf)), 0.5, 2.0),
+        lambda: ConstantWeights(math.inf),
+        lambda: ConstantWeights(complex(1.0, math.nan)),
+    ],
+)
+def test_non_finite_inputs_rejected_at_construction(build):
+    with pytest.raises(InvariantViolation, match="must be finite"):
+        build()
+
+
 def test_validate_geometric_all_pass():
     report = validate(GeometricApproach(2.0), 50)
     assert report.all_checks_pass

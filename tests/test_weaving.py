@@ -194,9 +194,20 @@ def test_weaving_result_verifies_perturbation_bound():
 
 def test_find_weaving_index_search_failure_carries_curve():
     with pytest.raises(WeavingSearchError) as excinfo:
-        find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est=1e-30, safety=0.5, j_max=5)
+        find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est=1e-6, safety=0.5, j_max=5)
     assert len(excinfo.value.sweep) == 6
     assert excinfo.value.sweep[0].value > 0.0
+
+
+def test_find_weaving_index_stops_when_tail_bound_blocks_every_j():
+    # the coordinate tail bound (about 1.8e-12 at M = 40) does not depend on J
+    # and already exceeds 0.5 * 1e-30, so the search ends at J = 0
+    with pytest.raises(WeavingSearchError) as excinfo:
+        find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est=1e-30, safety=0.5, j_max=5)
+    (point,) = excinfo.value.sweep
+    assert point.start_index == 0 and point.value > 0.0
+    assert point.truncation_bound >= 0.5e-30
+    assert "tail bound" in str(excinfo.value)
 
 
 def test_find_weaving_index_input_validation():

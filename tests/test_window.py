@@ -1,0 +1,113 @@
+"""The validated coordinate window: one evaluation of the closed forms per
+(sequence, n) or (system, M), read-only, and equal to the scalar accessors."""
+
+import numpy as np
+import pytest
+
+from carleson_frames import (
+    ConstantPattern,
+    ConstantWeights,
+    ExplicitSequence,
+    ExplicitWeights,
+    GeometricApproach,
+    InvariantViolation,
+    OrbitFrameOracle,
+    OrbitSystem,
+    PowerSequence,
+    SubsampleScheme,
+    TwoPointAugmented,
+    find_weaving_index,
+    frame_bounds,
+    signed_gap_at,
+    validate,
+)
+from carleson_frames import cli, orbit
+from carleson_frames.orbit import system_arrays
+from carleson_frames.sequences import ShiftedSequence
+
+KINDS = [
+    GeometricApproach(1.3),
+    ExplicitSequence((0.1, -0.4, 0.55, 0.9, -0.95)),
+    ExplicitSequence((0.5j, 0.3 + 0.1j, -0.2 - 0.6j, 0.9, 0.1 - 0.1j)),
+    TwoPointAugmented(0.3, GeometricApproach(2.0)),
+    PowerSequence(GeometricApproach(1.7), 3),
+    PowerSequence(TwoPointAugmented(0.3, GeometricApproach(2.0)), 2),
+    PowerSequence(ExplicitSequence((0.5j, 0.3 + 0.1j, -0.2 - 0.6j, 0.9)), 3),
+    ShiftedSequence(TwoPointAugmented(0.4, GeometricApproach(1.5)), 1),
+]
+
+
+@pytest.mark.parametrize("seq", KINDS, ids=lambda seq: type(seq).__name__)
+def test_window_matches_scalar_accessors_bit_for_bit(seq):
+    window = validate(seq, 60)
+    indices = range(1, window.n_checked + 1)
+    assert window.values.tolist() == [seq.value_at(k) for k in indices]
+    assert window.gaps.tolist() == [seq.modulus_gap_at(k) for k in indices]
+    if seq.is_real:
+        assert window.signed_gaps.tolist() == [signed_gap_at(seq, k) for k in indices]
+    else:
+        assert window.signed_gaps is None
+
+
+def test_window_arrays_are_read_only():
+    window = validate(TwoPointAugmented(0.3, GeometricApproach(2.0)), 10)
+    arrays = system_arrays(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0)), 10)
+    for array in (window.values, window.gaps, window.signed_gaps, *arrays[:4]):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+
+def test_system_window_is_kept_per_dimension():
+    system = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
+    assert system_arrays(system, 12) is system_arrays(system, 12)
+    assert system == OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
+
+
+def _count_validate(monkeypatch):
+    calls = {}
+    original = orbit.validate
+
+    def counting(seq, n_max):
+        calls[(seq, n_max)] = calls.get((seq, n_max), 0) + 1
+        return original(seq, n_max)
+
+    monkeypatch.setattr(orbit, "validate", counting)
+    return calls
+
+
+def test_subsample_sweep_validates_once(monkeypatch, tmp_path):
+    calls = _count_validate(monkeypatch)
+    out = tmp_path / "sweep.json"
+    argv = ["subsample-sweep", "--alpha", "2", "--N", "1,2,3,5", "--K", "0,3", "--M", "40"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert '"rows"' in out.read_text() and out.read_text().count('"stride"') == 22
+    assert calls == {(GeometricApproach(2.0), 40): 1}
+
+
+def test_weaving_search_validates_once(monkeypatch):
+    system = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
+    a_est = frame_bounds(system, SubsampleScheme(2), 30).a_est
+    calls = _count_validate(monkeypatch)
+    result = find_weaving_index(system, ConstantPattern(2, 1), a_est, 0.5, 40)
+    assert len(result.sweep) > 10
+    assert calls == {(GeometricApproach(2.0), 40): 1}
+
+
+def test_oracle_raises_at_the_repeated_point_not_before():
+    seq = ExplicitSequence((0.1, 0.2, 0.3, 0.4, 0.2, 0.6, 0.7))
+    oracle = OrbitFrameOracle(OrbitSystem(seq, ConstantWeights(1.0)))
+    for basis_index in range(1, 5):
+        assert oracle.coefficient(basis_index, 3) != 0.0
+        assert oracle.tail_energy(basis_index, 3) > 0.0
+    with pytest.raises(InvariantViolation, match=r"indices \(2, 5\)"):
+        oracle.coefficient(5, 3)
+    with pytest.raises(InvariantViolation, match=r"indices \(2, 5\)"):
+        oracle.tail_energy(5, 0)
+
+
+def test_weight_breach_reports_first_index():
+    weights = ExplicitWeights((1.0, 1.0, 3.0, 1.0), 0.5, 2.0)
+    system = OrbitSystem(GeometricApproach(2.0), weights)
+    assert np.all(system_arrays(system, 2).weights == 1.0)
+    with pytest.raises(InvariantViolation, match=r"\|m_3\| = 3\.0 breaches"):
+        system_arrays(system, 4)
