@@ -40,6 +40,7 @@ from .numerics import (
     NonHermitianError,
     compensated_sum,
     complex_pow,
+    complex_pow_table,
     extremal_eigenvalues,
     one_minus_pow,
 )
@@ -81,6 +82,8 @@ from .weaving import (
     WeavePattern,
     WeavingResult,
     WeavingSearchError,
+    defect_curve,
+    defect_points,
     defect_upper_bound,
     find_weaving_index,
     tail_defect,

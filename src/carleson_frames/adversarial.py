@@ -21,7 +21,7 @@ from typing import Protocol
 import numpy as np
 
 from .numerics import HermitianMatrix, compensated_sum, extremal_eigenvalues
-from .orbit import OrbitSystem, orbit_coefficient, system_arrays
+from .orbit import OrbitSystem, covering_window, orbit_coefficient
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -46,7 +46,8 @@ class OrbitFrameOracle:
     coefficient(j, k) = m_j lambda_j^k sqrt(1 - |lambda_j|^2) and the tails
     sum to |m_j|^2 |lambda_j|^(2K) by geometric summation; both closed forms
     stay accurate deep into the basis via modulus gaps. A query at basis
-    index j reads the system's validated window of the first j coordinates.
+    index j reads a validated window that covers the first j coordinates
+    (see `covering_window`).
     """
 
     system: OrbitSystem
@@ -59,7 +60,7 @@ class OrbitFrameOracle:
     def tail_energy(self, basis_index: int, start: int) -> float:
         if start < 0:
             raise IndexError("frame indices start at 0")
-        arrays = system_arrays(self.system, basis_index)
+        arrays = covering_window(self.system, basis_index)
         gap = float(arrays.gaps[basis_index - 1])
         weight = abs(complex(arrays.weights[basis_index - 1]))
         # |lambda|^(2K) = exp(2K log(1 - gap)), stable for any K
@@ -119,10 +120,32 @@ class AdversarialCertificate:
         }
 
 
-def _smallest_index(predicate, start: int, budget: int, what: str) -> int:
-    for candidate in range(start, start + budget):
-        if predicate(candidate):
-            return candidate
+def _smallest_index(predicate, start: int, budget: int, what: str, monotone: bool = False) -> int:
+    """Smallest index in [start, start + budget) that satisfies `predicate`.
+
+    A `monotone` predicate stays true from its first true index on, so the
+    index is found by an exponential search followed by bisection, in about
+    2 log2(index - start) calls; otherwise every index is tried in turn.
+    """
+    end = start + budget
+    if not monotone:
+        for candidate in range(start, end):
+            if predicate(candidate):
+                return candidate
+    else:
+        below, step = start - 1, 1  # predicate(below) is false, or below precedes the range
+        while below < end - 1:
+            probe = min(below + step, end - 1)
+            if predicate(probe):
+                above = probe  # the first true index lies in (below, above]
+                while above - below > 1:
+                    middle = (below + above) // 2
+                    if predicate(middle):
+                        above = middle
+                    else:
+                        below = middle
+                return above
+            below, step = probe, 2 * step
     raise SearchBudgetExceededError(
         f"no qualifying {what} within budget {budget} (starting at {start})"
     )
@@ -137,6 +160,11 @@ def build_adversarial_subsequence(
     the smallest witness j_l > j_{l-1} with sum_{i<=l} |<e_{j_l}, f_{N_i}>|^2
     <= 2^-(l+1), then the smallest N_{l+1} > N_l with
     tail_energy(j_l, N_{l+1}) <= 2^-(l+1).
+
+    Each search covers `budget` consecutive indices from its start. The
+    picks rely on tail_energy being nonincreasing and are found by
+    bisection; the witness condition is not monotone, so witnesses are
+    tried one by one.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -144,7 +172,11 @@ def build_adversarial_subsequence(
         raise ValueError("budget must be >= 1")
 
     first = _smallest_index(
-        lambda n: oracle.tail_energy(1, n) <= 1.0, start=0, budget=budget, what="initial index"
+        lambda n: oracle.tail_energy(1, n) <= 1.0,
+        start=0,
+        budget=budget,
+        what="initial index",
+        monotone=True,
     )
     picks = [first]
     witnesses = []
@@ -168,6 +200,7 @@ def build_adversarial_subsequence(
             start=picks[-1] + 1,
             budget=budget,
             what="picked index",
+            monotone=True,
         )
         tail_value = oracle.tail_energy(witness, next_pick)
         steps.append(
@@ -235,5 +268,7 @@ def estimate_subsequence_lower_bound(
             dtype=np.complex128,
         )
         operator += np.outer(vector, vector.conj())
-    extremes = extremal_eigenvalues(HermitianMatrix(operator), tol)
+    matrix = HermitianMatrix(operator)
+    del operator  # the validated copy is all the eigensolver needs
+    extremes = extremal_eigenvalues(matrix, tol)
     return max(0.0, extremes.lambda_min)

@@ -14,6 +14,7 @@ flags override file values, which override defaults.
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -63,9 +64,9 @@ from .weaving import (
     PeriodicPattern,
     SeededPattern,
     WeavingSearchError,
+    defect_points,
     defect_upper_bound,
     find_weaving_index,
-    tail_defect,
     woven_frame_operator,
 )
 
@@ -443,6 +444,9 @@ def _cmd_adversary(resolved: dict) -> tuple:
     return EXIT_OK, payload
 
 
+_DEFECT_GRID = (0, 1, 2, 5, 10, 20)
+
+
 def _reproduction_checks(dimension: int) -> list:
     """The deterministic desk-scale reproduction suite."""
     checks = []
@@ -496,15 +500,21 @@ def _reproduction_checks(dimension: int) -> list:
             ("seeded-42", SeededPattern(stride, 42, 128)),
         ):
             universal = defect_upper_bound(system, dimension)
-            grid = [tail_defect(system, pattern, j, dimension) for j in (0, 1, 2, 5, 10, 20)]
+            grid = []
+            below_threshold = None
+            # one walk along the curve gives the grid and the first J <= 1000
+            # whose value + truncation bound is below 1e-6; the bound does not
+            # depend on J, so at or above 1e-6 no J can pass
+            for point in defect_points(system, pattern, dimension, 1000):
+                if point.start_index in _DEFECT_GRID:
+                    grid.append((point.value, point.truncation_bound))
+                scanning = point.truncation_bound < 1e-6
+                if scanning and below_threshold is None and point.value + point.truncation_bound < 1e-6:
+                    below_threshold = point.start_index
+                if point.start_index >= _DEFECT_GRID[-1] and (below_threshold is not None or not scanning):
+                    break
             values = [value + bound for value, bound in grid]
             monotone = all(values[i] >= values[i + 1] for i in range(len(values) - 1))
-            # each J is tested on value + truncation bound; the bound does not
-            # depend on J, so at or above 1e-6 no J can pass
-            scan = range(0, 1001 if grid[0][1] < 1e-6 else 0)
-            below_threshold = next(
-                (j for j in scan if sum(tail_defect(system, pattern, j, dimension)) < 1e-6), None
-            )
             checks.append(
                 {
                     "name": f"defect-bound-N-{stride}-{label}",
@@ -597,7 +607,10 @@ def _add_sequence_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--power", type=int, help="raise the sequence entrywise to this power")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every `main`
+    call in the process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="carleson-frames",
         description="Operator-orbit frame analyses on the unit disc.",

@@ -33,8 +33,9 @@ class HermitianMatrix:
     imaginary part is identically zero (real symmetric, so the eigensolver
     runs the real LAPACK driver), complex128 otherwise. Conjugate symmetry
     must hold entrywise within four units in the last place of the largest
-    entry; anything worse raises NonHermitianError. The stored array is made
-    read-only.
+    entry; anything worse raises NonHermitianError. An infinite or NaN entry
+    raises EigensolverError, since no eigenvalue of such a matrix means
+    anything. The stored array is made read-only.
     """
 
     data: np.ndarray
@@ -48,6 +49,8 @@ class HermitianMatrix:
             raise NonHermitianError(f"expected a square matrix, got shape {a.shape}")
         if a.size:
             scale = float(np.max(np.abs(a)))
+            if not math.isfinite(scale):
+                raise EigensolverError(f"matrix has a non-finite entry (largest modulus {scale!r})")
             deviation = float(np.max(np.abs(a - a.conj().T)))
             if deviation > 4.0 * _EPS * max(scale, np.finfo(np.float64).tiny):
                 raise NonHermitianError(
@@ -88,7 +91,7 @@ def extremal_eigenvalues(matrix, tol: float = 1e-10) -> ExtremalEigenvalues:
         v = eigvecs[:, column]
         residual = max(residual, float(np.linalg.norm(s @ v - lam * v)))
     residual /= norm
-    if residual > tol:
+    if not residual <= tol:  # a NaN residual fails too
         raise EigensolverError(f"residual {residual:.3e} exceeds tolerance {tol:.3e}")
     return ExtremalEigenvalues(lo, hi, residual)
 
@@ -117,6 +120,35 @@ def complex_pow(z, p: int):
         p >>= 1
         if not p:
             return result
+        base = base * base
+
+
+def complex_pow_table(z, exponents) -> np.ndarray:
+    """z**p for every integer p >= 0 in `exponents`, one row per exponent.
+
+    The rows equal ``complex_pow(z, p)`` bit for bit: the squarings of z are
+    the same, and each row multiplies them in the same order, starting from
+    the first factor it needs; rows with exponent 0 are ones.
+    """
+    z = np.asarray(z)
+    try:
+        exponents = np.array(exponents, dtype=np.int64)
+    except OverflowError:  # beyond int64: keep Python integers, as complex_pow does
+        exponents = np.array(exponents, dtype=object)
+    if np.any(exponents < 0):
+        raise ValueError("exponent must be nonnegative")
+    table = np.ones(exponents.shape + z.shape, dtype=z.dtype)
+    started = np.zeros(exponents.shape, dtype=bool)
+    base = z
+    remaining = exponents
+    while True:
+        bit = (remaining & 1).astype(bool)
+        table[bit & started] *= base
+        table[bit & ~started] = base
+        started |= bit
+        remaining >>= 1
+        if not remaining.any():
+            return table
         base = base * base
 
 

@@ -135,6 +135,25 @@ def system_arrays(system: OrbitSystem, dimension: int) -> SystemArrays:
     return arrays
 
 
+def covering_window(system: OrbitSystem, n: int) -> SystemArrays:
+    """A validated window that holds the first n coordinates.
+
+    It is the window of the next power of two at or above n (or of the whole
+    finite sequence or weight list, if shorter), so queries at growing
+    indices up to d keep O(log d) windows with O(d) entries in all. Where
+    that window raises, it is the window of exactly n coordinates, so a bad
+    point at index i still raises only for n >= i.
+    """
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    lengths = (m for m in (system.lambdas.length, system.weights.length) if m is not None)
+    size = max(n, min((1 << (n - 1).bit_length(), *lengths)))
+    try:
+        return system_arrays(system, size)
+    except (ValueError, IndexError):
+        return system_arrays(system, n)
+
+
 def phi_coefficients(system: OrbitSystem, dimension: int) -> np.ndarray:
     """Generator coefficients c_n = m_n sqrt(1 - |lambda_n|^2), n = 1..dimension."""
     return system_arrays(system, dimension).phi.copy()
@@ -149,10 +168,10 @@ def phi_norm_squared(system: OrbitSystem, dimension: int) -> float:
 
 def orbit_coefficient(system: OrbitSystem, n: int, power: int) -> complex:
     """<T^p phi, e_n> = m_n lambda_n^p sqrt(1 - |lambda_n|^2), exact closed form,
-    read from the validated window of the first n coordinates."""
+    read from a validated window that covers the first n coordinates."""
     if power < 0:
         raise ValueError("power must be nonnegative")
-    arrays = system_arrays(system, n)
+    arrays = covering_window(system, n)
     return complex(arrays.phi[n - 1]) * complex_pow(complex(arrays.lam[n - 1]), power)
 
 
@@ -175,7 +194,10 @@ def _progression_matrix(arrays: SystemArrays, first_exponent: int, step: int) ->
         # 1 - w = g_m + g_n - g_m g_n exactly, hence 1 - w^step via gap powers
         h = np.add.outer(arrays.gaps, arrays.gaps) - np.outer(arrays.gaps, arrays.gaps)
         denominator = one_minus_pow(h, step)
-        return coeffs * (complex_pow(w, first_exponent) / denominator)
+        # subnormal gaps can overflow the quotient; HermitianMatrix rejects
+        # the inf or NaN entries that result
+        with np.errstate(over="ignore", invalid="ignore"):
+            return coeffs * (complex_pow(w, first_exponent) / denominator)
     coeffs = np.outer(arrays.phi, arrays.phi.conj())
     w = np.outer(arrays.lam, arrays.lam.conj())
     denominator = 1.0 - complex_pow(w, step)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import compensated_sum, complex_pow, one_minus_pow
+from .numerics import compensated_sum, complex_pow, complex_pow_table, one_minus_pow
 from .orbit import (
     DEFAULT_DIMENSION,
     DEFAULT_EIG_TOL,
@@ -37,6 +37,10 @@ from .sequences import InvariantViolation
 
 DEFAULT_SAFETY = 0.5
 DEFAULT_J_MAX = 10_000
+
+_FIRST_BLOCK = 16  # J values in the first block of a curve walk
+_CHUNK_TERMS = 1 << 16  # terms per evaluated block, which bounds its memory
+_UNITS_PER_ONE = 1 << 1074  # 2^-1074 units in 1.0
 
 _MASK64 = (1 << 64) - 1
 _FALLBACK_SEED = 0x9E3779B97F4A7C15  # xorshift state must be nonzero
@@ -165,53 +169,119 @@ def _coordinate_tail_bound(system: OrbitSystem, pattern: WeavePattern, dimension
     return 2.0 * system.weights.c2 ** 2 * tail
 
 
+def _exact_row_sums(rows: np.ndarray) -> list:
+    """The exact sum of each row of finite floats, as an integer count of
+    2^-1074, the spacing of the subnormals; every double is a whole number
+    of these units."""
+    mantissas, exponents = np.frexp(rows)
+    # x = m 2^e with m in [0.5, 1): x 2^1074 = (m 2^53) 2^(e + 1021); a
+    # subnormal has e + 1021 < 0 and takes the whole scale in its mantissa
+    shifts = np.maximum(exponents + 1021, 0)
+    units = np.ldexp(mantissas, 53 + exponents + 1021 - shifts).astype(np.int64)
+    return [
+        sum(unit << shift for unit, shift in zip(unit_row, shift_row))
+        for unit_row, shift_row in zip(units.tolist(), shifts.tolist())
+    ]
+
+
+def defect_curve(
+    system: OrbitSystem,
+    pattern: WeavePattern,
+    first: int,
+    last: int,
+    dimension: int = DEFAULT_DIMENSION,
+):
+    """([D(J) for J = first..last], truncation_bound), where
+    D(J) = sum_{k>=J} ||T^(Nk)phi - T^(Nk+j_k)phi||^2 over the first
+    `dimension` coordinates and the truncation bound, which does not depend
+    on J, covers the coordinates beyond `dimension`.
+
+    Each D(J) is the correctly rounded sum of its terms
+    |c_n|^2 (1 - lambda_n^(j_k))^2 lambda_n^(2Nk), the k-sum being exact.
+    A periodic pattern (constant ones included) sums each residue class in
+    closed form, one row of P*M terms per J. A finite-support pattern
+    computes one row of M terms per k once and takes exact suffix sums, so
+    the whole curve costs O(len(offsets) * M).
+    """
+    if first < 0:
+        raise ValueError("start index must be nonnegative")
+    if last < first:
+        raise ValueError("the curve needs last >= first")
+    _require_weavable(system)
+    arrays = system_arrays(system, dimension)
+    two_n = 2 * pattern.stride
+    lam = arrays.lam.real
+    gaps = arrays.gaps
+    energy = (np.abs(arrays.weights) ** 2) * one_minus_pow(gaps, 2)  # |c_n|^2
+    count = last - first + 1
+    bound = _coordinate_tail_bound(system, pattern, dimension)
+
+    if pattern.period is not None:
+        period = pattern.period
+        denominator = one_minus_pow(gaps, two_n * period)
+        residues = [r for r in range(period) if pattern.offsets[r]]
+        terms = np.empty((count, len(residues), dimension))
+        for column, residue in enumerate(residues):
+            swap = one_minus_pow(gaps, pattern.offsets[residue])
+            # k0 = the first k >= J in the residue class
+            exponents = [two_n * (j + (residue - j) % period) for j in range(first, last + 1)]
+            terms[:, column] = energy * swap * swap * complex_pow_table(lam, exponents) / denominator
+        rows = terms.reshape(count, -1).tolist()
+        return [compensated_sum(row) for row in rows], bound
+
+    swapped = [k for k in range(first, len(pattern.offsets)) if pattern.offsets[k]]
+    distinct, which = np.unique([pattern.offsets[k] for k in swapped], return_inverse=True)
+    swaps = np.array([one_minus_pow(gaps, int(j)) for j in distinct]).reshape(len(distinct), dimension)
+    rows_per_chunk = max(1, _CHUNK_TERMS // dimension)
+    row_sums = []
+    for low in range(0, len(swapped), rows_per_chunk):
+        exponents = [two_n * k for k in swapped[low : low + rows_per_chunk]]
+        swap = swaps[which[low : low + rows_per_chunk]]
+        row_sums += _exact_row_sums(energy * swap * swap * complex_pow_table(lam, exponents))
+    values = [0.0] * count  # D(J) = 0 from the end of the support on
+    suffix, position = 0, len(swapped)
+    for j in range(min(last, len(pattern.offsets) - 1), first - 1, -1):
+        while position and swapped[position - 1] >= j:
+            position -= 1
+            suffix += row_sums[position]
+        values[j - first] = suffix / _UNITS_PER_ONE
+    return values, bound
+
+
 def tail_defect(
     system: OrbitSystem,
     pattern: WeavePattern,
     start_index: int,
     dimension: int = DEFAULT_DIMENSION,
 ):
-    """(value, truncation_bound) for D(J) = sum_{k>=J} ||T^(Nk)phi - T^(Nk+j_k)phi||^2
-    over the first `dimension` coordinates.
+    """(D(J), truncation_bound) at J = start_index: one point of `defect_curve`."""
+    values, bound = defect_curve(system, pattern, start_index, start_index, dimension)
+    return values[0], bound
 
-    Periodic patterns (constant ones included) are summed in closed form per
-    residue class, finite-support patterns term by term; either way the k-sum
-    is exact and the truncation bound covers only the coordinates beyond
-    `dimension`.
-    """
-    if start_index < 0:
-        raise ValueError("start index must be nonnegative")
-    _require_weavable(system)
-    arrays = system_arrays(system, dimension)
-    stride = pattern.stride
-    lam = arrays.lam.real
-    gaps = arrays.gaps
-    energy = (np.abs(arrays.weights) ** 2) * one_minus_pow(gaps, 2)  # |c_n|^2
 
-    terms: list[float] = []
-    if pattern.period is not None:
-        period = pattern.period
-        denominator = one_minus_pow(gaps, 2 * stride * period)
-        for residue in range(period):
-            offset = pattern.offsets[residue]
-            if offset == 0:
-                continue
-            k0 = start_index + ((residue - start_index) % period)
-            swap = one_minus_pow(gaps, offset)
-            contribution = (
-                energy * swap * swap * complex_pow(lam, 2 * stride * k0) / denominator
-            )
-            terms.extend(contribution.tolist())
+def defect_points(
+    system: OrbitSystem,
+    pattern: WeavePattern,
+    dimension: int = DEFAULT_DIMENSION,
+    j_max: int = DEFAULT_J_MAX,
+):
+    """DefectPoint(J, D(J), truncation_bound) for J = 0, 1, .., j_max, read from
+    `defect_curve` in blocks that double in length, so a caller that stops
+    early pays for at most twice the points it read. A finite-support pattern
+    is one block up to the end of its support, where D(J) reaches 0."""
+    if pattern.period is None:
+        rows, cap = len(pattern.offsets) + 1, math.inf
     else:
-        for k in range(start_index, len(pattern.offsets)):
-            offset = pattern.offsets[k]
-            if offset == 0:
-                continue
-            swap = one_minus_pow(gaps, offset)
-            contribution = energy * swap * swap * complex_pow(lam, 2 * stride * k)
-            terms.extend(contribution.tolist())
-    value = compensated_sum(terms)
-    return value, _coordinate_tail_bound(system, pattern, dimension)
+        cap = max(1, _CHUNK_TERMS // (pattern.period * dimension))
+        rows = min(_FIRST_BLOCK, cap)
+    first = 0
+    while first <= j_max:
+        last = min(j_max, first + rows - 1)
+        values, bound = defect_curve(system, pattern, first, last, dimension)
+        for j, value in enumerate(values, start=first):
+            yield DefectPoint(j, value, bound)
+        first = last + 1
+        rows = min(2 * rows, cap)
 
 
 def defect_upper_bound(system: OrbitSystem, dimension: int = DEFAULT_DIMENSION) -> float:
@@ -303,16 +373,15 @@ def find_weaving_index(
     threshold = safety * a_est
     sweep = []
     found = None
-    for j in range(j_max + 1):
-        value, bound = tail_defect(system, pattern, j, dimension)
-        sweep.append(DefectPoint(j, value, bound))
-        if value + bound < threshold:
-            found = j
+    for point in defect_points(system, pattern, dimension, j_max):
+        sweep.append(point)
+        if point.value + point.truncation_bound < threshold:
+            found = point.start_index
             break
-        if bound >= threshold:  # the coordinate tail bound is the same for every J
+        if point.truncation_bound >= threshold:  # the same for every J
             raise WeavingSearchError(
-                f"coordinate tail bound {bound:.3e} beyond M={dimension} is not below "
-                f"{threshold:.3e}, so no J can succeed",
+                f"coordinate tail bound {point.truncation_bound:.3e} beyond M={dimension} is not "
+                f"below {threshold:.3e}, so no J can succeed",
                 tuple(sweep),
             )
     if found is None:

@@ -131,3 +131,32 @@ def xorshift64_reference(seed: int, count: int):
         state ^= (state << 17) & mask
         out.append(state)
     return out
+
+
+def pointwise_tail_defect(system, pattern, start, dimension):
+    """D(start) evaluated on its own, the way the curve's terms are defined:
+    per residue class in closed form for a periodic pattern, term by term in
+    k for a finite one, each term |c_n|^2 (1 - lambda_n^j)^2 lambda_n^(2Nk)
+    with the powers from `complex_pow`, and one `math.fsum` of them all."""
+    from carleson_frames.numerics import complex_pow, one_minus_pow
+    from carleson_frames.orbit import system_arrays
+
+    arrays = system_arrays(system, dimension)
+    lam, gaps = arrays.lam.real, arrays.gaps
+    energy = (np.abs(arrays.weights) ** 2) * one_minus_pow(gaps, 2)
+    two_n = 2 * pattern.stride
+    terms = []
+    if pattern.period is not None:
+        period = pattern.period
+        denominator = one_minus_pow(gaps, two_n * period)
+        for residue, offset in enumerate(pattern.offsets):
+            if offset:
+                k0 = start + (residue - start) % period
+                swap = one_minus_pow(gaps, offset)
+                terms += (energy * swap * swap * complex_pow(lam, two_n * k0) / denominator).tolist()
+    else:
+        for k in range(start, len(pattern.offsets)):
+            if pattern.offsets[k]:
+                swap = one_minus_pow(gaps, pattern.offsets[k])
+                terms += (energy * swap * swap * complex_pow(lam, two_n * k)).tolist()
+    return math.fsum(terms)

@@ -1,10 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from carleson_frames import (
     ConstantWeights,
+    ExplicitSequence,
     GeometricApproach,
+    InvariantViolation,
     OrbitFrameOracle,
     OrbitSystem,
     OrthonormalBasisOracle,
@@ -15,6 +19,8 @@ from carleson_frames import (
     frame_bounds,
     reverify_certificate,
 )
+from carleson_frames import orbit
+from carleson_frames.adversarial import _smallest_index
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
 ORACLE = OrbitFrameOracle(SYSTEM)
@@ -139,3 +145,115 @@ def test_certificate_serialization():
     assert data["picked_indices"] == list(cert.picked_indices)
     assert len(data["steps"]) == 3
     assert data["steps"][0]["threshold"] == 0.5
+
+
+# L = 12 certificates on the geometric orbit oracles, frozen from an
+# exhaustive smallest-index search: (picked indices, witnesses) per alpha
+PINNED_L12 = {
+    1.8: (
+        (0, 7, 35, 153, 343, 1336, 2806, 10391, 21043, 75757, 149999, 294545, 1033858),
+        (4, 6, 8, 9, 11, 12, 14, 15, 17, 18, 19, 21),
+    ),
+    2.0: (
+        (0, 6, 33, 177, 443, 1064, 4968, 11356, 25551, 56781, 124920, 545112, 1181077),
+        (3, 5, 7, 8, 9, 11, 12, 13, 14, 15, 17, 18),
+    ),
+    2.1: (
+        (0, 7, 42, 119, 312, 1651, 4046, 9711, 22943, 53535, 123667, 594955, 1353525),
+        (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 16, 17),
+    ),
+    2.5: (
+        (0, 11, 41, 135, 423, 1269, 3701, 10576, 29746, 82628, 227230, 619720, 1678412),
+        (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14),
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(PINNED_L12))
+def test_orbit_certificates_pinned_up_to_l12(alpha):
+    oracle = OrbitFrameOracle(OrbitSystem(GeometricApproach(alpha), ConstantWeights(1.0)))
+    picks, witnesses = PINNED_L12[alpha]
+    cert = build_adversarial_subsequence(oracle, 12, budget=10**7)
+    assert cert.picked_indices == picks
+    assert cert.witnesses == witnesses
+    assert reverify_certificate(oracle, cert) <= 1e-12
+
+
+def test_deep_certificate_builds_and_reverifies():
+    oracle = OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0)))
+    cert = build_adversarial_subsequence(oracle, 30, budget=10**13)
+    assert len(cert.picked_indices) == 31
+    assert cert.picked_indices[-1] == 1_476_614_058_018
+    assert all(step.bound <= step.threshold for step in cert.steps)
+    assert reverify_certificate(oracle, cert) <= 1e-12
+
+
+def _linear_scan(predicate, start, budget):
+    return next((n for n in range(start, start + budget) if predicate(n)), None)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=-5, max_value=3100),
+)
+def test_bisection_equals_linear_scan_on_monotone_predicates(start, budget, offset):
+    first_true = start + offset
+    calls = []
+
+    def predicate(n):
+        calls.append(n)
+        return n >= first_true
+
+    expected = _linear_scan(predicate, start, budget)
+    calls.clear()
+    if expected is None:
+        with pytest.raises(SearchBudgetExceededError) as excinfo:
+            _smallest_index(predicate, start, budget, "thing", monotone=True)
+        assert str(excinfo.value) == f"no qualifying thing within budget {budget} (starting at {start})"
+    else:
+        assert _smallest_index(predicate, start, budget, "thing", monotone=True) == expected
+    assert all(start <= n < start + budget for n in calls)
+    assert len(calls) <= 2 * math.log2(budget) + 2
+
+
+def test_bisection_budget_edges():
+    start, budget = 17, 1000
+
+    def at_least(edge):
+        return lambda n: n >= edge
+
+    assert _smallest_index(at_least(start + budget - 1), start, budget, "pick", monotone=True) == start + budget - 1
+    with pytest.raises(SearchBudgetExceededError):
+        _smallest_index(at_least(start + budget), start, budget, "pick", monotone=True)
+    assert _smallest_index(at_least(0), start, budget, "pick", monotone=True) == start
+    assert _smallest_index(at_least(0), start, 1, "pick", monotone=True) == start
+
+
+def test_orbit_oracle_windows_grow_by_doubling(monkeypatch):
+    builds = []
+    original = orbit.validate
+
+    def counting_validate(seq, n):
+        builds.append(n)
+        return original(seq, n)
+
+    monkeypatch.setattr(orbit, "validate", counting_validate)
+    oracle = OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0)))
+    dimension = 300
+    estimate_subsequence_lower_bound(oracle, (0, 6, 33), dimension)
+    for j in range(1, dimension + 1):
+        oracle.tail_energy(j, 5)
+    assert builds == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
+
+
+def test_orbit_oracle_bad_point_raises_only_from_its_index():
+    # the sixth point repeats the fifth: windows past index 5 cannot validate
+    values = (0.1, 0.2, 0.3, 0.4, 0.5, 0.5, 0.6, 0.7)
+    oracle = OrbitFrameOracle(OrbitSystem(ExplicitSequence(values), ConstantWeights(1.0)))
+    assert oracle.tail_energy(5, 2) == pytest.approx(0.5**4)
+    assert oracle.coefficient(5, 1) == pytest.approx(0.5 * math.sqrt(0.75))
+    with pytest.raises(InvariantViolation):
+        oracle.tail_energy(6, 0)
+    with pytest.raises(InvariantViolation):
+        oracle.coefficient(7, 0)

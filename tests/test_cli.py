@@ -155,6 +155,28 @@ def test_bounds_command(tmp_path):
     assert report["result"]["scheme"] == {"stride": 2, "offset": 1, "start": 0}
 
 
+def test_in_process_runs_share_the_parser_but_not_its_flags(tmp_path, capsys):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run_cli("bounds", "--N", "2", "--out", str(first)) == 0
+    assert run_cli("bounds", "--out", str(second)) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert read_json(first)["config"]["params"]["stride"] == 2
+    assert read_json(second)["config"]["params"]["stride"] == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("scheme (N=2,") and lines[1].startswith("scheme (N=1,")
+
+
+def test_non_finite_operator_exits_one(tmp_path, capsys):
+    # the gaps 2^-k are subnormal past k = 1022, so 1/h overflows in assembly
+    out = tmp_path / "bounds.json"
+    assert run_cli("bounds", "--alpha", "2", "--M", "1074", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("analysis error:")
+    assert "non-finite" in lines[0]
+    assert captured.out == "" and not out.exists()
+
+
 def test_subsample_sweep_csv(tmp_path):
     out = tmp_path / "sweep.json"
     csv_path = tmp_path / "sweep.csv"

@@ -16,6 +16,8 @@ from carleson_frames import (
     SubsampleScheme,
     TwoPointAugmented,
     WeavingSearchError,
+    defect_curve,
+    defect_points,
     defect_upper_bound,
     find_weaving_index,
     frame_bounds,
@@ -24,7 +26,7 @@ from carleson_frames import (
     tail_defect,
     woven_frame_operator,
 )
-from oracles import brute_defect_sum, xorshift64_reference
+from oracles import brute_defect_sum, pointwise_tail_defect, xorshift64_reference
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
 
@@ -224,3 +226,63 @@ def test_weaving_result_serialization():
     assert data["start_index"] == result.start_index
     assert data["verified_bounds"]["dimension"] == 30
     assert len(data["sweep"]) == result.start_index + 1
+
+
+CURVE_PATTERNS = (
+    ConstantPattern(2, 1),
+    PeriodicPattern(3, (1, 0, 2)),
+    ExplicitPattern(3, (1, 2, 0, 1, 0, 2)),
+    SeededPattern(3, 42, 128),
+)
+
+
+@pytest.mark.parametrize("dimension", [12, 40, 200])
+@pytest.mark.parametrize("pattern", CURVE_PATTERNS, ids=["constant", "periodic", "explicit", "seeded"])
+def test_defect_curve_equals_pointwise_defects_bit_for_bit(pattern, dimension):
+    system = OrbitSystem(GeometricApproach(1.9), ConstantWeights(0.75))
+    last = 140  # past the support of the finite patterns
+    values, bound = defect_curve(system, pattern, 0, last, dimension)
+    assert len(values) == last + 1
+    starts = list(range(0, 24)) + [63, 64, 100, 127, 128, 129, 140]
+    for j in starts:
+        assert values[j] == pointwise_tail_defect(system, pattern, j, dimension)
+        assert tail_defect(system, pattern, j, dimension) == (values[j], bound)
+    # a block that starts and ends inside the curve reads the same values
+    middle, _ = defect_curve(system, pattern, 5, 70, dimension)
+    assert middle == values[5:71]
+
+
+def test_finite_pattern_curve_is_zero_past_its_support():
+    values, bound = defect_curve(SYSTEM, ExplicitPattern(2, (1, 0, 1)), 0, 6, 40)
+    assert values[0] > values[2] > 0.0
+    assert values[1] == values[2]  # k = 1 swaps nothing
+    assert values[3:] == [0.0, 0.0, 0.0, 0.0]
+    assert bound > 0.0
+    assert defect_curve(SYSTEM, ExplicitPattern(2, ()), 0, 3, 40)[0] == [0.0] * 4
+    assert defect_curve(SYSTEM, ExplicitPattern(2, (1,)), 5, 8, 40)[0] == [0.0] * 4
+
+
+def test_defect_curve_input_validation():
+    with pytest.raises(ValueError):
+        defect_curve(SYSTEM, ConstantPattern(2, 1), -1, 3, 40)
+    with pytest.raises(ValueError):
+        defect_curve(SYSTEM, ConstantPattern(2, 1), 4, 3, 40)
+
+
+def test_defect_points_walk_the_curve_in_order():
+    pattern = PeriodicPattern(2, (1, 0))
+    points = list(defect_points(SYSTEM, pattern, 40, j_max=100))
+    assert [point.start_index for point in points] == list(range(101))
+    values, bound = defect_curve(SYSTEM, pattern, 0, 100, 40)
+    assert [point.value for point in points] == values
+    assert {point.truncation_bound for point in points} == {bound}
+
+
+def test_find_weaving_index_sweep_matches_the_curve():
+    a_est = frame_bounds(SYSTEM, SubsampleScheme(3), 40).a_est
+    pattern = SeededPattern(3, 42, 128)
+    result = find_weaving_index(SYSTEM, pattern, a_est, 0.5, 40)
+    values, _ = defect_curve(SYSTEM, pattern, 0, result.start_index, 40)
+    assert [point.value for point in result.sweep] == values
+    assert result.sweep[-1].value + result.sweep[-1].truncation_bound < 0.5 * a_est
+    assert result.sweep[-2].value + result.sweep[-2].truncation_bound >= 0.5 * a_est
