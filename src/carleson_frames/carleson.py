@@ -24,6 +24,8 @@ from .sequences import InvariantViolation, LambdaSequence, _check_index, _first,
 DEFAULT_FAIL_THRESHOLD = 1e-12
 DEFAULT_EVIDENCE_THRESHOLD = 1e-3
 
+_CHUNK_TERMS = 1 << 16  # factors per evaluated block of rows, which bounds its memory
+
 
 class Verdict(Enum):
     CERTIFIED_HOLDS = "CertifiedHolds"
@@ -105,60 +107,79 @@ class RatioTest(NamedTuple):
     certified_c: float | None
 
 
-def _in_disc(window, first: int = 1):
-    """The window, after raising for its first point outside the disc at an index >= first."""
-    k = _first(window.gaps[first - 1 :] <= 0.0)
+def _in_disc(window):
+    """The window, after raising for its first point outside the disc."""
+    k = _first(window.gaps <= 0.0)
     if k is not None:
-        raise InvariantViolation(f"|lambda_{first - 1 + k}| >= 1 leaves the open unit disc")
+        raise InvariantViolation(f"|lambda_{k}| >= 1 leaves the open unit disc")
     return window
 
 
-def _tail_error(seq: LambdaSequence, window, n: int, k_trunc: int) -> float:
-    """Bound on sum_{k > k_trunc} (1 - factor_k), derivable only for the
-    real positive strictly increasing kinds with closed-form gap tails."""
+def _tail_errors(seq: LambdaSequence, gaps: np.ndarray, k_trunc: int) -> list:
+    """Bounds on sum_{k > k_trunc} (1 - factor_k) for the rows n with modulus
+    gaps `gaps`, derivable only for the real positive strictly increasing
+    kinds with closed-form gap tails."""
     length = seq.length
     if length is not None and k_trunc >= length:
-        return 0.0
+        return [0.0] * gaps.size
     if seq.real_positive and seq.strictly_increasing_moduli:
         tail = seq.tail_modulus_gap_sum(k_trunc + 1)
         if tail is not None:
-            gap_n = float(window.gaps[n - 1])
-            # 1 - factor <= (1-l_k)(1+l_n)/(1-l_n) for increasing positive points
-            return (2.0 - gap_n) / gap_n * tail
-    return math.inf
+            # 1 - factor <= (1-l_k)(1+l_n)/(1-l_n) for increasing positive points;
+            # a subnormal gap gives inf, as Python floats do
+            with np.errstate(over="ignore"):
+                return ((2.0 - gaps) / gaps * tail).tolist()
+    return [math.inf] * gaps.size
 
 
-def _product_entry(seq: LambdaSequence, window, n: int, k_trunc: int) -> ProductEntry:
-    """P_n over the window from one row of factors
-    |lambda_k - lambda_n| / |1 - conj(lambda_k) lambda_n|, k != n.
+def _factor_block(window, n: np.ndarray) -> np.ndarray:
+    """Factors |lambda_k - lambda_n| / |1 - conj(lambda_k) lambda_n| over the
+    window, one row per n, with 1 at k = n (log(1) = 0 adds nothing)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if window.signed_gaps is not None:
+            g = window.signed_gaps
+            anchor = g[n - 1, None]
+            factors = np.abs(anchor - g) / (anchor + g - anchor * g)
+        else:
+            re, im = window.values.real, window.values.imag
+            a, b = re[n - 1, None], im[n - 1, None]
+            factors = np.hypot(re - a, im - b) / np.hypot(1.0 - (re * a + im * b), re * b - im * a)
+    factors[np.arange(n.size), n - 1] = 1.0
+    return factors
+
+
+def _products(seq: LambdaSequence, window, rows: range, k_trunc: int) -> tuple:
+    """ProductEntry(n, P_n, tail_error) for each n in `rows`, P_n over the window.
 
     Real sequences go through signed gaps, which keeps the factors exact when
     the points crowd the circle; complex ones use the direct formula in real
     arithmetic that rounds like Python's complex numbers. A point outside the
-    disc raises (lambda_n first, then k upward) unless an exact zero factor
-    (a repeated point) comes first, which ends the product at P_n = 0.
+    disc raises (lambda_n first, then k upward, rows in increasing n) unless
+    an exact zero factor (a repeated point) comes first in that row, which
+    ends the product at P_n = 0. Rows are evaluated in blocks of at most
+    _CHUNK_TERMS factors, so memory stays linear in the window length.
     """
-    if n > k_trunc:
-        raise ValueError("need n <= k_trunc")
-    _check_index(n, seq.length, "sequence")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if window.signed_gaps is not None:
-            g = window.signed_gaps
-            anchor = g[n - 1]
-            factors = np.abs(anchor - g) / (anchor + g - anchor * g)
-        else:
-            re, im = window.values.real, window.values.imag
-            a, b = re[n - 1], im[n - 1]
-            factors = np.hypot(re - a, im - b) / np.hypot(1.0 - (re * a + im * b), re * b - im * a)
-    factors[n - 1] = 1.0  # no factor for k = n: log(1) = 0 adds nothing to the sum
     outside = window.gaps <= 0.0
-    k = n if outside[n - 1] else _first((factors == 0.0) | outside)
-    if k is not None and outside[k - 1]:
-        raise InvariantViolation(f"|lambda_{k}| >= 1 leaves the open unit disc")
-    tail = _tail_error(seq, window, n, k_trunc)
-    if k is not None:
-        return ProductEntry(n, 0.0, tail)
-    return ProductEntry(n, math.exp(compensated_sum(map(math.log, factors.tolist()))), tail)
+    per_block = max(1, _CHUNK_TERMS // window.gaps.size)
+    values = []
+    for low in range(rows.start, rows.stop, per_block):
+        n = np.arange(low, min(low + per_block, rows.stop))
+        factors = _factor_block(window, n)
+        hits = (factors == 0.0) | outside
+        # the index that ends each row: n itself if outside, else its first
+        # zero or outside factor; 0 where nothing ends it
+        stop = np.where(outside[n - 1], n, np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0))
+        k = _first(outside[stop - 1] & (stop > 0))
+        if k is not None:
+            raise InvariantViolation(f"|lambda_{stop[k - 1]}| >= 1 leaves the open unit disc")
+        with np.errstate(divide="ignore"):
+            logs = np.log(factors)
+        values += [
+            0.0 if ended else math.exp(compensated_sum(row.tolist()))
+            for ended, row in zip((stop > 0).tolist(), logs)
+        ]
+    tails = _tail_errors(seq, window.gaps[rows.start - 1 : rows.stop - 1], k_trunc)
+    return tuple(map(ProductEntry, rows, values, tails))
 
 
 def carleson_product(seq: LambdaSequence, n: int, k_trunc: int):
@@ -172,7 +193,10 @@ def carleson_product(seq: LambdaSequence, n: int, k_trunc: int):
     """
     if k_trunc < 1:
         raise ValueError("k_trunc must be >= 1")
-    entry = _product_entry(seq, validate(seq, k_trunc), n, k_trunc)
+    if n > k_trunc:
+        raise ValueError("need n <= k_trunc")
+    _check_index(n, seq.length, "sequence")
+    (entry,) = _products(seq, validate(seq, k_trunc), range(n, n + 1), k_trunc)
     return entry.value, entry.tail_error
 
 
@@ -228,7 +252,7 @@ def carleson_inf_estimate(
         raise ValueError("need n_max <= k_trunc")
     limit_n = n_max if seq.length is None else min(n_max, seq.length)
     window = validate(seq, k_trunc)
-    entries = tuple(_product_entry(seq, window, n, k_trunc) for n in range(1, limit_n + 1))
+    entries = _products(seq, window, range(1, limit_n + 1), k_trunc)
     inf_estimate = min(entry.value for entry in entries)
     ratio_sup = None
     if seq.strictly_increasing_moduli and window.n_checked >= 2:
@@ -271,7 +295,7 @@ def drop_prefix_check(
     tail_seq = drop_prefix(seq, n_drop)  # raises on empty remainder
     report = carleson_inf_estimate(tail_seq, n_max, k_trunc, fail_threshold)
     window = validate(seq, k_trunc)
-    dropped = tuple(_product_entry(seq, window, n, k_trunc) for n in range(1, n_drop + 1))
+    dropped = _products(seq, window, range(1, n_drop + 1), k_trunc)
     verdict = report.verdict
     if any(entry.value == 0.0 for entry in dropped):
         verdict = Verdict.CERTIFIED_FAILS
@@ -313,9 +337,8 @@ def limit_modulus_check(
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     limit = k_max if seq.length is None else min(k_max, seq.length)
-    first = max(1, limit - 4)
-    gaps = _in_disc(validate(seq, limit), first).gaps[first - 1 :]
-    trailing = tuple(zip(range(first, limit + 1), gaps.tolist()))
+    # the checked scalar gaps: only the last five indices are read
+    trailing = tuple((k, seq.modulus_gap_at(k)) for k in range(max(1, limit - 4), limit + 1))
     final_gap = trailing[-1][1]
     return LimitModulusEvidence(
         passes=final_gap < evidence_threshold,

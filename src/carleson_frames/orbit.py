@@ -257,8 +257,11 @@ def bounds_from_matrix(
     """Extremal eigenvalues of an assembled frame operator, PSD-checked.
 
     Eigenvalues within -tol * ||S|| of zero are clamped to 0; anything more
-    negative means the matrix is not a frame operator and raises."""
-    extremes = extremal_eigenvalues(HermitianMatrix(matrix), tol)
+    negative means the matrix is not a frame operator and raises. Only the
+    validated copy is kept through the eigensolve, unless the caller keeps
+    the raw matrix."""
+    matrix = HermitianMatrix(matrix)
+    extremes = extremal_eigenvalues(matrix, tol)
     scale = max(abs(extremes.lambda_min), abs(extremes.lambda_max))
     if extremes.lambda_min < -tol * scale:
         raise EigensolverError(
@@ -280,8 +283,7 @@ def frame_bounds(
     tol: float = DEFAULT_EIG_TOL,
 ) -> FrameBoundEstimate:
     """Truncated frame-bound estimates (A_est, B_est) for one subsample scheme."""
-    matrix = frame_operator_matrix(system, scheme, dimension)
-    return bounds_from_matrix(matrix, dimension, tol, scheme)
+    return bounds_from_matrix(frame_operator_matrix(system, scheme, dimension), dimension, tol, scheme)
 
 
 def retilde_weights(system: OrbitSystem, stride: int, count: int):

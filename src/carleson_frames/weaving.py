@@ -17,12 +17,12 @@ M-truncated model, which is what this module verifies numerically.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import compensated_sum, complex_pow, complex_pow_table, one_minus_pow
+from .numerics import compensated_sum, complex_pow_table, one_minus_pow
 from .orbit import (
     DEFAULT_DIMENSION,
     DEFAULT_EIG_TOL,
@@ -314,13 +314,16 @@ def woven_frame_operator(
                 arrays, stride * k0 + pattern.offsets[residue], stride * period
             )
     else:
-        for k in range(start_index, len(pattern.offsets)):
-            offset = pattern.offsets[k]
-            if offset == 0:
-                continue
-            kept = arrays.phi * complex_pow(arrays.lam, stride * k + offset)
-            removed = arrays.phi * complex_pow(arrays.lam, stride * k)
-            total = total + np.outer(kept, kept.conj()) - np.outer(removed, removed.conj())
+        # one row per swapped k: kept T^(Nk+j_k) phi, removed T^(Nk) phi
+        swapped = [k for k in range(start_index, len(pattern.offsets)) if pattern.offsets[k]]
+        phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
+        lam = arrays.lam.real
+        rows_per_chunk = max(1, _CHUNK_TERMS // dimension)
+        for low in range(0, len(swapped), rows_per_chunk):
+            chunk = swapped[low : low + rows_per_chunk]
+            kept = phi * complex_pow_table(lam, [stride * k + pattern.offsets[k] for k in chunk])
+            removed = phi * complex_pow_table(lam, [stride * k for k in chunk])
+            total = total + (kept.T @ kept.conj() - removed.T @ removed.conj())
     return total
 
 
@@ -346,7 +349,12 @@ class WeavingResult:
     sweep: tuple
 
     def to_jsonable(self) -> dict:
-        return dict(asdict(self), sweep=[point.to_jsonable() for point in self.sweep])
+        data = {f.name: getattr(self, f.name) for f in fields(self)}  # no deep copy
+        data.update(
+            verified_bounds=self.verified_bounds.to_jsonable(),
+            sweep=[point.to_jsonable() for point in self.sweep],
+        )
+        return data
 
 
 def find_weaving_index(
@@ -390,8 +398,9 @@ def find_weaving_index(
         )
     defect = sweep[-1].value + sweep[-1].truncation_bound
     predicted = (math.sqrt(a_est) - math.sqrt(defect)) ** 2
-    matrix = woven_frame_operator(system, pattern, found, dimension)
-    verified = bounds_from_matrix(matrix, dimension, tol, scheme=None)
+    verified = bounds_from_matrix(
+        woven_frame_operator(system, pattern, found, dimension), dimension, tol, scheme=None
+    )
     return WeavingResult(
         start_index=found,
         defect=defect,

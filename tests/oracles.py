@@ -34,6 +34,22 @@ def float_carleson_product(values, n: int) -> float:
     return product
 
 
+def mpmath_carleson_product(points, n: int, dps: int = 80) -> float:
+    """P_n over a list of points (1-based index n), each factor
+    |z_k - z_n| / |1 - conj(z_k) z_n| and their product in `dps`-digit
+    arithmetic; points may be mpmath numbers or Python complex values."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        z = [mpmath.mpmathify(p) for p in points]
+        anchor = z[n - 1]
+        product = mpmath.mpf(1)
+        for k, value in enumerate(z, start=1):
+            if k != n:
+                product *= abs(value - anchor) / abs(1 - mpmath.conj(value) * anchor)
+        return float(product)
+
+
 def geometric_lambda(alpha: float, k: int) -> float:
     return 1.0 - alpha ** (-k)
 

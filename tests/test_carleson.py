@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from carleson_frames import (
     ExplicitSequence,
     GeometricApproach,
+    InvariantViolation,
     PowerSequence,
     TwoPointAugmented,
     Verdict,
@@ -17,7 +18,8 @@ from carleson_frames import (
     limit_modulus_check,
     ratio_test,
 )
-from oracles import float_carleson_product, rational_carleson_product
+from carleson_frames import carleson
+from oracles import float_carleson_product, mpmath_carleson_product, rational_carleson_product
 
 GEO2 = GeometricApproach(2.0)
 
@@ -217,3 +219,112 @@ def test_report_serialization_round_trip():
     assert len(list(report.csv_rows())) == 4
     text = report.to_text()
     assert "verdict: Inconclusive" in text
+
+
+# ---- blocked evaluation of the rows P_1..P_n ---------------------------------
+
+COMPLEX_LIST = ExplicitSequence((0.1 + 0.2j, -0.4, 0.5j, 0.85, -0.3 - 0.4j, 0.9 + 0.05j, 0.2 - 0.7j))
+SQUARED_PAIR = PowerSequence(TwoPointAugmented(0.3, GEO2), 2)
+ROW_CASES = [
+    pytest.param(GEO2, 30, 200, id="geometric"),
+    pytest.param(SQUARED_PAIR, 12, 100, id="squared-two-point"),
+    pytest.param(COMPLEX_LIST, 7, 7, id="complex-list"),
+]
+
+
+@pytest.mark.parametrize("seq,n_max,k_trunc", ROW_CASES)
+def test_inf_estimate_rows_equal_carleson_product(seq, n_max, k_trunc):
+    report = carleson_inf_estimate(seq, n_max, k_trunc)
+    assert [(e.n, e.value, e.tail_error) for e in report.products] == [
+        (n, *carleson_product(seq, n, k_trunc)) for n in range(1, n_max + 1)
+    ]
+    if seq is SQUARED_PAIR:
+        assert [e.value for e in report.products[:2]] == [0.0, 0.0]
+        assert all(e.value > 0.0 for e in report.products[2:])
+
+
+@pytest.mark.parametrize("seq,n_max,k_trunc", ROW_CASES)
+@pytest.mark.parametrize("rows_per_block", [1, 3, 5])
+def test_block_size_does_not_change_products(monkeypatch, seq, n_max, k_trunc, rows_per_block):
+    # 1-row blocks, and blocks of 3 or 5 rows that leave a ragged last block
+    whole = carleson_inf_estimate(seq, n_max, k_trunc)
+    dropped = drop_prefix_check(seq, 2, min(n_max, 5), k_trunc)
+    window = min(k_trunc, seq.length or k_trunc)
+    monkeypatch.setattr(carleson, "_CHUNK_TERMS", rows_per_block * window + window - 1)
+    assert carleson_inf_estimate(seq, n_max, k_trunc).products == whole.products
+    blocked = drop_prefix_check(seq, 2, min(n_max, 5), k_trunc)
+    assert (blocked.products, blocked.dropped_products) == (dropped.products, dropped.dropped_products)
+
+
+@pytest.mark.parametrize("outside", [1.5, 1.5j])
+def test_out_of_disc_before_a_repeated_point_raises_at_it(outside):
+    # row 1 meets the outside point (k = 2) before its zero factor (k = 4)
+    seq = ExplicitSequence((0.2j, outside, 0.4, 0.2j, 0.6))
+    with pytest.raises(InvariantViolation, match=r"^\|lambda_2\| >= 1 leaves the open unit disc$"):
+        carleson_inf_estimate(seq, 5, 5)
+    with pytest.raises(InvariantViolation, match=r"^\|lambda_2\| >= 1 leaves the open unit disc$"):
+        carleson_product(seq, 1, 5)
+
+
+@pytest.mark.parametrize("outside", [1.5, 1.5j])
+def test_out_of_disc_after_a_repeated_point_raises_in_the_next_row(outside):
+    # row 1 ends at its zero factor (k = 3) first, so P_1 = 0; row 2 then
+    # meets the outside point at k = 4
+    seq = ExplicitSequence((0.2j, 0.4, 0.2j, outside, 0.6))
+    assert carleson_product(seq, 1, 5) == (0.0, 0.0)
+    with pytest.raises(InvariantViolation, match=r"^\|lambda_4\| >= 1 leaves the open unit disc$"):
+        carleson_inf_estimate(seq, 5, 5)
+    with pytest.raises(InvariantViolation, match=r"^\|lambda_4\| >= 1 leaves the open unit disc$"):
+        carleson_product(seq, 2, 5)
+
+
+def test_out_of_disc_row_point_is_reported_before_its_factors():
+    # lambda_2 itself is outside; its zero factor at k = 1 does not come first
+    seq = ExplicitSequence((1.5, 1.5, 0.3))
+    with pytest.raises(InvariantViolation, match=r"^\|lambda_2\| >= 1"):
+        carleson_product(seq, 2, 3)
+    with pytest.raises(InvariantViolation, match=r"^\|lambda_1\| >= 1"):
+        carleson_inf_estimate(seq, 3, 3)
+    # a dropped prefix point: the tail (0.4, 0.2, 0.6) passes, then its row raises
+    with pytest.raises(InvariantViolation, match=r"^\|lambda_1\| >= 1"):
+        drop_prefix_check(ExplicitSequence((1.5, 0.4, 0.2, 0.6)), 1, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "seq,points,n_values",
+    [
+        pytest.param(GEO2, "geometric 2", (1, 7, 30), id="geometric-2"),
+        pytest.param(GeometricApproach(1.5), "geometric 1.5", (1, 12, 40), id="geometric-1.5"),
+        pytest.param(COMPLEX_LIST, None, range(1, 8), id="complex-list"),
+    ],
+)
+def test_products_match_mpmath_oracle(seq, points, n_values):
+    mpmath = pytest.importorskip("mpmath")
+    k_trunc = 200 if seq.length is None else seq.length
+    if points is None:
+        exact = seq.values
+    else:
+        # the exact points 1 - alpha^-k, from the double alpha the kind stores
+        with mpmath.workdps(80):
+            exact = [1 - mpmath.mpf(seq.alpha) ** (-k) for k in range(1, k_trunc + 1)]
+    report = carleson_inf_estimate(seq, max(n_values), k_trunc)
+    for n in n_values:
+        assert report.products[n - 1].value == pytest.approx(mpmath_carleson_product(exact, n), rel=1e-12)
+
+
+def test_limit_modulus_reads_only_the_last_gaps(monkeypatch):
+    def no_window(*args, **kwargs):
+        raise AssertionError("limit_modulus_check validated a window")
+
+    monkeypatch.setattr(carleson, "validate", no_window)
+    evidence = limit_modulus_check(GeometricApproach(1.00001), 200_000)
+    assert [k for k, _ in evidence.trailing] == list(range(199_996, 200_001))
+    assert evidence.final_gap == 1.00001**-200_000
+
+
+def test_limit_modulus_reports_the_first_bad_trailing_index():
+    seq = ExplicitSequence((1.5, 0.1, 0.2, 1.5, 0.3, 2.0, 0.4))
+    # only indices 3..7 are read: lambda_1 is never looked at
+    with pytest.raises(InvariantViolation, match=r"^\|lambda_4\| >= 1 leaves the open unit disc$"):
+        limit_modulus_check(seq, 7)
+    assert limit_modulus_check(ExplicitSequence((1.5, 0.1, 0.2, 0.3, 0.4, 0.5)), 6).final_gap == 0.5

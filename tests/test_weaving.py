@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -26,6 +28,9 @@ from carleson_frames import (
     tail_defect,
     woven_frame_operator,
 )
+from carleson_frames import cli, weaving
+from carleson_frames.numerics import complex_pow
+from carleson_frames.orbit import system_arrays
 from oracles import brute_defect_sum, pointwise_tail_defect, xorshift64_reference
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
@@ -286,3 +291,60 @@ def test_find_weaving_index_sweep_matches_the_curve():
     assert [point.value for point in result.sweep] == values
     assert result.sweep[-1].value + result.sweep[-1].truncation_bound < 0.5 * a_est
     assert result.sweep[-2].value + result.sweep[-2].truncation_bound >= 0.5 * a_est
+
+
+def test_weaving_result_serialization_matches_the_dataclass_fields():
+    a_est = frame_bounds(SYSTEM, SubsampleScheme(2), 30).a_est
+    result = find_weaving_index(SYSTEM, ExplicitPattern(2, (1, 0, 1, 1)), a_est, 0.5, 30)
+    fields = dataclasses.asdict(result)  # every field, nested dataclasses as dicts
+    fields["sweep"] = [point.to_jsonable() for point in result.sweep]
+    assert json.dumps(result.to_jsonable()) == json.dumps(fields)
+
+
+def test_weave_reports_found_and_not_found(tmp_path):
+    found, missing = tmp_path / "found.json", tmp_path / "missing.json"
+    args = ("weave", "--alpha", "2", "--N", "2", "--pattern", "constant:1")
+    assert cli.main([*args, "--out", str(found)]) == 0
+    assert cli.main([*args, "--J-max", "5", "--out", str(missing)]) == 1
+    reference = frame_bounds(SYSTEM, SubsampleScheme(2), 40)
+    result = find_weaving_index(SYSTEM, ConstantPattern(2, 1), reference.a_est)
+    report = json.loads(found.read_text())["result"]
+    assert report == json.loads(
+        json.dumps(dict(result.to_jsonable(), found=True, reference_bounds=reference.to_jsonable()))
+    )
+    with pytest.raises(WeavingSearchError) as excinfo:
+        find_weaving_index(SYSTEM, ConstantPattern(2, 1), reference.a_est, j_max=5)
+    report = json.loads(missing.read_text())["result"]
+    assert report["found"] is False and "start_index" not in report
+    assert report["sweep"] == [point.to_jsonable() for point in excinfo.value.sweep]
+
+
+def _woven_by_rank_one_updates(system, pattern, start, dimension):
+    """The finite-support woven operator with one pair of rank-one updates per swapped k."""
+    arrays = system_arrays(system, dimension)
+    total = frame_operator_matrix(system, SubsampleScheme(pattern.stride), dimension).astype(complex)
+    for k in range(start, len(pattern.offsets)):
+        if pattern.offsets[k]:
+            kept = arrays.phi * complex_pow(arrays.lam, pattern.stride * k + pattern.offsets[k])
+            removed = arrays.phi * complex_pow(arrays.lam, pattern.stride * k)
+            total += np.outer(kept, kept.conj()) - np.outer(removed, removed.conj())
+    return total
+
+
+@pytest.mark.parametrize("chunk_terms", [None, 1, 3 * 24 + 5])
+@pytest.mark.parametrize(
+    "weights", [ConstantWeights(1.0), ExplicitWeights(tuple(1.0 + 0.5j * (-1) ** n for n in range(24)), 1.0, 1.2)]
+)
+def test_woven_operator_matches_rank_one_updates(monkeypatch, chunk_terms, weights):
+    # whole, one-row and ragged three-row chunks of swapped k
+    if chunk_terms is not None:
+        monkeypatch.setattr(weaving, "_CHUNK_TERMS", chunk_terms)
+    system = OrbitSystem(GeometricApproach(2.0), weights)
+    pattern = SeededPattern(3, 7, 40)
+    for start in (0, 9, 39, 40):
+        woven = woven_frame_operator(system, pattern, start, 24)
+        expected = _woven_by_rank_one_updates(system, pattern, start, 24)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(woven - expected)) <= 64 * np.finfo(float).eps * scale
+        if not np.iscomplexobj(woven):  # real weights: one symmetric product per chunk
+            assert np.array_equal(woven, woven.T)
