@@ -49,9 +49,7 @@ from .orbit import (
     OrbitSystem,
     SingularDenominatorError,
     SubsampleScheme,
-    TruncatedFrameOperator,
     frame_bounds,
-    frame_operator_bruteforce,
     frame_operator_matrix,
     orbit_coefficient,
     phi_coefficients,

@@ -18,13 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import compensated_sum
+from .numerics import _CHUNK_TERMS, compensated_sum
 from .sequences import InvariantViolation, LambdaSequence, _check_index, _first, drop_prefix, validate
 
 DEFAULT_FAIL_THRESHOLD = 1e-12
 DEFAULT_EVIDENCE_THRESHOLD = 1e-3
-
-_CHUNK_TERMS = 1 << 16  # factors per evaluated block of rows, which bounds its memory
 
 
 class Verdict(Enum):

@@ -15,6 +15,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 _EPS = float(np.finfo(np.float64).eps)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # start vector of the inverse-iteration certificate
+_INVERSE_STEPS = 4  # solves per extreme in the eigenvalue certificate, at most
+_CHUNK_TERMS = 1 << 16  # entries per block of a blocked array pass, which bounds its memory
 
 
 class NonHermitianError(ValueError):
@@ -35,7 +38,9 @@ class HermitianMatrix:
     must hold entrywise within four units in the last place of the largest
     entry; anything worse raises NonHermitianError. An infinite or NaN entry
     raises EigensolverError, since no eigenvalue of such a matrix means
-    anything. The stored array is made read-only.
+    anything. The stored array is made read-only. Both checks read the copy
+    in blocks of at most _CHUNK_TERMS entries, so they add no matrix-sized
+    temporary.
     """
 
     data: np.ndarray
@@ -48,10 +53,13 @@ class HermitianMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NonHermitianError(f"expected a square matrix, got shape {a.shape}")
         if a.size:
-            scale = float(np.max(np.abs(a)))
+            per_block = max(1, _CHUNK_TERMS // a.shape[0])
+            blocks = [slice(low, low + per_block) for low in range(0, a.shape[0], per_block)]
+            # np.max propagates NaN, so a NaN anywhere makes the scale NaN
+            scale = float(np.max([np.abs(a[rows]).max() for rows in blocks]))
             if not math.isfinite(scale):
                 raise EigensolverError(f"matrix has a non-finite entry (largest modulus {scale!r})")
-            deviation = float(np.max(np.abs(a - a.conj().T)))
+            deviation = max(float(np.abs(a[rows] - a[:, rows].conj().T).max()) for rows in blocks)
             if deviation > 4.0 * _EPS * max(scale, np.finfo(np.float64).tiny):
                 raise NonHermitianError(
                     f"hermitian deviation {deviation:.3e} exceeds 4 ulps of scale {scale:.3e}"
@@ -70,15 +78,19 @@ def extremal_eigenvalues(matrix, tol: float = 1e-10) -> ExtremalEigenvalues:
     """Smallest and largest eigenvalue of a Hermitian matrix, certified.
 
     The certificate is ``residual = max ||S v - lambda v|| / ||S||`` over the
-    two returned eigenpairs; if it exceeds ``tol`` an EigensolverError is
-    raised. The contract is the residual, not the algorithm behind it.
+    two returned eigenvalues; if it exceeds ``tol`` (or is not a number) an
+    EigensolverError is raised. The contract is the residual, not the
+    algorithm behind it: the eigenvalues come from LAPACK without
+    eigenvectors, and each v comes from inverse iteration, solves with S
+    shifted just outside the spectrum at that extreme: one solve each, more
+    only while the residual is above ``tol``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     herm = matrix if isinstance(matrix, HermitianMatrix) else HermitianMatrix(matrix)
     s = herm.data
     try:
-        eigvals, eigvecs = np.linalg.eigh(s)
+        eigvals = np.linalg.eigvalsh(s)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolverError(str(exc)) from exc
     lo = float(eigvals[0])
@@ -86,14 +98,59 @@ def extremal_eigenvalues(matrix, tol: float = 1e-10) -> ExtremalEigenvalues:
     norm = max(abs(lo), abs(hi))
     if norm == 0.0:
         return ExtremalEigenvalues(0.0, 0.0, 0.0)
-    residual = 0.0
-    for column, lam in ((0, lo), (-1, hi)):
-        v = eigvecs[:, column]
-        residual = max(residual, float(np.linalg.norm(s @ v - lam * v)))
-    residual /= norm
+    residual = _certificate(s, lo, hi, norm, tol)
     if not residual <= tol:  # a NaN residual fails too
         raise EigensolverError(f"residual {residual:.3e} exceeds tolerance {tol:.3e}")
     return ExtremalEigenvalues(lo, hi, residual)
+
+
+def _certificate(s: np.ndarray, lo: float, hi: float, norm: float, tol: float) -> float:
+    """max ||S v - lambda v|| / ||S|| over lambda in (lo, hi), v from inverse
+    iteration at each extreme; the first residual above tol (NaN included),
+    if there is one.
+
+    Everything runs on S scaled by the power of two 2^e that brings ||S||
+    into [1/2, 1), exactly, so the shift cannot underflow and the solve
+    cannot overflow. Each extreme gets at most _INVERSE_STEPS solves with S
+    shifted eps ||S|| outside the spectrum there, starting from the fixed
+    vector frac(k g) - 1/2 (g the golden ratio conjugate), so the result is
+    deterministic. One step meets the default tol; while the residual is
+    above tol, the next step refines v, and a solve that meets an exactly
+    zero pivot (the shift is an eigenvalue to working precision) is
+    repeated with the shift doubled. The shifted matrix lives in one buffer
+    whose diagonal is restored after each solve.
+    """
+    e = -math.frexp(norm)[1]
+    shifted = np.array(s, copy=True)
+    np.ldexp(shifted.view(np.float64), e, out=shifted.view(np.float64))
+    diagonal = shifted.reshape(-1)[:: s.shape[0] + 1]  # a view into the buffer
+    saved = diagonal.copy()
+    norm = math.ldexp(norm, e)
+    start = (np.arange(1, s.shape[0] + 1) * _GOLDEN) % 1.0 - 0.5
+    worst = 0.0
+    for lam, side in ((lo, -1.0), (hi, 1.0)):
+        lam = math.ldexp(lam, e)
+        gap, v, residual = _EPS * norm, start, None
+        for _ in range(_INVERSE_STEPS):
+            diagonal[:] = saved - (lam + side * gap)
+            try:
+                x = np.linalg.solve(shifted, v)
+            except np.linalg.LinAlgError as exc:
+                failure = exc
+                gap *= 2.0
+                continue
+            finally:
+                diagonal[:] = saved
+            v = x / np.linalg.norm(x)
+            residual = float(np.linalg.norm(shifted @ v - lam * v)) / norm
+            if not residual > tol:  # met, or NaN
+                break
+        if residual is None:
+            raise EigensolverError(f"shifted solve failed at every shift: {failure}")
+        if not residual <= tol:  # also NaN, which max() would drop: max(0.0, nan) is 0.0
+            return residual
+        worst = max(worst, residual)
+    return worst
 
 
 def compensated_sum(terms: Iterable[float]) -> float:

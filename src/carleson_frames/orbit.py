@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import (
+    _CHUNK_TERMS,
     EigensolverError,
     HermitianMatrix,
     complex_pow,
@@ -181,7 +182,9 @@ def _progression_matrix(arrays: SystemArrays, first_exponent: int, step: int) ->
 
     Real positive systems route the denominator 1 - w^step through modulus
     gaps, which keeps it exact when the eigenvalues crowd the circle, and
-    with real weights the whole matrix is assembled in float64.
+    with real weights the whole matrix is assembled in float64. Rows are
+    filled in blocks of at most _CHUNK_TERMS entries, so the only
+    matrix-sized array is the result.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
@@ -189,21 +192,31 @@ def _progression_matrix(arrays: SystemArrays, first_exponent: int, step: int) ->
         raise ValueError("first_exponent must be >= 0")
     if arrays.real_positive:
         phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
-        coeffs = np.outer(phi, phi.conj())
-        w = np.outer(arrays.lam.real, arrays.lam.real)
-        # 1 - w = g_m + g_n - g_m g_n exactly, hence 1 - w^step via gap powers
-        h = np.add.outer(arrays.gaps, arrays.gaps) - np.outer(arrays.gaps, arrays.gaps)
-        denominator = one_minus_pow(h, step)
-        # subnormal gaps can overflow the quotient; HermitianMatrix rejects
-        # the inf or NaN entries that result
-        with np.errstate(over="ignore", invalid="ignore"):
-            return coeffs * (complex_pow(w, first_exponent) / denominator)
-    coeffs = np.outer(arrays.phi, arrays.phi.conj())
-    w = np.outer(arrays.lam, arrays.lam.conj())
-    denominator = 1.0 - complex_pow(w, step)
-    if np.any(denominator == 0.0):
-        raise SingularDenominatorError("(lambda_m conj(lambda_n))^N == 1")
-    return coeffs * complex_pow(w, first_exponent) / denominator
+        lam, conj_lam = arrays.lam.real, arrays.lam.real
+    else:
+        phi, lam, conj_lam = arrays.phi, arrays.lam, arrays.lam.conj()
+    gaps = arrays.gaps
+    dimension = phi.size
+    out = np.empty((dimension, dimension), dtype=phi.dtype)
+    per_block = max(1, _CHUNK_TERMS // dimension)
+    for low in range(0, dimension, per_block):
+        rows = slice(low, low + per_block)
+        coeffs = np.outer(phi[rows], phi.conj())
+        w = np.outer(lam[rows], conj_lam)
+        if arrays.real_positive:
+            # 1 - w = g_m + g_n - g_m g_n exactly, hence 1 - w^step via gap powers
+            h = np.add.outer(gaps[rows], gaps) - np.outer(gaps[rows], gaps)
+            denominator = one_minus_pow(h, step)
+            # subnormal gaps can overflow the quotient; HermitianMatrix rejects
+            # the inf or NaN entries that result
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[rows] = coeffs * (complex_pow(w, first_exponent) / denominator)
+        else:
+            denominator = 1.0 - complex_pow(w, step)
+            if np.any(denominator == 0.0):
+                raise SingularDenominatorError("(lambda_m conj(lambda_n))^N == 1")
+            out[rows] = coeffs * complex_pow(w, first_exponent) / denominator
+    return out
 
 
 def frame_operator_matrix(
@@ -215,37 +228,6 @@ def frame_operator_matrix(
     complex128 otherwise."""
     arrays = system_arrays(system, dimension)
     return _progression_matrix(arrays, scheme.exponent(scheme.start), scheme.stride)
-
-
-@dataclass(frozen=True)
-class TruncatedFrameOperator:
-    """Brute-force partial sum plus an entrywise bound on the omitted tail."""
-
-    matrix: np.ndarray
-    tail_bound: np.ndarray
-
-
-def frame_operator_bruteforce(
-    system: OrbitSystem, scheme: SubsampleScheme, dimension: int, terms: int
-) -> TruncatedFrameOperator:
-    """Rank-one summation oracle for `frame_operator_matrix`.
-
-    Sums k = K .. K+terms-1 and bounds the omitted entries by the geometric
-    tail |c_m c_n| r^(j + N(K+terms)) / (1 - r^N) with r = |lambda_m lambda_n|.
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    arrays = system_arrays(system, dimension)
-    total = np.zeros((dimension, dimension), dtype=np.complex128)
-    for k in range(scheme.start, scheme.start + terms):
-        vector = arrays.phi * complex_pow(arrays.lam, scheme.exponent(k))
-        total += np.outer(vector, vector.conj())
-    moduli = np.abs(arrays.phi)
-    r = np.abs(np.outer(arrays.lam, arrays.lam.conj()))
-    h = np.add.outer(arrays.gaps, arrays.gaps) - np.outer(arrays.gaps, arrays.gaps)
-    tail_exponent = scheme.exponent(scheme.start + terms)
-    tail = np.outer(moduli, moduli) * complex_pow(r, tail_exponent) / one_minus_pow(h, scheme.stride)
-    return TruncatedFrameOperator(total, tail)
 
 
 def bounds_from_matrix(

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import compensated_sum, complex_pow_table, one_minus_pow
+from .numerics import _CHUNK_TERMS, compensated_sum, complex_pow_table, one_minus_pow
 from .orbit import (
     DEFAULT_DIMENSION,
     DEFAULT_EIG_TOL,
@@ -39,7 +39,6 @@ DEFAULT_SAFETY = 0.5
 DEFAULT_J_MAX = 10_000
 
 _FIRST_BLOCK = 16  # J values in the first block of a curve walk
-_CHUNK_TERMS = 1 << 16  # terms per evaluated block, which bounds its memory
 _UNITS_PER_ONE = 1 << 1074  # 2^-1074 units in 1.0
 
 _MASK64 = (1 << 64) - 1
@@ -307,10 +306,10 @@ def woven_frame_operator(
     if pattern.period is not None:
         period = pattern.period
         # swap the whole k >= J tail: remove offset-0 classes, re-add as chosen
-        total = total - _progression_matrix(arrays, stride * start_index, stride)
+        total -= _progression_matrix(arrays, stride * start_index, stride)
         for residue in range(period):
             k0 = start_index + ((residue - start_index) % period)
-            total = total + _progression_matrix(
+            total += _progression_matrix(
                 arrays, stride * k0 + pattern.offsets[residue], stride * period
             )
     else:
@@ -323,7 +322,9 @@ def woven_frame_operator(
             chunk = swapped[low : low + rows_per_chunk]
             kept = phi * complex_pow_table(lam, [stride * k + pattern.offsets[k] for k in chunk])
             removed = phi * complex_pow_table(lam, [stride * k for k in chunk])
-            total = total + (kept.T @ kept.conj() - removed.T @ removed.conj())
+            update = kept.T @ kept.conj()
+            update -= removed.T @ removed.conj()
+            total += update
     return total
 
 

@@ -7,6 +7,7 @@ so agreement between the two is meaningful evidence.
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +67,38 @@ def brute_frame_operator(alpha, weights, dim, stride, offset, start, terms):
         v = c * lam**p
         total += np.outer(v, v.conj())
     return total
+
+
+class TruncatedFrameOperator(NamedTuple):
+    """Brute-force partial sum plus an entrywise bound on the omitted tail."""
+
+    matrix: np.ndarray
+    tail_bound: np.ndarray
+
+
+def frame_operator_bruteforce(system, scheme, dimension: int, terms: int) -> TruncatedFrameOperator:
+    """Rank-one summation oracle for `frame_operator_matrix`, on the system's
+    validated window.
+
+    Sums k = K .. K+terms-1 and bounds the omitted entries by the geometric
+    tail |c_m c_n| r^(j + N(K+terms)) / (1 - r^N) with r = |lambda_m lambda_n|.
+    """
+    from carleson_frames.numerics import complex_pow, one_minus_pow
+    from carleson_frames.orbit import system_arrays
+
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    arrays = system_arrays(system, dimension)
+    total = np.zeros((dimension, dimension), dtype=np.complex128)
+    for k in range(scheme.start, scheme.start + terms):
+        vector = arrays.phi * complex_pow(arrays.lam, scheme.exponent(k))
+        total += np.outer(vector, vector.conj())
+    moduli = np.abs(arrays.phi)
+    r = np.abs(np.outer(arrays.lam, arrays.lam.conj()))
+    h = np.add.outer(arrays.gaps, arrays.gaps) - np.outer(arrays.gaps, arrays.gaps)
+    tail_exponent = scheme.exponent(scheme.start + terms)
+    tail = np.outer(moduli, moduli) * complex_pow(r, tail_exponent) / one_minus_pow(h, scheme.stride)
+    return TruncatedFrameOperator(total, tail)
 
 
 def mpmath_frame_lower_bound(alpha, dim, stride, offset, start, dps=50):

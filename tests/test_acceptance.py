@@ -28,7 +28,6 @@ from carleson_frames import (
     defect_upper_bound,
     find_weaving_index,
     frame_bounds,
-    frame_operator_bruteforce,
     frame_operator_matrix,
     one_minus_pow,
     phi_coefficients,
@@ -37,6 +36,7 @@ from carleson_frames import (
     reverify_certificate,
     tail_defect,
 )
+from oracles import frame_operator_bruteforce
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
 

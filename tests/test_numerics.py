@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from carleson_frames import (
     extremal_eigenvalues,
     one_minus_pow,
 )
+from carleson_frames import numerics
 from oracles import jacobi_extremal_eigenvalues
 
 
@@ -238,3 +240,130 @@ def test_one_minus_pow_no_cancellation_for_tiny_gaps():
     # direct evaluation 1 - (1-gap)^p would round to 0; the stable form must not
     value = one_minus_pow(gap, 4)
     assert value == pytest.approx(4.0 * gap, rel=1e-12)
+
+
+def test_nan_residual_is_not_swallowed(monkeypatch):
+    # a breakdown of the shifted solve must fail the certificate, not fold
+    # into a zero residual
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan))
+    with pytest.raises(EigensolverError, match="residual nan"):
+        extremal_eigenvalues(np.array([[2.0, 1.0], [1.0, 3.0]]))
+
+
+def test_singular_shift_is_widened_then_fails(monkeypatch):
+    solve = np.linalg.solve
+    calls = []
+
+    def singular_first(a, b):
+        calls.append(a.diagonal().copy())
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_first)
+    lo, hi, residual = extremal_eigenvalues(np.diag([1.0, 0.75, 0.5]))
+    assert (lo, hi) == (0.5, 1.0) and residual <= 1e-15
+    # the retry moved the shift twice as far below lambda_min; the last
+    # diagonal entry is that distance (the buffer is scaled by 1/2)
+    assert calls[0][2] == 0.5 * np.finfo(float).eps
+    assert calls[1][2] == 2 * calls[0][2]
+
+    def always_singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", always_singular)
+    with pytest.raises(EigensolverError, match="every shift"):
+        extremal_eigenvalues(np.eye(3))
+
+
+def _random_hermitian(rng, n, complex_entries):
+    raw = rng.normal(size=(n, n))
+    if complex_entries:
+        raw = raw + 1j * rng.normal(size=(n, n))
+    return (raw + raw.conj().T) / 2
+
+
+def test_certificate_is_tight_on_small_and_random_matrices():
+    cases = [np.array([[3.25]]), np.array([[-1e-3]]), np.eye(6), np.diag([3.5, -1.25, 0.5, 7.0])]
+    rng = np.random.default_rng(2024)
+    for t in range(50):
+        cases.append(_random_hermitian(rng, int(rng.integers(2, 60)), t % 2 == 1))
+    for s in cases:
+        lo, hi, residual = extremal_eigenvalues(s)
+        eigs = np.linalg.eigvalsh(s)
+        assert (lo, hi) == (eigs[0], eigs[-1])
+        assert residual <= 1e-12
+
+
+def test_certificate_holds_at_extreme_scales():
+    # the certificate runs on a power-of-two rescaled copy, so neither the
+    # shift underflows nor the solve overflows at any matrix scale
+    s = _random_hermitian(np.random.default_rng(8), 12, True)
+    reference = extremal_eigenvalues(s)
+    for e in (-1000, -300, 300, 1000):
+        lo, hi, residual = extremal_eigenvalues(np.ldexp(s.real, e) + 1j * np.ldexp(s.imag, e))
+        assert residual <= 1e-12
+        slack = 1e-13 * math.ldexp(max(-reference.lambda_min, reference.lambda_max), e)
+        assert abs(lo - math.ldexp(reference.lambda_min, e)) <= slack
+        assert abs(hi - math.ldexp(reference.lambda_max, e)) <= slack
+    assert extremal_eigenvalues(np.array([[1e-320]])) == (1e-320, 1e-320, 0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_blocked_hermitian_check_keeps_errors_for_the_last_block(monkeypatch, rows, complex_entries):
+    # one-row and ragged three-row blocks of an 8 x 8 matrix; the bad entry
+    # sits in the last row
+    monkeypatch.setattr(numerics, "_CHUNK_TERMS", rows * 8)
+    s = _random_hermitian(np.random.default_rng(31), 8, complex_entries)
+    scale = float(np.max(np.abs(s)))
+    skewed = s.copy()
+    skewed[7, 2] += 1e-9
+    with pytest.raises(NonHermitianError) as excinfo:
+        HermitianMatrix(skewed)
+    deviation = float(np.max(np.abs(skewed - skewed.conj().T)))
+    assert str(excinfo.value) == (
+        f"hermitian deviation {deviation:.3e} exceeds 4 ulps of scale {scale:.3e}"
+    )
+    near = s.copy()
+    near[7, 2] += 2 * np.finfo(float).eps * scale  # within 4 ulps
+    HermitianMatrix(near)
+    for bad, shown in ((np.inf, "inf"), (np.nan, "nan")):
+        broken = s.copy()
+        broken[7, 6] = broken[6, 7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigensolverError, match=f"largest modulus {shown}"):
+                HermitianMatrix(broken)
+    # a NaN anywhere wins over an inf, as np.max over the whole matrix gives
+    broken = s.copy()
+    broken[0, 0] = np.inf
+    broken[7, 7] = np.nan
+    with pytest.raises(EigensolverError, match="largest modulus nan"):
+        HermitianMatrix(broken)
+
+
+def test_certificate_refines_while_residual_exceeds_tol(monkeypatch):
+    # lambda_min's eigenvector is almost orthogonal to the fixed start vector,
+    # so the first inverse-iteration step leaves a residual near
+    # eps * 1e5; a tolerance below it takes a second step
+    n = 20
+    start = (np.arange(1, n + 1) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0 - 0.5
+    start /= np.linalg.norm(start)
+    w = np.random.default_rng(4).normal(size=n)
+    w -= (w @ start) * start
+    u = w / np.linalg.norm(w) + 1e-5 * start
+    basis, _ = np.linalg.qr(np.column_stack([u, np.eye(n)[:, : n - 1]]))
+    s = basis @ np.diag(np.linspace(0.1, 2.0, n)) @ basis.T
+    s = (s + s.T) / 2
+    solve = np.linalg.solve
+    calls = []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
+    _, _, coarse = extremal_eigenvalues(s)
+    assert len(calls) == 2 and 1e-13 < coarse <= 1e-10
+    calls.clear()
+    _, _, fine = extremal_eigenvalues(s, tol=1e-13)
+    assert len(calls) == 3 and fine <= 1e-13
+    with pytest.raises(EigensolverError):
+        extremal_eigenvalues(s, tol=1e-320)
+    assert len(calls) == 3 + 4  # every step spent on lambda_min, then it fails

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,17 +12,21 @@ from carleson_frames import (
     InvariantViolation,
     OrbitSystem,
     PowerSequence,
+    SingularDenominatorError,
     SubsampleScheme,
     frame_bounds,
-    frame_operator_bruteforce,
     frame_operator_matrix,
     orbit_coefficient,
     phi_coefficients,
     phi_norm_squared,
     retilde_weights,
 )
+from carleson_frames import orbit
+from carleson_frames.numerics import complex_pow, one_minus_pow
+from carleson_frames.orbit import system_arrays
 from oracles import (
     brute_frame_operator,
+    frame_operator_bruteforce,
     jacobi_extremal_eigenvalues,
     mpmath_frame_lower_bound,
 )
@@ -284,3 +289,101 @@ def test_estimate_serialization():
     assert data["scheme"] == {"stride": 2, "offset": 1, "start": 0}
     assert data["dimension"] == 10
     assert 0.0 < data["a_est"] <= data["b_est"]
+
+
+def _unblocked_progression_matrix(arrays, first_exponent, step):
+    """The closed-form operator built from whole-matrix outer products, the
+    way it was assembled before the rows were blocked."""
+    if arrays.real_positive:
+        phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
+        coeffs = np.outer(phi, phi.conj())
+        w = np.outer(arrays.lam.real, arrays.lam.real)
+        h = np.add.outer(arrays.gaps, arrays.gaps) - np.outer(arrays.gaps, arrays.gaps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return coeffs * (complex_pow(w, first_exponent) / one_minus_pow(h, step))
+    coeffs = np.outer(arrays.phi, arrays.phi.conj())
+    w = np.outer(arrays.lam, arrays.lam.conj())
+    denominator = 1.0 - complex_pow(w, step)
+    if np.any(denominator == 0.0):
+        raise SingularDenominatorError("(lambda_m conj(lambda_n))^N == 1")
+    return coeffs * complex_pow(w, first_exponent) / denominator
+
+
+BLOCK_SYSTEMS = {
+    "real": OrbitSystem(GeometricApproach(1.6), ConstantWeights(1.0)),
+    "complex_weights": OrbitSystem(GeometricApproach(2.0), ConstantWeights(0.6 + 0.8j)),
+    "spiral": OrbitSystem(
+        ExplicitSequence(tuple((1 - 1.7**-k) * complex(math.cos(k), math.sin(k)) for k in range(1, 31))),
+        ConstantWeights(1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_SYSTEMS))
+@pytest.mark.parametrize("rows_per_block", [None, 1, 4])
+def test_blocked_assembly_matches_unblocked_bit_for_bit(monkeypatch, kind, rows_per_block):
+    # one block, one-row blocks and ragged four-row blocks (30 = 7 * 4 + 2)
+    dim = 30
+    if rows_per_block is not None:
+        monkeypatch.setattr(orbit, "_CHUNK_TERMS", rows_per_block * dim + dim - 1)
+    arrays = system_arrays(BLOCK_SYSTEMS[kind], dim)
+    for first_exponent, step in ((0, 1), (1, 2), (11, 3), (0, 5)):
+        blocked = orbit._progression_matrix(arrays, first_exponent, step)
+        reference = _unblocked_progression_matrix(arrays, first_exponent, step)
+        assert blocked.dtype == reference.dtype
+        assert blocked.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 2])
+def test_blocked_assembly_raises_singular_denominator_in_last_block(monkeypatch, rows_per_block):
+    # a hand-built window with a point on the circle, which validation
+    # would reject: its diagonal denominator 1 - |i|^2 is exactly zero
+    if rows_per_block is not None:
+        monkeypatch.setattr(orbit, "_CHUNK_TERMS", rows_per_block * 5)
+    lam = np.array([0.5, 0.25j, -0.5, 0.125, 1j])
+    arrays = orbit.SystemArrays(lam, 1.0 - np.abs(lam), np.ones(5, complex), np.full(5, 0.5 + 0j), False)
+    for compute in (orbit._progression_matrix, _unblocked_progression_matrix):
+        with pytest.raises(SingularDenominatorError, match=r"\^N == 1"):
+            compute(arrays, 0, 2)
+
+
+def test_assembly_memory_is_one_operator_plus_blocks():
+    # the result is the only matrix-sized array; every temporary is a block
+    # of at most _CHUNK_TERMS entries
+    dim = 800
+    for weights in (ConstantWeights(1.0), ConstantWeights(0.6 + 0.8j)):
+        system = OrbitSystem(GeometricApproach(1.6), weights)
+        system_arrays(system, dim)
+        tracemalloc.start()
+        try:
+            operator = frame_operator_matrix(system, SubsampleScheme(2, 1, 0), dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = orbit._CHUNK_TERMS * operator.itemsize
+        assert peak <= operator.nbytes + 8 * block
+
+
+@pytest.mark.parametrize("weights,dim", [(1e-160, 1), (1e150, 40)])
+def test_frame_bounds_at_extreme_scales(weights, dim):
+    # a subnormal 1 x 1 operator and one whose entries reach 1e300: the
+    # certificate runs on a power-of-two rescaled copy, so neither the shift
+    # underflows nor the solve overflows into a NaN residual
+    system = OrbitSystem(GeometricApproach(2.0), ConstantWeights(weights))
+    estimate = frame_bounds(system, SubsampleScheme(1, 0, 0), dim)
+    assert math.isfinite(estimate.eig_residual) and estimate.eig_residual <= 1e-10
+    if dim == 1:
+        assert estimate.a_est == estimate.b_est == 1e-320
+    else:
+        assert estimate.b_est == pytest.approx(B_EST_FULL_M40 * weights**2, rel=1e-12)
+
+
+def test_frame_bounds_when_the_first_shift_is_singular():
+    # lambda_min sits about 10 eps * ||S|| above zero, so the first shifted
+    # solve at it can meet an exactly zero pivot (it does with OpenBLAS);
+    # the certificate then widens the shift instead of failing
+    system = OrbitSystem(GeometricApproach(1.05), ConstantWeights(1.0))
+    estimate = frame_bounds(system, SubsampleScheme(1, 0, 0), 7)
+    assert estimate.b_est == pytest.approx(6.9521304458588675, rel=1e-13)
+    assert 0.0 <= estimate.a_est <= 1e-13
+    assert estimate.eig_residual <= 1e-10

@@ -29,8 +29,8 @@ from carleson_frames import (
     woven_frame_operator,
 )
 from carleson_frames import cli, weaving
-from carleson_frames.numerics import complex_pow
-from carleson_frames.orbit import system_arrays
+from carleson_frames.numerics import complex_pow, complex_pow_table
+from carleson_frames.orbit import _progression_matrix, system_arrays
 from oracles import brute_defect_sum, pointwise_tail_defect, xorshift64_reference
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
@@ -348,3 +348,40 @@ def test_woven_operator_matches_rank_one_updates(monkeypatch, chunk_terms, weigh
         assert np.max(np.abs(woven - expected)) <= 64 * np.finfo(float).eps * scale
         if not np.iscomplexobj(woven):  # real weights: one symmetric product per chunk
             assert np.array_equal(woven, woven.T)
+
+
+def _woven_out_of_place(system, pattern, start, dimension):
+    """The woven operator summed as `total = total +- block`, one new matrix per step."""
+    arrays = system_arrays(system, dimension)
+    stride = pattern.stride
+    total = _progression_matrix(arrays, 0, stride)
+    if pattern.period is not None:
+        total = total - _progression_matrix(arrays, stride * start, stride)
+        for residue in range(pattern.period):
+            k0 = start + ((residue - start) % pattern.period)
+            total = total + _progression_matrix(
+                arrays, stride * k0 + pattern.offsets[residue], stride * pattern.period
+            )
+        return total
+    swapped = [k for k in range(start, len(pattern.offsets)) if pattern.offsets[k]]
+    phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
+    rows = max(1, weaving._CHUNK_TERMS // dimension)
+    for low in range(0, len(swapped), rows):
+        chunk = swapped[low : low + rows]
+        kept = phi * complex_pow_table(arrays.lam.real, [stride * k + pattern.offsets[k] for k in chunk])
+        removed = phi * complex_pow_table(arrays.lam.real, [stride * k for k in chunk])
+        total = total + (kept.T @ kept.conj() - removed.T @ removed.conj())
+    return total
+
+
+@pytest.mark.parametrize(
+    "pattern", [ConstantPattern(2, 1), PeriodicPattern(3, (0, 2, 1)), SeededPattern(2, 1000, 128)]
+)
+@pytest.mark.parametrize("weights", [ConstantWeights(1.0), ConstantWeights(0.6 + 0.8j)])
+def test_woven_operator_in_place_sum_is_bit_identical(pattern, weights):
+    system = OrbitSystem(GeometricApproach(2.0), weights)
+    for start in (0, 5, 51):
+        woven = woven_frame_operator(system, pattern, start, 60)
+        expected = _woven_out_of_place(system, pattern, start, 60)
+        assert woven.dtype == expected.dtype
+        assert woven.tobytes() == expected.tobytes()
