@@ -52,7 +52,6 @@ from .orbit import (
     frame_bounds,
     frame_operator_matrix,
     orbit_coefficient,
-    phi_coefficients,
     phi_norm_squared,
     retilde_weights,
 )

@@ -45,6 +45,7 @@ from .orbit import (
     bounds_from_matrix,
     frame_bounds,
     retilde_weights,
+    sweep_bounds,
 )
 from .reporting import write_csv, write_json
 from .sequences import (
@@ -346,21 +347,17 @@ def _cmd_bounds(resolved: dict) -> tuple:
 def _cmd_subsample_sweep(resolved: dict) -> tuple:
     p = resolved["params"]
     system = _system(resolved)
-    rows = []
-    for stride in p["strides"]:
-        for start in p["starts"]:
-            for offset in range(stride):
-                scheme = SubsampleScheme(stride, offset, start)
-                estimate = frame_bounds(system, scheme, p["dimension"], p["tol"])
-                rows.append(
-                    {
-                        "stride": stride,
-                        "offset": offset,
-                        "start": start,
-                        "a_est": estimate.a_est,
-                        "b_est": estimate.b_est,
-                    }
-                )
+    estimates = sweep_bounds(system, p["strides"], p["starts"], p["dimension"], p["tol"])
+    rows = [
+        {
+            "stride": e.scheme.stride,
+            "offset": e.scheme.offset,
+            "start": e.scheme.start,
+            "a_est": e.a_est,
+            "b_est": e.b_est,
+        }
+        for e in estimates
+    ]
     _emit_csv(
         resolved,
         ("N", "j", "K", "A_est", "B_est"),

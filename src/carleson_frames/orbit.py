@@ -9,9 +9,10 @@ those coordinates has the exact closed form
     S[m, n] = c_m conj(c_n) w^(j + N K) / (1 - w^N),   w = lambda_m conj(lambda_n),
 
 with c_n = m_n sqrt(1 - |lambda_n|^2), obtained by summing the geometric
-series over k. By Cauchy interlacing the reported A_est *over*-estimates the
-true lower frame bound while B_est *under*-estimates the upper bound; that
-one-sided orientation is part of every estimate's meaning.
+series over k, and assembled as the stride base S_(N,0,0) conjugated by
+D = diag(lambda_n^(j+NK)). By Cauchy interlacing the reported A_est
+*over*-estimates the true lower frame bound while B_est *under*-estimates the
+upper bound; that one-sided orientation is part of every estimate's meaning.
 """
 
 import math
@@ -155,11 +156,6 @@ def covering_window(system: OrbitSystem, n: int) -> SystemArrays:
         return system_arrays(system, n)
 
 
-def phi_coefficients(system: OrbitSystem, dimension: int) -> np.ndarray:
-    """Generator coefficients c_n = m_n sqrt(1 - |lambda_n|^2), n = 1..dimension."""
-    return system_arrays(system, dimension).phi.copy()
-
-
 def phi_norm_squared(system: OrbitSystem, dimension: int) -> float:
     """||phi_M||^2 = sum_{n<=M} |m_n|^2 (1 - |lambda_n|^2), summed in index order."""
     arrays = system_arrays(system, dimension)
@@ -176,9 +172,16 @@ def orbit_coefficient(system: OrbitSystem, n: int, power: int) -> complex:
     return complex(arrays.phi[n - 1]) * complex_pow(complex(arrays.lam[n - 1]), power)
 
 
-def _progression_matrix(arrays: SystemArrays, first_exponent: int, step: int) -> np.ndarray:
-    """Frame operator of {T^p phi} over the exponent progression
-    p = first_exponent + step*t, t >= 0, summed in closed form.
+def _row_blocks(dimension: int):
+    """Slices of consecutive rows of an M x M array, at most _CHUNK_TERMS
+    entries each (one row at least)."""
+    per_block = max(1, _CHUNK_TERMS // dimension)
+    return [slice(low, low + per_block) for low in range(0, dimension, per_block)]
+
+
+def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:
+    """Frame operator of {T^(step*t) phi}_{t>=0}, the stride base S_(N,0,0),
+    summed in closed form: S[m, n] = c_m conj(c_n) / (1 - w^step).
 
     Real positive systems route the denominator 1 - w^step through modulus
     gaps, which keeps it exact when the eigenvalues crowd the circle, and
@@ -188,21 +191,14 @@ def _progression_matrix(arrays: SystemArrays, first_exponent: int, step: int) ->
     """
     if step < 1:
         raise ValueError("step must be >= 1")
-    if first_exponent < 0:
-        raise ValueError("first_exponent must be >= 0")
     if arrays.real_positive:
         phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
-        lam, conj_lam = arrays.lam.real, arrays.lam.real
     else:
         phi, lam, conj_lam = arrays.phi, arrays.lam, arrays.lam.conj()
     gaps = arrays.gaps
-    dimension = phi.size
-    out = np.empty((dimension, dimension), dtype=phi.dtype)
-    per_block = max(1, _CHUNK_TERMS // dimension)
-    for low in range(0, dimension, per_block):
-        rows = slice(low, low + per_block)
+    out = np.empty((phi.size, phi.size), dtype=phi.dtype)
+    for rows in _row_blocks(phi.size):
         coeffs = np.outer(phi[rows], phi.conj())
-        w = np.outer(lam[rows], conj_lam)
         if arrays.real_positive:
             # 1 - w = g_m + g_n - g_m g_n exactly, hence 1 - w^step via gap powers
             h = np.add.outer(gaps[rows], gaps) - np.outer(gaps[rows], gaps)
@@ -210,13 +206,33 @@ def _progression_matrix(arrays: SystemArrays, first_exponent: int, step: int) ->
             # subnormal gaps can overflow the quotient; HermitianMatrix rejects
             # the inf or NaN entries that result
             with np.errstate(over="ignore", invalid="ignore"):
-                out[rows] = coeffs * (complex_pow(w, first_exponent) / denominator)
+                out[rows] = coeffs * (1.0 / denominator)
         else:
-            denominator = 1.0 - complex_pow(w, step)
+            denominator = 1.0 - complex_pow(np.outer(lam[rows], conj_lam), step)
             if np.any(denominator == 0.0):
                 raise SingularDenominatorError("(lambda_m conj(lambda_n))^N == 1")
-            out[rows] = coeffs * complex_pow(w, first_exponent) / denominator
+            out[rows] = coeffs / denominator
     return out
+
+
+def conjugate_by_powers(operator: np.ndarray, arrays: SystemArrays, exponent: int) -> np.ndarray:
+    """D S D* with D = diag(lambda_n^exponent), computed in place on S and returned.
+
+    This takes the frame operator of {T^p phi}_p to that of
+    {T^(p + exponent) phi}_p; exponent 0 leaves S untouched. The powers are
+    taken once on the M-vector, and rows are scaled in blocks of at most
+    _CHUNK_TERMS entries.
+    """
+    if exponent == 0:
+        return operator
+    d = complex_pow(arrays.lam.real if arrays.real_positive else arrays.lam, exponent)
+    conj_d = d.conj()
+    # an inf entry from an overflowed base times an underflowed power is NaN,
+    # which HermitianMatrix rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_blocks(d.size):
+            operator[rows] *= np.outer(d[rows], conj_d)
+    return operator
 
 
 def frame_operator_matrix(
@@ -224,10 +240,12 @@ def frame_operator_matrix(
 ) -> np.ndarray:
     """Closed-form M x M frame operator of {T^(Nk+j) phi}_{k>=K}; Hermitian PSD.
 
+    It is the stride base S_(N,0,0) conjugated by D = diag(lambda_n^(j+NK)).
     float64 (real symmetric) for real positive eigenvalues with real weights,
     complex128 otherwise."""
     arrays = system_arrays(system, dimension)
-    return _progression_matrix(arrays, scheme.exponent(scheme.start), scheme.stride)
+    base = _progression_matrix(arrays, scheme.stride)
+    return conjugate_by_powers(base, arrays, scheme.exponent(scheme.start))
 
 
 def bounds_from_matrix(
@@ -266,6 +284,35 @@ def frame_bounds(
 ) -> FrameBoundEstimate:
     """Truncated frame-bound estimates (A_est, B_est) for one subsample scheme."""
     return bounds_from_matrix(frame_operator_matrix(system, scheme, dimension), dimension, tol, scheme)
+
+
+def sweep_bounds(
+    system: OrbitSystem,
+    strides,
+    starts,
+    dimension: int = DEFAULT_DIMENSION,
+    tol: float = DEFAULT_EIG_TOL,
+) -> list:
+    """`frame_bounds` of every scheme (N, j, K) with N in `strides`, K in
+    `starts` and 0 <= j < N, in that order.
+
+    Each stride's base S_(N,0,0) is assembled once; every scheme of that
+    stride conjugates a copy of it, exactly as `frame_operator_matrix` does,
+    so each estimate equals `frame_bounds` for its scheme bit for bit.
+    """
+    arrays = system_arrays(system, dimension)
+    estimates = []
+    for stride in strides:
+        base = _progression_matrix(arrays, stride)
+        for start in starts:
+            for offset in range(stride):
+                scheme = SubsampleScheme(stride, offset, start)
+                # passed on unnamed: only its validated copy lives through the eigensolve
+                estimates.append(bounds_from_matrix(
+                    conjugate_by_powers(base.copy(), arrays, scheme.exponent(start)),
+                    dimension, tol, scheme,
+                ))
+    return estimates
 
 
 def retilde_weights(system: OrbitSystem, stride: int, count: int):

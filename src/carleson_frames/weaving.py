@@ -29,6 +29,7 @@ from .orbit import (
     FrameBoundEstimate,
     OrbitSystem,
     bounds_from_matrix,
+    conjugate_by_powers,
     phi_norm_squared,
     system_arrays,
     _progression_matrix,
@@ -302,16 +303,16 @@ def woven_frame_operator(
     _require_weavable(system)
     arrays = system_arrays(system, dimension)
     stride = pattern.stride
-    total = _progression_matrix(arrays, 0, stride)
+    total = _progression_matrix(arrays, stride)
     if pattern.period is not None:
         period = pattern.period
-        # swap the whole k >= J tail: remove offset-0 classes, re-add as chosen
-        total -= _progression_matrix(arrays, stride * start_index, stride)
+        # swap the whole k >= J tail: remove offset-0 classes, re-add as chosen;
+        # every term is a congruence of the stride-N or the stride-NP base
+        total -= conjugate_by_powers(total.copy(), arrays, stride * start_index)
+        cycle = _progression_matrix(arrays, stride * period)
         for residue in range(period):
             k0 = start_index + ((residue - start_index) % period)
-            total += _progression_matrix(
-                arrays, stride * k0 + pattern.offsets[residue], stride * period
-            )
+            total += conjugate_by_powers(cycle.copy(), arrays, stride * k0 + pattern.offsets[residue])
     else:
         # one row per swapped k: kept T^(Nk+j_k) phi, removed T^(Nk) phi
         swapped = [k for k in range(start_index, len(pattern.offsets)) if pattern.offsets[k]]

@@ -55,6 +55,14 @@ def geometric_lambda(alpha: float, k: int) -> float:
     return 1.0 - alpha ** (-k)
 
 
+def phi_coefficients(system, dimension: int) -> np.ndarray:
+    """Generator coefficients c_n = m_n sqrt(1 - |lambda_n|^2), n = 1..dimension,
+    as the package's validated window holds them."""
+    from carleson_frames.orbit import system_arrays
+
+    return system_arrays(system, dimension).phi.copy()
+
+
 def brute_frame_operator(alpha, weights, dim, stride, offset, start, terms):
     """Sum of rank-one terms for {T^(stride*k+offset) phi}_{k>=start}, from the
     defining coefficient formula m_n lambda_n^p sqrt(1-lambda_n^2)."""

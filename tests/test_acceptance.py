@@ -30,13 +30,12 @@ from carleson_frames import (
     frame_bounds,
     frame_operator_matrix,
     one_minus_pow,
-    phi_coefficients,
     ratio_test,
     retilde_weights,
     reverify_certificate,
     tail_defect,
 )
-from oracles import frame_operator_bruteforce
+from oracles import frame_operator_bruteforce, phi_coefficients
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
 

@@ -194,6 +194,27 @@ def test_subsample_sweep_csv(tmp_path):
         assert float(row[4]) < 1e3
 
 
+def test_subsample_sweep_builds_one_base_per_stride(tmp_path, monkeypatch):
+    # 4 strides and 22 schemes: each row conjugates a copy of its stride's base
+    from carleson_frames import orbit
+
+    built, build = [], orbit._progression_matrix
+
+    def counted(arrays, step):
+        built.append(step)
+        return build(arrays, step)
+
+    monkeypatch.setattr(orbit, "_progression_matrix", counted)
+    out = tmp_path / "sweep.json"
+    code = run_cli("subsample-sweep", "--alpha", "1.9", "--N", "1,2,3,5", "--K", "0,3", "--M", "60", "--out", str(out))
+    assert code == 0
+    assert built == [1, 2, 3, 5]
+    rows = read_json(out)["result"]["rows"]
+    assert [(r["stride"], r["offset"], r["start"]) for r in rows] == [
+        (stride, offset, start) for stride in (1, 2, 3, 5) for start in (0, 3) for offset in range(stride)
+    ]
+
+
 def test_weave_command(tmp_path):
     out = tmp_path / "weave.json"
     csv_path = tmp_path / "curve.csv"

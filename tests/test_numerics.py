@@ -309,6 +309,25 @@ def test_certificate_holds_at_extreme_scales():
     assert extremal_eigenvalues(np.array([[1e-320]])) == (1e-320, 1e-320, 0.0)
 
 
+@pytest.mark.parametrize("rows", [1, 3, 4, 11])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_strip_deviation_equals_whole_matrix_deviation(rows, complex_entries):
+    # one-row, ragged three- and four-row (11 = 3 * 3 + 2 = 2 * 4 + 3) and
+    # single blocks of near-Hermitian matrices, some with exactly symmetric
+    # entries, signed zeros and subnormal skews
+    rng = np.random.default_rng(7)
+    blocks = [slice(low, low + rows) for low in range(0, 11, rows)]
+    for trial in range(40):
+        s = _random_hermitian(rng, 11, complex_entries)
+        skew = rng.normal(size=(11, 11)) * 10.0 ** rng.integers(-320, -10)
+        if complex_entries:
+            skew = skew + 1j * rng.normal(size=(11, 11)) * 1e-14
+        s = s + skew * (rng.random((11, 11)) < 0.3)
+        s[rng.integers(11), rng.integers(11)] = -0.0
+        expected = float(np.abs(s - s.conj().T).max())
+        assert numerics._hermitian_deviation(s, blocks) == expected
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("complex_entries", [False, True])
 def test_blocked_hermitian_check_keeps_errors_for_the_last_block(monkeypatch, rows, complex_entries):

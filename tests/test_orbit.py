@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -17,7 +18,6 @@ from carleson_frames import (
     frame_bounds,
     frame_operator_matrix,
     orbit_coefficient,
-    phi_coefficients,
     phi_norm_squared,
     retilde_weights,
 )
@@ -29,6 +29,7 @@ from oracles import (
     frame_operator_bruteforce,
     jacobi_extremal_eigenvalues,
     mpmath_frame_lower_bound,
+    phi_coefficients,
 )
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
@@ -291,9 +292,10 @@ def test_estimate_serialization():
     assert 0.0 < data["a_est"] <= data["b_est"]
 
 
-def _unblocked_progression_matrix(arrays, first_exponent, step):
-    """The closed-form operator built from whole-matrix outer products, the
-    way it was assembled before the rows were blocked."""
+def _old_progression_matrix(arrays, first_exponent, step):
+    """The operator of {T^(first_exponent + step*t) phi}_t as it was assembled
+    before the congruence: whole-matrix outer products and the M x M power
+    w^first_exponent of w = lambda_m conj(lambda_n)."""
     if arrays.real_positive:
         phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
         coeffs = np.outer(phi, phi.conj())
@@ -309,6 +311,27 @@ def _unblocked_progression_matrix(arrays, first_exponent, step):
     return coeffs * complex_pow(w, first_exponent) / denominator
 
 
+def _unblocked_progression_matrix(arrays, step):
+    """The stride base S_(N,0,0) from whole-matrix outer products."""
+    if arrays.real_positive:
+        phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
+        coeffs = np.outer(phi, phi.conj())
+        h = np.add.outer(arrays.gaps, arrays.gaps) - np.outer(arrays.gaps, arrays.gaps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return coeffs * (1.0 / one_minus_pow(h, step))
+    coeffs = np.outer(arrays.phi, arrays.phi.conj())
+    denominator = 1.0 - complex_pow(np.outer(arrays.lam, arrays.lam.conj()), step)
+    if np.any(denominator == 0.0):
+        raise SingularDenominatorError("(lambda_m conj(lambda_n))^N == 1")
+    return coeffs / denominator
+
+
+def _unblocked_conjugation(operator, arrays, exponent):
+    """D S D* with D = diag(lambda_n^exponent) as one whole-matrix product."""
+    d = complex_pow(arrays.lam.real if arrays.real_positive else arrays.lam, exponent)
+    return operator * np.outer(d, d.conj())
+
+
 BLOCK_SYSTEMS = {
     "real": OrbitSystem(GeometricApproach(1.6), ConstantWeights(1.0)),
     "complex_weights": OrbitSystem(GeometricApproach(2.0), ConstantWeights(0.6 + 0.8j)),
@@ -322,16 +345,73 @@ BLOCK_SYSTEMS = {
 @pytest.mark.parametrize("kind", sorted(BLOCK_SYSTEMS))
 @pytest.mark.parametrize("rows_per_block", [None, 1, 4])
 def test_blocked_assembly_matches_unblocked_bit_for_bit(monkeypatch, kind, rows_per_block):
-    # one block, one-row blocks and ragged four-row blocks (30 = 7 * 4 + 2)
+    # one block, one-row blocks and ragged four-row blocks (30 = 7 * 4 + 2),
+    # for the base and for its congruence
     dim = 30
     if rows_per_block is not None:
         monkeypatch.setattr(orbit, "_CHUNK_TERMS", rows_per_block * dim + dim - 1)
     arrays = system_arrays(BLOCK_SYSTEMS[kind], dim)
-    for first_exponent, step in ((0, 1), (1, 2), (11, 3), (0, 5)):
-        blocked = orbit._progression_matrix(arrays, first_exponent, step)
-        reference = _unblocked_progression_matrix(arrays, first_exponent, step)
-        assert blocked.dtype == reference.dtype
-        assert blocked.tobytes() == reference.tobytes()
+    for exponent, step in ((0, 1), (1, 2), (11, 3), (0, 5)):
+        base = orbit._progression_matrix(arrays, step)
+        reference = _unblocked_progression_matrix(arrays, step)
+        assert base.dtype == reference.dtype
+        assert base.tobytes() == reference.tobytes()
+        conjugated = orbit.conjugate_by_powers(base, arrays, exponent)
+        assert conjugated is base
+        assert conjugated.tobytes() == _unblocked_conjugation(reference, arrays, exponent).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_SYSTEMS))
+def test_congruence_against_the_old_formula(kind):
+    # (N, 0, 0) keeps the old formula's doubles; for p = j + N K > 0 the
+    # powers lambda_m^p conj(lambda_n)^p replace (lambda_m conj(lambda_n))^p,
+    # and both forms carry a relative rounding error of about p eps / 2.
+    # Measured on these systems: at most 2.24 p ulps of the old entry.
+    dim = 30
+    arrays = system_arrays(BLOCK_SYSTEMS[kind], dim)
+    for stride in (1, 2, 3, 5):
+        base = orbit._progression_matrix(arrays, stride)
+        assert base.tobytes() == _old_progression_matrix(arrays, 0, stride).tobytes()
+        for offset, start in itertools.product(range(stride), (0, 1, 3, 20)):
+            p = offset + stride * start
+            if p == 0:
+                continue
+            new = orbit.conjugate_by_powers(base.copy(), arrays, p)
+            old = _old_progression_matrix(arrays, p, stride)
+            assert np.all(np.abs(new - old) <= 4 * p * np.spacing(np.abs(old)))
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_SYSTEMS))
+def test_scheme_operator_is_the_stride_base_conjugated(kind):
+    # the exact form of test_shift_conjugation_identity: S_(N,j,K) is
+    # D S_(N,0,0) D* with D = diag(lambda_n^(j+NK)), byte for byte
+    dim = 30
+    system = BLOCK_SYSTEMS[kind]
+    arrays = system_arrays(system, dim)
+    for stride, offset, start in ((1, 0, 3), (2, 1, 0), (3, 2, 3), (5, 4, 1)):
+        base = frame_operator_matrix(system, SubsampleScheme(stride), dim)
+        scheme = frame_operator_matrix(system, SubsampleScheme(stride, offset, start), dim)
+        exponent = offset + stride * start
+        assert scheme.tobytes() == orbit.conjugate_by_powers(base.copy(), arrays, exponent).tobytes()
+    assert orbit.conjugate_by_powers(base, arrays, 0) is base
+    with pytest.raises(ValueError, match="exponent"):
+        orbit.conjugate_by_powers(base, arrays, -1)
+
+
+def test_sweep_equals_frame_bounds_bit_for_bit():
+    # each stride's base is built once and each scheme conjugates a copy,
+    # so every estimate is the one frame_bounds gives for its scheme
+    for system in (BLOCK_SYSTEMS["real"], BLOCK_SYSTEMS["complex_weights"]):
+        estimates = orbit.sweep_bounds(system, (1, 2, 3, 5), (0, 3), 40)
+        schemes = [
+            SubsampleScheme(stride, offset, start)
+            for stride in (1, 2, 3, 5)
+            for start in (0, 3)
+            for offset in range(stride)
+        ]
+        assert [e.scheme for e in estimates] == schemes
+        for estimate, scheme in zip(estimates, schemes):
+            assert estimate == frame_bounds(system, scheme, 40)
 
 
 @pytest.mark.parametrize("rows_per_block", [None, 1, 2])
@@ -344,7 +424,7 @@ def test_blocked_assembly_raises_singular_denominator_in_last_block(monkeypatch,
     arrays = orbit.SystemArrays(lam, 1.0 - np.abs(lam), np.ones(5, complex), np.full(5, 0.5 + 0j), False)
     for compute in (orbit._progression_matrix, _unblocked_progression_matrix):
         with pytest.raises(SingularDenominatorError, match=r"\^N == 1"):
-            compute(arrays, 0, 2)
+            compute(arrays, 2)
 
 
 def test_assembly_memory_is_one_operator_plus_blocks():

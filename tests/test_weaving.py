@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from carleson_frames import (
 )
 from carleson_frames import cli, weaving
 from carleson_frames.numerics import complex_pow, complex_pow_table
-from carleson_frames.orbit import _progression_matrix, system_arrays
+from carleson_frames.orbit import _progression_matrix, conjugate_by_powers, system_arrays
 from oracles import brute_defect_sum, pointwise_tail_defect, xorshift64_reference
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
@@ -350,18 +351,55 @@ def test_woven_operator_matches_rank_one_updates(monkeypatch, chunk_terms, weigh
             assert np.array_equal(woven, woven.T)
 
 
+@pytest.mark.parametrize(
+    "pattern", [ConstantPattern(2, 1), PeriodicPattern(3, (0, 2, 1)), PeriodicPattern(2, (1, 0, 1, 1))]
+)
+@pytest.mark.parametrize("weights", [ConstantWeights(1.0), ConstantWeights(0.6 + 0.8j)])
+def test_periodic_woven_operator_matches_rank_one_sum(pattern, weights):
+    # the woven family summed term by term from its definition; the deepest
+    # coordinate decays like (1 - 2^-8)^(2 N k), so 4000 terms push the
+    # omitted tail below 1e-11, as in test_closed_form_matches_brute_oracle
+    dim, terms = 8, 4000
+    system = OrbitSystem(GeometricApproach(2.0), weights)
+    arrays = system_arrays(system, dim)
+    for start in (0, 3, 10):
+        expected = np.zeros((dim, dim), dtype=complex)
+        for k in range(terms):
+            offset = pattern.offset_at(k) if k >= start else 0
+            vector = arrays.phi * arrays.lam ** (pattern.stride * k + offset)
+            expected += np.outer(vector, vector.conj())
+        woven = woven_frame_operator(system, pattern, start, dim)
+        assert np.max(np.abs(woven - expected)) < 1e-10
+
+
+def test_periodic_woven_operator_memory_is_three_operators_plus_blocks():
+    # the sum, the stride-NP base and one conjugated copy of it; every other
+    # temporary is a block of at most _CHUNK_TERMS entries
+    dim = 800
+    for weights in (ConstantWeights(1.0), ConstantWeights(0.6 + 0.8j)):
+        system = OrbitSystem(GeometricApproach(1.6), weights)
+        system_arrays(system, dim)
+        tracemalloc.start()
+        try:
+            operator = woven_frame_operator(system, PeriodicPattern(3, (0, 2, 1)), 5, dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = weaving._CHUNK_TERMS * operator.itemsize
+        assert peak <= 3 * operator.nbytes + 8 * block
+
+
 def _woven_out_of_place(system, pattern, start, dimension):
     """The woven operator summed as `total = total +- block`, one new matrix per step."""
     arrays = system_arrays(system, dimension)
     stride = pattern.stride
-    total = _progression_matrix(arrays, 0, stride)
+    total = _progression_matrix(arrays, stride)
     if pattern.period is not None:
-        total = total - _progression_matrix(arrays, stride * start, stride)
+        total = total - conjugate_by_powers(_progression_matrix(arrays, stride), arrays, stride * start)
         for residue in range(pattern.period):
             k0 = start + ((residue - start) % pattern.period)
-            total = total + _progression_matrix(
-                arrays, stride * k0 + pattern.offsets[residue], stride * pattern.period
-            )
+            cycle = _progression_matrix(arrays, stride * pattern.period)
+            total = total + conjugate_by_powers(cycle, arrays, stride * k0 + pattern.offsets[residue])
         return total
     swapped = [k for k in range(start, len(pattern.offsets)) if pattern.offsets[k]]
     phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
