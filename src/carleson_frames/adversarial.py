@@ -20,8 +20,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .numerics import HermitianMatrix, compensated_sum, extremal_eigenvalues
-from .orbit import OrbitSystem, covering_window, orbit_coefficient
+from .numerics import compensated_sum
+from .orbit import OrbitSystem, bounds_from_matrix, covering_window, orbit_coefficient
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -261,14 +261,15 @@ def estimate_subsequence_lower_bound(
         raise ValueError("index family must not be empty")
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
+    # passed on unnamed: only its validated copy lives through the eigensolve
+    return bounds_from_matrix(_family_operator(oracle, index_list, dimension), dimension, tol).a_est
+
+
+def _family_operator(oracle: FrameOracle, index_list, dimension: int) -> np.ndarray:
+    """sum_k f_k f_k^* over {f_k : k in index_list}, on basis coordinates 1..dimension."""
     operator = np.zeros((dimension, dimension), dtype=np.complex128)
+    coordinates = range(1, dimension + 1)
     for frame_index in index_list:
-        vector = np.array(
-            [oracle.coefficient(j, frame_index) for j in range(1, dimension + 1)],
-            dtype=np.complex128,
-        )
+        vector = np.array([oracle.coefficient(j, frame_index) for j in coordinates], dtype=np.complex128)
         operator += np.outer(vector, vector.conj())
-    matrix = HermitianMatrix(operator)
-    del operator  # the validated copy is all the eigensolver needs
-    extremes = extremal_eigenvalues(matrix, tol)
-    return max(0.0, extremes.lambda_min)
+    return operator

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import _CHUNK_TERMS, compensated_sum
-from .sequences import InvariantViolation, LambdaSequence, _check_index, _first, drop_prefix, validate
+from .numerics import _row_blocks, compensated_sum
+from .sequences import LambdaSequence, _check_index, _first, _outside_disc, drop_prefix, validate
 
 DEFAULT_FAIL_THRESHOLD = 1e-12
 DEFAULT_EVIDENCE_THRESHOLD = 1e-3
@@ -107,9 +107,8 @@ class RatioTest(NamedTuple):
 
 def _in_disc(window):
     """The window, after raising for its first point outside the disc."""
-    k = _first(window.gaps <= 0.0)
-    if k is not None:
-        raise InvariantViolation(f"|lambda_{k}| >= 1 leaves the open unit disc")
+    if not window.in_disc:
+        raise _outside_disc(window.first_out_of_disc)
     return window
 
 
@@ -158,10 +157,9 @@ def _products(seq: LambdaSequence, window, rows: range, k_trunc: int) -> tuple:
     _CHUNK_TERMS factors, so memory stays linear in the window length.
     """
     outside = window.gaps <= 0.0
-    per_block = max(1, _CHUNK_TERMS // window.gaps.size)
     values = []
-    for low in range(rows.start, rows.stop, per_block):
-        n = np.arange(low, min(low + per_block, rows.stop))
+    for block in _row_blocks(len(rows), window.gaps.size):
+        n = np.array(rows[block])
         factors = _factor_block(window, n)
         hits = (factors == 0.0) | outside
         # the index that ends each row: n itself if outside, else its first
@@ -169,7 +167,7 @@ def _products(seq: LambdaSequence, window, rows: range, k_trunc: int) -> tuple:
         stop = np.where(outside[n - 1], n, np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0))
         k = _first(outside[stop - 1] & (stop > 0))
         if k is not None:
-            raise InvariantViolation(f"|lambda_{stop[k - 1]}| >= 1 leaves the open unit disc")
+            raise _outside_disc(stop[k - 1])
         with np.errstate(divide="ignore"):
             logs = np.log(factors)
         values += [

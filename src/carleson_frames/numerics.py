@@ -53,8 +53,7 @@ class HermitianMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NonHermitianError(f"expected a square matrix, got shape {a.shape}")
         if a.size:
-            per_block = max(1, _CHUNK_TERMS // a.shape[0])
-            blocks = [slice(low, low + per_block) for low in range(0, a.shape[0], per_block)]
+            blocks = _row_blocks(a.shape[0], a.shape[0])
             # np.max propagates NaN, so a NaN anywhere makes the scale NaN
             scale = float(np.max([np.abs(a[rows]).max() for rows in blocks]))
             if not math.isfinite(scale):
@@ -66,6 +65,13 @@ class HermitianMatrix:
                 )
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
+
+
+def _row_blocks(count: int, width: int) -> list:
+    """Slices of consecutive rows 0..count-1 of an array `width` entries wide,
+    at most _CHUNK_TERMS entries each (one row at least)."""
+    per_block = max(1, _CHUNK_TERMS // width)
+    return [slice(low, low + per_block) for low in range(0, count, per_block)]
 
 
 def _hermitian_deviation(a: np.ndarray, blocks) -> float:
@@ -227,26 +233,17 @@ def one_minus_pow(gap, p: int):
 
     This is the workhorse for quantities like 1 - |lambda|^(2N) when lambda
     sits too close to the unit circle for 1 - lambda to survive rounding.
+    Elementwise over an array; a scalar gap is taken as a 0-d array.
     """
     p = operator.index(p)
     if p < 0:
         raise ValueError("exponent must be nonnegative")
-    if isinstance(gap, np.ndarray):
-        if p == 0:
-            return np.zeros_like(gap)
-        if p == 1:
-            return gap.copy()
-        if p == 2:
-            return gap * (2.0 - gap)
-        with np.errstate(divide="ignore"):
-            return -np.expm1(p * np.log1p(-gap))
-    gap = float(gap)
+    gap = np.asarray(gap, dtype=np.float64)
     if p == 0:
-        return 0.0
+        return np.zeros_like(gap)
     if p == 1:
-        return gap
+        return gap.copy()
     if p == 2:
         return gap * (2.0 - gap)
-    if gap >= 1.0:
-        return 1.0
-    return -math.expm1(p * math.log1p(-gap))
+    with np.errstate(divide="ignore"):
+        return -np.expm1(p * np.log1p(-gap))

@@ -22,15 +22,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import (
-    _CHUNK_TERMS,
     EigensolverError,
     HermitianMatrix,
+    _row_blocks,
     complex_pow,
     compensated_sum,
     extremal_eigenvalues,
     one_minus_pow,
 )
-from .sequences import InvariantViolation, LambdaSequence, Weights, _first, validate
+from .sequences import InvariantViolation, LambdaSequence, Weights, _outside_disc, validate
 
 DEFAULT_DIMENSION = 40
 DEFAULT_EIG_TOL = 1e-10
@@ -114,21 +114,14 @@ def system_arrays(system: OrbitSystem, dimension: int) -> SystemArrays:
     seq, weights = system.lambdas, system.weights
     report = validate(seq, dimension)
     if not report.in_disc:
-        raise InvariantViolation(f"lambda_{report.first_out_of_disc} leaves the open unit disc")
+        raise _outside_disc(report.first_out_of_disc)
     if not report.distinct:
         raise InvariantViolation(f"repeated eigenvalue at indices {report.first_duplicate}")
     if weights.length is not None and weights.length < dimension:
         raise IndexError(f"weights provide {weights.length} < {dimension} entries")
     if seq.length is not None and seq.length < dimension:
         raise IndexError(f"sequence provides {seq.length} < {dimension} entries")
-    m = np.array([weights._unchecked_value(k) for k in range(1, dimension + 1)], dtype=np.complex128)
-    magnitudes = np.hypot(m.real, m.imag)  # rounds exactly like abs() of a Python complex
-    k = _first((magnitudes < weights.c1) | (magnitudes > weights.c2))
-    if k is not None:
-        raise InvariantViolation(
-            f"|m_{k}| = {float(magnitudes[k - 1])!r} breaches certified bounds "
-            f"[{weights.c1}, {weights.c2}]"
-        )
+    m = weights._checked(np.arange(1, dimension + 1))
     phi = m * np.sqrt(one_minus_pow(report.gaps, 2))
     m.setflags(write=False)
     phi.setflags(write=False)
@@ -172,13 +165,6 @@ def orbit_coefficient(system: OrbitSystem, n: int, power: int) -> complex:
     return complex(arrays.phi[n - 1]) * complex_pow(complex(arrays.lam[n - 1]), power)
 
 
-def _row_blocks(dimension: int):
-    """Slices of consecutive rows of an M x M array, at most _CHUNK_TERMS
-    entries each (one row at least)."""
-    per_block = max(1, _CHUNK_TERMS // dimension)
-    return [slice(low, low + per_block) for low in range(0, dimension, per_block)]
-
-
 def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:
     """Frame operator of {T^(step*t) phi}_{t>=0}, the stride base S_(N,0,0),
     summed in closed form: S[m, n] = c_m conj(c_n) / (1 - w^step).
@@ -197,7 +183,7 @@ def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:
         phi, lam, conj_lam = arrays.phi, arrays.lam, arrays.lam.conj()
     gaps = arrays.gaps
     out = np.empty((phi.size, phi.size), dtype=phi.dtype)
-    for rows in _row_blocks(phi.size):
+    for rows in _row_blocks(phi.size, phi.size):
         coeffs = np.outer(phi[rows], phi.conj())
         if arrays.real_positive:
             # 1 - w = g_m + g_n - g_m g_n exactly, hence 1 - w^step via gap powers
@@ -230,7 +216,7 @@ def conjugate_by_powers(operator: np.ndarray, arrays: SystemArrays, exponent: in
     # an inf entry from an overflowed base times an underflowed power is NaN,
     # which HermitianMatrix rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _row_blocks(d.size):
+        for rows in _row_blocks(d.size, d.size):
             operator[rows] *= np.outer(d[rows], conj_d)
     return operator
 

@@ -6,8 +6,9 @@ value, every kind exposes the modulus gap 1 - |lambda_k| in a
 cancellation-free form; downstream code that must stay accurate while the
 points crowd the unit circle works on gaps, not on the rounded values.
 
-`validate` evaluates the closed forms once into a read-only window of arrays,
-which the analyses read; the scalar accessors check on every call.
+Each kind has one closed form, `_points`, over an array of 1-based indices.
+`validate` evaluates it once into a read-only window of arrays, which the
+analyses read; the scalar accessors read one-point windows and check them.
 """
 
 import cmath
@@ -40,6 +41,17 @@ def _check_index(k, length: int | None, what: str) -> None:
         raise IndexError(f"index {k} beyond {what} length {length}")
 
 
+def _first(mask: np.ndarray) -> int | None:
+    """1-based index of the first True entry, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) + 1 if hits.size else None
+
+
+def _outside_disc(k) -> InvariantViolation:
+    """The error for a point lambda_k on or outside the unit circle."""
+    return InvariantViolation(f"|lambda_{k}| >= 1 leaves the open unit disc")
+
+
 class LambdaSequence(ABC):
     """Abstract sequence {lambda_k}_{k>=1} strictly inside the open unit disc."""
 
@@ -49,10 +61,9 @@ class LambdaSequence(ABC):
         """Number of evaluable indices; None when unbounded."""
 
     @abstractmethod
-    def _unchecked_value(self, k: int) -> complex: ...
-
-    @abstractmethod
-    def _unchecked_gap(self, k: int) -> float: ...
+    def _points(self, k: np.ndarray) -> tuple:
+        """(values, gaps) at the 1-based indices k, unchecked: lambda_k as
+        complex128 and the modulus gaps 1 - |lambda_k| as float64."""
 
     @property
     @abstractmethod
@@ -80,17 +91,21 @@ class LambdaSequence(ABC):
             return 0.0
         return None
 
+    def _point(self, k: int) -> tuple:
+        """(lambda_k, 1 - |lambda_k|), a one-point window, after the index and
+        unit-disc checks."""
+        _check_index(k, self.length, "sequence")
+        values, gaps = self._points(np.array([k]))
+        if gaps[0] <= 0.0:
+            raise _outside_disc(k)
+        return complex(values[0]), float(gaps[0])
+
     def value_at(self, k: int) -> complex:
-        self.modulus_gap_at(k)  # the index and unit-disc checks
-        return self._unchecked_value(k)
+        return self._point(k)[0]
 
     def modulus_gap_at(self, k: int) -> float:
         """1 - |lambda_k|, computed in stable closed form."""
-        _check_index(k, self.length, "sequence")
-        gap = self._unchecked_gap(k)
-        if gap <= 0.0:
-            raise InvariantViolation(f"|lambda_{k}| >= 1 leaves the open unit disc")
-        return gap
+        return self._point(k)[1]
 
 
 def signed_gap_at(seq: LambdaSequence, k: int) -> float:
@@ -101,8 +116,8 @@ def signed_gap_at(seq: LambdaSequence, k: int) -> float:
     """
     if not seq.is_real:
         raise InvariantViolation("signed gaps are defined for real sequences only")
-    gap = seq.modulus_gap_at(k)
-    return gap if seq._unchecked_value(k).real >= 0.0 else 2.0 - gap
+    value, gap = seq._point(k)
+    return gap if value.real >= 0.0 else 2.0 - gap
 
 
 @dataclass(frozen=True)
@@ -123,11 +138,10 @@ class GeometricApproach(LambdaSequence):
             raise InvariantViolation("alpha must be a finite real > 1")
         object.__setattr__(self, "alpha", a)
 
-    def _unchecked_value(self, k):
-        return complex(1.0 - self.alpha ** (-k))
-
-    def _unchecked_gap(self, k):
-        return self.alpha ** (-k)
+    def _points(self, k):
+        # Python's float power per element: np.power rounds some indices differently
+        gaps = np.fromiter(map(self.alpha.__pow__, (-k).tolist()), np.float64, k.size)
+        return (1.0 - gaps).astype(np.complex128), gaps
 
     def ratio_certificate(self):
         return 1.0 / self.alpha
@@ -151,19 +165,16 @@ class ExplicitSequence(LambdaSequence):
         real = all(v.imag == 0.0 for v in vals)
         object.__setattr__(self, "is_real", real)
         object.__setattr__(self, "real_positive", real and all(v.real > 0.0 for v in vals))
-        gaps = [1.0 - abs(v) for v in vals]
-        increasing = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
-        object.__setattr__(self, "strictly_increasing_moduli", increasing)
+        gaps = self._points(np.arange(1, len(vals) + 1))[1]
+        object.__setattr__(self, "strictly_increasing_moduli", bool(np.all(gaps[:-1] > gaps[1:])))
 
     @property
     def length(self):
         return len(self.values)
 
-    def _unchecked_value(self, k):
-        return self.values[k - 1]
-
-    def _unchecked_gap(self, k):
-        return 1.0 - abs(self.values[k - 1])
+    def _points(self, k):
+        values = np.array([self.values[i] for i in (k - 1).tolist()], dtype=np.complex128)
+        return values, 1.0 - np.hypot(values.real, values.imag)  # hypot rounds like abs()
 
     def tail_modulus_gap_sum(self, k_start):
         return compensated_sum(1.0 - abs(v) for v in self.values[k_start - 1 :])
@@ -193,17 +204,11 @@ class TwoPointAugmented(LambdaSequence):
         base_len = self.base.length
         return None if base_len is None else base_len + 2
 
-    def _unchecked_value(self, k):
-        if k == 1:
-            return complex(self.q)
-        if k == 2:
-            return complex(-self.q)
-        return self.base._unchecked_value(k - 2)
-
-    def _unchecked_gap(self, k):
-        if k <= 2:
-            return 1.0 - self.q
-        return self.base._unchecked_gap(k - 2)
+    def _points(self, k):
+        values, gaps = self.base._points(np.maximum(k - 2, 1))  # head entries replaced below
+        head = k <= 2
+        values = np.where(head, np.where(k == 1, self.q, -self.q), values)
+        return values, np.where(head, 1.0 - self.q, gaps)
 
     @property
     def is_real(self):
@@ -239,12 +244,10 @@ class PowerSequence(LambdaSequence):
     def length(self):
         return self.base.length
 
-    def _unchecked_value(self, k):
-        return complex_pow(self.base._unchecked_value(k), self.exponent)
-
-    def _unchecked_gap(self, k):
+    def _points(self, k):
+        values, gaps = self.base._points(k)
         # 1 - |b^N| = 1 - |b|^N, from the base gap without cancellation
-        return one_minus_pow(self.base._unchecked_gap(k), self.exponent)
+        return complex_pow(values, self.exponent), one_minus_pow(gaps, self.exponent)
 
     @property
     def is_real(self):
@@ -290,11 +293,8 @@ class ShiftedSequence(LambdaSequence):
         base_len = self.base.length
         return None if base_len is None else base_len - self.shift
 
-    def _unchecked_value(self, k):
-        return self.base._unchecked_value(k + self.shift)
-
-    def _unchecked_gap(self, k):
-        return self.base._unchecked_gap(k + self.shift)
+    def _points(self, k):
+        return self.base._points(k + self.shift)
 
     @property
     def is_real(self):
@@ -352,17 +352,25 @@ class Weights(ABC):
     def length(self) -> int | None: ...
 
     @abstractmethod
-    def _unchecked_value(self, k: int) -> complex: ...
+    def _values(self, k: np.ndarray) -> np.ndarray:
+        """m_k at the 1-based indices k as complex128, unchecked."""
+
+    def _checked(self, k: np.ndarray) -> np.ndarray:
+        """m_k at the 1-based indices k, after raising for the first one
+        outside the certified bounds [C1, C2]."""
+        m = self._values(k)
+        magnitudes = np.hypot(m.real, m.imag)  # rounds exactly like abs() of a Python complex
+        bad = _first((magnitudes < self.c1) | (magnitudes > self.c2))
+        if bad is not None:
+            raise InvariantViolation(
+                f"|m_{k[bad - 1]}| = {float(magnitudes[bad - 1])!r} breaches certified bounds "
+                f"[{self.c1}, {self.c2}]"
+            )
+        return m
 
     def value_at(self, k: int) -> complex:
         _check_index(k, self.length, "weight")
-        value = self._unchecked_value(k)
-        magnitude = abs(value)
-        if magnitude < self.c1 or magnitude > self.c2:
-            raise InvariantViolation(
-                f"|m_{k}| = {magnitude!r} breaches certified bounds [{self.c1}, {self.c2}]"
-            )
-        return value
+        return complex(self._checked(np.array([k]))[0])
 
 
 @dataclass(frozen=True)
@@ -387,8 +395,8 @@ class ConstantWeights(Weights):
     def c2(self):
         return abs(self.value)
 
-    def _unchecked_value(self, k):
-        return self.value
+    def _values(self, k):
+        return np.full(k.shape, self.value, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -420,14 +428,8 @@ class ExplicitWeights(Weights):
     def length(self):
         return len(self.values)
 
-    def _unchecked_value(self, k):
-        return self.values[k - 1]
-
-
-def _first(mask: np.ndarray) -> int | None:
-    """1-based index of the first True entry, or None."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) + 1 if hits.size else None
+    def _values(self, k):
+        return np.array([self.values[i] for i in (k - 1).tolist()], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -465,9 +467,7 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     limit = n_max if seq.length is None else min(n_max, seq.length)
-    indices = range(1, limit + 1)
-    gaps = np.array([seq._unchecked_gap(k) for k in indices], dtype=np.float64)
-    values = np.array([seq._unchecked_value(k) for k in indices], dtype=np.complex128)
+    values, gaps = seq._points(np.arange(1, limit + 1))
     signed = np.where(values.real >= 0.0, gaps, 2.0 - gaps) if seq.is_real else None
     for array in (gaps, values, signed):
         if array is not None:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import _CHUNK_TERMS, compensated_sum, complex_pow_table, one_minus_pow
+from .numerics import _row_blocks, compensated_sum, complex_pow_table, one_minus_pow
 from .orbit import (
     DEFAULT_DIMENSION,
     DEFAULT_EIG_TOL,
@@ -232,11 +232,10 @@ def defect_curve(
     swapped = [k for k in range(first, len(pattern.offsets)) if pattern.offsets[k]]
     distinct, which = np.unique([pattern.offsets[k] for k in swapped], return_inverse=True)
     swaps = np.array([one_minus_pow(gaps, int(j)) for j in distinct]).reshape(len(distinct), dimension)
-    rows_per_chunk = max(1, _CHUNK_TERMS // dimension)
     row_sums = []
-    for low in range(0, len(swapped), rows_per_chunk):
-        exponents = [two_n * k for k in swapped[low : low + rows_per_chunk]]
-        swap = swaps[which[low : low + rows_per_chunk]]
+    for rows in _row_blocks(len(swapped), dimension):
+        exponents = [two_n * k for k in swapped[rows]]
+        swap = swaps[which[rows]]
         row_sums += _exact_row_sums(energy * swap * swap * complex_pow_table(lam, exponents))
     values = [0.0] * count  # D(J) = 0 from the end of the support on
     suffix, position = 0, len(swapped)
@@ -272,7 +271,7 @@ def defect_points(
     if pattern.period is None:
         rows, cap = len(pattern.offsets) + 1, math.inf
     else:
-        cap = max(1, _CHUNK_TERMS // (pattern.period * dimension))
+        cap = _row_blocks(1, pattern.period * dimension)[0].stop  # the rows of one block
         rows = min(_FIRST_BLOCK, cap)
     first = 0
     while first <= j_max:
@@ -318,9 +317,8 @@ def woven_frame_operator(
         swapped = [k for k in range(start_index, len(pattern.offsets)) if pattern.offsets[k]]
         phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
         lam = arrays.lam.real
-        rows_per_chunk = max(1, _CHUNK_TERMS // dimension)
-        for low in range(0, len(swapped), rows_per_chunk):
-            chunk = swapped[low : low + rows_per_chunk]
+        for rows in _row_blocks(len(swapped), dimension):
+            chunk = swapped[rows]
             kept = phi * complex_pow_table(lam, [stride * k + pattern.offsets[k] for k in chunk])
             removed = phi * complex_pow_table(lam, [stride * k for k in chunk])
             update = kept.T @ kept.conj()

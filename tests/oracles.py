@@ -217,3 +217,47 @@ def pointwise_tail_defect(system, pattern, start, dimension):
                 swap = one_minus_pow(gaps, pattern.offsets[k])
                 terms += (energy * swap * swap * complex_pow(lam, two_n * k)).tolist()
     return math.fsum(terms)
+
+
+def scalar_point(seq, k: int):
+    """(lambda_k, 1 - |lambda_k|) from each sequence kind's scalar closed form,
+    one index at a time in Python floats and complex numbers: powers by binary
+    exponentiation, 1 - (1 - g)^p through `math.log1p` and `math.expm1`."""
+    from carleson_frames.sequences import (
+        ExplicitSequence,
+        GeometricApproach,
+        PowerSequence,
+        ShiftedSequence,
+        TwoPointAugmented,
+    )
+
+    if isinstance(seq, GeometricApproach):
+        gap = seq.alpha ** (-k)
+        return complex(1.0 - gap), gap
+    if isinstance(seq, ExplicitSequence):
+        value = seq.values[k - 1]
+        return value, 1.0 - abs(value)
+    if isinstance(seq, TwoPointAugmented):
+        if k <= 2:
+            return complex(seq.q if k == 1 else -seq.q), 1.0 - seq.q
+        return scalar_point(seq.base, k - 2)
+    if isinstance(seq, ShiftedSequence):
+        return scalar_point(seq.base, k + seq.shift)
+    if isinstance(seq, PowerSequence):
+        value, gap = scalar_point(seq.base, k)
+        p = seq.exponent
+        power, square = None, value
+        while True:
+            if p & 1:
+                power = square if power is None else power * square
+            p >>= 1
+            if not p:
+                break
+            square = square * square
+        p = seq.exponent
+        if p == 1:
+            return power, gap
+        if p == 2:
+            return power, gap * (2.0 - gap)
+        return power, 1.0 if gap >= 1.0 else -math.expm1(p * math.log1p(-gap))
+    raise TypeError(f"no scalar closed form for {type(seq).__name__}")

@@ -18,7 +18,7 @@ from carleson_frames import (
     limit_modulus_check,
     ratio_test,
 )
-from carleson_frames import carleson
+from carleson_frames import carleson, numerics
 from oracles import float_carleson_product, mpmath_carleson_product, rational_carleson_product
 
 GEO2 = GeometricApproach(2.0)
@@ -250,7 +250,7 @@ def test_block_size_does_not_change_products(monkeypatch, seq, n_max, k_trunc, r
     whole = carleson_inf_estimate(seq, n_max, k_trunc)
     dropped = drop_prefix_check(seq, 2, min(n_max, 5), k_trunc)
     window = min(k_trunc, seq.length or k_trunc)
-    monkeypatch.setattr(carleson, "_CHUNK_TERMS", rows_per_block * window + window - 1)
+    monkeypatch.setattr(numerics, "_CHUNK_TERMS", rows_per_block * window + window - 1)
     assert carleson_inf_estimate(seq, n_max, k_trunc).products == whole.products
     blocked = drop_prefix_check(seq, 2, min(n_max, 5), k_trunc)
     assert (blocked.products, blocked.dropped_products) == (dropped.products, dropped.dropped_products)

@@ -21,7 +21,7 @@ from carleson_frames import (
     phi_norm_squared,
     retilde_weights,
 )
-from carleson_frames import orbit
+from carleson_frames import numerics, orbit
 from carleson_frames.numerics import complex_pow, one_minus_pow
 from carleson_frames.orbit import system_arrays
 from oracles import (
@@ -349,7 +349,7 @@ def test_blocked_assembly_matches_unblocked_bit_for_bit(monkeypatch, kind, rows_
     # for the base and for its congruence
     dim = 30
     if rows_per_block is not None:
-        monkeypatch.setattr(orbit, "_CHUNK_TERMS", rows_per_block * dim + dim - 1)
+        monkeypatch.setattr(numerics, "_CHUNK_TERMS", rows_per_block * dim + dim - 1)
     arrays = system_arrays(BLOCK_SYSTEMS[kind], dim)
     for exponent, step in ((0, 1), (1, 2), (11, 3), (0, 5)):
         base = orbit._progression_matrix(arrays, step)
@@ -419,7 +419,7 @@ def test_blocked_assembly_raises_singular_denominator_in_last_block(monkeypatch,
     # a hand-built window with a point on the circle, which validation
     # would reject: its diagonal denominator 1 - |i|^2 is exactly zero
     if rows_per_block is not None:
-        monkeypatch.setattr(orbit, "_CHUNK_TERMS", rows_per_block * 5)
+        monkeypatch.setattr(numerics, "_CHUNK_TERMS", rows_per_block * 5)
     lam = np.array([0.5, 0.25j, -0.5, 0.125, 1j])
     arrays = orbit.SystemArrays(lam, 1.0 - np.abs(lam), np.ones(5, complex), np.full(5, 0.5 + 0j), False)
     for compute in (orbit._progression_matrix, _unblocked_progression_matrix):
@@ -440,7 +440,7 @@ def test_assembly_memory_is_one_operator_plus_blocks():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        block = orbit._CHUNK_TERMS * operator.itemsize
+        block = numerics._CHUNK_TERMS * operator.itemsize
         assert peak <= operator.nbytes + 8 * block
 
 

@@ -29,7 +29,7 @@ from carleson_frames import (
     tail_defect,
     woven_frame_operator,
 )
-from carleson_frames import cli, weaving
+from carleson_frames import cli, numerics
 from carleson_frames.numerics import complex_pow, complex_pow_table
 from carleson_frames.orbit import _progression_matrix, conjugate_by_powers, system_arrays
 from oracles import brute_defect_sum, pointwise_tail_defect, xorshift64_reference
@@ -339,7 +339,7 @@ def _woven_by_rank_one_updates(system, pattern, start, dimension):
 def test_woven_operator_matches_rank_one_updates(monkeypatch, chunk_terms, weights):
     # whole, one-row and ragged three-row chunks of swapped k
     if chunk_terms is not None:
-        monkeypatch.setattr(weaving, "_CHUNK_TERMS", chunk_terms)
+        monkeypatch.setattr(numerics, "_CHUNK_TERMS", chunk_terms)
     system = OrbitSystem(GeometricApproach(2.0), weights)
     pattern = SeededPattern(3, 7, 40)
     for start in (0, 9, 39, 40):
@@ -385,7 +385,7 @@ def test_periodic_woven_operator_memory_is_three_operators_plus_blocks():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        block = weaving._CHUNK_TERMS * operator.itemsize
+        block = numerics._CHUNK_TERMS * operator.itemsize
         assert peak <= 3 * operator.nbytes + 8 * block
 
 
@@ -403,7 +403,7 @@ def _woven_out_of_place(system, pattern, start, dimension):
         return total
     swapped = [k for k in range(start, len(pattern.offsets)) if pattern.offsets[k]]
     phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
-    rows = max(1, weaving._CHUNK_TERMS // dimension)
+    rows = max(1, numerics._CHUNK_TERMS // dimension)
     for low in range(0, len(swapped), rows):
         chunk = swapped[low : low + rows]
         kept = phi * complex_pow_table(arrays.lam.real, [stride * k + pattern.offsets[k] for k in chunk])

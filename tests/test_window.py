@@ -1,5 +1,6 @@
 """The validated coordinate window: one evaluation of the closed forms per
-(sequence, n) or (system, M), read-only, and equal to the scalar accessors."""
+(sequence, n) or (system, M), read-only, equal to the scalar accessors and to
+the per-index scalar closed forms."""
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from carleson_frames import cli, orbit
 from carleson_frames.orbit import system_arrays
 from carleson_frames.sequences import ShiftedSequence
 
+from oracles import scalar_point
+
 KINDS = [
     GeometricApproach(1.3),
     ExplicitSequence((0.1, -0.4, 0.55, 0.9, -0.95)),
@@ -47,6 +50,52 @@ def test_window_matches_scalar_accessors_bit_for_bit(seq):
         assert window.signed_gaps.tolist() == [signed_gap_at(seq, k) for k in indices]
     else:
         assert window.signed_gaps is None
+
+
+REFERENCE_CASES = (
+    [(seq, 60) for seq in KINDS]
+    + [(GeometricApproach(a), 2000) for a in (1.05, 2.0, 4.0)]
+    + [(PowerSequence(GeometricApproach(1.0940252), 3), 2000)]  # a gap 2 ulps off
+)
+
+
+@pytest.mark.parametrize("seq,n_max", REFERENCE_CASES, ids=[type(s).__name__ for s, _ in REFERENCE_CASES])
+def test_window_matches_scalar_closed_forms(seq, n_max):
+    # bit for bit, but for two measured exceptions: numpy's log1p and expm1
+    # move the gaps of powers p >= 3 by up to 2 ulps, and numpy's complex
+    # multiply moves the powers of a complex base by up to p ulps of |value|
+    window = validate(seq, n_max)
+    values, gaps = map(np.array, zip(*(scalar_point(seq, k) for k in range(1, window.n_checked + 1))))
+    p = seq.exponent if isinstance(seq, PowerSequence) else 1
+    if p >= 3:
+        assert np.all(np.abs(window.gaps - gaps) <= 2 * np.spacing(gaps))
+    else:
+        assert window.gaps.tobytes() == gaps.tobytes()
+    if p > 1 and not seq.is_real:
+        assert np.all(np.abs(window.values - values) <= p * np.spacing(np.abs(values)))
+    else:
+        assert window.values.tobytes() == values.astype(np.complex128).tobytes()
+
+
+def _count_calls(monkeypatch, kind, name):
+    sizes = []
+    method = getattr(kind, name)
+
+    def counting(self, k):
+        sizes.append(k.size)
+        return method(self, k)
+
+    monkeypatch.setattr(kind, name, counting)
+    return sizes
+
+
+def test_windows_evaluate_each_closed_form_once(monkeypatch):
+    points = _count_calls(monkeypatch, GeometricApproach, "_points")
+    validate(PowerSequence(TwoPointAugmented(0.3, GeometricApproach(1.05)), 3), 5000)
+    assert points == [5000]
+    weights = _count_calls(monkeypatch, ConstantWeights, "_values")
+    system_arrays(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0)), 500)
+    assert (points, weights) == ([5000, 500], [500])
 
 
 def test_window_arrays_are_read_only():
@@ -111,3 +160,16 @@ def test_weight_breach_reports_first_index():
     assert np.all(system_arrays(system, 2).weights == 1.0)
     with pytest.raises(InvariantViolation, match=r"\|m_3\| = 3\.0 breaches"):
         system_arrays(system, 4)
+
+
+def test_every_site_reports_a_point_outside_the_disc_alike(capsys):
+    seq = ExplicitSequence((0.5, 1.5, 0.2))
+    message = r"^\|lambda_2\| >= 1 leaves the open unit disc$"
+    for read in (seq.value_at, seq.modulus_gap_at, lambda k: signed_gap_at(seq, k)):
+        with pytest.raises(InvariantViolation, match=message):
+            read(2)
+    with pytest.raises(InvariantViolation, match=message):
+        system_arrays(OrbitSystem(seq, ConstantWeights(1.0)), 3)
+    # the gap 2^-1075 underflows to 0, which the window reads as leaving the disc
+    assert cli.main(["bounds", "--alpha", "2", "--M", "1100"]) == 2
+    assert capsys.readouterr().err == "invalid input: |lambda_1075| >= 1 leaves the open unit disc\n"
