@@ -25,13 +25,11 @@ from .carleson import (
     CarlesonReport,
     LimitModulusEvidence,
     ProductEntry,
-    RatioTest,
     Verdict,
     carleson_inf_estimate,
     carleson_product,
     drop_prefix_check,
     limit_modulus_check,
-    ratio_test,
 )
 from .numerics import (
     EigensolverError,
@@ -51,7 +49,6 @@ from .orbit import (
     SubsampleScheme,
     frame_bounds,
     frame_operator_matrix,
-    orbit_coefficient,
     phi_norm_squared,
     retilde_weights,
 )
@@ -83,6 +80,5 @@ from .weaving import (
     defect_points,
     defect_upper_bound,
     find_weaving_index,
-    tail_defect,
     woven_frame_operator,
 )

@@ -20,8 +20,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .numerics import compensated_sum
-from .orbit import OrbitSystem, bounds_from_matrix, covering_window, orbit_coefficient
+from .numerics import DEFAULT_EIG_TOL, complex_pow, compensated_sum
+from .orbit import OrbitSystem, bounds_from_matrix, system_arrays
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -46,8 +46,8 @@ class OrbitFrameOracle:
     coefficient(j, k) = m_j lambda_j^k sqrt(1 - |lambda_j|^2) and the tails
     sum to |m_j|^2 |lambda_j|^(2K) by geometric summation; both closed forms
     stay accurate deep into the basis via modulus gaps. A query at basis
-    index j reads a validated window that covers the first j coordinates
-    (see `covering_window`).
+    index j reads the validated window of the first j coordinates, which
+    grows by doubling (see `system_arrays`).
     """
 
     system: OrbitSystem
@@ -55,12 +55,14 @@ class OrbitFrameOracle:
     def coefficient(self, basis_index: int, frame_index: int) -> complex:
         if frame_index < 0:
             raise IndexError("frame indices start at 0")
-        return orbit_coefficient(self.system, basis_index, frame_index)
+        arrays = system_arrays(self.system, basis_index)
+        lam = complex(arrays.lam[basis_index - 1])
+        return complex(arrays.phi[basis_index - 1]) * complex_pow(lam, frame_index)
 
     def tail_energy(self, basis_index: int, start: int) -> float:
         if start < 0:
             raise IndexError("frame indices start at 0")
-        arrays = covering_window(self.system, basis_index)
+        arrays = system_arrays(self.system, basis_index)
         gap = float(arrays.gaps[basis_index - 1])
         weight = abs(complex(arrays.weights[basis_index - 1]))
         # |lambda|^(2K) = exp(2K log(1 - gap)), stable for any K
@@ -248,7 +250,7 @@ def estimate_subsequence_lower_bound(
     oracle: FrameOracle,
     indices,
     dimension: int,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_EIG_TOL,
 ) -> float:
     """Smallest eigenvalue of the truncated frame operator of {f_k : k in indices}
     over basis coordinates 1..dimension.

@@ -14,7 +14,6 @@ reported as Inconclusive - evidence is never conflated with proof.
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -98,18 +97,6 @@ class CarlesonReport:
     def csv_rows(self):
         for entry in self.products:
             yield (entry.n, entry.value, entry.tail_error)
-
-
-class RatioTest(NamedTuple):
-    ratio_sup: float
-    certified_c: float | None
-
-
-def _in_disc(window):
-    """The window, after raising for its first point outside the disc."""
-    if not window.in_disc:
-        raise _outside_disc(window.first_out_of_disc)
-    return window
 
 
 def _tail_errors(seq: LambdaSequence, gaps: np.ndarray, k_trunc: int) -> list:
@@ -196,25 +183,6 @@ def carleson_product(seq: LambdaSequence, n: int, k_trunc: int):
     return entry.value, entry.tail_error
 
 
-def _ratio_sup(gaps: np.ndarray) -> float:
-    return float(np.max(gaps[1:] / gaps[:-1]))
-
-
-def ratio_test(seq: LambdaSequence, k_max: int) -> RatioTest:
-    """sup over k < k_max of (1-|lambda_{k+1}|)/(1-|lambda_k|), plus the
-    analytic all-k certificate when the generator provides one.
-
-    A finite window never certifies anything by itself: certified_c is None
-    unless the sequence kind carries a closed-form bound.
-    """
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
-    limit = k_max if seq.length is None else min(k_max, seq.length)
-    if limit < 2:
-        raise ValueError("need at least two evaluable indices")
-    return RatioTest(_ratio_sup(_in_disc(validate(seq, limit)).gaps), seq.ratio_certificate())
-
-
 def _verdict(entries, seq, fail_threshold):
     if any(entry.value == 0.0 for entry in entries):
         return Verdict.CERTIFIED_FAILS
@@ -252,7 +220,9 @@ def carleson_inf_estimate(
     inf_estimate = min(entry.value for entry in entries)
     ratio_sup = None
     if seq.strictly_increasing_moduli and window.n_checked >= 2:
-        ratio_sup = _ratio_sup(_in_disc(window).gaps)
+        if not window.in_disc:
+            raise _outside_disc(window.first_out_of_disc)
+        ratio_sup = float(np.max(window.gaps[1:] / window.gaps[:-1]))
     parameters = {
         "n_max": n_max,
         "k_trunc": k_trunc,
@@ -286,6 +256,8 @@ def drop_prefix_check(
     """
     if n_drop < 0:
         raise ValueError("n_drop must be nonnegative")
+    if n_drop > k_trunc:
+        raise ValueError("need n_drop <= k_trunc")
     if n_drop == 0:
         return carleson_inf_estimate(seq, n_max, k_trunc, fail_threshold)
     tail_seq = drop_prefix(seq, n_drop)  # raises on empty remainder

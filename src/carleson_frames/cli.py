@@ -65,6 +65,7 @@ from .weaving import (
     PeriodicPattern,
     SeededPattern,
     WeavingSearchError,
+    defect_curve,
     defect_points,
     defect_upper_bound,
     find_weaving_index,
@@ -112,31 +113,32 @@ class Param(NamedTuple):
 
 _AT_LEAST_0 = (">= 0", lambda v: v >= 0)
 _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
-_POSITIVE = ("> 0", lambda v: v > 0)
+_FINITE_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
 
 PARAMS = (
     Param("check-carleson", "n_max", "--n-max", 30, int, _AT_LEAST_1),
     Param("check-carleson", "k_trunc", "--k-trunc", 200, int, None),
-    Param("check-carleson", "fail_threshold", "--fail-threshold", DEFAULT_FAIL_THRESHOLD, float, None),
+    Param("check-carleson", "fail_threshold", "--fail-threshold", DEFAULT_FAIL_THRESHOLD, float,
+          ("finite", math.isfinite)),
     Param("check-carleson", "drop_prefix", "--drop-prefix", 0, int, _AT_LEAST_0),
     Param("check-carleson", "assert_carleson", "--assert-carleson", False, bool, None),
     Param("bounds", "stride", "--N", 1, int, _AT_LEAST_1),
     Param("bounds", "offset", "--j", 0, int, None),
     Param("bounds", "start", "--K", 0, int, _AT_LEAST_0),
     Param("bounds", "dimension", "--M", DEFAULT_DIMENSION, int, _AT_LEAST_1),
-    Param("bounds", "tol", "--tol", DEFAULT_EIG_TOL, float, _POSITIVE),
+    Param("bounds", "tol", "--tol", DEFAULT_EIG_TOL, float, _FINITE_POSITIVE),
     Param("subsample-sweep", "strides", "--N", "1,2,3,5", _int_list,
           ("a nonempty list of integers >= 1", lambda v: bool(v) and min(v) >= 1)),
     Param("subsample-sweep", "starts", "--K", "0", _int_list,
           ("a nonempty list of integers >= 0", lambda v: bool(v) and min(v) >= 0)),
     Param("subsample-sweep", "dimension", "--M", DEFAULT_DIMENSION, int, _AT_LEAST_1),
-    Param("subsample-sweep", "tol", "--tol", DEFAULT_EIG_TOL, float, _POSITIVE),
+    Param("subsample-sweep", "tol", "--tol", DEFAULT_EIG_TOL, float, _FINITE_POSITIVE),
     Param("weave", "stride", "--N", 2, int, _AT_LEAST_1),
     Param("weave", "pattern", "--pattern", "constant:1", str, None),
     Param("weave", "safety", "--safety", DEFAULT_SAFETY, float, ("in (0, 1]", lambda v: 0.0 < v <= 1.0)),
     Param("weave", "dimension", "--M", DEFAULT_DIMENSION, int, _AT_LEAST_1),
     Param("weave", "j_max", "--J-max", DEFAULT_J_MAX, int, _AT_LEAST_0),
-    Param("weave", "tol", "--tol", DEFAULT_EIG_TOL, float, _POSITIVE),
+    Param("weave", "tol", "--tol", DEFAULT_EIG_TOL, float, _FINITE_POSITIVE),
     Param("adversary", "oracle", "--oracle", "orbit", str,
           ("orbit or orthonormal", lambda v: v in ("orbit", "orthonormal"))),
     Param("adversary", "levels", "--L", 6, int, _AT_LEAST_1),
@@ -318,10 +320,9 @@ def _emit_csv(resolved: dict, header, rows) -> None:
 
 def _cmd_check_carleson(resolved: dict) -> tuple:
     p = resolved["params"]
-    if p["k_trunc"] < p["n_max"]:
-        raise ConfigError(
-            f"k_trunc (--k-trunc) must be >= n_max = {p['n_max']}, got {p['k_trunc']}"
-        )
+    for name in ("n_max", "drop_prefix"):
+        if p["k_trunc"] < p[name]:
+            raise ConfigError(f"k_trunc (--k-trunc) must be >= {name} = {p[name]}, got {p['k_trunc']}")
     sequence = sequence_from_config(resolved["sequence"])
     # with drop_prefix 0 this is carleson_inf_estimate on the whole sequence
     report_data = drop_prefix_check(
@@ -497,28 +498,20 @@ def _reproduction_checks(dimension: int) -> list:
             ("seeded-42", SeededPattern(stride, 42, 128)),
         ):
             universal = defect_upper_bound(system, dimension)
-            grid = []
-            below_threshold = None
-            # one walk along the curve gives the grid and the first J <= 1000
-            # whose value + truncation bound is below 1e-6; the bound does not
-            # depend on J, so at or above 1e-6 no J can pass
-            for point in defect_points(system, pattern, dimension, 1000):
-                if point.start_index in _DEFECT_GRID:
-                    grid.append((point.value, point.truncation_bound))
-                scanning = point.truncation_bound < 1e-6
-                if scanning and below_threshold is None and point.value + point.truncation_bound < 1e-6:
-                    below_threshold = point.start_index
-                if point.start_index >= _DEFECT_GRID[-1] and (below_threshold is not None or not scanning):
-                    break
-            values = [value + bound for value, bound in grid]
-            monotone = all(values[i] >= values[i + 1] for i in range(len(values) - 1))
+            values, bound = defect_curve(system, pattern, 0, _DEFECT_GRID[-1], dimension)
+            grid = [values[j] + bound for j in _DEFECT_GRID]
+            monotone = all(grid[i] >= grid[i + 1] for i in range(len(grid) - 1))
+            # the first J <= 1000 with D(J) + bound below 1e-6; the bound does
+            # not depend on J, so at or above 1e-6 no J can pass
+            points = defect_points(system, pattern, dimension, 1000) if bound < 1e-6 else ()
+            below_threshold = next(
+                (p.start_index for p in points if p.value + p.truncation_bound < 1e-6), None
+            )
             checks.append(
                 {
                     "name": f"defect-bound-N-{stride}-{label}",
-                    "pass": grid[0][0] <= universal + grid[0][1]
-                    and monotone
-                    and below_threshold is not None,
-                    "defect_at_0": grid[0][0],
+                    "pass": values[0] <= universal + bound and monotone and below_threshold is not None,
+                    "defect_at_0": values[0],
                     "universal_bound": universal,
                     "monotone_on_grid": monotone,
                     "first_index_below_1e-6": below_threshold,

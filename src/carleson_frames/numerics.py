@@ -19,6 +19,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # start vector of the inverse-iteration 
 _INVERSE_STEPS = 4  # solves per extreme in the eigenvalue certificate, at most
 _CHUNK_TERMS = 1 << 16  # entries per block of a blocked array pass, which bounds its memory
 
+DEFAULT_EIG_TOL = 1e-10  # residual bound of the eigenvalue certificate
+
 
 class NonHermitianError(ValueError):
     """Input matrix is not Hermitian within the assembly tolerance."""
@@ -93,7 +95,7 @@ class ExtremalEigenvalues(NamedTuple):
     residual: float
 
 
-def extremal_eigenvalues(matrix, tol: float = 1e-10) -> ExtremalEigenvalues:
+def extremal_eigenvalues(matrix, tol: float = DEFAULT_EIG_TOL) -> ExtremalEigenvalues:
     """Smallest and largest eigenvalue of a Hermitian matrix, certified.
 
     The certificate is ``residual = max ||S v - lambda v|| / ||S||`` over the

@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import (
+    DEFAULT_EIG_TOL,
     EigensolverError,
     HermitianMatrix,
     _row_blocks,
@@ -33,7 +34,6 @@ from .numerics import (
 from .sequences import InvariantViolation, LambdaSequence, Weights, _outside_disc, validate
 
 DEFAULT_DIMENSION = 40
-DEFAULT_EIG_TOL = 1e-10
 
 
 class SingularDenominatorError(ArithmeticError):
@@ -44,12 +44,13 @@ class SingularDenominatorError(ArithmeticError):
 @dataclass(frozen=True)
 class OrbitSystem:
     """Eigenvalue sequence plus weights; induces phi = sum c_n e_n and the
-    diagonal operator T e_n = lambda_n e_n. Keeps its validated coordinate
-    windows, one per truncation M (see `system_arrays`)."""
+    diagonal operator T e_n = lambda_n e_n. Keeps the largest validated
+    coordinate window it has built; every truncation M reads a prefix of it
+    (see `system_arrays`)."""
 
     lambdas: LambdaSequence
     weights: Weights
-    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _window: "SystemArrays | None" = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -106,11 +107,34 @@ class SystemArrays(NamedTuple):
 
 def system_arrays(system: OrbitSystem, dimension: int) -> SystemArrays:
     """Validated, read-only coordinate data for the first `dimension` indices,
-    built on first use and then kept on the system."""
+    a prefix view of the largest window the system holds.
+
+    A dimension beyond that window grows it to max(dimension, 2 x held)
+    points (capped at a finite sequence or weight length), so queries at
+    growing indices up to d build O(log d) windows. Where the grown window
+    raises, the window of exactly `dimension` points is built, so a bad
+    point at index i still raises only for dimension >= i.
+    """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
-    if dimension in system._windows:
-        return system._windows[dimension]
+    held = system._window
+    if held is None or held.lam.size < dimension:
+        lengths = (m for m in (system.lambdas.length, system.weights.length) if m is not None)
+        size = max(dimension, min((0 if held is None else 2 * held.lam.size, *lengths)))
+        try:
+            held = _window(system, size)
+        except (ValueError, IndexError):
+            if size == dimension:
+                raise
+            held = _window(system, dimension)
+        object.__setattr__(system, "_window", held)
+    if held.lam.size == dimension:
+        return held
+    return SystemArrays(*(array[:dimension] for array in held[:4]), held.real_positive)
+
+
+def _window(system: OrbitSystem, dimension: int) -> SystemArrays:
+    """The validated window of exactly the first `dimension` coordinates."""
     seq, weights = system.lambdas, system.weights
     report = validate(seq, dimension)
     if not report.in_disc:
@@ -125,28 +149,7 @@ def system_arrays(system: OrbitSystem, dimension: int) -> SystemArrays:
     phi = m * np.sqrt(one_minus_pow(report.gaps, 2))
     m.setflags(write=False)
     phi.setflags(write=False)
-    arrays = SystemArrays(report.values, report.gaps, m, phi, seq.real_positive)
-    system._windows[dimension] = arrays
-    return arrays
-
-
-def covering_window(system: OrbitSystem, n: int) -> SystemArrays:
-    """A validated window that holds the first n coordinates.
-
-    It is the window of the next power of two at or above n (or of the whole
-    finite sequence or weight list, if shorter), so queries at growing
-    indices up to d keep O(log d) windows with O(d) entries in all. Where
-    that window raises, it is the window of exactly n coordinates, so a bad
-    point at index i still raises only for n >= i.
-    """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    lengths = (m for m in (system.lambdas.length, system.weights.length) if m is not None)
-    size = max(n, min((1 << (n - 1).bit_length(), *lengths)))
-    try:
-        return system_arrays(system, size)
-    except (ValueError, IndexError):
-        return system_arrays(system, n)
+    return SystemArrays(report.values, report.gaps, m, phi, seq.real_positive)
 
 
 def phi_norm_squared(system: OrbitSystem, dimension: int) -> float:
@@ -154,15 +157,6 @@ def phi_norm_squared(system: OrbitSystem, dimension: int) -> float:
     arrays = system_arrays(system, dimension)
     terms = (np.abs(arrays.weights) ** 2) * one_minus_pow(arrays.gaps, 2)
     return compensated_sum(terms.tolist())
-
-
-def orbit_coefficient(system: OrbitSystem, n: int, power: int) -> complex:
-    """<T^p phi, e_n> = m_n lambda_n^p sqrt(1 - |lambda_n|^2), exact closed form,
-    read from a validated window that covers the first n coordinates."""
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    arrays = covering_window(system, n)
-    return complex(arrays.phi[n - 1]) * complex_pow(complex(arrays.lam[n - 1]), power)
 
 
 def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:

@@ -247,17 +247,6 @@ def defect_curve(
     return values, bound
 
 
-def tail_defect(
-    system: OrbitSystem,
-    pattern: WeavePattern,
-    start_index: int,
-    dimension: int = DEFAULT_DIMENSION,
-):
-    """(D(J), truncation_bound) at J = start_index: one point of `defect_curve`."""
-    values, bound = defect_curve(system, pattern, start_index, start_index, dimension)
-    return values[0], bound
-
-
 def defect_points(
     system: OrbitSystem,
     pattern: WeavePattern,

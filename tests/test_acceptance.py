@@ -25,15 +25,14 @@ from carleson_frames import (
     build_adversarial_subsequence,
     carleson_inf_estimate,
     cli,
+    defect_curve,
     defect_upper_bound,
     find_weaving_index,
     frame_bounds,
     frame_operator_matrix,
     one_minus_pow,
-    ratio_test,
     retilde_weights,
     reverify_certificate,
-    tail_defect,
 )
 from oracles import frame_operator_bruteforce, phi_coefficients
 
@@ -62,10 +61,9 @@ def test_criterion_1_carleson_certification():
     for alpha in (1.5, 2.0, 4.0):
         seq = GeometricApproach(alpha)
         report = carleson_inf_estimate(seq, 30, 200)
-        ratio = ratio_test(seq, 200)
-        good = report.verdict is Verdict.CERTIFIED_HOLDS and ratio.certified_c == 1.0 / alpha
+        good = report.verdict is Verdict.CERTIFIED_HOLDS and report.certified_c == 1.0 / alpha
         ok = ok and good
-        details.append(f"alpha={alpha:g}: {report.verdict.value}, c={ratio.certified_c}")
+        details.append(f"alpha={alpha:g}: {report.verdict.value}, c={report.certified_c}")
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
     _criterion(1, "geometric Carleson certification", ok, f"{'; '.join(details)}; {elapsed:.2f}s")
@@ -179,14 +177,12 @@ def test_criterion_6_defect_lemma_bound():
             ("seeded:42", SeededPattern(stride, 42, 128)),
         ):
             universal = defect_upper_bound(SYSTEM, 40)
-            value0, bound0 = tail_defect(SYSTEM, pattern, 0, 40)
-            ok = ok and value0 <= universal + bound0
-            grid = [sum(tail_defect(SYSTEM, pattern, j, 40)) for j in (0, 1, 2, 5, 10, 20)]
+            values, bound = defect_curve(SYSTEM, pattern, 0, 1000, 40)
+            value0 = values[0]
+            ok = ok and value0 <= universal + bound
+            grid = [values[j] + bound for j in (0, 1, 2, 5, 10, 20)]
             ok = ok and all(a >= b - 1e-18 for a, b in zip(grid, grid[1:]))
-            crossing = next(
-                (j for j in range(1001) if sum(tail_defect(SYSTEM, pattern, j, 40)) < 1e-6),
-                None,
-            )
+            crossing = next((j for j, value in enumerate(values) if value + bound < 1e-6), None)
             ok = ok and crossing is not None
             details.append(f"N={stride} {label}: D(0)={value0:.3e}, <1e-6 at J={crossing}")
     _criterion(6, "defect sum bound and decay", ok, "; ".join(details))

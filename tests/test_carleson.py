@@ -16,7 +16,6 @@ from carleson_frames import (
     carleson_product,
     drop_prefix_check,
     limit_modulus_check,
-    ratio_test,
 )
 from carleson_frames import carleson, numerics
 from oracles import float_carleson_product, mpmath_carleson_product, rational_carleson_product
@@ -152,17 +151,18 @@ def test_verdict_stable_under_window_growth(n_max, k_trunc):
 
 
 def test_ratio_test_geometric():
-    sup, certified = ratio_test(GEO2, 100)
-    assert sup == 0.5 and certified == 0.5
-    sup, certified = ratio_test(GeometricApproach(1.5), 100)
-    assert sup == pytest.approx(2.0 / 3.0, rel=1e-13)
-    assert certified == 1.0 / 1.5
+    # the report's gap-ratio sup runs over its own k <= k_trunc window
+    report = carleson_inf_estimate(GEO2, 1, 100)
+    assert report.ratio_sup == 0.5 and report.certified_c == 0.5
+    report = carleson_inf_estimate(GeometricApproach(1.5), 1, 100)
+    assert report.ratio_sup == pytest.approx(2.0 / 3.0, rel=1e-13)
+    assert report.certified_c == 1.0 / 1.5
 
 
 def test_ratio_test_explicit_list_has_no_certificate():
-    sup, certified = ratio_test(ExplicitSequence((0.5, 0.75, 0.8)), 3)
-    assert sup == pytest.approx(0.8, rel=1e-14)
-    assert certified is None
+    report = carleson_inf_estimate(ExplicitSequence((0.5, 0.75, 0.8)), 1, 3)
+    assert report.ratio_sup == pytest.approx(0.8, rel=1e-14)
+    assert report.certified_c is None
 
 
 def test_drop_prefix_check_geometric():
@@ -183,6 +183,11 @@ def test_drop_prefix_check_detects_duplicate_in_prefix():
     seq = PowerSequence(TwoPointAugmented(0.3, GEO2), 2)
     report = drop_prefix_check(seq, 2, 10, 100)
     assert report.verdict is Verdict.CERTIFIED_FAILS
+
+
+def test_drop_prefix_check_rejects_a_prefix_beyond_the_window():
+    with pytest.raises(ValueError, match=r"need n_drop <= k_trunc"):
+        drop_prefix_check(GEO2, 5, 2, 2)
 
 
 def test_drop_prefix_check_empty_rest_errors():

@@ -282,6 +282,11 @@ def test_weave_reference_below_resolution_exits_one(tmp_path, capsys):
         (("bounds", "--values", "nan,0.5,0.7", "--M", "3"), "sequence config"),
         (("bounds", "--alpha", "2", "--weight-value", "nan"), "weights config"),
         (("bounds", "--alpha", "2", "--weight-value", "inf"), "weights config"),
+        (("check-carleson", "--alpha", "2", "--n-max", "2", "--k-trunc", "2", "--drop-prefix", "5"),
+         "--k-trunc"),
+        (("check-carleson", "--fail-threshold", "nan"), "--fail-threshold"),
+        (("check-carleson", "--fail-threshold", "inf"), "--fail-threshold"),
+        (("bounds", "--tol", "inf"), "--tol"),
     ],
 )
 def test_out_of_range_parameters_exit_two(tmp_path, capsys, argv, flag):

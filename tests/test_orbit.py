@@ -11,13 +11,13 @@ from carleson_frames import (
     ExplicitWeights,
     GeometricApproach,
     InvariantViolation,
+    OrbitFrameOracle,
     OrbitSystem,
     PowerSequence,
     SingularDenominatorError,
     SubsampleScheme,
     frame_bounds,
     frame_operator_matrix,
-    orbit_coefficient,
     phi_norm_squared,
     retilde_weights,
 )
@@ -54,9 +54,10 @@ def test_phi_norm_squared_partial_sum():
 
 
 def test_orbit_coefficient_closed_form():
-    assert orbit_coefficient(SYSTEM, 1, 0) == pytest.approx(math.sqrt(0.75), rel=1e-15)
-    assert orbit_coefficient(SYSTEM, 1, 2) == pytest.approx(0.25 * math.sqrt(0.75), rel=1e-14)
-    assert orbit_coefficient(SYSTEM, 2, 3) == pytest.approx(
+    oracle = OrbitFrameOracle(SYSTEM)
+    assert oracle.coefficient(1, 0) == pytest.approx(math.sqrt(0.75), rel=1e-15)
+    assert oracle.coefficient(1, 2) == pytest.approx(0.25 * math.sqrt(0.75), rel=1e-14)
+    assert oracle.coefficient(2, 3) == pytest.approx(
         0.75**3 * math.sqrt(1.0 - 0.75**2), rel=1e-14
     )
 

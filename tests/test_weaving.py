@@ -26,7 +26,6 @@ from carleson_frames import (
     frame_bounds,
     frame_operator_matrix,
     phi_norm_squared,
-    tail_defect,
     woven_frame_operator,
 )
 from carleson_frames import cli, numerics
@@ -71,7 +70,7 @@ def test_zero_seed_is_remapped():
 
 def test_identity_pattern_has_zero_defect():
     for start in (0, 3, 10):
-        value, bound = tail_defect(SYSTEM, ConstantPattern(2, 0), start, 40)
+        (value,), bound = defect_curve(SYSTEM, ConstantPattern(2, 0), start, start, 40)
         assert value == 0.0
         assert bound == 0.0
 
@@ -79,43 +78,43 @@ def test_identity_pattern_has_zero_defect():
 def test_defect_requires_positive_increasing_sequence():
     mixed = OrbitSystem(TwoPointAugmented(0.3, GeometricApproach(2.0)), ConstantWeights(1.0))
     with pytest.raises(InvariantViolation):
-        tail_defect(mixed, ConstantPattern(2, 1), 0, 10)
+        defect_curve(mixed, ConstantPattern(2, 1), 0, 0, 10)
 
 
 def test_constant_defect_matches_brute_double_sum():
     # 12 coordinates: 50000 terms drive the slowest mode (1-2^-12)^(4k)
     # below 1e-16, so the plain double sum is a converged oracle
-    value, _ = tail_defect(SYSTEM, ConstantPattern(2, 1), 0, 12)
+    (value,), _ = defect_curve(SYSTEM, ConstantPattern(2, 1), 0, 0, 12)
     oracle = brute_defect_sum(2.0, 12, 2, lambda k: 1, 0, 50_000)
     assert value == pytest.approx(oracle, rel=1e-11)
-    value40, bound40 = tail_defect(SYSTEM, ConstantPattern(2, 1), 0, 40)
+    (value40,), bound40 = defect_curve(SYSTEM, ConstantPattern(2, 1), 0, 0, 40)
     assert value40 <= 5.0 / 3.0  # universal bound for unit weights
     assert bound40 <= 1e-11
 
 
 def test_seeded_defect_matches_brute_double_sum():
     pattern = SeededPattern(3, 42, 64)
-    value, _ = tail_defect(SYSTEM, pattern, 5, 40)
+    (value,), _ = defect_curve(SYSTEM, pattern, 5, 5, 40)
     oracle = brute_defect_sum(2.0, 40, 3, pattern.offset_at, 5, 64)
     assert value == pytest.approx(oracle, rel=1e-12)
 
 
 def test_periodic_defect_matches_brute_double_sum():
     pattern = PeriodicPattern(3, (1, 0, 2))
-    value, _ = tail_defect(SYSTEM, pattern, 2, 12)
+    (value,), _ = defect_curve(SYSTEM, pattern, 2, 2, 12)
     oracle = brute_defect_sum(2.0, 12, 3, pattern.offset_at, 2, 40_000)
     assert value == pytest.approx(oracle, rel=1e-11)
 
 
 def test_defect_monotone_decreasing_in_start():
-    values = [tail_defect(SYSTEM, ConstantPattern(2, 1), j, 40)[0] for j in (0, 5, 10)]
+    values = [defect_curve(SYSTEM, ConstantPattern(2, 1), j, j, 40)[0][0] for j in (0, 5, 10)]
     assert values[0] > values[1] > values[2]
 
 
 def test_defect_vanishes_along_grid():
     previous = math.inf
     for j in (0, 1, 2, 5, 10, 20, 100, 400, 4000, 20000):
-        value, bound = tail_defect(SYSTEM, ConstantPattern(2, 1), j, 40)
+        (value,), bound = defect_curve(SYSTEM, ConstantPattern(2, 1), j, j, 40)
         assert value + bound <= previous + 1e-18
         previous = value + bound
     # the deep coordinates drain polynomially (the n-th mode dies only once
@@ -129,7 +128,7 @@ def test_defect_never_exceeds_universal_bound():
         (3, SeededPattern(3, 42, 128)),
         (3, PeriodicPattern(3, (2, 1))),
     ):
-        value, bound = tail_defect(SYSTEM, pattern, 0, 40)
+        (value,), bound = defect_curve(SYSTEM, pattern, 0, 0, 40)
         assert value <= defect_upper_bound(SYSTEM, 40) + bound
 
 
@@ -186,7 +185,7 @@ def test_find_weaving_index_regression(stride, expected_j):
     assert result.start_index == expected_j
     assert result.defect < 0.5 * a_est
     # minimality: one step earlier the defect must still be too large
-    value, bound = tail_defect(SYSTEM, ConstantPattern(stride, 1), expected_j - 1, 40)
+    (value,), bound = defect_curve(SYSTEM, ConstantPattern(stride, 1), expected_j - 1, expected_j - 1, 40)
     assert value + bound >= 0.5 * a_est
 
 
@@ -252,7 +251,7 @@ def test_defect_curve_equals_pointwise_defects_bit_for_bit(pattern, dimension):
     starts = list(range(0, 24)) + [63, 64, 100, 127, 128, 129, 140]
     for j in starts:
         assert values[j] == pointwise_tail_defect(system, pattern, j, dimension)
-        assert tail_defect(system, pattern, j, dimension) == (values[j], bound)
+        assert defect_curve(system, pattern, j, j, dimension) == ([values[j]], bound)
     # a block that starts and ends inside the curve reads the same values
     middle, _ = defect_curve(system, pattern, 5, 70, dimension)
     assert middle == values[5:71]

@@ -17,6 +17,7 @@ from carleson_frames import (
     PowerSequence,
     SubsampleScheme,
     TwoPointAugmented,
+    drop_prefix,
     find_weaving_index,
     frame_bounds,
     signed_gap_at,
@@ -106,6 +107,36 @@ def test_window_arrays_are_read_only():
             array[0] = 0.5
 
 
+SPIRAL = ExplicitSequence(tuple((1.0 - 0.5 / (k + 1)) * np.exp(1j * k) for k in range(1, 257)))
+PREFIX_SEQUENCES = [
+    GeometricApproach(1.05),
+    GeometricApproach(2.0),
+    PowerSequence(TwoPointAugmented(0.3, GeometricApproach(2.0)), 3),
+    drop_prefix(GeometricApproach(1.7), 5),
+    SPIRAL,
+    PowerSequence(SPIRAL, 5),
+]
+PREFIX_DIMENSIONS = (1, 2, 3, 17, 40, 63, 64, 65, 200)
+
+
+@pytest.mark.parametrize("weights", [ConstantWeights(1.0), ConstantWeights(0.6 - 0.8j)], ids=["real", "complex"])
+@pytest.mark.parametrize("seq", PREFIX_SEQUENCES, ids=lambda seq: type(seq).__name__)
+def test_prefix_windows_equal_exact_windows_bit_for_bit(seq, weights):
+    # one system grows its window through the dimensions in turn (1, 2, 4,
+    # 17, 40, 80, 200); the other holds 400 points (256 for the 256-point
+    # spiral) before its first read
+    growing, largest = OrbitSystem(seq, weights), OrbitSystem(seq, weights)
+    system_arrays(largest, PREFIX_DIMENSIONS[-1])
+    system_arrays(largest, PREFIX_DIMENSIONS[-1] + 1)
+    for dimension in PREFIX_DIMENSIONS:
+        exact = system_arrays(OrbitSystem(seq, weights), dimension)
+        assert exact.lam.size == dimension
+        for arrays in (system_arrays(growing, dimension), system_arrays(largest, dimension)):
+            assert arrays.real_positive == exact.real_positive
+            for got, want in zip(arrays[:4], exact[:4]):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_system_window_is_kept_per_dimension():
     system = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
     assert system_arrays(system, 12) is system_arrays(system, 12)
@@ -139,7 +170,8 @@ def test_weaving_search_validates_once(monkeypatch):
     calls = _count_validate(monkeypatch)
     result = find_weaving_index(system, ConstantPattern(2, 1), a_est, 0.5, 40)
     assert len(result.sweep) > 10
-    assert calls == {(GeometricApproach(2.0), 40): 1}
+    # the held M = 30 window grows to 60 and the search reads its prefix
+    assert calls == {(GeometricApproach(2.0), 60): 1}
 
 
 def test_oracle_raises_at_the_repeated_point_not_before():
