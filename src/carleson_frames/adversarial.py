@@ -15,7 +15,7 @@ deterministic and reproducible.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -110,16 +110,6 @@ class AdversarialCertificate:
     steps: tuple
     initial_tail: float
     search_budget: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "picked_indices": list(self.picked_indices),
-            "witnesses": list(self.witnesses),
-            "step_bounds": list(self.step_bounds),
-            "steps": [asdict(step) for step in self.steps],
-            "initial_tail": self.initial_tail,
-            "search_budget": self.search_budget,
-        }
 
 
 def _smallest_index(predicate, start: int, budget: int, what: str, monotone: bool = False) -> int:
@@ -264,7 +254,7 @@ def estimate_subsequence_lower_bound(
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     # passed on unnamed: only its validated copy lives through the eigensolve
-    return bounds_from_matrix(_family_operator(oracle, index_list, dimension), dimension, tol).a_est
+    return bounds_from_matrix(_family_operator(oracle, index_list, dimension), tol).a_est
 
 
 def _family_operator(oracle: FrameOracle, index_list, dimension: int) -> np.ndarray:

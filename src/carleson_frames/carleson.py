@@ -36,20 +36,14 @@ class ProductEntry:
     value: float
     tail_error: float
 
-    def to_jsonable(self) -> dict:
-        return {
-            "n": self.n,
-            "value": self.value,
-            "tail_error": self.tail_error if math.isfinite(self.tail_error) else "inf",
-        }
-
 
 @dataclass(frozen=True)
 class CarlesonReport:
     """Products, the heuristic infimum estimate, and a rigorous verdict.
 
     `inf_estimate` is the minimum over the *tested* n only; `verdict` is
-    decided independently of it, per the certificate rules above.
+    decided independently of it, per the certificate rules above. `n_drop`
+    and `dropped_products` are None unless a prefix was dropped.
     """
 
     products: tuple
@@ -59,44 +53,7 @@ class CarlesonReport:
     verdict: Verdict
     parameters: dict = field(compare=False)
     dropped_products: tuple | None = None
-    n_drop: int = 0
-
-    def to_jsonable(self) -> dict:
-        data = {
-            "products": [p.to_jsonable() for p in self.products],
-            "inf_estimate": self.inf_estimate,
-            "ratio_sup": self.ratio_sup,
-            "certified_c": self.certified_c,
-            "verdict": self.verdict.value,
-            "parameters": dict(self.parameters),
-        }
-        if self.n_drop:
-            data["n_drop"] = self.n_drop
-            data["dropped_products"] = [p.to_jsonable() for p in self.dropped_products]
-        return data
-
-    def to_text(self) -> str:
-        lines = [
-            f"verdict: {self.verdict.value}",
-            f"inf estimate over tested n: {self.inf_estimate:.17g}",
-        ]
-        if self.ratio_sup is not None:
-            lines.append(f"gap-ratio sup over window: {self.ratio_sup:.17g}")
-        if self.certified_c is not None:
-            lines.append(f"analytic ratio certificate: {self.certified_c:.17g}")
-        lines.append(f"{'n':>6}  {'P_n':>24}  {'tail_error':>24}")
-        for entry in self.products:
-            tail = f"{entry.tail_error:.17g}" if math.isfinite(entry.tail_error) else "inf"
-            lines.append(f"{entry.n:>6}  {entry.value:>24.17g}  {tail:>24}")
-        if self.n_drop:
-            lines.append(f"dropped prefix products (full sequence, n <= {self.n_drop}):")
-            for entry in self.dropped_products:
-                lines.append(f"{entry.n:>6}  {entry.value:>24.17g}")
-        return "\n".join(lines)
-
-    def csv_rows(self):
-        for entry in self.products:
-            yield (entry.n, entry.value, entry.tail_error)
+    n_drop: int | None = None
 
 
 def _tail_errors(seq: LambdaSequence, gaps: np.ndarray, k_trunc: int) -> list:

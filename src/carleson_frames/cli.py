@@ -47,7 +47,7 @@ from .orbit import (
     retilde_weights,
     sweep_bounds,
 )
-from .reporting import write_csv, write_json
+from .reporting import jsonable, write_csv, write_json
 from .sequences import (
     ConstantWeights,
     ExplicitSequence,
@@ -92,9 +92,29 @@ class ConfigError(ValueError):
     pass
 
 
+# Casts of a flag string or a config-file value. A JSON value of the wrong
+# type raises rather than being coerced: 2.7 is no integer, "false" no boolean.
+def _integer(value) -> int:
+    if isinstance(value, (bool, float)):
+        raise TypeError(value)
+    return int(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
 def _int_list(text) -> list:
     if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
+        return [_integer(v) for v in text]
     return [int(part) for part in str(text).split(",") if part != ""]
 
 
@@ -116,35 +136,35 @@ _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 _FINITE_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
 
 PARAMS = (
-    Param("check-carleson", "n_max", "--n-max", 30, int, _AT_LEAST_1),
-    Param("check-carleson", "k_trunc", "--k-trunc", 200, int, None),
-    Param("check-carleson", "fail_threshold", "--fail-threshold", DEFAULT_FAIL_THRESHOLD, float,
+    Param("check-carleson", "n_max", "--n-max", 30, _integer, _AT_LEAST_1),
+    Param("check-carleson", "k_trunc", "--k-trunc", 200, _integer, None),
+    Param("check-carleson", "fail_threshold", "--fail-threshold", DEFAULT_FAIL_THRESHOLD, _real,
           ("finite", math.isfinite)),
-    Param("check-carleson", "drop_prefix", "--drop-prefix", 0, int, _AT_LEAST_0),
-    Param("check-carleson", "assert_carleson", "--assert-carleson", False, bool, None),
-    Param("bounds", "stride", "--N", 1, int, _AT_LEAST_1),
-    Param("bounds", "offset", "--j", 0, int, None),
-    Param("bounds", "start", "--K", 0, int, _AT_LEAST_0),
-    Param("bounds", "dimension", "--M", DEFAULT_DIMENSION, int, _AT_LEAST_1),
-    Param("bounds", "tol", "--tol", DEFAULT_EIG_TOL, float, _FINITE_POSITIVE),
+    Param("check-carleson", "drop_prefix", "--drop-prefix", 0, _integer, _AT_LEAST_0),
+    Param("check-carleson", "assert_carleson", "--assert-carleson", False, _boolean, None),
+    Param("bounds", "stride", "--N", 1, _integer, _AT_LEAST_1),
+    Param("bounds", "offset", "--j", 0, _integer, None),
+    Param("bounds", "start", "--K", 0, _integer, _AT_LEAST_0),
+    Param("bounds", "dimension", "--M", DEFAULT_DIMENSION, _integer, _AT_LEAST_1),
+    Param("bounds", "tol", "--tol", DEFAULT_EIG_TOL, _real, _FINITE_POSITIVE),
     Param("subsample-sweep", "strides", "--N", "1,2,3,5", _int_list,
           ("a nonempty list of integers >= 1", lambda v: bool(v) and min(v) >= 1)),
     Param("subsample-sweep", "starts", "--K", "0", _int_list,
           ("a nonempty list of integers >= 0", lambda v: bool(v) and min(v) >= 0)),
-    Param("subsample-sweep", "dimension", "--M", DEFAULT_DIMENSION, int, _AT_LEAST_1),
-    Param("subsample-sweep", "tol", "--tol", DEFAULT_EIG_TOL, float, _FINITE_POSITIVE),
-    Param("weave", "stride", "--N", 2, int, _AT_LEAST_1),
+    Param("subsample-sweep", "dimension", "--M", DEFAULT_DIMENSION, _integer, _AT_LEAST_1),
+    Param("subsample-sweep", "tol", "--tol", DEFAULT_EIG_TOL, _real, _FINITE_POSITIVE),
+    Param("weave", "stride", "--N", 2, _integer, _AT_LEAST_1),
     Param("weave", "pattern", "--pattern", "constant:1", str, None),
-    Param("weave", "safety", "--safety", DEFAULT_SAFETY, float, ("in (0, 1]", lambda v: 0.0 < v <= 1.0)),
-    Param("weave", "dimension", "--M", DEFAULT_DIMENSION, int, _AT_LEAST_1),
-    Param("weave", "j_max", "--J-max", DEFAULT_J_MAX, int, _AT_LEAST_0),
-    Param("weave", "tol", "--tol", DEFAULT_EIG_TOL, float, _FINITE_POSITIVE),
+    Param("weave", "safety", "--safety", DEFAULT_SAFETY, _real, ("in (0, 1]", lambda v: 0.0 < v <= 1.0)),
+    Param("weave", "dimension", "--M", DEFAULT_DIMENSION, _integer, _AT_LEAST_1),
+    Param("weave", "j_max", "--J-max", DEFAULT_J_MAX, _integer, _AT_LEAST_0),
+    Param("weave", "tol", "--tol", DEFAULT_EIG_TOL, _real, _FINITE_POSITIVE),
     Param("adversary", "oracle", "--oracle", "orbit", str,
           ("orbit or orthonormal", lambda v: v in ("orbit", "orthonormal"))),
-    Param("adversary", "levels", "--L", 6, int, _AT_LEAST_1),
-    Param("adversary", "budget", "--budget", DEFAULT_SEARCH_BUDGET, int, _AT_LEAST_1),
-    Param("adversary", "estimate_dimension", "--estimate-dim", 0, int, _AT_LEAST_0),
-    Param("reproduce-paper", "dimension", "--M", DEFAULT_DIMENSION, int, _AT_LEAST_1),
+    Param("adversary", "levels", "--L", 6, _integer, _AT_LEAST_1),
+    Param("adversary", "budget", "--budget", DEFAULT_SEARCH_BUDGET, _integer, _AT_LEAST_1),
+    Param("adversary", "estimate_dimension", "--estimate-dim", 0, _integer, _AT_LEAST_0),
+    Param("reproduce-paper", "dimension", "--M", DEFAULT_DIMENSION, _integer, _AT_LEAST_1),
 )
 
 
@@ -187,7 +207,7 @@ def sequence_from_config(config: dict):
             return ExplicitSequence(tuple(_parse_complex(v) for v in config["values"]))
         if kind == "two_point":
             return TwoPointAugmented(float(config["q"]), sequence_from_config(config["base"]))
-        return PowerSequence(sequence_from_config(config["base"]), int(config["exponent"]))
+        return PowerSequence(sequence_from_config(config["base"]), _integer(config["exponent"]))
     except (KeyError, TypeError, ValueError, InvariantViolation) as exc:
         raise ConfigError(f"invalid sequence config: {exc}") from exc
 
@@ -325,13 +345,24 @@ def _cmd_check_carleson(resolved: dict) -> tuple:
             raise ConfigError(f"k_trunc (--k-trunc) must be >= {name} = {p[name]}, got {p['k_trunc']}")
     sequence = sequence_from_config(resolved["sequence"])
     # with drop_prefix 0 this is carleson_inf_estimate on the whole sequence
-    report_data = drop_prefix_check(
+    report = drop_prefix_check(
         sequence, p["drop_prefix"], p["n_max"], p["k_trunc"], p["fail_threshold"]
     )
-    _emit_csv(resolved, ("n", "P_n", "tail_error"), report_data.csv_rows())
-    print(report_data.to_text())
-    failed = p["assert_carleson"] and report_data.verdict is not Verdict.CERTIFIED_HOLDS
-    return EXIT_ANALYSIS if failed else EXIT_OK, report_data.to_jsonable()
+    products = [(entry.n, entry.value, entry.tail_error) for entry in report.products]
+    _emit_csv(resolved, ("n", "P_n", "tail_error"), products)
+    lines = [f"verdict: {report.verdict.value}", f"inf estimate over tested n: {report.inf_estimate:.17g}"]
+    if report.ratio_sup is not None:
+        lines.append(f"gap-ratio sup over window: {report.ratio_sup:.17g}")
+    if report.certified_c is not None:
+        lines.append(f"analytic ratio certificate: {report.certified_c:.17g}")
+    lines.append(f"{'n':>6}  {'P_n':>24}  {'tail_error':>24}")
+    lines += [f"{n:>6}  {value:>24.17g}  {tail:>24.17g}" for n, value, tail in products]
+    if report.n_drop is not None:
+        lines.append(f"dropped prefix products (full sequence, n <= {report.n_drop}):")
+        lines += [f"{entry.n:>6}  {entry.value:>24.17g}" for entry in report.dropped_products]
+    print("\n".join(lines))
+    failed = p["assert_carleson"] and report.verdict is not Verdict.CERTIFIED_HOLDS
+    return EXIT_ANALYSIS if failed else EXIT_OK, report
 
 
 def _cmd_bounds(resolved: dict) -> tuple:
@@ -342,34 +373,18 @@ def _cmd_bounds(resolved: dict) -> tuple:
         f"scheme (N={scheme.stride}, j={scheme.offset}, K={scheme.start})  "
         f"M={p['dimension']}  A_est={estimate.a_est:.17g}  B_est={estimate.b_est:.17g}"
     )
-    return EXIT_OK, estimate.to_jsonable()
+    return EXIT_OK, estimate
 
 
 def _cmd_subsample_sweep(resolved: dict) -> tuple:
     p = resolved["params"]
-    system = _system(resolved)
-    estimates = sweep_bounds(system, p["strides"], p["starts"], p["dimension"], p["tol"])
-    rows = [
-        {
-            "stride": e.scheme.stride,
-            "offset": e.scheme.offset,
-            "start": e.scheme.start,
-            "a_est": e.a_est,
-            "b_est": e.b_est,
-        }
-        for e in estimates
-    ]
-    _emit_csv(
-        resolved,
-        ("N", "j", "K", "A_est", "B_est"),
-        ((r["stride"], r["offset"], r["start"], r["a_est"], r["b_est"]) for r in rows),
-    )
+    estimates = sweep_bounds(_system(resolved), p["strides"], p["starts"], p["dimension"], p["tol"])
+    table = [(e.scheme.stride, e.scheme.offset, e.scheme.start, e.a_est, e.b_est) for e in estimates]
+    _emit_csv(resolved, ("N", "j", "K", "A_est", "B_est"), table)
     print(f"{'N':>4} {'j':>4} {'K':>4} {'A_est':>24} {'B_est':>24}")
-    for row in rows:
-        print(
-            f"{row['stride']:>4} {row['offset']:>4} {row['start']:>4} "
-            f"{row['a_est']:>24.17g} {row['b_est']:>24.17g}"
-        )
+    for n, j, k, a_est, b_est in table:
+        print(f"{n:>4} {j:>4} {k:>4} {a_est:>24.17g} {b_est:>24.17g}")
+    rows = [dict(zip(("stride", "offset", "start", "a_est", "b_est"), row)) for row in table]
     return EXIT_OK, {"dimension": p["dimension"], "rows": rows}
 
 
@@ -392,10 +407,7 @@ def _cmd_weave(resolved: dict) -> tuple:
     except WeavingSearchError as exc:
         print(f"weaving index not found: {exc}")
         return EXIT_ANALYSIS, {
-            "found": False,
-            "message": str(exc),
-            "reference_bounds": reference.to_jsonable(),
-            "sweep": [point.to_jsonable() for point in exc.sweep],
+            "found": False, "message": str(exc), "reference_bounds": reference, "sweep": exc.sweep
         }
     _emit_csv(
         resolved,
@@ -407,10 +419,7 @@ def _cmd_weave(resolved: dict) -> tuple:
         f"predicted lower bound={result.predicted_lower_bound:.17g}  "
         f"verified lambda_min={result.verified_bounds.a_est:.17g}"
     )
-    payload = result.to_jsonable()
-    payload["found"] = True
-    payload["reference_bounds"] = reference.to_jsonable()
-    return EXIT_OK, payload
+    return EXIT_OK, dict(jsonable(result), found=True, reference_bounds=reference)
 
 
 def _cmd_adversary(resolved: dict) -> tuple:
@@ -425,9 +434,7 @@ def _cmd_adversary(resolved: dict) -> tuple:
         print(f"adversarial construction failed: {exc}")
         return EXIT_ANALYSIS, {"built": False, "message": str(exc)}
     deviation = reverify_certificate(oracle, certificate)
-    payload = certificate.to_jsonable()
-    payload["built"] = True
-    payload["reverification_deviation"] = deviation
+    payload = dict(jsonable(certificate), built=True, reverification_deviation=deviation)
     if p["estimate_dimension"] > 0:
         payload["picked_lower_bound_estimate"] = estimate_subsequence_lower_bound(
             oracle, certificate.picked_indices, p["estimate_dimension"]
@@ -459,7 +466,7 @@ def _reproduction_checks(dimension: int) -> list:
                 "name": f"carleson-geometric-alpha-{alpha:g}",
                 "pass": report.verdict is Verdict.CERTIFIED_HOLDS
                 and report.certified_c == 1.0 / alpha,
-                "verdict": report.verdict.value,
+                "verdict": report.verdict,
                 "ratio_sup": report.ratio_sup,
                 "certified_c": report.certified_c,
                 "inf_estimate": report.inf_estimate,
@@ -473,7 +480,7 @@ def _reproduction_checks(dimension: int) -> list:
             {
                 "name": f"squared-two-point-counterexample-q-{q:g}",
                 "pass": report.verdict is Verdict.CERTIFIED_FAILS and report.inf_estimate == 0.0,
-                "verdict": report.verdict.value,
+                "verdict": report.verdict,
                 "inf_estimate": report.inf_estimate,
             }
         )
@@ -528,7 +535,7 @@ def _reproduction_checks(dimension: int) -> list:
         )
         # empirical probe of the J=0 weaving question: reported, never asserted
         j0_matrix = woven_frame_operator(system, ConstantPattern(stride, 1), 0, dimension)
-        j0_bounds = bounds_from_matrix(j0_matrix, dimension)
+        j0_bounds = bounds_from_matrix(j0_matrix)
         checks.append(
             {
                 "name": f"weaving-index-N-{stride}",
@@ -554,9 +561,9 @@ def _reproduction_checks(dimension: int) -> list:
             {
                 "name": f"adversary-L6-{label}",
                 "pass": bounds_ok and deviation <= 1e-12,
-                "picked_indices": list(certificate.picked_indices),
-                "witnesses": list(certificate.witnesses),
-                "step_bounds": list(certificate.step_bounds),
+                "picked_indices": certificate.picked_indices,
+                "witnesses": certificate.witnesses,
+                "step_bounds": certificate.step_bounds,
                 "reverification_deviation": deviation,
             }
         )
@@ -622,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
             help_text = f"config key {row.name}, default {row.default}"
             if row.valid is not None:
                 help_text += f", must be {row.valid[0]}"
-            if row.cast is bool:
+            if row.cast is _boolean:
                 p.add_argument(row.flag, dest=row.name, action="store_true", default=None, help=help_text)
             else:
                 p.add_argument(row.flag, dest=row.name, help=help_text)

@@ -16,7 +16,7 @@ upper bound; that one-sided orientation is part of every estimate's meaning.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -92,9 +92,6 @@ class FrameBoundEstimate:
     dimension: int
     eig_residual: float
     scheme: SubsampleScheme | None
-
-    def to_jsonable(self) -> dict:
-        return asdict(self)
 
 
 class SystemArrays(NamedTuple):
@@ -230,11 +227,10 @@ def frame_operator_matrix(
 
 def bounds_from_matrix(
     matrix: np.ndarray,
-    dimension: int,
     tol: float = DEFAULT_EIG_TOL,
     scheme: SubsampleScheme | None = None,
 ) -> FrameBoundEstimate:
-    """Extremal eigenvalues of an assembled frame operator, PSD-checked.
+    """Extremal eigenvalues of an assembled M x M frame operator, PSD-checked.
 
     Eigenvalues within -tol * ||S|| of zero are clamped to 0; anything more
     negative means the matrix is not a frame operator and raises. Only the
@@ -250,7 +246,7 @@ def bounds_from_matrix(
     return FrameBoundEstimate(
         a_est=max(0.0, extremes.lambda_min),
         b_est=extremes.lambda_max,
-        dimension=dimension,
+        dimension=matrix.data.shape[0],
         eig_residual=extremes.residual,
         scheme=scheme,
     )
@@ -263,7 +259,7 @@ def frame_bounds(
     tol: float = DEFAULT_EIG_TOL,
 ) -> FrameBoundEstimate:
     """Truncated frame-bound estimates (A_est, B_est) for one subsample scheme."""
-    return bounds_from_matrix(frame_operator_matrix(system, scheme, dimension), dimension, tol, scheme)
+    return bounds_from_matrix(frame_operator_matrix(system, scheme, dimension), tol, scheme)
 
 
 def sweep_bounds(
@@ -289,8 +285,7 @@ def sweep_bounds(
                 scheme = SubsampleScheme(stride, offset, start)
                 # passed on unnamed: only its validated copy lives through the eigensolve
                 estimates.append(bounds_from_matrix(
-                    conjugate_by_powers(base.copy(), arrays, scheme.exponent(start)),
-                    dimension, tol, scheme,
+                    conjugate_by_powers(base.copy(), arrays, scheme.exponent(start)), tol, scheme
                 ))
     return estimates
 

@@ -1,10 +1,15 @@
-"""Serialization helpers: canonical JSON, RFC-4180 CSV at 17 significant
-digits (round-trip safe), and atomic file writes (temp + rename)."""
+"""Serialization helpers: `jsonable`, the one conversion of result dataclasses
+to JSON, canonical JSON, RFC-4180 CSV at 17 significant digits (round-trip
+safe), and atomic file writes (temp + rename)."""
 
 import csv
+import dataclasses
+import functools
 import json
+import math
 import os
 import tempfile
+from enum import Enum
 
 import numpy as np
 
@@ -14,9 +19,39 @@ def format_float(value) -> str:
     return f"{float(value):.17g}"
 
 
+@functools.cache
+def _fields(cls) -> tuple:
+    """(name, whether its declared default is None) of each field of a dataclass type."""
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    return tuple((f.name, f.default is None) for f in dataclasses.fields(cls))
+
+
+def jsonable(value):
+    """The JSON form of a report value: a dataclass becomes the object of its
+    fields, without a field whose declared default is None while it is None;
+    an enum becomes its value, a tuple a list, a non-finite float its
+    `format_float` text ("inf"); anything else raises TypeError, as `json.dumps` does."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else format_float(value)
+    if value is None or isinstance(value, (str, int)):  # bool is an int
+        return value
+    if isinstance(value, (tuple, list)):
+        return [jsonable(item) for item in value]
+    if isinstance(value, dict):
+        return {key: jsonable(item) for key, item in value.items()}
+    if isinstance(value, Enum):
+        return value.value
+    return {  # a dataclass; `_fields` raises TypeError for any other type
+        name: jsonable(item)
+        for name, optional in _fields(type(value))
+        if (item := getattr(value, name)) is not None or not optional
+    }
+
+
 def canonical_json(data) -> str:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Deterministic JSON of `jsonable(data)`: sorted keys, indent 2, final newline."""
+    return json.dumps(jsonable(data), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
 def _atomic_write(path: str, write) -> None:

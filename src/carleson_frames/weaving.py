@@ -17,8 +17,7 @@ M-truncated model, which is what this module verifies numerically.
 """
 
 import math
-from dataclasses import dataclass, fields
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,19 +127,11 @@ def SeededPattern(stride: int, seed: int, length: int) -> WeavePattern:
     return WeavePattern(stride, tuple(produced), None)
 
 
-class DefectPoint(NamedTuple):
+@dataclass(frozen=True)
+class DefectPoint:
     start_index: int
     value: float
     truncation_bound: float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "start_index": self.start_index,
-            "value": self.value,
-            "truncation_bound": self.truncation_bound
-            if math.isfinite(self.truncation_bound)
-            else "inf",
-        }
 
 
 def _require_weavable(system: OrbitSystem) -> None:
@@ -337,14 +328,6 @@ class WeavingResult:
     verified_bounds: FrameBoundEstimate
     sweep: tuple
 
-    def to_jsonable(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}  # no deep copy
-        data.update(
-            verified_bounds=self.verified_bounds.to_jsonable(),
-            sweep=[point.to_jsonable() for point in self.sweep],
-        )
-        return data
-
 
 def find_weaving_index(
     system: OrbitSystem,
@@ -387,9 +370,7 @@ def find_weaving_index(
         )
     defect = sweep[-1].value + sweep[-1].truncation_bound
     predicted = (math.sqrt(a_est) - math.sqrt(defect)) ** 2
-    verified = bounds_from_matrix(
-        woven_frame_operator(system, pattern, found, dimension), dimension, tol, scheme=None
-    )
+    verified = bounds_from_matrix(woven_frame_operator(system, pattern, found, dimension), tol)
     return WeavingResult(
         start_index=found,
         defect=defect,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -21,6 +22,7 @@ from carleson_frames import (
 )
 from carleson_frames import orbit
 from carleson_frames.adversarial import _smallest_index
+from carleson_frames.reporting import canonical_json
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
 ORACLE = OrbitFrameOracle(SYSTEM)
@@ -141,7 +143,7 @@ def test_estimate_terms_cap():
 
 def test_certificate_serialization():
     cert = build_adversarial_subsequence(ORACLE, 3)
-    data = cert.to_jsonable()
+    data = json.loads(canonical_json(cert))
     assert data["picked_indices"] == list(cert.picked_indices)
     assert len(data["steps"]) == 3
     assert data["steps"][0]["threshold"] == 0.5

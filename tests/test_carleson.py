@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from carleson_frames import (
     drop_prefix_check,
     limit_modulus_check,
 )
-from carleson_frames import carleson, numerics
+from carleson_frames import carleson, cli, numerics
+from carleson_frames.reporting import canonical_json
 from oracles import float_carleson_product, mpmath_carleson_product, rational_carleson_product
 
 GEO2 = GeometricApproach(2.0)
@@ -216,13 +218,18 @@ def test_limit_modulus_slow_geometric_is_threshold_dependent():
     assert not evidence.passes
 
 
-def test_report_serialization_round_trip():
+def test_report_serialization_round_trip(tmp_path, capsys):
     report = carleson_inf_estimate(TwoPointAugmented(0.3, GEO2), 4, 50)
-    data = report.to_jsonable()
+    data = json.loads(canonical_json(report))
     assert data["verdict"] == "Inconclusive"
     assert data["products"][0]["tail_error"] == "inf"  # no bound for mixed-sign kinds
-    assert len(list(report.csv_rows())) == 4
-    text = report.to_text()
+    assert "n_drop" not in data and "dropped_products" not in data
+    out, table = tmp_path / "report.json", tmp_path / "products.csv"
+    argv = ["check-carleson", "--alpha", "2", "--two-point-q", "0.3", "--n-max", "4", "--k-trunc", "50"]
+    assert cli.main(argv + ["--out", str(out), "--csv", str(table)]) == 0
+    assert json.loads(out.read_text())["result"] == data
+    assert len(table.read_text().splitlines()) == 1 + 4  # header and one row per n
+    text = capsys.readouterr().out
     assert "verdict: Inconclusive" in text
 
 

@@ -315,15 +315,36 @@ def test_explicit_sequence_too_short_exits_two(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+SQUARED_TWO_POINT = {"kind": "power", "exponent": 2,
+                     "base": {"kind": "two_point", "q": 0.3, "base": {"kind": "geometric", "alpha": 2.0}}}
+
+# (command, config, the start of the error): values that do not parse, and
+# JSON values of the wrong type, which are never coerced
+MALFORMED_CONFIGS = (
+    ("check-carleson", {"params": {"n_max": "x"}}, "cannot parse n_max (--n-max)"),
+    ("check-carleson", {"sequence": SQUARED_TWO_POINT, "params": {"assert_carleson": "false"}},
+     "cannot parse assert_carleson (--assert-carleson)"),
+    ("check-carleson", {"params": {"assert_carleson": 0}}, "cannot parse assert_carleson (--assert-carleson)"),
+    ("check-carleson", {"params": {"n_max": 2.7}}, "cannot parse n_max (--n-max)"),
+    ("check-carleson", {"params": {"n_max": True}}, "cannot parse n_max (--n-max)"),
+    ("bounds", {"params": {"dimension": 20.0}}, "cannot parse dimension (--M)"),
+    ("bounds", {"params": {"tol": True}}, "cannot parse tol (--tol)"),
+    ("subsample-sweep", {"params": {"strides": [1, 2.5]}}, "cannot parse strides (--N)"),
+    ("subsample-sweep", {"params": {"starts": [True]}}, "cannot parse starts (--K)"),
+    ("check-carleson", {"sequence": dict(SQUARED_TWO_POINT, exponent=2.7)}, "invalid sequence config"),
+)
+
+
 def test_malformed_config_param_exits_two(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"params": {"n_max": "x"}}))
     out = tmp_path / "report.json"
-    assert run_cli("check-carleson", "--config", str(config), "--out", str(out)) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("config error:") and "--n-max" in lines[0]
-    assert not out.exists()
+    for command, data, message in MALFORMED_CONFIGS:
+        config.write_text(json.dumps(data))
+        assert run_cli(command, "--config", str(config), "--out", str(out)) == 2, data
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: {message}")
+        assert not out.exists()
 
 
 # per subcommand: a config-file value and a different flag value for every param

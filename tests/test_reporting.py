@@ -1,8 +1,14 @@
 import csv
 import json
 import math
+from dataclasses import dataclass
+from enum import Enum
 
-from carleson_frames.reporting import canonical_json, format_float, write_csv, write_json
+import numpy as np
+import pytest
+
+from carleson_frames import FrameBoundEstimate
+from carleson_frames.reporting import canonical_json, format_float, jsonable, write_csv, write_json
 
 
 def test_format_float_round_trips():
@@ -37,3 +43,42 @@ def test_write_csv_rfc4180(tmp_path):
     assert rows[1] == ["1", format_float(1.0 / 3.0)]
     assert rows[2] == ["2", "inf"]
 
+
+
+class _Shade(Enum):
+    DARK = "dark"
+
+
+@dataclass(frozen=True)
+class _Row:
+    value: object
+    note: object = None  # a None default: left out while None
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        pytest.param(_Row(1), {"value": 1}, id="none-default-left-out"),
+        pytest.param(_Row(1, note=0.5), {"value": 1, "note": 0.5}, id="none-default-written-when-set"),
+        pytest.param(
+            FrameBoundEstimate(1.0, 2.0, 3, 0.0, None),
+            {"a_est": 1.0, "b_est": 2.0, "dimension": 3, "eig_residual": 0.0, "scheme": None},
+            id="scheme-null-kept",
+        ),
+        pytest.param(_Shade.DARK, "dark", id="enum"),
+        pytest.param((1, (2.5, "x"), [None]), [1, [2.5, "x"], [None]], id="tuple"),
+        pytest.param({"t": (math.inf, -math.inf, np.float64(math.inf))}, {"t": ["inf", "-inf", "inf"]}, id="inf"),
+        pytest.param(_Row(_Row(math.inf, _Shade.DARK)), {"value": {"value": "inf", "note": "dark"}}, id="nested"),
+        pytest.param(object(), TypeError, id="object"),
+        pytest.param(np.int64(1), TypeError, id="numpy-int"),
+    ],
+)
+def test_jsonable_rules(value, expected):
+    if expected is TypeError:
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            jsonable(value)
+        with pytest.raises(TypeError):
+            json.dumps(value)  # the same values json.dumps refuses
+    else:
+        assert jsonable(value) == expected
+        assert json.loads(canonical_json(value)) == expected

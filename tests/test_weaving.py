@@ -31,6 +31,7 @@ from carleson_frames import (
 from carleson_frames import cli, numerics
 from carleson_frames.numerics import complex_pow, complex_pow_table
 from carleson_frames.orbit import _progression_matrix, conjugate_by_powers, system_arrays
+from carleson_frames.reporting import canonical_json
 from oracles import brute_defect_sum, pointwise_tail_defect, xorshift64_reference
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
@@ -227,7 +228,7 @@ def test_find_weaving_index_input_validation():
 def test_weaving_result_serialization():
     a_est = frame_bounds(SYSTEM, SubsampleScheme(2), 30).a_est
     result = find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est, 0.5, 30)
-    data = result.to_jsonable()
+    data = json.loads(canonical_json(result))
     assert data["start_index"] == result.start_index
     assert data["verified_bounds"]["dimension"] == 30
     assert len(data["sweep"]) == result.start_index + 1
@@ -297,8 +298,7 @@ def test_weaving_result_serialization_matches_the_dataclass_fields():
     a_est = frame_bounds(SYSTEM, SubsampleScheme(2), 30).a_est
     result = find_weaving_index(SYSTEM, ExplicitPattern(2, (1, 0, 1, 1)), a_est, 0.5, 30)
     fields = dataclasses.asdict(result)  # every field, nested dataclasses as dicts
-    fields["sweep"] = [point.to_jsonable() for point in result.sweep]
-    assert json.dumps(result.to_jsonable()) == json.dumps(fields)
+    assert json.loads(canonical_json(result)) == json.loads(json.dumps(fields))
 
 
 def test_weave_reports_found_and_not_found(tmp_path):
@@ -309,14 +309,14 @@ def test_weave_reports_found_and_not_found(tmp_path):
     reference = frame_bounds(SYSTEM, SubsampleScheme(2), 40)
     result = find_weaving_index(SYSTEM, ConstantPattern(2, 1), reference.a_est)
     report = json.loads(found.read_text())["result"]
-    assert report == json.loads(
-        json.dumps(dict(result.to_jsonable(), found=True, reference_bounds=reference.to_jsonable()))
+    assert report == dict(
+        json.loads(canonical_json(result)), found=True, reference_bounds=json.loads(canonical_json(reference))
     )
     with pytest.raises(WeavingSearchError) as excinfo:
         find_weaving_index(SYSTEM, ConstantPattern(2, 1), reference.a_est, j_max=5)
     report = json.loads(missing.read_text())["result"]
     assert report["found"] is False and "start_index" not in report
-    assert report["sweep"] == [point.to_jsonable() for point in excinfo.value.sweep]
+    assert report["sweep"] == json.loads(canonical_json(excinfo.value.sweep))
 
 
 def _woven_by_rank_one_updates(system, pattern, start, dimension):
