@@ -47,7 +47,7 @@ from .orbit import (
     retilde_weights,
     sweep_bounds,
 )
-from .reporting import jsonable, write_csv, write_json
+from .reporting import shallow_jsonable, write_csv, write_json
 from .sequences import (
     ConstantWeights,
     ExplicitSequence,
@@ -103,6 +103,12 @@ def _integer(value) -> int:
 def _real(value) -> float:
     if isinstance(value, bool):
         raise TypeError(value)
+    return float(value)
+
+
+def _number(value) -> float:  # a config-file real: a JSON number only
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
 
@@ -175,7 +181,7 @@ def _require_keys(mapping: dict, allowed: set, context: str) -> None:
 
 
 def _parse_complex(value):
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
     if isinstance(value, str):
         try:
@@ -183,7 +189,7 @@ def _parse_complex(value):
         except ValueError as exc:
             raise ConfigError(f"cannot parse complex number from {value!r}") from exc
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_number(value[0]), _number(value[1]))
     raise ConfigError(f"cannot parse complex number from {value!r}")
 
 
@@ -202,11 +208,11 @@ def sequence_from_config(config: dict):
     kind = _config_kind(config, _SEQUENCE_KEYS, "sequence")
     try:
         if kind == "geometric":
-            return GeometricApproach(float(config["alpha"]))
+            return GeometricApproach(_number(config["alpha"]))
         if kind == "explicit":
             return ExplicitSequence(tuple(_parse_complex(v) for v in config["values"]))
         if kind == "two_point":
-            return TwoPointAugmented(float(config["q"]), sequence_from_config(config["base"]))
+            return TwoPointAugmented(_number(config["q"]), sequence_from_config(config["base"]))
         return PowerSequence(sequence_from_config(config["base"]), _integer(config["exponent"]))
     except (KeyError, TypeError, ValueError, InvariantViolation) as exc:
         raise ConfigError(f"invalid sequence config: {exc}") from exc
@@ -219,8 +225,8 @@ def weights_from_config(config: dict):
             return ConstantWeights(_parse_complex(config["value"]))
         return ExplicitWeights(
             tuple(_parse_complex(v) for v in config["values"]),
-            float(config["c1"]),
-            float(config["c2"]),
+            _number(config["c1"]),
+            _number(config["c2"]),
         )
     except (KeyError, TypeError, ValueError, InvariantViolation) as exc:
         raise ConfigError(f"invalid weights config: {exc}") from exc
@@ -419,7 +425,7 @@ def _cmd_weave(resolved: dict) -> tuple:
         f"predicted lower bound={result.predicted_lower_bound:.17g}  "
         f"verified lambda_min={result.verified_bounds.a_est:.17g}"
     )
-    return EXIT_OK, dict(jsonable(result), found=True, reference_bounds=reference)
+    return EXIT_OK, dict(shallow_jsonable(result), found=True, reference_bounds=reference)
 
 
 def _cmd_adversary(resolved: dict) -> tuple:
@@ -434,7 +440,7 @@ def _cmd_adversary(resolved: dict) -> tuple:
         print(f"adversarial construction failed: {exc}")
         return EXIT_ANALYSIS, {"built": False, "message": str(exc)}
     deviation = reverify_certificate(oracle, certificate)
-    payload = dict(jsonable(certificate), built=True, reverification_deviation=deviation)
+    payload = dict(shallow_jsonable(certificate), built=True, reverification_deviation=deviation)
     if p["estimate_dimension"] > 0:
         payload["picked_lower_bound_estimate"] = estimate_subsequence_lower_bound(
             oracle, certificate.picked_indices, p["estimate_dimension"]

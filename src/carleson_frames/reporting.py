@@ -1,10 +1,11 @@
-"""Serialization helpers: `jsonable`, the one conversion of result dataclasses
-to JSON, canonical JSON, RFC-4180 CSV at 17 significant digits (round-trip
-safe), and atomic file writes (temp + rename)."""
+"""Serialization helpers: `shallow_jsonable` and `jsonable`, the conversion of
+result dataclasses to JSON, one-line canonical JSON, RFC-4180 CSV at 17
+significant digits (round-trip safe), and atomic file writes (temp + rename)."""
 
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -27,11 +28,23 @@ def _fields(cls) -> tuple:
     return tuple((f.name, f.default is None) for f in dataclasses.fields(cls))
 
 
+def shallow_jsonable(value):
+    """One level of `jsonable`, and the encoder's `default` hook: a dataclass
+    becomes the dict of its fields, without a None field whose declared default
+    is None and with a non-finite float field as its `format_float` text; an
+    enum becomes its value; anything else raises TypeError, as `json.dumps` does."""
+    if isinstance(value, Enum):
+        return value.value
+    return {  # a dataclass; `_fields` raises TypeError for any other type
+        name: format_float(item) if isinstance(item, float) and not math.isfinite(item) else item
+        for name, optional in _fields(type(value))
+        if (item := getattr(value, name)) is not None or not optional
+    }
+
+
 def jsonable(value):
-    """The JSON form of a report value: a dataclass becomes the object of its
-    fields, without a field whose declared default is None while it is None;
-    an enum becomes its value, a tuple a list, a non-finite float its
-    `format_float` text ("inf"); anything else raises TypeError, as `json.dumps` does."""
+    """The JSON form of a report value: `shallow_jsonable` at every level, each
+    tuple as a list and each non-finite float as its `format_float` text."""
     if isinstance(value, float):
         return value if math.isfinite(value) else format_float(value)
     if value is None or isinstance(value, (str, int)):  # bool is an int
@@ -40,39 +53,37 @@ def jsonable(value):
         return [jsonable(item) for item in value]
     if isinstance(value, dict):
         return {key: jsonable(item) for key, item in value.items()}
-    if isinstance(value, Enum):
-        return value.value
-    return {  # a dataclass; `_fields` raises TypeError for any other type
-        name: jsonable(item)
-        for name, optional in _fields(type(value))
-        if (item := getattr(value, name)) is not None or not optional
-    }
+    return jsonable(shallow_jsonable(value))
+
+
+_CANONICAL = {"sort_keys": True, "ensure_ascii": True, "allow_nan": False, "separators": (",", ":")}
 
 
 def canonical_json(data) -> str:
-    """Deterministic JSON of `jsonable(data)`: sorted keys, indent 2, final newline."""
-    return json.dumps(jsonable(data), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
-
-
-def _atomic_write(path: str, write) -> None:
-    """Call write(handle) on a temp file next to `path`, then rename it over
-    `path`; line endings are written as given."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    handle = tempfile.NamedTemporaryFile(
-        mode="w", encoding="utf-8", newline="", dir=directory, delete=False, suffix=".tmp"
-    )
+    """`jsonable(data)` as one line of sorted-key JSON plus a newline. The encoder
+    converts each object where it meets it; only a non-finite float outside a
+    dataclass field makes it raise and convert the whole document first."""
     try:
-        with handle:
-            write(handle)
-        os.replace(handle.name, path)
+        return json.dumps(data, default=shallow_jsonable, **_CANONICAL) + "\n"
+    except ValueError:
+        return json.dumps(jsonable(data), **_CANONICAL) + "\n"
+
+
+def _atomic_write(path: str, text: str) -> None:
+    """Write `text` to a temp file next to `path`, then rename it over `path`;
+    line endings are written as given."""
+    descriptor, temp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with open(descriptor, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(temp, path)
     except BaseException:
-        os.unlink(handle.name)
+        os.unlink(temp)
         raise
 
 
 def write_json(path: str, data) -> None:
-    text = canonical_json(data)
-    _atomic_write(path, lambda handle: handle.write(text))
+    _atomic_write(path, canonical_json(data))
 
 
 def _cell(value) -> str:
@@ -87,11 +98,8 @@ def _cell(value) -> str:
 
 def write_csv(path: str, header, rows) -> None:
     """RFC-4180 CSV ('.' decimal separator, CRLF, minimal quoting)."""
-
-    def write(handle):
-        writer = csv.writer(handle, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(value) for value in row])
-
-    _atomic_write(path, write)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([_cell(value) for value in row] for row in rows)
+    _atomic_write(path, buffer.getvalue())

@@ -332,6 +332,16 @@ MALFORMED_CONFIGS = (
     ("subsample-sweep", {"params": {"strides": [1, 2.5]}}, "cannot parse strides (--N)"),
     ("subsample-sweep", {"params": {"starts": [True]}}, "cannot parse starts (--K)"),
     ("check-carleson", {"sequence": dict(SQUARED_TWO_POINT, exponent=2.7)}, "invalid sequence config"),
+    ("check-carleson", {"sequence": {"kind": "geometric", "alpha": "2"}}, "invalid sequence config"),
+    ("check-carleson", {"sequence": {"kind": "geometric", "alpha": True}}, "invalid sequence config"),
+    ("check-carleson", {"sequence": dict(SQUARED_TWO_POINT["base"], q="0.3")}, "invalid sequence config"),
+    ("check-carleson", {"sequence": {"kind": "explicit", "values": [[0.5, False]]}}, "invalid sequence config"),
+    ("bounds", {"sequence": {"kind": "explicit", "values": [0.5, True]}}, "invalid sequence config"),
+    ("bounds", {"weights": {"kind": "explicit", "values": [1.0, 2.0, 1.5], "c1": True, "c2": 2.0}},
+     "invalid weights config"),
+    ("bounds", {"weights": {"kind": "explicit", "values": [1.0, 2.0, 1.5], "c1": 1.0, "c2": "2"}},
+     "invalid weights config"),
+    ("bounds", {"weights": {"kind": "constant", "value": True}}, "invalid weights config"),
 )
 
 

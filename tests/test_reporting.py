@@ -19,9 +19,9 @@ def test_format_float_round_trips():
 
 
 def test_canonical_json_is_sorted_and_newline_terminated():
-    text = canonical_json({"b": 1, "a": [1.5, 2]})
-    assert text.endswith("\n")
-    assert text.index('"a"') < text.index('"b"')
+    assert canonical_json({"b": 1, "a": [1.5, 2], "c": {"z": 0.1, "y": "\u00e9"}}) == (
+        '{"a":[1.5,2],"b":1,"c":{"y":"\\u00e9","z":0.1}}\n'
+    )
 
 
 def test_write_json_atomic(tmp_path):
@@ -31,6 +31,16 @@ def test_write_json_atomic(tmp_path):
     assert json.loads(path.read_text()) == {"x": 0.1}
     leftovers = [p for p in path.parent.iterdir() if p.suffix == ".tmp"]
     assert not leftovers
+
+
+def test_failed_write_leaves_no_temp_file_and_keeps_the_old_file(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(str(path), ("n",), [(1,)])
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate has no UTF-8 form
+        write_csv(str(path), ("\ud800",), [(2,)])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 def test_write_csv_rfc4180(tmp_path):
@@ -68,6 +78,8 @@ class _Row:
         pytest.param(_Shade.DARK, "dark", id="enum"),
         pytest.param((1, (2.5, "x"), [None]), [1, [2.5, "x"], [None]], id="tuple"),
         pytest.param({"t": (math.inf, -math.inf, np.float64(math.inf))}, {"t": ["inf", "-inf", "inf"]}, id="inf"),
+        pytest.param([math.inf], ["inf"], id="top-level-list-inf"),
+        pytest.param(_Row(math.nan, (math.nan,)), {"value": "nan", "note": ["nan"]}, id="nan"),
         pytest.param(_Row(_Row(math.inf, _Shade.DARK)), {"value": {"value": "inf", "note": "dark"}}, id="nested"),
         pytest.param(object(), TypeError, id="object"),
         pytest.param(np.int64(1), TypeError, id="numpy-int"),
@@ -77,8 +89,13 @@ def test_jsonable_rules(value, expected):
     if expected is TypeError:
         with pytest.raises(TypeError, match="not JSON serializable"):
             jsonable(value)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            canonical_json(value)
         with pytest.raises(TypeError):
             json.dumps(value)  # the same values json.dumps refuses
     else:
         assert jsonable(value) == expected
-        assert json.loads(canonical_json(value)) == expected
+        text = canonical_json(value)
+        assert json.loads(text) == expected
+        assert text.endswith("\n") and "\n" not in text[:-1]
+        assert "NaN" not in text and "Infinity" not in text
