@@ -47,7 +47,7 @@ from .orbit import (
     retilde_weights,
     sweep_bounds,
 )
-from .reporting import shallow_jsonable, write_csv, write_json
+from .reporting import jsonable, write_csv, write_json
 from .sequences import (
     ConstantWeights,
     ExplicitSequence,
@@ -214,7 +214,7 @@ def sequence_from_config(config: dict):
         if kind == "two_point":
             return TwoPointAugmented(_number(config["q"]), sequence_from_config(config["base"]))
         return PowerSequence(sequence_from_config(config["base"]), _integer(config["exponent"]))
-    except (KeyError, TypeError, ValueError, InvariantViolation) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvariantViolation) as exc:
         raise ConfigError(f"invalid sequence config: {exc}") from exc
 
 
@@ -228,7 +228,7 @@ def weights_from_config(config: dict):
             _number(config["c1"]),
             _number(config["c2"]),
         )
-    except (KeyError, TypeError, ValueError, InvariantViolation) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvariantViolation) as exc:
         raise ConfigError(f"invalid weights config: {exc}") from exc
 
 
@@ -278,7 +278,7 @@ def _resolve_params(args, command: str, file_params: dict) -> dict:
             raw = file_params.get(row.name, row.default)
         try:
             value = row.cast(raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"cannot parse {row.name} ({row.flag}) from {raw!r}") from exc
         if row.valid is not None and not row.valid[1](value):
             raise ConfigError(f"{row.name} ({row.flag}) must be {row.valid[0]}, got {value!r}")
@@ -425,7 +425,7 @@ def _cmd_weave(resolved: dict) -> tuple:
         f"predicted lower bound={result.predicted_lower_bound:.17g}  "
         f"verified lambda_min={result.verified_bounds.a_est:.17g}"
     )
-    return EXIT_OK, dict(shallow_jsonable(result), found=True, reference_bounds=reference)
+    return EXIT_OK, dict(jsonable(result), found=True, reference_bounds=reference)
 
 
 def _cmd_adversary(resolved: dict) -> tuple:
@@ -440,7 +440,7 @@ def _cmd_adversary(resolved: dict) -> tuple:
         print(f"adversarial construction failed: {exc}")
         return EXIT_ANALYSIS, {"built": False, "message": str(exc)}
     deviation = reverify_certificate(oracle, certificate)
-    payload = dict(shallow_jsonable(certificate), built=True, reverification_deviation=deviation)
+    payload = dict(jsonable(certificate), built=True, reverification_deviation=deviation)
     if p["estimate_dimension"] > 0:
         payload["picked_lower_bound_estimate"] = estimate_subsequence_lower_bound(
             oracle, certificate.picked_indices, p["estimate_dimension"]

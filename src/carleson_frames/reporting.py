@@ -1,6 +1,6 @@
-"""Serialization helpers: `shallow_jsonable` and `jsonable`, the conversion of
-result dataclasses to JSON, one-line canonical JSON, RFC-4180 CSV at 17
-significant digits (round-trip safe), and atomic file writes (temp + rename)."""
+"""Serialization helpers: `jsonable`, the one conversion of result dataclasses
+to JSON, one-line canonical JSON, RFC-4180 CSV at 17 significant digits
+(round-trip safe), and atomic file writes (temp + rename)."""
 
 import csv
 import dataclasses
@@ -28,23 +28,11 @@ def _fields(cls) -> tuple:
     return tuple((f.name, f.default is None) for f in dataclasses.fields(cls))
 
 
-def shallow_jsonable(value):
-    """One level of `jsonable`, and the encoder's `default` hook: a dataclass
-    becomes the dict of its fields, without a None field whose declared default
-    is None and with a non-finite float field as its `format_float` text; an
-    enum becomes its value; anything else raises TypeError, as `json.dumps` does."""
-    if isinstance(value, Enum):
-        return value.value
-    return {  # a dataclass; `_fields` raises TypeError for any other type
-        name: format_float(item) if isinstance(item, float) and not math.isfinite(item) else item
-        for name, optional in _fields(type(value))
-        if (item := getattr(value, name)) is not None or not optional
-    }
-
-
 def jsonable(value):
-    """The JSON form of a report value: `shallow_jsonable` at every level, each
-    tuple as a list and each non-finite float as its `format_float` text."""
+    """The JSON form of a report value: a dataclass becomes the object of its
+    fields, without a field whose declared default is None while it is None;
+    an enum becomes its value, a tuple a list, a non-finite float its
+    `format_float` text ("inf"); anything else raises TypeError, as `json.dumps` does."""
     if isinstance(value, float):
         return value if math.isfinite(value) else format_float(value)
     if value is None or isinstance(value, (str, int)):  # bool is an int
@@ -53,20 +41,21 @@ def jsonable(value):
         return [jsonable(item) for item in value]
     if isinstance(value, dict):
         return {key: jsonable(item) for key, item in value.items()}
-    return jsonable(shallow_jsonable(value))
-
-
-_CANONICAL = {"sort_keys": True, "ensure_ascii": True, "allow_nan": False, "separators": (",", ":")}
+    if isinstance(value, Enum):
+        return value.value
+    return {  # a dataclass; `_fields` raises TypeError for any other type
+        name: jsonable(item)
+        for name, optional in _fields(type(value))
+        if (item := getattr(value, name)) is not None or not optional
+    }
 
 
 def canonical_json(data) -> str:
-    """`jsonable(data)` as one line of sorted-key JSON plus a newline. The encoder
-    converts each object where it meets it; only a non-finite float outside a
-    dataclass field makes it raise and convert the whole document first."""
-    try:
-        return json.dumps(data, default=shallow_jsonable, **_CANONICAL) + "\n"
-    except ValueError:
-        return json.dumps(jsonable(data), **_CANONICAL) + "\n"
+    """`jsonable(data)` as one line of sorted-key JSON plus a newline, written
+    by Python's C encoder (pretty-printing would switch it off)."""
+    return json.dumps(
+        jsonable(data), sort_keys=True, ensure_ascii=True, allow_nan=False, separators=(",", ":")
+    ) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -342,6 +342,10 @@ MALFORMED_CONFIGS = (
     ("bounds", {"weights": {"kind": "explicit", "values": [1.0, 2.0, 1.5], "c1": 1.0, "c2": "2"}},
      "invalid weights config"),
     ("bounds", {"weights": {"kind": "constant", "value": True}}, "invalid weights config"),
+    # a 400-digit JSON integer has no float form
+    ("check-carleson", {"sequence": {"kind": "geometric", "alpha": 10**400}}, "invalid sequence config"),
+    ("bounds", {"weights": {"kind": "constant", "value": 10**400}}, "invalid weights config"),
+    ("bounds", {"params": {"tol": 10**400}}, "cannot parse tol (--tol)"),
 )
 
 
