@@ -21,7 +21,7 @@ from typing import Protocol
 import numpy as np
 
 from .numerics import DEFAULT_EIG_TOL, complex_pow, compensated_sum
-from .orbit import OrbitSystem, bounds_from_matrix, system_arrays
+from .orbit import OrbitSystem, _bounds, system_arrays
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -253,8 +253,7 @@ def estimate_subsequence_lower_bound(
         raise ValueError("index family must not be empty")
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
-    # passed on unnamed: only its validated copy lives through the eigensolve
-    return bounds_from_matrix(_family_operator(oracle, index_list, dimension), tol).a_est
+    return _bounds(_family_operator(oracle, index_list, dimension), tol).a_est
 
 
 def _family_operator(oracle: FrameOracle, index_list, dimension: int) -> np.ndarray:

@@ -42,7 +42,7 @@ from .orbit import (
     DEFAULT_EIG_TOL,
     OrbitSystem,
     SubsampleScheme,
-    bounds_from_matrix,
+    _bounds,
     frame_bounds,
     retilde_weights,
     sweep_bounds,
@@ -201,6 +201,8 @@ def _config_kind(config, kinds: dict, what: str) -> str:
     if kind not in kinds:
         raise ConfigError(f"unknown {what} kind {kind!r}")
     _require_keys({k: v for k, v in config.items() if k != "kind"}, kinds[kind], what)
+    if not isinstance(config.get("values", []), list):  # a string would be read one character a point
+        raise ConfigError(f"invalid {what} config: values must be a JSON list, got {config['values']!r}")
     return kind
 
 
@@ -540,8 +542,7 @@ def _reproduction_checks(dimension: int) -> list:
             result.verified_bounds.a_est >= result.predicted_lower_bound - 1e-8
         )
         # empirical probe of the J=0 weaving question: reported, never asserted
-        j0_matrix = woven_frame_operator(system, ConstantPattern(stride, 1), 0, dimension)
-        j0_bounds = bounds_from_matrix(j0_matrix)
+        j0_bounds = _bounds(woven_frame_operator(system, ConstantPattern(stride, 1), 0, dimension))
         checks.append(
             {
                 "name": f"weaving-index-N-{stride}",

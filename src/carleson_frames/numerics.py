@@ -2,7 +2,7 @@
 correctly rounded summation, and integer powers that stay accurate near the
 unit circle.
 
-Everything here operates on immutable inputs and is safe to call
+The public functions never write their inputs and are safe to call
 concurrently; sums are correctly rounded, so they do not depend on the order
 of their terms.
 """
@@ -32,41 +32,51 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Dense Hermitian matrix, validated at assembly.
-
-    The stored dtype follows the data: float64 when the input is real or its
-    imaginary part is identically zero (real symmetric, so the eigensolver
-    runs the real LAPACK driver), complex128 otherwise. Conjugate symmetry
-    must hold entrywise within four units in the last place of the largest
-    entry; anything worse raises NonHermitianError. An infinite or NaN entry
-    raises EigensolverError, since no eigenvalue of such a matrix means
-    anything. The stored array is made read-only. Both checks read the copy
-    in blocks of at most _CHUNK_TERMS entries, so they add no matrix-sized
-    temporary; the symmetry check reads only the upper triangle's strips.
-    """
+    """Dense Hermitian matrix, validated at assembly: the stored array is a
+    read-only `_private_copy` of the data that passed `_check_hermitian`."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.data)
-        if np.iscomplexobj(a) and not np.any(a.imag):
-            a = a.real
-        a = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64, copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NonHermitianError(f"expected a square matrix, got shape {a.shape}")
-        if a.size:
-            blocks = _row_blocks(a.shape[0], a.shape[0])
-            # np.max propagates NaN, so a NaN anywhere makes the scale NaN
-            scale = float(np.max([np.abs(a[rows]).max() for rows in blocks]))
-            if not math.isfinite(scale):
-                raise EigensolverError(f"matrix has a non-finite entry (largest modulus {scale!r})")
-            deviation = _hermitian_deviation(a, blocks)
-            if deviation > 4.0 * _EPS * max(scale, np.finfo(np.float64).tiny):
-                raise NonHermitianError(
-                    f"hermitian deviation {deviation:.3e} exceeds 4 ulps of scale {scale:.3e}"
-                )
+        a = _check_hermitian(_private_copy(self.data))
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
+
+
+def _real_part_if_real(a: np.ndarray) -> np.ndarray:
+    """`a.real`, a strided view, if `a` is complex with a zero imaginary part."""
+    return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
+
+
+def _private_copy(matrix) -> np.ndarray:
+    """A C-contiguous copy, float64 if `matrix` is real or its imaginary part zero."""
+    a = _real_part_if_real(np.asarray(matrix))
+    return np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64, order="C")
+
+
+def _check_hermitian(a: np.ndarray) -> np.ndarray:
+    """`a`, read in place; raises unless it is a square, finite Hermitian matrix.
+
+    An infinite or NaN entry raises EigensolverError (no eigenvalue of such a
+    matrix means anything); a deviation from conjugate symmetry beyond four
+    ulps of the largest entry raises NonHermitianError. Both checks read `a`
+    in blocks of at most _CHUNK_TERMS entries, the symmetry check only the
+    upper strips, so they add no matrix-sized temporary.
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonHermitianError(f"expected a square matrix, got shape {a.shape}")
+    if a.size:
+        blocks = _row_blocks(a.shape[0], a.shape[0])
+        # np.max propagates NaN, so a NaN anywhere makes the scale NaN
+        scale = float(np.max([np.abs(a[rows]).max() for rows in blocks]))
+        if not math.isfinite(scale):
+            raise EigensolverError(f"matrix has a non-finite entry (largest modulus {scale!r})")
+        deviation = _hermitian_deviation(a, blocks)
+        if deviation > 4.0 * _EPS * max(scale, np.finfo(np.float64).tiny):
+            raise NonHermitianError(
+                f"hermitian deviation {deviation:.3e} exceeds 4 ulps of scale {scale:.3e}"
+            )
+    return a
 
 
 def _row_blocks(count: int, width: int) -> list:
@@ -104,12 +114,18 @@ def extremal_eigenvalues(matrix, tol: float = DEFAULT_EIG_TOL) -> ExtremalEigenv
     algorithm behind it: the eigenvalues come from LAPACK without
     eigenvectors, and each v comes from inverse iteration, solves with S
     shifted just outside the spectrum at that extreme: one solve each, more
-    only while the residual is above ``tol``.
+    only while the residual is above ``tol``; all on one private copy of `matrix`.
     """
+    return _extremes(_private_copy(matrix.data if isinstance(matrix, HermitianMatrix) else matrix), tol)
+
+
+def _extremes(s: np.ndarray, tol: float) -> ExtremalEigenvalues:
+    """`extremal_eigenvalues` of an operator the package owns, checked, solved
+    and certified in its own buffer, which is left overwritten. A complex `s`
+    with a zero imaginary part gives way to a C-contiguous copy of its real part."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    herm = matrix if isinstance(matrix, HermitianMatrix) else HermitianMatrix(matrix)
-    s = herm.data
+    s = _check_hermitian(np.asarray(_real_part_if_real(s), order="C"))
     try:
         eigvals = np.linalg.eigvalsh(s)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -138,13 +154,12 @@ def _certificate(s: np.ndarray, lo: float, hi: float, norm: float, tol: float) -
     deterministic. One step meets the default tol; while the residual is
     above tol, the next step refines v, and a solve that meets an exactly
     zero pivot (the shift is an eigenvalue to working precision) is
-    repeated with the shift doubled. The shifted matrix lives in one buffer
-    whose diagonal is restored after each solve.
+    repeated with the shift doubled. `s`, C-contiguous, is scaled and shifted
+    in place; each solve restores its diagonal.
     """
     e = -math.frexp(norm)[1]
-    shifted = np.array(s, copy=True)
-    np.ldexp(shifted.view(np.float64), e, out=shifted.view(np.float64))
-    diagonal = shifted.reshape(-1)[:: s.shape[0] + 1]  # a view into the buffer
+    np.ldexp(s.view(np.float64), e, out=s.view(np.float64))
+    diagonal = s.reshape(-1)[:: s.shape[0] + 1]  # a view into the buffer
     saved = diagonal.copy()
     norm = math.ldexp(norm, e)
     start = (np.arange(1, s.shape[0] + 1) * _GOLDEN) % 1.0 - 0.5
@@ -155,7 +170,7 @@ def _certificate(s: np.ndarray, lo: float, hi: float, norm: float, tol: float) -
         for _ in range(_INVERSE_STEPS):
             diagonal[:] = saved - (lam + side * gap)
             try:
-                x = np.linalg.solve(shifted, v)
+                x = np.linalg.solve(s, v)
             except np.linalg.LinAlgError as exc:
                 failure = exc
                 gap *= 2.0
@@ -163,7 +178,7 @@ def _certificate(s: np.ndarray, lo: float, hi: float, norm: float, tol: float) -
             finally:
                 diagonal[:] = saved
             v = x / np.linalg.norm(x)
-            residual = float(np.linalg.norm(shifted @ v - lam * v)) / norm
+            residual = float(np.linalg.norm(s @ v - lam * v)) / norm
             if not residual > tol:  # met, or NaN
                 break
         if residual is None:

@@ -24,11 +24,12 @@ import numpy as np
 from .numerics import (
     DEFAULT_EIG_TOL,
     EigensolverError,
-    HermitianMatrix,
+    _extremes,
+    _private_copy,
     _row_blocks,
     complex_pow,
     compensated_sum,
-    extremal_eigenvalues,
+    extremal_eigenvalues,  # orbit's name for it, which bench/test_bench.py reads
     one_minus_pow,
 )
 from .sequences import InvariantViolation, LambdaSequence, Weights, _outside_disc, validate
@@ -180,7 +181,7 @@ def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:
             # 1 - w = g_m + g_n - g_m g_n exactly, hence 1 - w^step via gap powers
             h = np.add.outer(gaps[rows], gaps) - np.outer(gaps[rows], gaps)
             denominator = one_minus_pow(h, step)
-            # subnormal gaps can overflow the quotient; HermitianMatrix rejects
+            # subnormal gaps can overflow the quotient; the eigen stage rejects
             # the inf or NaN entries that result
             with np.errstate(over="ignore", invalid="ignore"):
                 out[rows] = coeffs * (1.0 / denominator)
@@ -205,7 +206,7 @@ def conjugate_by_powers(operator: np.ndarray, arrays: SystemArrays, exponent: in
     d = complex_pow(arrays.lam.real if arrays.real_positive else arrays.lam, exponent)
     conj_d = d.conj()
     # an inf entry from an overflowed base times an underflowed power is NaN,
-    # which HermitianMatrix rejects
+    # which the eigen stage rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_blocks(d.size, d.size):
             operator[rows] *= np.outer(d[rows], conj_d)
@@ -233,11 +234,15 @@ def bounds_from_matrix(
     """Extremal eigenvalues of an assembled M x M frame operator, PSD-checked.
 
     Eigenvalues within -tol * ||S|| of zero are clamped to 0; anything more
-    negative means the matrix is not a frame operator and raises. Only the
-    validated copy is kept through the eigensolve, unless the caller keeps
-    the raw matrix."""
-    matrix = HermitianMatrix(matrix)
-    extremes = extremal_eigenvalues(matrix, tol)
+    negative means the matrix is not a frame operator and raises. The work
+    runs on one private copy; the caller's matrix is never written."""
+    return _bounds(_private_copy(matrix), tol, scheme)
+
+
+def _bounds(operator: np.ndarray, tol=DEFAULT_EIG_TOL, scheme=None) -> FrameBoundEstimate:
+    """`bounds_from_matrix` of an operator the package just assembled, in its
+    own buffer, which `_extremes` checks, solves and certifies in place."""
+    extremes = _extremes(operator, tol)
     scale = max(abs(extremes.lambda_min), abs(extremes.lambda_max))
     if extremes.lambda_min < -tol * scale:
         raise EigensolverError(
@@ -246,7 +251,7 @@ def bounds_from_matrix(
     return FrameBoundEstimate(
         a_est=max(0.0, extremes.lambda_min),
         b_est=extremes.lambda_max,
-        dimension=matrix.data.shape[0],
+        dimension=operator.shape[0],
         eig_residual=extremes.residual,
         scheme=scheme,
     )
@@ -259,7 +264,7 @@ def frame_bounds(
     tol: float = DEFAULT_EIG_TOL,
 ) -> FrameBoundEstimate:
     """Truncated frame-bound estimates (A_est, B_est) for one subsample scheme."""
-    return bounds_from_matrix(frame_operator_matrix(system, scheme, dimension), tol, scheme)
+    return _bounds(frame_operator_matrix(system, scheme, dimension), tol, scheme)
 
 
 def sweep_bounds(
@@ -283,8 +288,7 @@ def sweep_bounds(
         for start in starts:
             for offset in range(stride):
                 scheme = SubsampleScheme(stride, offset, start)
-                # passed on unnamed: only its validated copy lives through the eigensolve
-                estimates.append(bounds_from_matrix(
+                estimates.append(_bounds(
                     conjugate_by_powers(base.copy(), arrays, scheme.exponent(start)), tol, scheme
                 ))
     return estimates

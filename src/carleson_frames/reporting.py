@@ -9,7 +9,6 @@ import io
 import json
 import math
 import os
-import tempfile
 from enum import Enum
 
 import numpy as np
@@ -59,9 +58,11 @@ def canonical_json(data) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write `text` to a temp file next to `path`, then rename it over `path`;
-    line endings are written as given."""
-    descriptor, temp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(os.path.abspath(path)))
+    """Write `text` to a new temp file next to `path` (mode 0o666 less the umask,
+    as `open` gives), then rename it over `path`; line endings are written as given."""
+    temp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"  # O_EXCL: never an existing file
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    descriptor = os.open(temp, flags, 0o666)
     try:
         with open(descriptor, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

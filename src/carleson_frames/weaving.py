@@ -27,7 +27,7 @@ from .orbit import (
     DEFAULT_EIG_TOL,
     FrameBoundEstimate,
     OrbitSystem,
-    bounds_from_matrix,
+    _bounds,
     conjugate_by_powers,
     phi_norm_squared,
     system_arrays,
@@ -370,7 +370,7 @@ def find_weaving_index(
         )
     defect = sweep[-1].value + sweep[-1].truncation_bound
     predicted = (math.sqrt(a_est) - math.sqrt(defect)) ** 2
-    verified = bounds_from_matrix(woven_frame_operator(system, pattern, found, dimension), tol)
+    verified = _bounds(woven_frame_operator(system, pattern, found, dimension), tol)
     return WeavingResult(
         start_index=found,
         defect=defect,

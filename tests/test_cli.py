@@ -337,6 +337,10 @@ MALFORMED_CONFIGS = (
     ("check-carleson", {"sequence": dict(SQUARED_TWO_POINT["base"], q="0.3")}, "invalid sequence config"),
     ("check-carleson", {"sequence": {"kind": "explicit", "values": [[0.5, False]]}}, "invalid sequence config"),
     ("bounds", {"sequence": {"kind": "explicit", "values": [0.5, True]}}, "invalid sequence config"),
+    # a string is no list of points, not even of one-character ones
+    ("bounds", {"sequence": {"kind": "explicit", "values": "0"}}, "invalid sequence config"),
+    ("bounds", {"weights": {"kind": "explicit", "values": "12", "c1": 1.0, "c2": 2.0}},
+     "invalid weights config"),
     ("bounds", {"weights": {"kind": "explicit", "values": [1.0, 2.0, 1.5], "c1": True, "c2": 2.0}},
      "invalid weights config"),
     ("bounds", {"weights": {"kind": "explicit", "values": [1.0, 2.0, 1.5], "c1": 1.0, "c2": "2"}},

@@ -447,6 +447,58 @@ def test_assembly_memory_is_one_operator_plus_blocks():
         assert peak <= operator.nbytes + 8 * block
 
 
+def _read_only(matrix):
+    matrix = matrix.copy()
+    matrix.setflags(write=False)
+    return matrix
+
+
+CALLER_LAYOUTS = {
+    "c_order": np.copy,
+    "fortran_order": np.asfortranarray,
+    "read_only": _read_only,
+    "complex_zero_imaginary": lambda matrix: matrix.astype(np.complex128),
+}
+PUBLIC_EIGEN_ENTRIES = {
+    "bounds_from_matrix": orbit.bounds_from_matrix,
+    "extremal_eigenvalues": numerics.extremal_eigenvalues,
+    "HermitianMatrix": lambda matrix: numerics.HermitianMatrix(matrix).data,
+}
+
+
+def _bits(result):
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.shape, result.tobytes()
+    return repr(result)  # floats print round-trip exact
+
+
+@pytest.mark.parametrize("entry", PUBLIC_EIGEN_ENTRIES)
+@pytest.mark.parametrize("layout", CALLER_LAYOUTS)
+def test_public_eigen_entries_never_write_the_callers_matrix(layout, entry):
+    s = frame_operator_matrix(SYSTEM, SubsampleScheme(2, 1, 0), 40)
+    given = CALLER_LAYOUTS[layout](s)
+    before = (given.dtype, given.flags.writeable, given.tobytes(order="A"))
+    result = PUBLIC_EIGEN_ENTRIES[entry](given)
+    assert (given.dtype, given.flags.writeable, given.tobytes(order="A")) == before
+    fresh = np.array(s, dtype=np.float64, order="C")
+    assert _bits(result) == _bits(PUBLIC_EIGEN_ENTRIES[entry](fresh))
+
+
+def test_public_eigen_entries_hold_one_copy_of_the_operator():
+    # tracemalloc sees the package's arrays, not LAPACK's working copies:
+    # the one private copy plus vectors and blocks, no second operator
+    system = OrbitSystem(GeometricApproach(1.6), ConstantWeights(1.0))
+    s = frame_operator_matrix(system, SubsampleScheme(2, 1, 0), 800)
+    for entry in (orbit.bounds_from_matrix, numerics.extremal_eigenvalues):
+        tracemalloc.start()
+        try:
+            entry(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * s.nbytes, entry.__name__
+
+
 @pytest.mark.parametrize("weights,dim", [(1e-160, 1), (1e150, 40)])
 def test_frame_bounds_at_extreme_scales(weights, dim):
     # a subnormal 1 x 1 operator and one whose entries reach 1e300: the

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,6 +43,18 @@ def test_failed_write_leaves_no_temp_file_and_keeps_the_old_file(tmp_path):
         write_csv(str(path), ("\ud800",), [(2,)])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_reports_follow_the_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        write_json(str(tmp_path / "report.json"), {"x": 1})
+        write_csv(str(tmp_path / "table.csv"), ("n",), [(1,)])
+    finally:
+        os.umask(previous)
+    for name in ("report.json", "table.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
 
 
 def test_write_csv_rfc4180(tmp_path):
