@@ -15,8 +15,8 @@ deterministic and reproducible.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Protocol
+from dataclasses import dataclass, field
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -39,6 +39,15 @@ class FrameOracle(Protocol):
         ...
 
 
+class _HeldCoordinates(NamedTuple):
+    """The held window of an orbit system as Python numbers, 0-based."""
+
+    lam: list
+    phi: list
+    gaps: list
+    moduli: list  # |m_j|
+
+
 @dataclass(frozen=True)
 class OrbitFrameOracle:
     """Oracle for the orbit frame {T^k phi}_{k>=0} of an orbit system.
@@ -47,26 +56,61 @@ class OrbitFrameOracle:
     sum to |m_j|^2 |lambda_j|^(2K) by geometric summation; both closed forms
     stay accurate deep into the basis via modulus gaps. A query at basis
     index j reads the validated window of the first j coordinates, which
-    grows by doubling (see `system_arrays`).
+    grows by doubling (see `system_arrays`); the oracle converts the held
+    window to Python numbers once per growth and answers from them.
     """
 
     system: OrbitSystem
+    _held: _HeldCoordinates | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _coordinates(self, basis_index: int) -> _HeldCoordinates:
+        held = self._held
+        if held is None or not 0 < basis_index <= len(held.lam):
+            system_arrays(self.system, basis_index)  # grows the system's window, or raises
+            window = self.system._window
+            held = _HeldCoordinates(
+                window.lam.tolist(),
+                window.phi.tolist(),
+                window.gaps.tolist(),
+                np.hypot(window.weights.real, window.weights.imag).tolist(),  # abs() of each
+            )
+            object.__setattr__(self, "_held", held)
+        return held
 
     def coefficient(self, basis_index: int, frame_index: int) -> complex:
         if frame_index < 0:
             raise IndexError("frame indices start at 0")
-        arrays = system_arrays(self.system, basis_index)
-        lam = complex(arrays.lam[basis_index - 1])
-        return complex(arrays.phi[basis_index - 1]) * complex_pow(lam, frame_index)
+        held = self._coordinates(basis_index)
+        return held.phi[basis_index - 1] * complex_pow(held.lam[basis_index - 1], frame_index)
 
     def tail_energy(self, basis_index: int, start: int) -> float:
         if start < 0:
             raise IndexError("frame indices start at 0")
-        arrays = system_arrays(self.system, basis_index)
-        gap = float(arrays.gaps[basis_index - 1])
-        weight = abs(complex(arrays.weights[basis_index - 1]))
+        held = self._coordinates(basis_index)
+        weight = held.moduli[basis_index - 1]
         # |lambda|^(2K) = exp(2K log(1 - gap)), stable for any K
-        return weight * weight * math.exp(2.0 * start * math.log1p(-gap))
+        return weight * weight * math.exp(2.0 * start * math.log1p(-held.gaps[basis_index - 1]))
+
+    def _frame_vectors(self, frame_indices: list, dimension: int):
+        """(coefficient(j, k))_{j <= dimension} for each k in turn, one row per k
+        and bit for bit the per-coordinate values, with the errors the
+        per-coordinate queries raise: float64 when the window is real, Python
+        complex products otherwise (numpy's complex multiply can round
+        differently)."""
+        if frame_indices[0] >= 0:
+            try:
+                arrays = system_arrays(self.system, dimension)
+            except (ValueError, IndexError):
+                for j in range(1, dimension + 1):
+                    system_arrays(self.system, j)  # raises what the first failing query meets
+                raise
+        if min(frame_indices) < 0:
+            raise IndexError("frame indices start at 0")
+        if not (np.any(arrays.lam.imag) or np.any(arrays.phi.imag)):
+            phi, lam = arrays.phi.real, arrays.lam.real
+            return (phi * complex_pow(lam, k) for k in frame_indices)
+        pairs = list(zip(arrays.phi.tolist(), arrays.lam.tolist()))
+        return (np.array([c * complex_pow(z, k) for c, z in pairs]) for k in frame_indices)
 
 
 @dataclass(frozen=True)
@@ -257,10 +301,18 @@ def estimate_subsequence_lower_bound(
 
 
 def _family_operator(oracle: FrameOracle, index_list, dimension: int) -> np.ndarray:
-    """sum_k f_k f_k^* over {f_k : k in index_list}, on basis coordinates 1..dimension."""
-    operator = np.zeros((dimension, dimension), dtype=np.complex128)
-    coordinates = range(1, dimension + 1)
-    for frame_index in index_list:
-        vector = np.array([oracle.coefficient(j, frame_index) for j in coordinates], dtype=np.complex128)
+    """sum_k f_k f_k^* over {f_k : k in index_list}, on basis coordinates 1..dimension;
+    float64 for an orbit oracle on a real window."""
+    if isinstance(oracle, OrbitFrameOracle):
+        vectors = oracle._frame_vectors(index_list, dimension)
+    else:
+        coordinates = range(1, dimension + 1)
+        vectors = (
+            np.array([oracle.coefficient(j, k) for j in coordinates], dtype=np.complex128) for k in index_list
+        )
+    operator = None
+    for vector in vectors:
+        if operator is None:
+            operator = np.zeros((dimension, dimension), dtype=vector.dtype)
         operator += np.outer(vector, vector.conj())
     return operator

@@ -47,7 +47,7 @@ from .orbit import (
     retilde_weights,
     sweep_bounds,
 )
-from .reporting import jsonable, write_csv, write_json
+from .reporting import write_csv, write_json
 from .sequences import (
     ConstantWeights,
     ExplicitSequence,
@@ -65,7 +65,6 @@ from .weaving import (
     PeriodicPattern,
     SeededPattern,
     WeavingSearchError,
-    defect_curve,
     defect_points,
     defect_upper_bound,
     find_weaving_index,
@@ -427,7 +426,9 @@ def _cmd_weave(resolved: dict) -> tuple:
         f"predicted lower bound={result.predicted_lower_bound:.17g}  "
         f"verified lambda_min={result.verified_bounds.a_est:.17g}"
     )
-    return EXIT_OK, dict(jsonable(result), found=True, reference_bounds=reference)
+    # the fields as `write_json` converts them, once; no field of WeavingResult
+    # or AdversarialCertificate is one that `jsonable` leaves out
+    return EXIT_OK, dict(vars(result), found=True, reference_bounds=reference)
 
 
 def _cmd_adversary(resolved: dict) -> tuple:
@@ -442,7 +443,7 @@ def _cmd_adversary(resolved: dict) -> tuple:
         print(f"adversarial construction failed: {exc}")
         return EXIT_ANALYSIS, {"built": False, "message": str(exc)}
     deviation = reverify_certificate(oracle, certificate)
-    payload = dict(jsonable(certificate), built=True, reverification_deviation=deviation)
+    payload = dict(vars(certificate), built=True, reverification_deviation=deviation)
     if p["estimate_dimension"] > 0:
         payload["picked_lower_bound_estimate"] = estimate_subsequence_lower_bound(
             oracle, certificate.picked_indices, p["estimate_dimension"]
@@ -513,15 +514,19 @@ def _reproduction_checks(dimension: int) -> list:
             ("seeded-42", SeededPattern(stride, 42, 128)),
         ):
             universal = defect_upper_bound(system, dimension)
-            values, bound = defect_curve(system, pattern, 0, _DEFECT_GRID[-1], dimension)
+            # one walk gives the grid and the first J <= 1000 with D(J) + bound
+            # below 1e-6; the bound does not depend on J, so at or above 1e-6
+            # no J can pass and the walk stops at the grid's end
+            values, below_threshold = [], None
+            for point in defect_points(system, pattern, dimension, 1000):
+                values.append(point.value)
+                bound = point.truncation_bound
+                if below_threshold is None and point.value + bound < 1e-6:
+                    below_threshold = point.start_index
+                if point.start_index >= _DEFECT_GRID[-1] and (below_threshold is not None or bound >= 1e-6):
+                    break
             grid = [values[j] + bound for j in _DEFECT_GRID]
             monotone = all(grid[i] >= grid[i + 1] for i in range(len(grid) - 1))
-            # the first J <= 1000 with D(J) + bound below 1e-6; the bound does
-            # not depend on J, so at or above 1e-6 no J can pass
-            points = defect_points(system, pattern, dimension, 1000) if bound < 1e-6 else ()
-            below_threshold = next(
-                (p.start_index for p in points if p.value + p.truncation_bound < 1e-6), None
-            )
             checks.append(
                 {
                     "name": f"defect-bound-N-{stride}-{label}",

@@ -220,8 +220,9 @@ def complex_pow_table(z, exponents) -> np.ndarray:
     """z**p for every integer p >= 0 in `exponents`, one row per exponent.
 
     The rows equal ``complex_pow(z, p)`` bit for bit: the squarings of z are
-    the same, and each row multiplies them in the same order, starting from
-    the first factor it needs; rows with exponent 0 are ones.
+    the same, and each row starts from the squaring of its lowest set bit and
+    multiplies in those of its higher bits in the same order, one masked
+    multiply per bit for the whole table; rows with exponent 0 are ones.
     """
     z = np.asarray(z)
     try:
@@ -230,19 +231,21 @@ def complex_pow_table(z, exponents) -> np.ndarray:
         exponents = np.array(exponents, dtype=object)
     if np.any(exponents < 0):
         raise ValueError("exponent must be nonnegative")
-    table = np.ones(exponents.shape + z.shape, dtype=z.dtype)
-    started = np.zeros(exponents.shape, dtype=bool)
-    base = z
-    remaining = exponents
-    while True:
-        bit = (remaining & 1).astype(bool)
-        table[bit & started] *= base
-        table[bit & ~started] = base
-        started |= bit
-        remaining >>= 1
-        if not remaining.any():
-            return table
-        base = base * base
+    flat = exponents.reshape(-1)
+    top = max(int(flat.max(initial=0)).bit_length(), 1)
+    squarings = [z]
+    while len(squarings) < top:
+        squarings.append(squarings[-1] * squarings[-1])
+    positions = np.arange(top)
+    bits = ((flat[:, None] >> positions) & 1).astype(bool)
+    lowest = bits.argmax(axis=1)
+    table = np.stack(squarings)[lowest]
+    table[flat == 0] = 1
+    # (bit, row) masks of the factors each row multiplies in after its first
+    later = (bits & (lowest[:, None] < positions)).T.reshape((top, -1) + (1,) * z.ndim)
+    for bit in range(1, top):
+        np.multiply(table, squarings[bit], out=table, where=later[bit])
+    return table.reshape(exponents.shape + z.shape)
 
 
 def one_minus_pow(gap, p: int):

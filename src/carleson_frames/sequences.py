@@ -462,7 +462,8 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
 
     Pure and idempotent; distinctness of real sequences is decided on signed
     gaps so that generator kinds stay resolvable far beyond the range where
-    the values themselves round to 1.0.
+    the values themselves round to 1.0. Strictly decreasing signed gaps, as
+    every real positive kind has, prove distinctness without a sort.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -473,10 +474,13 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
         if array is not None:
             array.setflags(write=False)
 
-    keys = values if signed is None else signed
-    _, first_seen, key_of = np.unique(keys, return_index=True, return_inverse=True, equal_nan=False)
-    repeat = _first(first_seen[key_of] != np.arange(limit))
-    first_dup = None if repeat is None else (int(first_seen[key_of[repeat - 1]]) + 1, repeat)
+    if signed is not None and np.all(signed[:-1] > signed[1:]):
+        first_dup = None  # strictly decreasing keys are distinct: no sort needed
+    else:
+        keys = values if signed is None else signed
+        _, first_seen, key_of = np.unique(keys, return_index=True, return_inverse=True, equal_nan=False)
+        repeat = _first(first_seen[key_of] != np.arange(limit))
+        first_dup = None if repeat is None else (int(first_seen[key_of[repeat - 1]]) + 1, repeat)
     first_out = _first(gaps <= 0.0)
     first_non_mono = _first(~(gaps[:-1] > gaps[1:]))
     window_positive = seq.is_real and bool(np.all((values.imag == 0.0) & (values.real > 0.0)))

@@ -40,6 +40,8 @@ DEFAULT_J_MAX = 10_000
 
 _FIRST_BLOCK = 16  # J values in the first block of a curve walk
 _UNITS_PER_ONE = 1 << 1074  # 2^-1074 units in 1.0
+_LIMB_MASK = (1 << 32) - 1
+_FRACTION_MASK = (1 << 52) - 1
 
 _MASK64 = (1 << 64) - 1
 _FALLBACK_SEED = 0x9E3779B97F4A7C15  # xorshift state must be nonzero
@@ -161,17 +163,40 @@ def _coordinate_tail_bound(system: OrbitSystem, pattern: WeavePattern, dimension
 
 
 def _exact_row_sums(rows: np.ndarray) -> list:
-    """The exact sum of each row of finite floats, as an integer count of
-    2^-1074, the spacing of the subnormals; every double is a whole number
-    of these units."""
-    mantissas, exponents = np.frexp(rows)
-    # x = m 2^e with m in [0.5, 1): x 2^1074 = (m 2^53) 2^(e + 1021); a
-    # subnormal has e + 1021 < 0 and takes the whole scale in its mantissa
-    shifts = np.maximum(exponents + 1021, 0)
-    units = np.ldexp(mantissas, 53 + exponents + 1021 - shifts).astype(np.int64)
+    """The exact sum of each row of finite nonnegative floats, as an integer
+    count of 2^-1074, the spacing of the subnormals; every double is a whole
+    number of these units.
+
+    Each entry, read from its bit fields, is a 53-bit integer shifted left by
+    0 to 2045 bits. Cut at 32-bit limb boundaries, it gives at most three
+    parts below 2^33, which one `np.bincount` adds per row and limb; in a row
+    of fewer than 2^18 entries every partial sum stays below 2^53, so the
+    float64 sums are exact. Each row's limbs then become one Python integer.
+    """
+    fields = rows.view(np.int64)  # the biased exponent and the fraction; -0.0 reads as 0
+    biased = fields >> 52
+    # a normal x is (2^52 + fraction) 2^(biased - 1) units, a subnormal fraction units
+    units = (fields & _FRACTION_MASK) | ((biased > 0).astype(np.int64) << 52)
+    shifts = np.maximum(biased - 1, 0)
+    limbs, bits = np.divmod(shifts, 32)
+    low = (units & _LIMB_MASK) << bits  # below 2^63
+    high = (units >> 32) << bits  # below 2^52
+    lowest = int(limbs.min())
+    width = int(limbs.max()) - lowest + 3
+    index = np.arange(rows.shape[0])[:, None] * width + (limbs - lowest)
+    parts = np.bincount(
+        np.concatenate([index.ravel(), index.ravel() + 1, index.ravel() + 2]),
+        np.concatenate([(low & _LIMB_MASK).ravel(), ((low >> 32) + (high & _LIMB_MASK)).ravel(), (high >> 32).ravel()]),
+        rows.shape[0] * width,
+    ).astype(np.int64)
+    # limbs below 2^53 as two digit strings, base 2^32: the low words and the high ones
+    low_words = (parts & _LIMB_MASK).astype("<u4").tobytes()
+    high_words = (parts >> 32).astype("<u4").tobytes()
+    size = 4 * width
     return [
-        sum(unit << shift for unit, shift in zip(unit_row, shift_row))
-        for unit_row, shift_row in zip(units.tolist(), shifts.tolist())
+        (int.from_bytes(low_words[at : at + size], "little")
+         + (int.from_bytes(high_words[at : at + size], "little") << 32)) << (32 * lowest)
+        for at in range(0, len(low_words), size)
     ]
 
 

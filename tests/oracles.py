@@ -261,3 +261,44 @@ def scalar_point(seq, k: int):
             return power, gap * (2.0 - gap)
         return power, 1.0 if gap >= 1.0 else -math.expm1(p * math.log1p(-gap))
     raise TypeError(f"no scalar closed form for {type(seq).__name__}")
+
+
+class PerCallOrbitOracle:
+    """The orbit oracle answered one query at a time from the validated window
+    of the first j coordinates, as scalars: <e_j, f_k> = phi_j lambda_j^k in
+    Python complex arithmetic, and |m_j|^2 exp(2K log(1 - gap_j)) for the tail.
+    Estimates built on it go through the per-coordinate family operator."""
+
+    def __init__(self, system):
+        self.system = system
+
+    def coefficient(self, basis_index, frame_index):
+        from carleson_frames.numerics import complex_pow
+        from carleson_frames.orbit import system_arrays
+
+        if frame_index < 0:
+            raise IndexError("frame indices start at 0")
+        arrays = system_arrays(self.system, basis_index)
+        lam = complex(arrays.lam[basis_index - 1])
+        return complex(arrays.phi[basis_index - 1]) * complex_pow(lam, frame_index)
+
+    def tail_energy(self, basis_index, start):
+        from carleson_frames.orbit import system_arrays
+
+        if start < 0:
+            raise IndexError("frame indices start at 0")
+        arrays = system_arrays(self.system, basis_index)
+        gap = float(arrays.gaps[basis_index - 1])
+        weight = abs(complex(arrays.weights[basis_index - 1]))
+        return weight * weight * math.exp(2.0 * start * math.log1p(-gap))
+
+
+def first_duplicate_by_sort(keys):
+    """(i, j), 1-based, for the first index j whose key equals an earlier one,
+    i the first index holding that key, or None: read from `np.unique`, which
+    sorts the keys."""
+    _, first_seen, key_of = np.unique(keys, return_index=True, return_inverse=True, equal_nan=False)
+    repeats = np.flatnonzero(first_seen[key_of] != np.arange(len(keys)))
+    if not repeats.size:
+        return None
+    return int(first_seen[key_of[repeats[0]]]) + 1, int(repeats[0]) + 1

@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,8 +23,9 @@ from carleson_frames import (
     reverify_certificate,
 )
 from carleson_frames import orbit
-from carleson_frames.adversarial import _smallest_index
+from carleson_frames.adversarial import _family_operator, _smallest_index
 from carleson_frames.reporting import canonical_json
+from oracles import PerCallOrbitOracle
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
 ORACLE = OrbitFrameOracle(SYSTEM)
@@ -241,12 +244,20 @@ def test_orbit_oracle_windows_grow_by_doubling(monkeypatch):
         return original(seq, n)
 
     monkeypatch.setattr(orbit, "validate", counting_validate)
-    oracle = OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0)))
     dimension = 300
+    # queries at growing basis indices build O(log d) windows
+    oracle = OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0)))
+    for j in range(1, dimension + 1):
+        oracle.coefficient(j, 3)
+        oracle.tail_energy(j, 5)
+    assert builds == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
+    # the estimate reads one window of its dimension, which later queries reuse
+    builds.clear()
+    oracle = OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0)))
     estimate_subsequence_lower_bound(oracle, (0, 6, 33), dimension)
     for j in range(1, dimension + 1):
         oracle.tail_energy(j, 5)
-    assert builds == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
+    assert builds == [dimension]
 
 
 def test_orbit_oracle_bad_point_raises_only_from_its_index():
@@ -259,3 +270,98 @@ def test_orbit_oracle_bad_point_raises_only_from_its_index():
         oracle.tail_energy(6, 0)
     with pytest.raises(InvariantViolation):
         oracle.coefficient(7, 0)
+
+
+def _spiral(count=200, rho=0.9, theta=0.5):
+    return ExplicitSequence(tuple((1.0 - 0.5 * rho**k) * cmath.exp(1j * theta * k) for k in range(1, count + 1)))
+
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+ORACLE_SEQUENCES = {
+    **{f"geometric-{alpha}": (lambda a=alpha: GeometricApproach(a)) for alpha in (1.8, 2.0, 2.1, 2.5)},
+    "complex-spiral": _spiral,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SEQUENCES))
+def test_orbit_oracle_is_bit_identical_to_per_call_queries(name):
+    # separate systems: each side grows its own window
+    levels, budget, dimension = (12, 10**7, 40) if name.startswith("geometric") else (6, 10**6, 12)
+    oracle = OrbitFrameOracle(OrbitSystem(ORACLE_SEQUENCES[name](), ConstantWeights(1.0)))
+    reference = PerCallOrbitOracle(OrbitSystem(ORACLE_SEQUENCES[name](), ConstantWeights(1.0)))
+    certificate = build_adversarial_subsequence(oracle, levels, budget)
+    assert canonical_json(certificate) == canonical_json(build_adversarial_subsequence(reference, levels, budget))
+    assert reverify_certificate(oracle, certificate) == reverify_certificate(reference, certificate)
+    picks = certificate.picked_indices
+    for j in range(1, dimension + 1):
+        for k in picks + (0, 1, 7):
+            assert _bits(oracle.coefficient(j, k)) == _bits(reference.coefficient(j, k))
+            assert oracle.tail_energy(j, k).hex() == reference.tail_energy(j, k).hex()
+    estimate = estimate_subsequence_lower_bound(oracle, picks, dimension)
+    assert estimate.hex() == estimate_subsequence_lower_bound(reference, picks, dimension).hex()
+    family = list(picks[:3]) + list(range(picks[3], picks[3] + 60))
+    assert (estimate_subsequence_lower_bound(oracle, family, dimension).hex()
+            == estimate_subsequence_lower_bound(reference, family, dimension).hex())
+
+
+@pytest.mark.parametrize("name", ["geometric-2.0", "complex-spiral"])
+def test_orbit_family_operator_rows_equal_per_call_vectors(name):
+    oracle = OrbitFrameOracle(OrbitSystem(ORACLE_SEQUENCES[name](), ConstantWeights(0.75)))
+    reference = PerCallOrbitOracle(OrbitSystem(ORACLE_SEQUENCES[name](), ConstantWeights(0.75)))
+    family = [0, 3, 17, 400, 123456]
+    fast, slow = _family_operator(oracle, family, 30), _family_operator(reference, family, 30)
+    if name.startswith("geometric"):
+        # a real window assembles in float64: the real part of the complex sum, bit for bit
+        assert fast.dtype == np.float64 and not np.any(slow.imag)
+        assert fast.tobytes() == slow.real.copy().tobytes()
+    else:
+        assert fast.dtype == np.complex128 and fast.tobytes() == slow.tobytes()
+
+
+def _raised(call):
+    with pytest.raises((ValueError, IndexError)) as excinfo:
+        call()
+    return type(excinfo.value), str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda o: o.coefficient(3, -1),
+        lambda o: o.tail_energy(3, -1),
+        lambda o: o.coefficient(0, 2),
+        lambda o: o.tail_energy(0, 2),
+        lambda o: o.coefficient(9, 0),  # past the explicit sequence
+        lambda o: o.tail_energy(9, 0),
+        lambda o: estimate_subsequence_lower_bound(o, [-1, 2], 4),
+        lambda o: estimate_subsequence_lower_bound(o, [2, -1], 4),
+        lambda o: estimate_subsequence_lower_bound(o, [0, 2], 9),
+    ],
+    ids=["coefficient-negative-k", "tail-negative-k", "coefficient-j-0", "tail-j-0", "coefficient-past-end",
+         "tail-past-end", "estimate-negative-first", "estimate-negative-later", "estimate-past-end"],
+)
+def test_orbit_oracle_errors_equal_per_call_queries(query):
+    def system():
+        return OrbitSystem(ExplicitSequence((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)), ConstantWeights(1.0))
+
+    oracle = OrbitFrameOracle(system())
+    oracle.coefficient(2, 1)  # a held window first, so queries past it grow it
+    reference = PerCallOrbitOracle(system())
+    reference.coefficient(2, 1)
+    assert _raised(lambda: query(oracle)) == _raised(lambda: query(reference))
+
+
+def test_orbit_estimate_raises_at_the_first_bad_point_like_per_call_queries():
+    # a repeat at index 5 and a point outside the disc at index 7: per-coordinate
+    # queries meet the repeat first, while a window of all 8 points fails the disc check
+    def system():
+        values = (0.1, 0.2, 0.3, 0.4, 0.3, 0.6, 1.5, 0.8)
+        return OrbitSystem(ExplicitSequence(values), ConstantWeights(1.0))
+
+    expected = _raised(lambda: estimate_subsequence_lower_bound(PerCallOrbitOracle(system()), [0, 1], 8))
+    assert "repeated eigenvalue" in expected[1]
+    assert _raised(lambda: estimate_subsequence_lower_bound(OrbitFrameOracle(system()), [0, 1], 8)) == expected

@@ -195,6 +195,12 @@ def test_complex_pow_table_matches_complex_pow_bit_for_bit(kind):
     for row, p in zip(complex_pow_table(z, picked), picked):
         assert np.array_equal(_bits(row), _bits(complex_pow(z, p)))
     assert complex_pow_table(0.5, [0, 1, 3]).tolist() == [1.0, 0.5, 0.125]
+    # the table keeps the shape of the exponents, none or all zero included
+    assert complex_pow_table(z, []).shape == (0, len(z))
+    assert np.array_equal(_bits(complex_pow_table(z, [0, 0])), _bits(np.ones((2, len(z)), dtype=z.dtype)))
+    grid = complex_pow_table(z, [[5, 0], [2**40 + 7, 12]])
+    assert grid.shape == (2, 2, len(z))
+    assert np.array_equal(_bits(grid[1, 0]), _bits(complex_pow(z, 2**40 + 7)))
     with pytest.raises(ValueError):
         complex_pow_table(z, [2, -1])
 

@@ -16,6 +16,7 @@ from carleson_frames import (
     signed_gap_at,
     validate,
 )
+from oracles import first_duplicate_by_sort
 
 
 def test_geometric_values():
@@ -147,6 +148,46 @@ def test_validate_deep_geometric_distinctness():
     # signed-gap keys keep indices distinct even where values round to 1.0
     report = validate(GeometricApproach(2.0), 300)
     assert report.distinct and report.in_disc and report.monotone_moduli
+
+
+_REAL_POINTS = st.floats(min_value=-0.999, max_value=0.999)
+_COMPLEX_POINTS = st.builds(complex, st.floats(min_value=-0.7, max_value=0.7), st.floats(min_value=-0.7, max_value=0.7))
+
+
+@st.composite
+def _windows(draw):
+    """Monotone (strictly increasing reals), non-monotone real, repeated-point
+    and complex windows; any of them may carry a repeat of an earlier point."""
+    kind = draw(st.sampled_from(("monotone", "non-monotone", "repeated", "complex")))
+    points = draw(st.lists(_COMPLEX_POINTS if kind == "complex" else _REAL_POINTS, min_size=1, max_size=30))
+    if kind == "monotone":
+        points = sorted(set(points))
+    if kind == "repeated" or draw(st.booleans()):
+        source = draw(st.integers(min_value=0, max_value=len(points) - 1))
+        target = draw(st.integers(min_value=source + 1, max_value=len(points)))
+        points.insert(target, points[source])
+    return points
+
+
+@given(_windows(), st.integers(min_value=1, max_value=40))
+def test_validate_distinctness_equals_the_sort_based_reference(points, n_max):
+    report = validate(ExplicitSequence(tuple(points)), n_max)
+    keys = report.values if report.signed_gaps is None else report.signed_gaps
+    expected = first_duplicate_by_sort(keys)
+    assert report.first_duplicate == expected
+    assert report.distinct is (expected is None)
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [GeometricApproach(2.0), PowerSequence(GeometricApproach(1.3), 3),
+     TwoPointAugmented(0.5, GeometricApproach(2.0)), PowerSequence(TwoPointAugmented(0.3, GeometricApproach(2.0)), 2)],
+    ids=["geometric", "power", "two-point-collision", "squared-two-point"],
+)
+def test_validate_distinctness_of_generator_kinds_equals_the_sort(seq):
+    report = validate(seq, 1200)
+    keys = report.values if report.signed_gaps is None else report.signed_gaps
+    assert report.first_duplicate == first_duplicate_by_sort(keys)
 
 
 def test_drop_prefix_views():

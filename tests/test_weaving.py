@@ -2,9 +2,12 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from carleson_frames import (
     ConstantPattern,
@@ -32,6 +35,7 @@ from carleson_frames import cli, numerics
 from carleson_frames.numerics import complex_pow, complex_pow_table
 from carleson_frames.orbit import _progression_matrix, conjugate_by_powers, system_arrays
 from carleson_frames.reporting import canonical_json
+from carleson_frames.weaving import _exact_row_sums
 from oracles import brute_defect_sum, pointwise_tail_defect, xorshift64_reference
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
@@ -422,3 +426,51 @@ def test_woven_operator_in_place_sum_is_bit_identical(pattern, weights):
         expected = _woven_out_of_place(system, pattern, start, 60)
         assert woven.dtype == expected.dtype
         assert woven.tobytes() == expected.tobytes()
+
+
+def _fraction_row_sums(rows):
+    """Each row's exact sum in units of 2^-1074, through `fractions.Fraction`."""
+    return [int(sum(map(Fraction, row), Fraction(0)) * 2**1074) for row in np.asarray(rows).tolist()]
+
+
+def test_exact_row_sums_equal_fractions_across_the_double_range():
+    tiny, largest = 2.0**-1074, float(np.finfo(np.float64).max)
+    rng = np.random.default_rng(7)
+    scattered = np.ldexp(rng.random((9, 31)), rng.integers(-1074, 1024, (9, 31)))
+    scattered[rng.random(scattered.shape) < 0.2] = 0.0
+    rows = [
+        [0.0, 0.0, 0.0],
+        [tiny, tiny, 3 * tiny, 2.0**-1022 - tiny],  # subnormals, the largest one included
+        [2.0**1023, largest, largest, tiny],  # the whole range, carried across every limb
+        [1.0, -0.0, 2.0**-1022, 0.5 + 2.0**-53],
+        [largest] * 64,
+    ]
+    for block in [np.array(row)[None, :] for row in rows] + [scattered, scattered[:1]]:
+        assert _exact_row_sums(block) == _fraction_row_sums(block)
+
+
+@given(st.lists(st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=5, max_size=5), min_size=1, max_size=6))
+def test_exact_row_sums_equal_fractions(rows):
+    assert _exact_row_sums(np.array(rows)) == _fraction_row_sums(rows)
+
+
+def test_defect_curve_with_an_empty_swap_set_is_zero():
+    values, bound = defect_curve(SYSTEM, ExplicitPattern(2, (0, 0, 0)), 0, 5, 40)
+    assert values == [0.0] * 6 and bound == 0.0
+
+
+def test_reproduction_defect_checks_equal_two_separate_reads():
+    # the grid from defect_curve(0, 20), then a walk for the first J below 1e-6
+    dimension = 40
+    checks = {check["name"]: check for check in cli._reproduction_checks(dimension)}
+    for stride in (2, 3):
+        for label, pattern in (("constant-1", ConstantPattern(stride, 1)), ("seeded-42", SeededPattern(stride, 42, 128))):
+            values, bound = defect_curve(SYSTEM, pattern, 0, 20, dimension)
+            grid = [values[j] + bound for j in (0, 1, 2, 5, 10, 20)]
+            points = defect_points(SYSTEM, pattern, dimension, 1000)
+            below = next((p.start_index for p in points if p.value + p.truncation_bound < 1e-6), None)
+            check = checks[f"defect-bound-N-{stride}-{label}"]
+            assert check["defect_at_0"].hex() == values[0].hex()
+            assert check["monotone_on_grid"] == all(a >= b for a, b in zip(grid, grid[1:]))
+            assert below is not None and check["first_index_below_1e-6"] == below
+            assert check["pass"]
