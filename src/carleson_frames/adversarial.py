@@ -91,27 +91,6 @@ class OrbitFrameOracle:
         # |lambda|^(2K) = exp(2K log(1 - gap)), stable for any K
         return weight * weight * math.exp(2.0 * start * math.log1p(-held.gaps[basis_index - 1]))
 
-    def _frame_vectors(self, frame_indices: list, dimension: int):
-        """(coefficient(j, k))_{j <= dimension} for each k in turn, one row per k
-        and bit for bit the per-coordinate values, with the errors the
-        per-coordinate queries raise: float64 when the window is real, Python
-        complex products otherwise (numpy's complex multiply can round
-        differently)."""
-        if frame_indices[0] >= 0:
-            try:
-                arrays = system_arrays(self.system, dimension)
-            except (ValueError, IndexError):
-                for j in range(1, dimension + 1):
-                    system_arrays(self.system, j)  # raises what the first failing query meets
-                raise
-        if min(frame_indices) < 0:
-            raise IndexError("frame indices start at 0")
-        if not (np.any(arrays.lam.imag) or np.any(arrays.phi.imag)):
-            phi, lam = arrays.phi.real, arrays.lam.real
-            return (phi * complex_pow(lam, k) for k in frame_indices)
-        pairs = list(zip(arrays.phi.tolist(), arrays.lam.tolist()))
-        return (np.array([c * complex_pow(z, k) for c, z in pairs]) for k in frame_indices)
-
 
 @dataclass(frozen=True)
 class OrthonormalBasisOracle:
@@ -301,18 +280,9 @@ def estimate_subsequence_lower_bound(
 
 
 def _family_operator(oracle: FrameOracle, index_list, dimension: int) -> np.ndarray:
-    """sum_k f_k f_k^* over {f_k : k in index_list}, on basis coordinates 1..dimension;
-    float64 for an orbit oracle on a real window."""
-    if isinstance(oracle, OrbitFrameOracle):
-        vectors = oracle._frame_vectors(index_list, dimension)
-    else:
-        coordinates = range(1, dimension + 1)
-        vectors = (
-            np.array([oracle.coefficient(j, k) for j in coordinates], dtype=np.complex128) for k in index_list
-        )
-    operator = None
-    for vector in vectors:
-        if operator is None:
-            operator = np.zeros((dimension, dimension), dtype=vector.dtype)
+    """sum_k f_k f_k^* over {f_k : k in index_list}, on basis coordinates 1..dimension."""
+    operator = np.zeros((dimension, dimension), dtype=np.complex128)
+    for k in index_list:
+        vector = np.array([oracle.coefficient(j, k) for j in range(1, dimension + 1)], dtype=np.complex128)
         operator += np.outer(vector, vector.conj())
     return operator

@@ -2,14 +2,17 @@
 
 One analysis per invocation. Exit codes: 0 success, 1 negative analysis
 verdict (where the run asserts one) or numerical non-convergence, 2 usage or
-config errors, including out-of-range or malformed parameters and inputs the
-library rejects (each with one line on standard error and no report).
+config errors, including out-of-range or malformed parameters, inputs the
+library rejects and output files that cannot be written (each with one line
+on standard error and no report).
 Reports embed the fully resolved configuration; the only nondeterministic
 field is the `generated_at` timestamp in the meta header.
 
 Every subcommand parameter is one row of `PARAMS`, which gives its flag, its
 config-file key, its default, its range check and its echo in `config.params`;
-flags override file values, which override defaults.
+flags override file values, which override defaults. Every sequence and
+weights kind is one entry of `_KINDS`, and every flag that rewrites a
+sequence or weights config one row of `SYSTEM_FLAGS`.
 """
 
 import argparse
@@ -75,19 +78,8 @@ EXIT_OK = 0
 EXIT_ANALYSIS = 1
 EXIT_USAGE = 2
 
-_SEQUENCE_KEYS = {
-    "geometric": {"alpha"},
-    "explicit": {"values"},
-    "two_point": {"q", "base"},
-    "power": {"exponent", "base"},
-}
-_WEIGHT_KEYS = {
-    "constant": {"value"},
-    "explicit": {"values", "c1", "c2"},
-}
 
-
-class ConfigError(ValueError):
+class ConfigError(Exception):
     pass
 
 
@@ -173,64 +165,78 @@ PARAMS = (
 )
 
 
+# (section, flag, dest, help, the section's config as the flag's text rewrites it),
+# applied in this order: --values beats --alpha, then --two-point-q and --power wrap
+SYSTEM_FLAGS = (
+    ("sequence", "--alpha", "alpha", "geometric sequence 1 - alpha^-k",
+     lambda text, config: {"kind": "geometric", "alpha": _real(text)}),
+    ("sequence", "--values", "values", "comma-separated explicit sequence values (complex literals)",
+     lambda text, config: {"kind": "explicit", "values": text.split(",")}),
+    ("sequence", "--two-point-q", "two_point_q", "prepend q, -q to the sequence",
+     lambda text, config: {"kind": "two_point", "q": _real(text), "base": config}),
+    ("sequence", "--power", "power", "raise the sequence entrywise to this power",
+     lambda text, config: {"kind": "power", "exponent": _integer(text), "base": config}),
+    ("weights", "--weight-value", "weight_value", "constant weights of this value",
+     lambda text, config: {"kind": "constant", "value": _real(text)}),
+)
+
+
 def _require_keys(mapping: dict, allowed: set, context: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
 
 
-def _parse_complex(value):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+def _parse_complex(value) -> complex:  # a number, a [re, im] pair of numbers or a complex literal
     if isinstance(value, str):
         try:
             return complex(value.replace(" ", ""))
         except ValueError as exc:
-            raise ConfigError(f"cannot parse complex number from {value!r}") from exc
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+            raise ValueError(f"cannot parse complex number from {value!r}") from exc
+    if isinstance(value, list) and len(value) == 2:
         return complex(_number(value[0]), _number(value[1]))
-    raise ConfigError(f"cannot parse complex number from {value!r}")
+    return complex(_number(value))
 
 
-def _config_kind(config, kinds: dict, what: str) -> str:
-    """The `kind` of a sequence or weights config, after checking its keys."""
+def _points(values) -> tuple:
+    if not isinstance(values, list):  # a string would be read one character a point
+        raise TypeError(f"values must be a JSON list, got {values!r}")
+    return tuple(_parse_complex(v) for v in values)
+
+
+# section -> kind -> (constructor, its config keys in argument order, each with its cast)
+_KINDS = {
+    "sequence": {
+        "geometric": (GeometricApproach, (("alpha", _number),)),
+        "explicit": (ExplicitSequence, (("values", _points),)),
+        "two_point": (TwoPointAugmented, (("q", _number), ("base", lambda base: _build("sequence", base)))),
+        "power": (PowerSequence, (("base", lambda base: _build("sequence", base)), ("exponent", _integer))),
+    },
+    "weights": {
+        "constant": (ConstantWeights, (("value", _parse_complex),)),
+        "explicit": (ExplicitWeights, (("values", _points), ("c1", _number), ("c2", _number))),
+    },
+}
+
+
+def _build(section: str, config):
+    """The sequence or weights object a config describes: its kind's
+    constructor on its keys, each cast; a nested base is built the same way."""
     if not isinstance(config, dict) or "kind" not in config:
-        raise ConfigError(f"{what} config must be an object with a 'kind' field")
+        raise ConfigError(f"{section} config must be an object with a 'kind' field")
     kind = config["kind"]
-    if kind not in kinds:
-        raise ConfigError(f"unknown {what} kind {kind!r}")
-    _require_keys({k: v for k, v in config.items() if k != "kind"}, kinds[kind], what)
-    if not isinstance(config.get("values", []), list):  # a string would be read one character a point
-        raise ConfigError(f"invalid {what} config: values must be a JSON list, got {config['values']!r}")
-    return kind
-
-
-def sequence_from_config(config: dict):
-    kind = _config_kind(config, _SEQUENCE_KEYS, "sequence")
+    if not isinstance(kind, str) or kind not in _KINDS[section]:
+        raise ConfigError(f"unknown {section} kind {kind!r}")
+    constructor, fields = _KINDS[section][kind]
+    names = [name for name, _ in fields]
+    _require_keys(config, {"kind", *names}, section)
+    missing = [name for name in names if name not in config]
+    if missing:
+        raise ConfigError(f"{section} config is missing fields {missing}")
     try:
-        if kind == "geometric":
-            return GeometricApproach(_number(config["alpha"]))
-        if kind == "explicit":
-            return ExplicitSequence(tuple(_parse_complex(v) for v in config["values"]))
-        if kind == "two_point":
-            return TwoPointAugmented(_number(config["q"]), sequence_from_config(config["base"]))
-        return PowerSequence(sequence_from_config(config["base"]), _integer(config["exponent"]))
-    except (KeyError, TypeError, ValueError, OverflowError, InvariantViolation) as exc:
-        raise ConfigError(f"invalid sequence config: {exc}") from exc
-
-
-def weights_from_config(config: dict):
-    kind = _config_kind(config, _WEIGHT_KEYS, "weights")
-    try:
-        if kind == "constant":
-            return ConstantWeights(_parse_complex(config["value"]))
-        return ExplicitWeights(
-            tuple(_parse_complex(v) for v in config["values"]),
-            _number(config["c1"]),
-            _number(config["c2"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError, InvariantViolation) as exc:
-        raise ConfigError(f"invalid weights config: {exc}") from exc
+        return constructor(*[cast(config[name]) for name, cast in fields])
+    except (TypeError, ValueError, OverflowError, InvariantViolation) as exc:
+        raise ConfigError(f"invalid {section} config: {exc}") from exc
 
 
 def pattern_from_spec(spec: str, stride: int):
@@ -297,6 +303,9 @@ def _resolve(args) -> dict:
 
     output = dict(file_config.get("output", {}))
     _require_keys(output, {"json", "csv"}, "output")
+    for key, path in output.items():
+        if not isinstance(path, str):
+            raise ConfigError(f"output {key} must be a path string, got {path!r}")
     if args.out:
         output["json"] = args.out
     if getattr(args, "csv", None):
@@ -310,29 +319,20 @@ def _resolve(args) -> dict:
     if "sequence" not in _COMMANDS[command][2]:
         return resolved
 
-    sequence_config = file_config.get("sequence", {"kind": "geometric", "alpha": 2.0})
-    if args.values:
-        sequence_config = {"kind": "explicit", "values": args.values.split(",")}
-    elif args.alpha is not None:
-        sequence_config = {"kind": "geometric", "alpha": args.alpha}
-    if args.two_point_q is not None:
-        sequence_config = {"kind": "two_point", "q": args.two_point_q, "base": sequence_config}
-    if args.power is not None:
-        sequence_config = {"kind": "power", "exponent": args.power, "base": sequence_config}
-
-    weights_config = file_config.get("weights", {"kind": "constant", "value": 1.0})
-    if getattr(args, "weight_value", None) is not None:
-        weights_config = {"kind": "constant", "value": args.weight_value}
-
-    resolved["sequence"] = sequence_config
-    resolved["weights"] = weights_config
+    resolved["sequence"] = file_config.get("sequence", {"kind": "geometric", "alpha": 2.0})
+    resolved["weights"] = file_config.get("weights", {"kind": "constant", "value": 1.0})
+    for section, flag, dest, _, rewrite in SYSTEM_FLAGS:
+        text = getattr(args, dest, None)
+        if text is not None:
+            try:
+                resolved[section] = rewrite(text, resolved[section])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"cannot parse {flag} from {text!r}") from exc
     return resolved
 
 
 def _system(resolved: dict) -> OrbitSystem:
-    return OrbitSystem(
-        sequence_from_config(resolved["sequence"]), weights_from_config(resolved["weights"])
-    )
+    return OrbitSystem(_build("sequence", resolved["sequence"]), _build("weights", resolved["weights"]))
 
 
 def _emit_csv(resolved: dict, header, rows) -> None:
@@ -350,7 +350,7 @@ def _cmd_check_carleson(resolved: dict) -> tuple:
     for name in ("n_max", "drop_prefix"):
         if p["k_trunc"] < p[name]:
             raise ConfigError(f"k_trunc (--k-trunc) must be >= {name} = {p[name]}, got {p['k_trunc']}")
-    sequence = sequence_from_config(resolved["sequence"])
+    sequence = _build("sequence", resolved["sequence"])
     # with drop_prefix 0 this is carleson_inf_estimate on the whole sequence
     report = drop_prefix_check(
         sequence, p["drop_prefix"], p["n_max"], p["k_trunc"], p["fail_threshold"]
@@ -605,22 +605,18 @@ _COMMANDS = {
 }
 
 
-def _add_sequence_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, help="geometric sequence 1 - alpha^-k")
-    parser.add_argument(
-        "--values", type=str, help="comma-separated explicit sequence values (complex literals)"
-    )
-    parser.add_argument(
-        "--two-point-q", dest="two_point_q", type=float, help="prepend q, -q to the sequence"
-    )
-    parser.add_argument("--power", type=int, help="raise the sequence entrywise to this power")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """argparse's own errors (an unknown flag, a missing or unknown
+        subcommand) as one line, without the usage block."""
+        self.exit(EXIT_USAGE, f"usage error: {self.prog}: {message}\n")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared by every `main`
     call in the process; parsing never changes it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="carleson-frames",
         description="Operator-orbit frame analyses on the unit disc.",
     )
@@ -629,10 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", type=str, help="JSON experiment config file")
         p.add_argument("--out", type=str, help="write the JSON report here")
-        if "sequence" in groups:
-            _add_sequence_flags(p)
-        if "weights" in groups:
-            p.add_argument("--weight-value", dest="weight_value", type=float)
+        for section, flag, dest, flag_help, _ in SYSTEM_FLAGS:
+            if section in groups:
+                p.add_argument(flag, dest=dest, help=flag_help)
         if "csv" in groups:
             p.add_argument("--csv", type=str, help="write the table as CSV here")
         for row in PARAMS:
@@ -658,6 +653,14 @@ def main(argv=None) -> int:
     try:
         resolved = _resolve(args)
         code, result = args.func(resolved)
+        path = resolved["output"].get("json")
+        if path:
+            meta = {
+                "tool": "carleson-frames",
+                "version": __version__,
+                "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            }
+            write_json(path, {"meta": meta, "config": resolved, "result": result})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -669,14 +672,9 @@ def main(argv=None) -> int:
         # such as an explicit sequence shorter than the truncation dimension
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    path = resolved["output"].get("json")
-    if path:
-        meta = {
-            "tool": "carleson-frames",
-            "version": __version__,
-            "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        }
-        write_json(path, {"meta": meta, "config": resolved, "result": result})
+    except OSError as exc:  # writing the JSON report, a CSV table or standard output
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

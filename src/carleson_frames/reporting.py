@@ -62,7 +62,10 @@ def _atomic_write(path: str, text: str) -> None:
     as `open` gives), then rename it over `path`; line endings are written as given."""
     temp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"  # O_EXCL: never an existing file
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    descriptor = os.open(temp, flags, 0o666)
+    try:
+        descriptor = os.open(temp, flags, 0o666)
+    except OSError as exc:  # name the file asked for, not its temp
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with open(descriptor, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

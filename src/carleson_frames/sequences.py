@@ -451,10 +451,6 @@ class ValidationReport:
     gaps: np.ndarray = field(compare=False, repr=False)
     signed_gaps: np.ndarray | None = field(compare=False, repr=False)
 
-    @property
-    def all_checks_pass(self) -> bool:
-        return self.in_disc and self.distinct and self.monotone_moduli and self.real_positive_window
-
 
 def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
     """Evaluate indices 1..n_max (capped at the length) once and check them:

@@ -63,6 +63,32 @@ def test_usage_error_exit_code():
     assert run_cli("bounds", "--N", "not-an-int") == 2
 
 
+def test_argparse_errors_are_one_usage_line(capsys):
+    for argv in (("bounds", "--no-such-flag", "1"), (), ("no-such-command",)):
+        assert run_cli(*argv) == 2, argv
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error:"), argv
+        assert captured.out == ""
+    assert run_cli("bounds", "--help") == 0
+    out = capsys.readouterr().out
+    for flag in ("--config", "--out", "--alpha", "--values", "--two-point-q", "--power", "--weight-value",
+                 "--N", "--j", "--K", "--M", "--tol"):
+        assert f" {flag} " in out
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_exits_two(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "report"
+    argv = ["check-carleson", "--n-max", "3", "--k-trunc", "30", flag, str(path)]
+    if flag == "--csv":
+        argv += ["--out", str(tmp_path / "report.json")]
+    assert run_cli(*argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot write output:") and str(path) in lines[0]
+    assert list(tmp_path.rglob("*")) == []  # no report, no CSV table, no temp file
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(
@@ -287,6 +313,11 @@ def test_weave_reference_below_resolution_exits_one(tmp_path, capsys):
         (("check-carleson", "--fail-threshold", "nan"), "--fail-threshold"),
         (("check-carleson", "--fail-threshold", "inf"), "--fail-threshold"),
         (("bounds", "--tol", "inf"), "--tol"),
+        (("bounds", "--alpha", "x"), "--alpha"),
+        (("bounds", "--power", "2.5"), "--power"),
+        (("bounds", "--weight-value", "abc"), "--weight-value"),
+        (("check-carleson", "--two-point-q", "q"), "--two-point-q"),
+        (("bounds", "--values", ""), "sequence config"),
     ],
 )
 def test_out_of_range_parameters_exit_two(tmp_path, capsys, argv, flag):
@@ -350,6 +381,11 @@ MALFORMED_CONFIGS = (
     ("check-carleson", {"sequence": {"kind": "geometric", "alpha": 10**400}}, "invalid sequence config"),
     ("bounds", {"weights": {"kind": "constant", "value": 10**400}}, "invalid weights config"),
     ("bounds", {"params": {"tol": 10**400}}, "cannot parse tol (--tol)"),
+    ("check-carleson", {"sequence": {"kind": "power", "exponent": 2}}, "sequence config is missing fields ['base']"),
+    ("check-carleson", {"sequence": {"kind": []}}, "unknown sequence kind []"),
+    # a path that is no string is refused before the analysis runs
+    ("bounds", {"output": {"json": 5}}, "output json must be a path string"),
+    ("check-carleson", {"output": {"csv": 7}}, "output csv must be a path string"),
 )
 
 

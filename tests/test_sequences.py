@@ -113,7 +113,7 @@ def test_non_finite_inputs_rejected_at_construction(build):
 
 def test_validate_geometric_all_pass():
     report = validate(GeometricApproach(2.0), 50)
-    assert report.all_checks_pass
+    assert report.in_disc and report.distinct and report.monotone_moduli and report.real_positive_window
     assert report.real_positive and report.strictly_increasing_moduli
     assert report.n_checked == 50
 
