@@ -34,7 +34,6 @@ from .carleson import (
 from .numerics import (
     EigensolverError,
     ExtremalEigenvalues,
-    HermitianMatrix,
     NonHermitianError,
     compensated_sum,
     complex_pow,
@@ -64,7 +63,6 @@ from .sequences import (
     ValidationReport,
     Weights,
     drop_prefix,
-    signed_gap_at,
     validate,
 )
 from .weaving import (

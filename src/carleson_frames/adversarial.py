@@ -280,9 +280,10 @@ def estimate_subsequence_lower_bound(
 
 
 def _family_operator(oracle: FrameOracle, index_list, dimension: int) -> np.ndarray:
-    """sum_k f_k f_k^* over {f_k : k in index_list}, on basis coordinates 1..dimension."""
+    """sum_k f_k f_k^* over {f_k : k in index_list}, on basis coordinates 1..dimension,
+    each f_k read from coordinate `dimension` down: an orbit oracle builds one window."""
     operator = np.zeros((dimension, dimension), dtype=np.complex128)
     for k in index_list:
-        vector = np.array([oracle.coefficient(j, k) for j in range(1, dimension + 1)], dtype=np.complex128)
+        vector = np.array([oracle.coefficient(j, k) for j in range(dimension, 0, -1)], dtype=np.complex128)[::-1]
         operator += np.outer(vector, vector.conj())
     return operator

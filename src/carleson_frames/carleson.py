@@ -262,8 +262,13 @@ def limit_modulus_check(
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     limit = k_max if seq.length is None else min(k_max, seq.length)
-    # the checked scalar gaps: only the last five indices are read
-    trailing = tuple((k, seq.modulus_gap_at(k)) for k in range(max(1, limit - 4), limit + 1))
+    # only the last five indices are read, through the closed form, not a window
+    indices = range(max(1, limit - 4), limit + 1)
+    gaps = seq._points(np.array(indices))[1]
+    bad = _first(gaps <= 0.0)
+    if bad is not None:
+        raise _outside_disc(indices[bad - 1])
+    trailing = tuple(zip(indices, gaps.tolist()))
     final_gap = trailing[-1][1]
     return LimitModulusEvidence(
         passes=final_gap < evidence_threshold,

@@ -350,7 +350,7 @@ def _cmd_check_carleson(resolved: dict) -> tuple:
     for name in ("n_max", "drop_prefix"):
         if p["k_trunc"] < p[name]:
             raise ConfigError(f"k_trunc (--k-trunc) must be >= {name} = {p[name]}, got {p['k_trunc']}")
-    sequence = _build("sequence", resolved["sequence"])
+    sequence = _system(resolved).lambdas  # the weights the report echoes are built, so checked, too
     # with drop_prefix 0 this is carleson_inf_estimate on the whole sequence
     report = drop_prefix_check(
         sequence, p["drop_prefix"], p["n_max"], p["k_trunc"], p["fail_threshold"]

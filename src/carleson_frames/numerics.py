@@ -9,7 +9,6 @@ of their terms.
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -28,19 +27,6 @@ class NonHermitianError(ValueError):
 
 class EigensolverError(RuntimeError):
     """Eigenvalue computation failed to meet its residual contract."""
-
-
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """Dense Hermitian matrix, validated at assembly: the stored array is a
-    read-only `_private_copy` of the data that passed `_check_hermitian`."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        a = _check_hermitian(_private_copy(self.data))
-        a.setflags(write=False)
-        object.__setattr__(self, "data", a)
 
 
 def _real_part_if_real(a: np.ndarray) -> np.ndarray:
@@ -114,9 +100,11 @@ def extremal_eigenvalues(matrix, tol: float = DEFAULT_EIG_TOL) -> ExtremalEigenv
     algorithm behind it: the eigenvalues come from LAPACK without
     eigenvectors, and each v comes from inverse iteration, solves with S
     shifted just outside the spectrum at that extreme: one solve each, more
-    only while the residual is above ``tol``; all on one private copy of `matrix`.
+    only while the residual is above ``tol``; all on one private copy of `matrix`
+    (float64 if `matrix` is real or its imaginary part zero), once
+    `_check_hermitian` has found it square, finite and Hermitian to 4 ulps.
     """
-    return _extremes(_private_copy(matrix.data if isinstance(matrix, HermitianMatrix) else matrix), tol)
+    return _extremes(_private_copy(matrix), tol)
 
 
 def _extremes(s: np.ndarray, tol: float) -> ExtremalEigenvalues:

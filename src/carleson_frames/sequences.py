@@ -2,13 +2,13 @@
 
 Sequences are immutable, indexed from k = 1, and evaluated lazily from
 closed forms (no recurrences that accumulate rounding). Besides the point
-value, every kind exposes the modulus gap 1 - |lambda_k| in a
+value, every kind gives the modulus gap 1 - |lambda_k| in a
 cancellation-free form; downstream code that must stay accurate while the
 points crowd the unit circle works on gaps, not on the rounded values.
 
 Each kind has one closed form, `_points`, over an array of 1-based indices.
-`validate` evaluates it once into a read-only window of arrays, which the
-analyses read; the scalar accessors read one-point windows and check them.
+`validate` evaluates it once into a read-only, checked window of arrays,
+the one way values and gaps are read.
 """
 
 import cmath
@@ -90,34 +90,6 @@ class LambdaSequence(ABC):
         if self.length is not None and k_start > self.length:
             return 0.0
         return None
-
-    def _point(self, k: int) -> tuple:
-        """(lambda_k, 1 - |lambda_k|), a one-point window, after the index and
-        unit-disc checks."""
-        _check_index(k, self.length, "sequence")
-        values, gaps = self._points(np.array([k]))
-        if gaps[0] <= 0.0:
-            raise _outside_disc(k)
-        return complex(values[0]), float(gaps[0])
-
-    def value_at(self, k: int) -> complex:
-        return self._point(k)[0]
-
-    def modulus_gap_at(self, k: int) -> float:
-        """1 - |lambda_k|, computed in stable closed form."""
-        return self._point(k)[1]
-
-
-def signed_gap_at(seq: LambdaSequence, k: int) -> float:
-    """1 - lambda_k for real sequences, stable against cancellation.
-
-    For lambda_k >= 0 this is the modulus gap; for lambda_k < 0 it is
-    2 - (1 - |lambda_k|). Real sequences only.
-    """
-    if not seq.is_real:
-        raise InvariantViolation("signed gaps are defined for real sequences only")
-    value, gap = seq._point(k)
-    return gap if value.real >= 0.0 else 2.0 - gap
 
 
 @dataclass(frozen=True)
@@ -367,10 +339,6 @@ class Weights(ABC):
                 f"[{self.c1}, {self.c2}]"
             )
         return m
-
-    def value_at(self, k: int) -> complex:
-        _check_index(k, self.length, "weight")
-        return complex(self._checked(np.array([k]))[0])
 
 
 @dataclass(frozen=True)

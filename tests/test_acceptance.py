@@ -34,6 +34,7 @@ from carleson_frames import (
     retilde_weights,
     reverify_certificate,
 )
+from carleson_frames.orbit import system_arrays
 from oracles import frame_operator_bruteforce, phi_coefficients
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
@@ -89,7 +90,7 @@ def test_criterion_3_subsampling_frame_property():
     # only the base families (N,0,0) carry the flat 1e-6 floor
     start = time.perf_counter()
     dim = 40
-    min_modulus = min(abs(SYSTEM.lambdas.value_at(n)) for n in range(1, dim + 1))
+    min_modulus = float(np.min(np.abs(system_arrays(SYSTEM, dim).lam)))
     base = {
         stride: frame_bounds(SYSTEM, SubsampleScheme(stride), dim).a_est
         for stride in {scheme.stride for scheme in SCHEME_GRID}
@@ -155,7 +156,7 @@ def test_criterion_5_reweighting_identity():
     for stride in (2, 3, 5):
         mtilde, bounds_ok = retilde_weights(SYSTEM, stride, 200)
         ok = ok and bounds_ok
-        gaps = np.array([SYSTEM.lambdas.modulus_gap_at(k) for k in range(1, 201)])
+        gaps = system_arrays(SYSTEM, 200).gaps
         regenerated = mtilde * np.sqrt(one_minus_pow(gaps, 2 * stride))
         phi = phi_coefficients(SYSTEM, 200)
         ulps = np.abs(regenerated - phi) / np.spacing(np.abs(phi))

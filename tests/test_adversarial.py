@@ -251,14 +251,14 @@ def test_orbit_oracle_windows_grow_by_doubling(monkeypatch):
         oracle.coefficient(j, 3)
         oracle.tail_energy(j, 5)
     assert builds == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
-    # the estimate queries coordinates 1..d in turn, so its windows double too,
-    # and later queries reuse them
+    # the estimate reads each vector from coordinate d down, so a fresh oracle
+    # builds one window of d points, and later queries reuse it
     builds.clear()
     oracle = OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0)))
     estimate_subsequence_lower_bound(oracle, (0, 6, 33), dimension)
     for j in range(1, dimension + 1):
         oracle.tail_energy(j, 5)
-    assert builds == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
+    assert builds == [300]
 
 
 def test_orbit_oracle_bad_point_raises_only_from_its_index():
@@ -353,13 +353,19 @@ def test_orbit_oracle_errors_equal_per_call_queries(query):
     assert _raised(lambda: query(oracle)) == _raised(lambda: query(reference))
 
 
-def test_orbit_estimate_raises_at_the_first_bad_point_like_per_call_queries():
-    # a repeat at index 5 and a point outside the disc at index 7: per-coordinate
-    # queries meet the repeat first, while a window of all 8 points fails the disc check
+def test_orbit_estimate_raises_as_its_window_like_per_call_queries():
+    # a repeat at index 5 and a point outside the disc at index 7: the estimate
+    # reads coordinate 8 first, so it raises what the window of all 8 points
+    # raises, the disc check, where per-coordinate reads would meet the repeat
     def system():
         values = (0.1, 0.2, 0.3, 0.4, 0.3, 0.6, 1.5, 0.8)
         return OrbitSystem(ExplicitSequence(values), ConstantWeights(1.0))
 
-    expected = _raised(lambda: estimate_subsequence_lower_bound(PerCallOrbitOracle(system()), [0, 1], 8))
-    assert "repeated eigenvalue" in expected[1]
+    expected = _raised(lambda: orbit.system_arrays(system(), 8))
+    assert expected[1] == "|lambda_7| >= 1 leaves the open unit disc"
+    assert _raised(lambda: estimate_subsequence_lower_bound(PerCallOrbitOracle(system()), [0, 1], 8)) == expected
     assert _raised(lambda: estimate_subsequence_lower_bound(OrbitFrameOracle(system()), [0, 1], 8)) == expected
+    # a system shorter than the estimate names the estimate's dimension
+    short = OrbitSystem(ExplicitSequence(tuple(1.0 - 2.0**-k for k in range(1, 21))), ConstantWeights(1.0))
+    with pytest.raises(IndexError, match=r"^sequence provides 20 < 300 entries$"):
+        estimate_subsequence_lower_bound(OrbitFrameOracle(short), [0, 1], 300)

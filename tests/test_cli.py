@@ -383,6 +383,8 @@ MALFORMED_CONFIGS = (
     ("bounds", {"params": {"tol": 10**400}}, "cannot parse tol (--tol)"),
     ("check-carleson", {"sequence": {"kind": "power", "exponent": 2}}, "sequence config is missing fields ['base']"),
     ("check-carleson", {"sequence": {"kind": []}}, "unknown sequence kind []"),
+    # check-carleson echoes the weights in its report, so it builds them too
+    ("check-carleson", {"weights": {"kind": "bogus", "x": 1}}, "unknown weights kind 'bogus'"),
     # a path that is no string is refused before the analysis runs
     ("bounds", {"output": {"json": 5}}, "output json must be a path string"),
     ("check-carleson", {"output": {"csv": 7}}, "output csv must be a path string"),

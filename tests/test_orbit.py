@@ -462,7 +462,6 @@ CALLER_LAYOUTS = {
 PUBLIC_EIGEN_ENTRIES = {
     "bounds_from_matrix": orbit.bounds_from_matrix,
     "extremal_eigenvalues": numerics.extremal_eigenvalues,
-    "HermitianMatrix": lambda matrix: numerics.HermitianMatrix(matrix).data,
 }
 
 

@@ -10,24 +10,25 @@ from carleson_frames import (
     ExplicitWeights,
     GeometricApproach,
     InvariantViolation,
+    OrbitSystem,
     PowerSequence,
     TwoPointAugmented,
     drop_prefix,
-    signed_gap_at,
     validate,
 )
+from carleson_frames.orbit import system_arrays
 from oracles import first_duplicate_by_sort
 
 
 def test_geometric_values():
-    seq = GeometricApproach(2.0)
-    assert seq.value_at(1) == 0.5
-    assert seq.value_at(3) == 0.875
+    values = validate(GeometricApproach(2.0), 3).values
+    assert values[0] == 0.5
+    assert values[2] == 0.875
 
 
 def test_power_of_geometric():
     seq = PowerSequence(GeometricApproach(2.0), 2)
-    assert seq.value_at(1) == 0.25
+    assert validate(seq, 1).values[0] == 0.25
 
 
 def test_geometric_rejects_bad_alpha():
@@ -39,43 +40,39 @@ def test_geometric_rejects_bad_alpha():
 
 @given(st.floats(min_value=1.0001, max_value=64.0), st.integers(min_value=1, max_value=150))
 def test_geometric_gap_ratio_is_exactly_one_over_alpha(alpha, k):
-    seq = GeometricApproach(alpha)
-    ratio = seq.modulus_gap_at(k + 1) / seq.modulus_gap_at(k)
+    gaps = validate(GeometricApproach(alpha), k + 1).gaps
+    ratio = gaps[k] / gaps[k - 1]
     assert ratio == pytest.approx(1.0 / alpha, rel=1e-14)
 
 
 def test_gap_stays_exact_far_beyond_double_resolution():
-    # the value itself rounds to 1.0 long before k = 200; the gap must not
-    seq = GeometricApproach(2.0)
-    assert seq.value_at(200) == 1.0
-    assert seq.modulus_gap_at(200) == 2.0 ** (-200)
+    # the value itself rounds to 1.0 long before k = 200; the gaps must not
+    window = validate(GeometricApproach(2.0), 200)
+    assert window.values[199] == 1.0
+    assert window.gaps[199] == window.signed_gaps[199] == 2.0 ** (-200)
 
 
 @given(st.integers(min_value=1, max_value=60))
 def test_power_one_is_identity(k):
-    base = GeometricApproach(2.0)
-    powered = PowerSequence(base, 1)
-    assert powered.value_at(k) == base.value_at(k)
-    assert powered.modulus_gap_at(k) == base.modulus_gap_at(k)
+    base = validate(GeometricApproach(2.0), k)
+    powered = validate(PowerSequence(GeometricApproach(2.0), 1), k)
+    assert powered.values.tobytes() == base.values.tobytes()
+    assert powered.gaps.tobytes() == base.gaps.tobytes()
 
 
 def test_explicit_sequence_indexing_and_disc_check():
-    seq = ExplicitSequence((0.3, -0.3j))
-    assert seq.value_at(2) == -0.3j
-    with pytest.raises(IndexError):
-        seq.value_at(3)
-    with pytest.raises(IndexError):
-        seq.value_at(0)
-    bad = ExplicitSequence((1.2,))
-    with pytest.raises(InvariantViolation):
-        bad.value_at(1)
+    window = validate(ExplicitSequence((0.3, -0.3j)), 5)
+    assert window.n_checked == 2  # capped at the length
+    assert window.values[1] == -0.3j
+    with pytest.raises(ValueError):
+        validate(ExplicitSequence((0.3, -0.3j)), 0)
+    bad = validate(ExplicitSequence((1.2,)), 1)
+    assert not bad.in_disc and bad.first_out_of_disc == 1
 
 
 def test_two_point_prepends_pair():
     seq = TwoPointAugmented(0.3, GeometricApproach(2.0))
-    assert seq.value_at(1) == 0.3
-    assert seq.value_at(2) == -0.3
-    assert seq.value_at(3) == 0.5
+    assert validate(seq, 3).values.tolist() == [0.3, -0.3, 0.5]
     with pytest.raises(InvariantViolation):
         TwoPointAugmented(1.3, GeometricApproach(2.0))
 
@@ -84,15 +81,14 @@ def test_even_power_of_real_sequence_is_positive():
     seq = PowerSequence(TwoPointAugmented(0.3, GeometricApproach(2.0)), 2)
     assert seq.real_positive
     assert not seq.strictly_increasing_moduli
-    assert seq.value_at(1) == seq.value_at(2) == 0.09 + 0j
+    assert validate(seq, 2).values.tolist() == [0.09 + 0j, 0.09 + 0j]
 
 
 def test_signed_gap():
-    seq = TwoPointAugmented(0.3, GeometricApproach(2.0))
-    assert signed_gap_at(seq, 1) == pytest.approx(0.7)
-    assert signed_gap_at(seq, 2) == pytest.approx(1.3)  # 1 - (-0.3)
-    with pytest.raises(InvariantViolation):
-        signed_gap_at(ExplicitSequence((0.3j,)), 1)
+    signed = validate(TwoPointAugmented(0.3, GeometricApproach(2.0)), 2).signed_gaps
+    assert signed[0] == pytest.approx(0.7)
+    assert signed[1] == pytest.approx(1.3)  # 1 - (-0.3)
+    assert validate(ExplicitSequence((0.3j,)), 1).signed_gaps is None  # real sequences only
 
 
 @pytest.mark.parametrize(
@@ -193,14 +189,14 @@ def test_validate_distinctness_of_generator_kinds_equals_the_sort(seq):
 def test_drop_prefix_views():
     geo = GeometricApproach(2.0)
     shifted = drop_prefix(geo, 5)
-    assert shifted.value_at(1) == geo.value_at(6)
+    assert validate(shifted, 1).values[0] == validate(geo, 6).values[5]
     assert shifted.ratio_certificate() == 0.5
     assert shifted.real_positive and shifted.strictly_increasing_moduli
 
     two = TwoPointAugmented(0.3, geo)
     assert drop_prefix(two, 2) is geo
     tail_one = drop_prefix(two, 1)
-    assert tail_one.value_at(1) == -0.3
+    assert validate(tail_one, 1).values[0] == -0.3
     assert not tail_one.real_positive
 
     explicit = ExplicitSequence((0.1, 0.2, 0.3))
@@ -209,7 +205,7 @@ def test_drop_prefix_views():
         drop_prefix(explicit, 3)
 
     powered = drop_prefix(PowerSequence(geo, 2), 4)
-    assert powered.value_at(1) == geo.value_at(5) ** 2
+    assert validate(powered, 1).values[0] == validate(geo, 5).values[4] ** 2
 
 
 def test_tail_gap_sums():
@@ -221,13 +217,13 @@ def test_tail_gap_sums():
     assert explicit.tail_modulus_gap_sum(3) == 0.0
     powered = PowerSequence(geo, 3)
     # 1 - x^3 <= 3 (1 - x): the bound must dominate the true tail
-    true_tail = sum(powered.modulus_gap_at(k) for k in range(5, 200))
+    true_tail = sum(validate(powered, 199).gaps[4:].tolist())  # k = 5..199
     assert powered.tail_modulus_gap_sum(5) >= true_tail
 
 
 def test_constant_weights():
     weights = ConstantWeights(1.0)
-    assert weights.value_at(7) == 1.0
+    assert system_arrays(OrbitSystem(GeometricApproach(2.0), weights), 7).weights[6] == 1.0
     assert weights.c1 == weights.c2 == 1.0
     complex_weights = ConstantWeights(3 + 4j)
     assert complex_weights.c1 == 5.0
@@ -237,11 +233,11 @@ def test_constant_weights():
 
 def test_explicit_weights_bounds():
     weights = ExplicitWeights((1.0, 2.0), 1.0, 2.0)
-    assert weights.value_at(2) == 2.0
-    with pytest.raises(IndexError):
-        weights.value_at(3)
+    assert system_arrays(OrbitSystem(GeometricApproach(2.0), weights), 2).weights[1] == 2.0
+    with pytest.raises(IndexError, match="weights provide 2 < 3 entries"):
+        system_arrays(OrbitSystem(GeometricApproach(2.0), weights), 3)
     breached = ExplicitWeights((1.0, 3.0), 1.0, 2.0)
     with pytest.raises(InvariantViolation):
-        breached.value_at(2)
+        system_arrays(OrbitSystem(GeometricApproach(2.0), breached), 2)
     with pytest.raises(InvariantViolation):
         ExplicitWeights((1.0,), 2.0, 1.0)

@@ -1,6 +1,6 @@
 """The validated coordinate window: one evaluation of the closed forms per
-(sequence, n) or (system, M), read-only, equal to the scalar accessors and to
-the per-index scalar closed forms."""
+(sequence, n) or (system, M), read-only, equal to the per-index scalar closed
+forms of `oracles.scalar_point`."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from carleson_frames import (
     drop_prefix,
     find_weaving_index,
     frame_bounds,
-    signed_gap_at,
+    limit_modulus_check,
     validate,
 )
 from carleson_frames import cli, orbit
@@ -43,14 +43,15 @@ KINDS = [
 
 @pytest.mark.parametrize("seq", KINDS, ids=lambda seq: type(seq).__name__)
 def test_window_matches_scalar_accessors_bit_for_bit(seq):
+    # the signed gaps 1 - lambda_k of real kinds: the scalar modulus gap where
+    # lambda_k >= 0 and 2 minus it where lambda_k < 0; complex kinds have none
     window = validate(seq, 60)
-    indices = range(1, window.n_checked + 1)
-    assert window.values.tolist() == [seq.value_at(k) for k in indices]
-    assert window.gaps.tolist() == [seq.modulus_gap_at(k) for k in indices]
-    if seq.is_real:
-        assert window.signed_gaps.tolist() == [signed_gap_at(seq, k) for k in indices]
-    else:
+    if not seq.is_real:
         assert window.signed_gaps is None
+        return
+    points = [scalar_point(seq, k) for k in range(1, window.n_checked + 1)]
+    signed = [gap if value.real >= 0.0 else 2.0 - gap for value, gap in points]
+    assert np.array(signed).tobytes() == window.signed_gaps.tobytes()
 
 
 REFERENCE_CASES = (
@@ -197,9 +198,8 @@ def test_weight_breach_reports_first_index():
 def test_every_site_reports_a_point_outside_the_disc_alike(capsys):
     seq = ExplicitSequence((0.5, 1.5, 0.2))
     message = r"^\|lambda_2\| >= 1 leaves the open unit disc$"
-    for read in (seq.value_at, seq.modulus_gap_at, lambda k: signed_gap_at(seq, k)):
-        with pytest.raises(InvariantViolation, match=message):
-            read(2)
+    with pytest.raises(InvariantViolation, match=message):
+        limit_modulus_check(seq, 3)
     with pytest.raises(InvariantViolation, match=message):
         system_arrays(OrbitSystem(seq, ConstantWeights(1.0)), 3)
     # the gap 2^-1075 underflows to 0, which the window reads as leaving the disc
