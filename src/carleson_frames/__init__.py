@@ -27,7 +27,6 @@ from .carleson import (
     ProductEntry,
     Verdict,
     carleson_inf_estimate,
-    carleson_product,
     drop_prefix_check,
     limit_modulus_check,
 )

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .numerics import _row_blocks, compensated_sum
-from .sequences import LambdaSequence, _check_index, _first, _outside_disc, drop_prefix, validate
+from .sequences import LambdaSequence, _first, _outside_disc, drop_prefix, validate
 
 DEFAULT_FAIL_THRESHOLD = 1e-12
 DEFAULT_EVIDENCE_THRESHOLD = 1e-3
@@ -94,50 +94,22 @@ def _products(seq: LambdaSequence, window, rows: range, k_trunc: int) -> tuple:
 
     Real sequences go through signed gaps, which keeps the factors exact when
     the points crowd the circle; complex ones use the direct formula in real
-    arithmetic that rounds like Python's complex numbers. A point outside the
-    disc raises (lambda_n first, then k upward, rows in increasing n) unless
-    an exact zero factor (a repeated point) comes first in that row, which
-    ends the product at P_n = 0. Rows are evaluated in blocks of at most
-    _CHUNK_TERMS factors, so memory stays linear in the window length.
+    arithmetic that rounds like Python's complex numbers. A window with a
+    point outside the disc raises at its first such point; a repeated point
+    gives a zero factor, log 0 = -inf, hence P_n = 0. Rows are evaluated in
+    blocks of at most _CHUNK_TERMS factors, so memory stays linear in the
+    window length.
     """
-    outside = window.gaps <= 0.0
+    if not window.in_disc:
+        raise _outside_disc(window.first_out_of_disc)
     values = []
     for block in _row_blocks(len(rows), window.gaps.size):
-        n = np.array(rows[block])
-        factors = _factor_block(window, n)
-        hits = (factors == 0.0) | outside
-        # the index that ends each row: n itself if outside, else its first
-        # zero or outside factor; 0 where nothing ends it
-        stop = np.where(outside[n - 1], n, np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0))
-        k = _first(outside[stop - 1] & (stop > 0))
-        if k is not None:
-            raise _outside_disc(stop[k - 1])
+        factors = _factor_block(window, np.array(rows[block]))
         with np.errstate(divide="ignore"):
             logs = np.log(factors)
-        values += [
-            0.0 if ended else math.exp(compensated_sum(row.tolist()))
-            for ended, row in zip((stop > 0).tolist(), logs)
-        ]
+        values += [math.exp(compensated_sum(row.tolist())) for row in logs]
     tails = _tail_errors(seq, window.gaps[rows.start - 1 : rows.stop - 1], k_trunc)
     return tuple(map(ProductEntry, rows, values, tails))
-
-
-def carleson_product(seq: LambdaSequence, n: int, k_trunc: int):
-    """Truncated product P_n over k <= k_trunc, k != n.
-
-    Returns (P_n, tail_error); tail_error bounds the total defect
-    sum_{k>k_trunc}(1 - factor_k), so the untruncated product is at least
-    P_n * (1 - tail_error). A repeated point yields P_n = 0 exactly (reported,
-    not raised). Factors are accumulated in log space with correctly rounded
-    summation.
-    """
-    if k_trunc < 1:
-        raise ValueError("k_trunc must be >= 1")
-    if n > k_trunc:
-        raise ValueError("need n <= k_trunc")
-    _check_index(n, seq.length, "sequence")
-    (entry,) = _products(seq, validate(seq, k_trunc), range(n, n + 1), k_trunc)
-    return entry.value, entry.tail_error
 
 
 def _verdict(entries, seq, fail_threshold):
@@ -177,8 +149,6 @@ def carleson_inf_estimate(
     inf_estimate = min(entry.value for entry in entries)
     ratio_sup = None
     if seq.strictly_increasing_moduli and window.n_checked >= 2:
-        if not window.in_disc:
-            raise _outside_disc(window.first_out_of_disc)
         ratio_sup = float(np.max(window.gaps[1:] / window.gaps[:-1]))
     parameters = {
         "n_max": n_max,

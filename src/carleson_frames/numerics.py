@@ -120,6 +120,8 @@ def _extremes(s: np.ndarray, tol: float) -> ExtremalEigenvalues:
         raise EigensolverError(str(exc)) from exc
     lo = float(eigvals[0])
     hi = float(eigvals[-1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise EigensolverError(f"non-finite extreme eigenvalue: lambda_min {lo!r}, lambda_max {hi!r}")
     norm = max(abs(lo), abs(hi))
     if norm == 0.0:
         return ExtremalEigenvalues(0.0, 0.0, 0.0)

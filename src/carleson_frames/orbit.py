@@ -175,21 +175,21 @@ def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:
         phi, lam, conj_lam = arrays.phi, arrays.lam, arrays.lam.conj()
     gaps = arrays.gaps
     out = np.empty((phi.size, phi.size), dtype=phi.dtype)
-    for rows in _row_blocks(phi.size, phi.size):
-        coeffs = np.outer(phi[rows], phi.conj())
-        if arrays.real_positive:
-            # 1 - w = g_m + g_n - g_m g_n exactly, hence 1 - w^step via gap powers
-            h = np.add.outer(gaps[rows], gaps) - np.outer(gaps[rows], gaps)
-            denominator = one_minus_pow(h, step)
-            # subnormal gaps can overflow the quotient; the eigen stage rejects
-            # the inf or NaN entries that result
-            with np.errstate(over="ignore", invalid="ignore"):
+    # huge weights overflow the coefficients and subnormal gaps the quotient;
+    # the eigen stage rejects the inf or NaN entries that result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_blocks(phi.size, phi.size):
+            coeffs = np.outer(phi[rows], phi.conj())
+            if arrays.real_positive:
+                # 1 - w = g_m + g_n - g_m g_n exactly, hence 1 - w^step via gap powers
+                h = np.add.outer(gaps[rows], gaps) - np.outer(gaps[rows], gaps)
+                denominator = one_minus_pow(h, step)
                 out[rows] = coeffs * (1.0 / denominator)
-        else:
-            denominator = 1.0 - complex_pow(np.outer(lam[rows], conj_lam), step)
-            if np.any(denominator == 0.0):
-                raise SingularDenominatorError("(lambda_m conj(lambda_n))^N == 1")
-            out[rows] = coeffs / denominator
+            else:
+                denominator = 1.0 - complex_pow(np.outer(lam[rows], conj_lam), step)
+                if np.any(denominator == 0.0):
+                    raise SingularDenominatorError("(lambda_m conj(lambda_n))^N == 1")
+                out[rows] = coeffs / denominator
     return out
 
 

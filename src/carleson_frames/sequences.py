@@ -34,13 +34,6 @@ def _finite_values(values, what: str) -> tuple:
     return vals
 
 
-def _check_index(k, length: int | None, what: str) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise IndexError(f"{what} indices start at 1, got {k!r}")
-    if length is not None and k > length:
-        raise IndexError(f"index {k} beyond {what} length {length}")
-
-
 def _first(mask: np.ndarray) -> int | None:
     """1-based index of the first True entry, or None."""
     hits = np.flatnonzero(mask)
@@ -410,11 +403,6 @@ class ValidationReport:
     first_out_of_disc: int | None
     distinct: bool
     first_duplicate: tuple[int, int] | None
-    monotone_moduli: bool
-    first_non_monotone: int | None
-    real_positive_window: bool
-    real_positive: bool
-    strictly_increasing_moduli: bool
     values: np.ndarray = field(compare=False, repr=False)
     gaps: np.ndarray = field(compare=False, repr=False)
     signed_gaps: np.ndarray | None = field(compare=False, repr=False)
@@ -422,7 +410,7 @@ class ValidationReport:
 
 def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
     """Evaluate indices 1..n_max (capped at the length) once and check them:
-    in-disc, pairwise distinct, strictly increasing moduli, real positivity.
+    in-disc and pairwise distinct.
 
     Pure and idempotent; distinctness of real sequences is decided on signed
     gaps so that generator kinds stay resolvable far beyond the range where
@@ -446,8 +434,6 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
         repeat = _first(first_seen[key_of] != np.arange(limit))
         first_dup = None if repeat is None else (int(first_seen[key_of[repeat - 1]]) + 1, repeat)
     first_out = _first(gaps <= 0.0)
-    first_non_mono = _first(~(gaps[:-1] > gaps[1:]))
-    window_positive = seq.is_real and bool(np.all((values.imag == 0.0) & (values.real > 0.0)))
 
     return ValidationReport(
         n_checked=limit,
@@ -455,11 +441,6 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
         first_out_of_disc=first_out,
         distinct=first_dup is None,
         first_duplicate=first_dup,
-        monotone_moduli=first_non_mono is None,
-        first_non_monotone=first_non_mono,
-        real_positive_window=window_positive,
-        real_positive=seq.real_positive,
-        strictly_increasing_moduli=seq.strictly_increasing_moduli,
         values=values,
         gaps=gaps,
         signed_gaps=signed,

@@ -14,7 +14,6 @@ from carleson_frames import (
     TwoPointAugmented,
     Verdict,
     carleson_inf_estimate,
-    carleson_product,
     drop_prefix_check,
     limit_modulus_check,
 )
@@ -30,51 +29,53 @@ GEO2 = GeometricApproach(2.0)
 P1_GEO2_REFERENCE = 0.18168631200387075
 
 
+def product_row(seq, n, k_trunc):
+    """Row n of the blocked evaluation: P_n over k <= k_trunc and its tail bound."""
+    return carleson_inf_estimate(seq, n, k_trunc).products[n - 1]
+
+
 def test_single_factor_product():
     seq = ExplicitSequence((0.3, -0.3))
-    value, tail = carleson_product(seq, 1, 2)
-    assert value == pytest.approx(0.6 / 1.09, rel=1e-15)
-    assert tail == 0.0
+    row = product_row(seq, 1, 2)
+    assert row.value == pytest.approx(0.6 / 1.09, rel=1e-15)
+    assert row.tail_error == 0.0
 
 
 def test_squared_pair_gives_exact_zero():
     seq = PowerSequence(ExplicitSequence((0.3, -0.3)), 2)
-    value, _ = carleson_product(seq, 1, 2)
-    assert value == 0.0
+    assert product_row(seq, 1, 2).value == 0.0
 
 
 def test_geometric_product_regression():
-    value, tail = carleson_product(GEO2, 1, 40)
+    row = product_row(GEO2, 1, 40)
     # truncation only over-estimates, by at most the reported tail allowance
-    assert P1_GEO2_REFERENCE <= value <= P1_GEO2_REFERENCE * (1.0 + tail) + 1e-15
-    assert value == pytest.approx(P1_GEO2_REFERENCE, abs=1e-10)
+    assert P1_GEO2_REFERENCE <= row.value <= P1_GEO2_REFERENCE * (1.0 + row.tail_error) + 1e-15
+    assert row.value == pytest.approx(P1_GEO2_REFERENCE, abs=1e-10)
 
 
 def test_geometric_product_against_rational_oracle():
     exact = rational_carleson_product(Fraction(2), 3, 120)
-    value, _ = carleson_product(GEO2, 3, 120)
-    assert value == pytest.approx(exact, rel=1e-13)
+    assert product_row(GEO2, 3, 120).value == pytest.approx(exact, rel=1e-13)
 
 
 def test_product_matches_direct_complex_oracle():
     values = (0.1 + 0.2j, -0.4, 0.5j, 0.85, -0.3 - 0.4j)
     seq = ExplicitSequence(values)
     for n in range(1, len(values) + 1):
-        value, tail = carleson_product(seq, n, len(values))
-        assert value == pytest.approx(float_carleson_product(values, n), rel=1e-13)
-        assert tail == 0.0
+        row = product_row(seq, n, len(values))
+        assert row.value == pytest.approx(float_carleson_product(values, n), rel=1e-13)
+        assert row.tail_error == 0.0
 
 
 def test_tail_error_bounds_true_decrement():
-    p40, tail40 = carleson_product(GEO2, 1, 40)
-    p400, _ = carleson_product(GEO2, 1, 400)
-    assert p400 <= p40
-    assert p40 - p400 <= p40 * tail40 * 1.01 + 1e-15
+    row40, row400 = product_row(GEO2, 1, 40), product_row(GEO2, 1, 400)
+    assert row400.value <= row40.value
+    assert row40.value - row400.value <= row40.value * row40.tail_error * 1.01 + 1e-15
 
 
 def test_product_preconditions():
     with pytest.raises(ValueError):
-        carleson_product(GEO2, 5, 3)
+        product_row(GEO2, 5, 3)
 
 
 def test_inf_estimate_geometric_certifies():
@@ -126,13 +127,12 @@ def test_squared_two_point_always_certified_fails(q):
 )
 def test_factors_keep_products_in_unit_interval(values):
     seq = ExplicitSequence(tuple(values))
-    value, _ = carleson_product(seq, 1, len(values))
-    assert 0.0 <= value < 1.0 + 1e-12
+    assert 0.0 <= product_row(seq, 1, len(values)).value < 1.0 + 1e-12
 
 
 def test_product_nonincreasing_in_k_trunc():
     for k_trunc in (10, 20, 40, 80, 160):
-        current, _ = carleson_product(GEO2, 2, k_trunc)
+        current = product_row(GEO2, 2, k_trunc).value
         if k_trunc > 10:
             assert current <= previous + 1e-18
         previous = current
@@ -246,10 +246,9 @@ ROW_CASES = [
 
 @pytest.mark.parametrize("seq,n_max,k_trunc", ROW_CASES)
 def test_inf_estimate_rows_equal_carleson_product(seq, n_max, k_trunc):
+    # row n does not depend on how many rows are computed
     report = carleson_inf_estimate(seq, n_max, k_trunc)
-    assert [(e.n, e.value, e.tail_error) for e in report.products] == [
-        (n, *carleson_product(seq, n, k_trunc)) for n in range(1, n_max + 1)
-    ]
+    assert report.products == tuple(product_row(seq, n, k_trunc) for n in range(1, n_max + 1))
     if seq is SQUARED_PAIR:
         assert [e.value for e in report.products[:2]] == [0.0, 0.0]
         assert all(e.value > 0.0 for e in report.products[2:])
@@ -270,34 +269,39 @@ def test_block_size_does_not_change_products(monkeypatch, seq, n_max, k_trunc, r
 
 @pytest.mark.parametrize("outside", [1.5, 1.5j])
 def test_out_of_disc_before_a_repeated_point_raises_at_it(outside):
-    # row 1 meets the outside point (k = 2) before its zero factor (k = 4)
+    # one check per window: the first point outside the disc raises
     seq = ExplicitSequence((0.2j, outside, 0.4, 0.2j, 0.6))
     with pytest.raises(InvariantViolation, match=r"^\|lambda_2\| >= 1 leaves the open unit disc$"):
         carleson_inf_estimate(seq, 5, 5)
-    with pytest.raises(InvariantViolation, match=r"^\|lambda_2\| >= 1 leaves the open unit disc$"):
-        carleson_product(seq, 1, 5)
 
 
 @pytest.mark.parametrize("outside", [1.5, 1.5j])
 def test_out_of_disc_after_a_repeated_point_raises_in_the_next_row(outside):
-    # row 1 ends at its zero factor (k = 3) first, so P_1 = 0; row 2 then
-    # meets the outside point at k = 4
+    # row 1 has a zero factor (k = 3), yet the window's one disc check raises
+    # at the outside point (k = 4) before any row is evaluated
     seq = ExplicitSequence((0.2j, 0.4, 0.2j, outside, 0.6))
-    assert carleson_product(seq, 1, 5) == (0.0, 0.0)
     with pytest.raises(InvariantViolation, match=r"^\|lambda_4\| >= 1 leaves the open unit disc$"):
         carleson_inf_estimate(seq, 5, 5)
-    with pytest.raises(InvariantViolation, match=r"^\|lambda_4\| >= 1 leaves the open unit disc$"):
-        carleson_product(seq, 2, 5)
+
+
+def test_out_of_disc_point_raises_where_every_row_has_a_zero_factor(capsys):
+    # rows 1 and 2 are both zero (lambda_1 == lambda_2), and lambda_3 is outside
+    seq = ExplicitSequence((0.2, 0.2, 1.5))
+    with pytest.raises(InvariantViolation, match=r"^\|lambda_3\| >= 1 leaves the open unit disc$"):
+        carleson_inf_estimate(seq, 2, 3)
+    argv = ["check-carleson", "--values", "0.2,0.2,1.5", "--n-max", "2", "--k-trunc", "3"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: |lambda_3| >= 1 leaves the open unit disc\n"
 
 
 def test_out_of_disc_row_point_is_reported_before_its_factors():
-    # lambda_2 itself is outside; its zero factor at k = 1 does not come first
+    # the first outside point of the window is reported, whatever the rows
     seq = ExplicitSequence((1.5, 1.5, 0.3))
-    with pytest.raises(InvariantViolation, match=r"^\|lambda_2\| >= 1"):
-        carleson_product(seq, 2, 3)
     with pytest.raises(InvariantViolation, match=r"^\|lambda_1\| >= 1"):
         carleson_inf_estimate(seq, 3, 3)
-    # a dropped prefix point: the tail (0.4, 0.2, 0.6) passes, then its row raises
+    # a dropped prefix point: the tail (0.4, 0.2, 0.6) passes, then the full window raises
     with pytest.raises(InvariantViolation, match=r"^\|lambda_1\| >= 1"):
         drop_prefix_check(ExplicitSequence((1.5, 0.4, 0.2, 0.6)), 1, 3, 3)
 

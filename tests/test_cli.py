@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -200,6 +201,29 @@ def test_non_finite_operator_exits_one(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("analysis error:")
     assert "non-finite" in lines[0]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--weight-value", "1e200", "--M", "5"],
+        ["bounds", "--weight-value", "1e200", "--M", "5", "--values", "0.5j,0.3,0.1,0.2,0.4"],
+        ["subsample-sweep", "--weight-value", "1e200", "--M", "5"],
+        ["weave", "--weight-value", "1e200", "--M", "5"],
+        # finite entries, but LAPACK's largest eigenvalue overflows to inf
+        ["bounds", "--weight-value", "1e154", "--M", "20"],
+    ],
+    ids=["overflow", "complex-overflow", "sweep", "weave", "eigenvalue-overflow"],
+)
+def test_huge_weights_exit_one_without_a_warning(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("analysis error:")
     assert captured.out == "" and not out.exists()
 
 

@@ -109,8 +109,7 @@ def test_non_finite_inputs_rejected_at_construction(build):
 
 def test_validate_geometric_all_pass():
     report = validate(GeometricApproach(2.0), 50)
-    assert report.in_disc and report.distinct and report.monotone_moduli and report.real_positive_window
-    assert report.real_positive and report.strictly_increasing_moduli
+    assert report.in_disc and report.distinct
     assert report.n_checked == 50
 
 
@@ -123,9 +122,8 @@ def test_validate_reports_duplicates():
 
 def test_validate_reports_non_monotone_two_point():
     report = validate(TwoPointAugmented(0.3, GeometricApproach(2.0)), 10)
-    assert not report.monotone_moduli
-    assert report.first_non_monotone == 1  # |q| == |-q|
-    assert not report.real_positive_window
+    # |q| == |-q| is not a repeated point
+    assert report.in_disc and report.distinct
 
 
 def test_validate_detects_collision_with_base():
@@ -143,7 +141,7 @@ def test_validate_is_idempotent():
 def test_validate_deep_geometric_distinctness():
     # signed-gap keys keep indices distinct even where values round to 1.0
     report = validate(GeometricApproach(2.0), 300)
-    assert report.distinct and report.in_disc and report.monotone_moduli
+    assert report.distinct and report.in_disc
 
 
 _REAL_POINTS = st.floats(min_value=-0.999, max_value=0.999)
