@@ -23,12 +23,10 @@ from .adversarial import (
 )
 from .carleson import (
     CarlesonReport,
-    LimitModulusEvidence,
     ProductEntry,
     Verdict,
     carleson_inf_estimate,
     drop_prefix_check,
-    limit_modulus_check,
 )
 from .numerics import (
     EigensolverError,

@@ -20,7 +20,7 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .numerics import DEFAULT_EIG_TOL, complex_pow, compensated_sum
+from .numerics import complex_pow, compensated_sum
 from .orbit import OrbitSystem, _bounds, system_arrays
 
 DEFAULT_SEARCH_BUDGET = 10**6
@@ -259,12 +259,7 @@ def reverify_certificate(oracle: FrameOracle, certificate: AdversarialCertificat
     return deviation
 
 
-def estimate_subsequence_lower_bound(
-    oracle: FrameOracle,
-    indices,
-    dimension: int,
-    tol: float = DEFAULT_EIG_TOL,
-) -> float:
+def estimate_subsequence_lower_bound(oracle: FrameOracle, indices, dimension: int) -> float:
     """Smallest eigenvalue of the truncated frame operator of {f_k : k in indices}
     over basis coordinates 1..dimension.
 
@@ -276,7 +271,7 @@ def estimate_subsequence_lower_bound(
         raise ValueError("index family must not be empty")
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
-    return _bounds(_family_operator(oracle, index_list, dimension), tol).a_est
+    return _bounds(_family_operator(oracle, index_list, dimension)).a_est
 
 
 def _family_operator(oracle: FrameOracle, index_list, dimension: int) -> np.ndarray:

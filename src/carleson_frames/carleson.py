@@ -18,10 +18,9 @@ from enum import Enum
 import numpy as np
 
 from .numerics import _row_blocks, compensated_sum
-from .sequences import LambdaSequence, _first, _outside_disc, drop_prefix, validate
+from .sequences import LambdaSequence, _outside_disc, drop_prefix, validate
 
 DEFAULT_FAIL_THRESHOLD = 1e-12
-DEFAULT_EVIDENCE_THRESHOLD = 1e-3
 
 
 class Verdict(Enum):
@@ -203,46 +202,4 @@ def drop_prefix_check(
     parameters = dict(report.parameters, n_drop=n_drop)
     return replace(
         report, verdict=verdict, parameters=parameters, dropped_products=dropped, n_drop=n_drop
-    )
-
-
-@dataclass(frozen=True)
-class LimitModulusEvidence:
-    """Screen for the necessary condition |lambda_k| -> 1.
-
-    `passes` records whether 1 - |lambda_{k_max}| fell below the evidence
-    threshold; this is evidence about a finite window, never a certificate,
-    and threshold-dependent outcomes should be reported, not asserted.
-    """
-
-    passes: bool
-    final_gap: float
-    threshold: float
-    trailing: tuple
-
-    def __bool__(self) -> bool:
-        return self.passes
-
-
-def limit_modulus_check(
-    seq: LambdaSequence,
-    k_max: int,
-    evidence_threshold: float = DEFAULT_EVIDENCE_THRESHOLD,
-) -> LimitModulusEvidence:
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    limit = k_max if seq.length is None else min(k_max, seq.length)
-    # only the last five indices are read, through the closed form, not a window
-    indices = range(max(1, limit - 4), limit + 1)
-    gaps = seq._points(np.array(indices))[1]
-    bad = _first(gaps <= 0.0)
-    if bad is not None:
-        raise _outside_disc(indices[bad - 1])
-    trailing = tuple(zip(indices, gaps.tolist()))
-    final_gap = trailing[-1][1]
-    return LimitModulusEvidence(
-        passes=final_gap < evidence_threshold,
-        final_gap=final_gap,
-        threshold=evidence_threshold,
-        trailing=trailing,
     )

@@ -42,7 +42,6 @@ from .carleson import (
 from .numerics import EigensolverError
 from .orbit import (
     DEFAULT_DIMENSION,
-    DEFAULT_EIG_TOL,
     OrbitSystem,
     SubsampleScheme,
     _bounds,
@@ -130,7 +129,6 @@ class Param(NamedTuple):
 
 _AT_LEAST_0 = (">= 0", lambda v: v >= 0)
 _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
-_FINITE_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
 
 PARAMS = (
     Param("check-carleson", "n_max", "--n-max", 30, _integer, _AT_LEAST_1),
@@ -143,19 +141,16 @@ PARAMS = (
     Param("bounds", "offset", "--j", 0, _integer, None),
     Param("bounds", "start", "--K", 0, _integer, _AT_LEAST_0),
     Param("bounds", "dimension", "--M", DEFAULT_DIMENSION, _integer, _AT_LEAST_1),
-    Param("bounds", "tol", "--tol", DEFAULT_EIG_TOL, _real, _FINITE_POSITIVE),
     Param("subsample-sweep", "strides", "--N", "1,2,3,5", _int_list,
           ("a nonempty list of integers >= 1", lambda v: bool(v) and min(v) >= 1)),
     Param("subsample-sweep", "starts", "--K", "0", _int_list,
           ("a nonempty list of integers >= 0", lambda v: bool(v) and min(v) >= 0)),
     Param("subsample-sweep", "dimension", "--M", DEFAULT_DIMENSION, _integer, _AT_LEAST_1),
-    Param("subsample-sweep", "tol", "--tol", DEFAULT_EIG_TOL, _real, _FINITE_POSITIVE),
     Param("weave", "stride", "--N", 2, _integer, _AT_LEAST_1),
     Param("weave", "pattern", "--pattern", "constant:1", str, None),
     Param("weave", "safety", "--safety", DEFAULT_SAFETY, _real, ("in (0, 1]", lambda v: 0.0 < v <= 1.0)),
     Param("weave", "dimension", "--M", DEFAULT_DIMENSION, _integer, _AT_LEAST_1),
     Param("weave", "j_max", "--J-max", DEFAULT_J_MAX, _integer, _AT_LEAST_0),
-    Param("weave", "tol", "--tol", DEFAULT_EIG_TOL, _real, _FINITE_POSITIVE),
     Param("adversary", "oracle", "--oracle", "orbit", str,
           ("orbit or orthonormal", lambda v: v in ("orbit", "orthonormal"))),
     Param("adversary", "levels", "--L", 6, _integer, _AT_LEAST_1),
@@ -375,7 +370,7 @@ def _cmd_check_carleson(resolved: dict) -> tuple:
 def _cmd_bounds(resolved: dict) -> tuple:
     p = resolved["params"]
     scheme = SubsampleScheme(p["stride"], p["offset"], p["start"])
-    estimate = frame_bounds(_system(resolved), scheme, p["dimension"], p["tol"])
+    estimate = frame_bounds(_system(resolved), scheme, p["dimension"])
     print(
         f"scheme (N={scheme.stride}, j={scheme.offset}, K={scheme.start})  "
         f"M={p['dimension']}  A_est={estimate.a_est:.17g}  B_est={estimate.b_est:.17g}"
@@ -385,7 +380,7 @@ def _cmd_bounds(resolved: dict) -> tuple:
 
 def _cmd_subsample_sweep(resolved: dict) -> tuple:
     p = resolved["params"]
-    estimates = sweep_bounds(_system(resolved), p["strides"], p["starts"], p["dimension"], p["tol"])
+    estimates = sweep_bounds(_system(resolved), p["strides"], p["starts"], p["dimension"])
     table = [(e.scheme.stride, e.scheme.offset, e.scheme.start, e.a_est, e.b_est) for e in estimates]
     _emit_csv(resolved, ("N", "j", "K", "A_est", "B_est"), table)
     print(f"{'N':>4} {'j':>4} {'K':>4} {'A_est':>24} {'B_est':>24}")
@@ -400,7 +395,7 @@ def _cmd_weave(resolved: dict) -> tuple:
     system = _system(resolved)
     dimension = p["dimension"]
     pattern = pattern_from_spec(p["pattern"], p["stride"])
-    reference = frame_bounds(system, SubsampleScheme(p["stride"]), dimension, p["tol"])
+    reference = frame_bounds(system, SubsampleScheme(p["stride"]), dimension)
     try:
         if reference.a_est <= 0.0:
             raise WeavingSearchError(
@@ -408,9 +403,7 @@ def _cmd_weave(resolved: dict) -> tuple:
                 "eigensolver's resolution, so no defect threshold can be set",
                 (),
             )
-        result = find_weaving_index(
-            system, pattern, reference.a_est, p["safety"], dimension, p["j_max"], p["tol"]
-        )
+        result = find_weaving_index(system, pattern, reference.a_est, p["safety"], dimension, p["j_max"])
     except WeavingSearchError as exc:
         print(f"weaving index not found: {exc}")
         return EXIT_ANALYSIS, {

@@ -18,7 +18,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # start vector of the inverse-iteration 
 _INVERSE_STEPS = 4  # solves per extreme in the eigenvalue certificate, at most
 _CHUNK_TERMS = 1 << 16  # entries per block of a blocked array pass, which bounds its memory
 
-DEFAULT_EIG_TOL = 1e-10  # residual bound of the eigenvalue certificate
+DEFAULT_EIG_TOL = 1e-10  # residual bound of the eigenvalue certificate, read at each call
 
 
 class NonHermitianError(ValueError):
@@ -91,28 +91,26 @@ class ExtremalEigenvalues(NamedTuple):
     residual: float
 
 
-def extremal_eigenvalues(matrix, tol: float = DEFAULT_EIG_TOL) -> ExtremalEigenvalues:
+def extremal_eigenvalues(matrix) -> ExtremalEigenvalues:
     """Smallest and largest eigenvalue of a Hermitian matrix, certified.
 
     The certificate is ``residual = max ||S v - lambda v|| / ||S||`` over the
-    two returned eigenvalues; if it exceeds ``tol`` (or is not a number) an
-    EigensolverError is raised. The contract is the residual, not the
-    algorithm behind it: the eigenvalues come from LAPACK without
+    two returned eigenvalues; if it exceeds DEFAULT_EIG_TOL (or is not a
+    number) an EigensolverError is raised. The contract is the residual, not
+    the algorithm behind it: the eigenvalues come from LAPACK without
     eigenvectors, and each v comes from inverse iteration, solves with S
     shifted just outside the spectrum at that extreme: one solve each, more
-    only while the residual is above ``tol``; all on one private copy of `matrix`
-    (float64 if `matrix` is real or its imaginary part zero), once
+    only while the residual is above the bound; all on one private copy of
+    `matrix` (float64 if `matrix` is real or its imaginary part zero), once
     `_check_hermitian` has found it square, finite and Hermitian to 4 ulps.
     """
-    return _extremes(_private_copy(matrix), tol)
+    return _extremes(_private_copy(matrix))
 
 
-def _extremes(s: np.ndarray, tol: float) -> ExtremalEigenvalues:
+def _extremes(s: np.ndarray) -> ExtremalEigenvalues:
     """`extremal_eigenvalues` of an operator the package owns, checked, solved
     and certified in its own buffer, which is left overwritten. A complex `s`
     with a zero imaginary part gives way to a C-contiguous copy of its real part."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     s = _check_hermitian(np.asarray(_real_part_if_real(s), order="C"))
     try:
         eigvals = np.linalg.eigvalsh(s)
@@ -125,24 +123,24 @@ def _extremes(s: np.ndarray, tol: float) -> ExtremalEigenvalues:
     norm = max(abs(lo), abs(hi))
     if norm == 0.0:
         return ExtremalEigenvalues(0.0, 0.0, 0.0)
-    residual = _certificate(s, lo, hi, norm, tol)
-    if not residual <= tol:  # a NaN residual fails too
-        raise EigensolverError(f"residual {residual:.3e} exceeds tolerance {tol:.3e}")
+    residual = _certificate(s, lo, hi, norm)
+    if not residual <= DEFAULT_EIG_TOL:  # a NaN residual fails too
+        raise EigensolverError(f"residual {residual:.3e} exceeds tolerance {DEFAULT_EIG_TOL:.3e}")
     return ExtremalEigenvalues(lo, hi, residual)
 
 
-def _certificate(s: np.ndarray, lo: float, hi: float, norm: float, tol: float) -> float:
+def _certificate(s: np.ndarray, lo: float, hi: float, norm: float) -> float:
     """max ||S v - lambda v|| / ||S|| over lambda in (lo, hi), v from inverse
-    iteration at each extreme; the first residual above tol (NaN included),
-    if there is one.
+    iteration at each extreme; the first residual above DEFAULT_EIG_TOL (NaN
+    included), if there is one.
 
     Everything runs on S scaled by the power of two 2^e that brings ||S||
     into [1/2, 1), exactly, so the shift cannot underflow and the solve
     cannot overflow. Each extreme gets at most _INVERSE_STEPS solves with S
     shifted eps ||S|| outside the spectrum there, starting from the fixed
     vector frac(k g) - 1/2 (g the golden ratio conjugate), so the result is
-    deterministic. One step meets the default tol; while the residual is
-    above tol, the next step refines v, and a solve that meets an exactly
+    deterministic. One step meets DEFAULT_EIG_TOL; while the residual is
+    above it, the next step refines v, and a solve that meets an exactly
     zero pivot (the shift is an eigenvalue to working precision) is
     repeated with the shift doubled. `s`, C-contiguous, is scaled and shifted
     in place; each solve restores its diagonal.
@@ -169,11 +167,11 @@ def _certificate(s: np.ndarray, lo: float, hi: float, norm: float, tol: float) -
                 diagonal[:] = saved
             v = x / np.linalg.norm(x)
             residual = float(np.linalg.norm(s @ v - lam * v)) / norm
-            if not residual > tol:  # met, or NaN
+            if not residual > DEFAULT_EIG_TOL:  # met, or NaN
                 break
         if residual is None:
             raise EigensolverError(f"shifted solve failed at every shift: {failure}")
-        if not residual <= tol:  # also NaN, which max() would drop: max(0.0, nan) is 0.0
+        if not residual <= DEFAULT_EIG_TOL:  # also NaN, which max() would drop: max(0.0, nan) is 0.0
             return residual
         worst = max(worst, residual)
     return worst

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import numerics
 from .numerics import (
-    DEFAULT_EIG_TOL,
     EigensolverError,
     _extremes,
     _private_copy,
@@ -190,6 +190,10 @@ def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:
                 if np.any(denominator == 0.0):
                     raise SingularDenominatorError("(lambda_m conj(lambda_n))^N == 1")
                 out[rows] = coeffs / denominator
+    # tiny weights underflow every c_n; this PSD operator with a zero diagonal
+    # is zero, and its zero eigenvalues would read as frame bounds
+    if not np.any(np.diagonal(out)):
+        raise EigensolverError(f"every coefficient |c_n|^2 underflows to 0 at M={phi.size}")
     return out
 
 
@@ -226,25 +230,22 @@ def frame_operator_matrix(
     return conjugate_by_powers(base, arrays, scheme.exponent(scheme.start))
 
 
-def bounds_from_matrix(
-    matrix: np.ndarray,
-    tol: float = DEFAULT_EIG_TOL,
-    scheme: SubsampleScheme | None = None,
-) -> FrameBoundEstimate:
+def bounds_from_matrix(matrix: np.ndarray, scheme: SubsampleScheme | None = None) -> FrameBoundEstimate:
     """Extremal eigenvalues of an assembled M x M frame operator, PSD-checked.
 
-    Eigenvalues within -tol * ||S|| of zero are clamped to 0; anything more
-    negative means the matrix is not a frame operator and raises. The work
-    runs on one private copy; the caller's matrix is never written."""
-    return _bounds(_private_copy(matrix), tol, scheme)
+    Eigenvalues within -DEFAULT_EIG_TOL * ||S|| of zero are clamped to 0;
+    anything more negative means the matrix is not a frame operator and
+    raises. The work runs on one private copy; the caller's matrix is never
+    written."""
+    return _bounds(_private_copy(matrix), scheme)
 
 
-def _bounds(operator: np.ndarray, tol=DEFAULT_EIG_TOL, scheme=None) -> FrameBoundEstimate:
+def _bounds(operator: np.ndarray, scheme=None) -> FrameBoundEstimate:
     """`bounds_from_matrix` of an operator the package just assembled, in its
     own buffer, which `_extremes` checks, solves and certifies in place."""
-    extremes = _extremes(operator, tol)
+    extremes = _extremes(operator)
     scale = max(abs(extremes.lambda_min), abs(extremes.lambda_max))
-    if extremes.lambda_min < -tol * scale:
+    if extremes.lambda_min < -numerics.DEFAULT_EIG_TOL * scale:
         raise EigensolverError(
             f"frame operator not PSD: lambda_min = {extremes.lambda_min:.3e}"
         )
@@ -261,19 +262,12 @@ def frame_bounds(
     system: OrbitSystem,
     scheme: SubsampleScheme,
     dimension: int = DEFAULT_DIMENSION,
-    tol: float = DEFAULT_EIG_TOL,
 ) -> FrameBoundEstimate:
     """Truncated frame-bound estimates (A_est, B_est) for one subsample scheme."""
-    return _bounds(frame_operator_matrix(system, scheme, dimension), tol, scheme)
+    return _bounds(frame_operator_matrix(system, scheme, dimension), scheme)
 
 
-def sweep_bounds(
-    system: OrbitSystem,
-    strides,
-    starts,
-    dimension: int = DEFAULT_DIMENSION,
-    tol: float = DEFAULT_EIG_TOL,
-) -> list:
+def sweep_bounds(system: OrbitSystem, strides, starts, dimension: int = DEFAULT_DIMENSION) -> list:
     """`frame_bounds` of every scheme (N, j, K) with N in `strides`, K in
     `starts` and 0 <= j < N, in that order.
 
@@ -288,9 +282,8 @@ def sweep_bounds(
         for start in starts:
             for offset in range(stride):
                 scheme = SubsampleScheme(stride, offset, start)
-                estimates.append(_bounds(
-                    conjugate_by_powers(base.copy(), arrays, scheme.exponent(start)), tol, scheme
-                ))
+                operator = conjugate_by_powers(base.copy(), arrays, scheme.exponent(start))
+                estimates.append(_bounds(operator, scheme))
     return estimates
 
 

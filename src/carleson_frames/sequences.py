@@ -138,7 +138,7 @@ class ExplicitSequence(LambdaSequence):
         return len(self.values)
 
     def _points(self, k):
-        values = np.array([self.values[i] for i in (k - 1).tolist()], dtype=np.complex128)
+        values = np.array(self.values, dtype=np.complex128)[k - 1]
         return values, 1.0 - np.hypot(values.real, values.imag)  # hypot rounds like abs()
 
     def tail_modulus_gap_sum(self, k_start):
@@ -390,7 +390,7 @@ class ExplicitWeights(Weights):
         return len(self.values)
 
     def _values(self, k):
-        return np.array([self.values[i] for i in (k - 1).tolist()], dtype=np.complex128)
+        return np.array(self.values, dtype=np.complex128)[k - 1]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ import numpy as np
 from .numerics import _row_blocks, compensated_sum, complex_pow_table, one_minus_pow
 from .orbit import (
     DEFAULT_DIMENSION,
-    DEFAULT_EIG_TOL,
     FrameBoundEstimate,
     OrbitSystem,
     _bounds,
@@ -361,7 +360,6 @@ def find_weaving_index(
     safety: float = DEFAULT_SAFETY,
     dimension: int = DEFAULT_DIMENSION,
     j_max: int = DEFAULT_J_MAX,
-    tol: float = DEFAULT_EIG_TOL,
 ) -> WeavingResult:
     """Smallest J with defect(J) < safety * a_est, then a direct verification.
     It stops at J = 0 when the coordinate tail bound alone reaches the threshold.
@@ -395,7 +393,7 @@ def find_weaving_index(
         )
     defect = sweep[-1].value + sweep[-1].truncation_bound
     predicted = (math.sqrt(a_est) - math.sqrt(defect)) ** 2
-    verified = _bounds(woven_frame_operator(system, pattern, found, dimension), tol)
+    verified = _bounds(woven_frame_operator(system, pattern, found, dimension))
     return WeavingResult(
         start_index=found,
         defect=defect,

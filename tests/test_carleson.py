@@ -1,5 +1,4 @@
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -15,9 +14,8 @@ from carleson_frames import (
     Verdict,
     carleson_inf_estimate,
     drop_prefix_check,
-    limit_modulus_check,
 )
-from carleson_frames import carleson, cli, numerics
+from carleson_frames import cli, numerics
 from carleson_frames.reporting import canonical_json
 from oracles import float_carleson_product, mpmath_carleson_product, rational_carleson_product
 
@@ -197,27 +195,6 @@ def test_drop_prefix_check_empty_rest_errors():
         drop_prefix_check(ExplicitSequence((0.1, 0.2)), 2, 1, 10)
 
 
-def test_limit_modulus_geometric():
-    evidence = limit_modulus_check(GEO2, 40)
-    assert evidence
-    assert evidence.final_gap == 2.0**-40
-
-
-def test_limit_modulus_constant_ring_fails():
-    ring = ExplicitSequence(tuple(0.5 * complex(math.cos(t), math.sin(t)) for t in (0.1, 0.7, 1.9, 2.8)))
-    evidence = limit_modulus_check(ring, 4)
-    assert not evidence
-    assert evidence.final_gap == pytest.approx(0.5, rel=1e-12)
-
-
-def test_limit_modulus_slow_geometric_is_threshold_dependent():
-    # mathematically the limit holds, but at k_max = 40 the gap is still 0.67;
-    # the outcome is reported, never asserted
-    evidence = limit_modulus_check(GeometricApproach(1.01), 40)
-    assert evidence.final_gap == pytest.approx(1.01**-40, rel=1e-12)
-    assert not evidence.passes
-
-
 def test_report_serialization_round_trip(tmp_path, capsys):
     report = carleson_inf_estimate(TwoPointAugmented(0.3, GEO2), 4, 50)
     data = json.loads(canonical_json(report))
@@ -327,20 +304,3 @@ def test_products_match_mpmath_oracle(seq, points, n_values):
     for n in n_values:
         assert report.products[n - 1].value == pytest.approx(mpmath_carleson_product(exact, n), rel=1e-12)
 
-
-def test_limit_modulus_reads_only_the_last_gaps(monkeypatch):
-    def no_window(*args, **kwargs):
-        raise AssertionError("limit_modulus_check validated a window")
-
-    monkeypatch.setattr(carleson, "validate", no_window)
-    evidence = limit_modulus_check(GeometricApproach(1.00001), 200_000)
-    assert [k for k, _ in evidence.trailing] == list(range(199_996, 200_001))
-    assert evidence.final_gap == 1.00001**-200_000
-
-
-def test_limit_modulus_reports_the_first_bad_trailing_index():
-    seq = ExplicitSequence((1.5, 0.1, 0.2, 1.5, 0.3, 2.0, 0.4))
-    # only indices 3..7 are read: lambda_1 is never looked at
-    with pytest.raises(InvariantViolation, match=r"^\|lambda_4\| >= 1 leaves the open unit disc$"):
-        limit_modulus_check(seq, 7)
-    assert limit_modulus_check(ExplicitSequence((1.5, 0.1, 0.2, 0.3, 0.4, 0.5)), 6).final_gap == 0.5

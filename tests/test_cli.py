@@ -74,8 +74,19 @@ def test_argparse_errors_are_one_usage_line(capsys):
     assert run_cli("bounds", "--help") == 0
     out = capsys.readouterr().out
     for flag in ("--config", "--out", "--alpha", "--values", "--two-point-q", "--power", "--weight-value",
-                 "--N", "--j", "--K", "--M", "--tol"):
+                 "--N", "--j", "--K", "--M"):
         assert f" {flag} " in out
+
+
+def test_tol_is_no_parameter(tmp_path, capsys):
+    # the certificate's residual bound is fixed: no subcommand takes it as a flag or a key
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": {"tol": 1e-10}}))
+    for command in sorted({row.command for row in cli.PARAMS}):
+        for argv in ((command, "--tol", "1e-10"), (command, "--config", str(config))):
+            assert run_cli(*argv) == 2, argv
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and "tol" in lines[0], argv
 
 
 @pytest.mark.parametrize("flag", ["--out", "--csv"])
@@ -213,8 +224,10 @@ def test_non_finite_operator_exits_one(tmp_path, capsys):
         ["weave", "--weight-value", "1e200", "--M", "5"],
         # finite entries, but LAPACK's largest eigenvalue overflows to inf
         ["bounds", "--weight-value", "1e154", "--M", "20"],
+        # every |c_n|^2 underflows to 0: a zero operator gives no frame bounds
+        ["bounds", "--weight-value", "1e-162", "--M", "5"],
     ],
-    ids=["overflow", "complex-overflow", "sweep", "weave", "eigenvalue-overflow"],
+    ids=["overflow", "complex-overflow", "sweep", "weave", "eigenvalue-overflow", "underflow"],
 )
 def test_huge_weights_exit_one_without_a_warning(tmp_path, capsys, argv):
     out = tmp_path / "report.json"
@@ -321,7 +334,7 @@ def test_weave_reference_below_resolution_exits_one(tmp_path, capsys):
         (("check-carleson", "--n-max", "0"), "--n-max"),
         (("weave", "--safety", "0"), "--safety"),
         (("adversary", "--L", "0"), "--L"),
-        (("bounds", "--alpha", "2", "--tol", "0"), "--tol"),
+        (("bounds", "--alpha", "2", "--K", "-1"), "--K"),
         (("subsample-sweep", "--alpha", "2", "--N", "1,x"), "--N"),
         (("subsample-sweep", "--N", "0"), "--N"),
         (("weave", "--J-max", "-1"), "--J-max"),
@@ -336,7 +349,7 @@ def test_weave_reference_below_resolution_exits_one(tmp_path, capsys):
          "--k-trunc"),
         (("check-carleson", "--fail-threshold", "nan"), "--fail-threshold"),
         (("check-carleson", "--fail-threshold", "inf"), "--fail-threshold"),
-        (("bounds", "--tol", "inf"), "--tol"),
+        (("adversary", "--oracle", "bogus"), "--oracle"),
         (("bounds", "--alpha", "x"), "--alpha"),
         (("bounds", "--power", "2.5"), "--power"),
         (("bounds", "--weight-value", "abc"), "--weight-value"),
@@ -383,7 +396,7 @@ MALFORMED_CONFIGS = (
     ("check-carleson", {"params": {"n_max": 2.7}}, "cannot parse n_max (--n-max)"),
     ("check-carleson", {"params": {"n_max": True}}, "cannot parse n_max (--n-max)"),
     ("bounds", {"params": {"dimension": 20.0}}, "cannot parse dimension (--M)"),
-    ("bounds", {"params": {"tol": True}}, "cannot parse tol (--tol)"),
+    ("weave", {"params": {"safety": True}}, "cannot parse safety (--safety)"),
     ("subsample-sweep", {"params": {"strides": [1, 2.5]}}, "cannot parse strides (--N)"),
     ("subsample-sweep", {"params": {"starts": [True]}}, "cannot parse starts (--K)"),
     ("check-carleson", {"sequence": dict(SQUARED_TWO_POINT, exponent=2.7)}, "invalid sequence config"),
@@ -404,7 +417,7 @@ MALFORMED_CONFIGS = (
     # a 400-digit JSON integer has no float form
     ("check-carleson", {"sequence": {"kind": "geometric", "alpha": 10**400}}, "invalid sequence config"),
     ("bounds", {"weights": {"kind": "constant", "value": 10**400}}, "invalid weights config"),
-    ("bounds", {"params": {"tol": 10**400}}, "cannot parse tol (--tol)"),
+    ("check-carleson", {"params": {"fail_threshold": 10**400}}, "cannot parse fail_threshold (--fail-threshold)"),
     ("check-carleson", {"sequence": {"kind": "power", "exponent": 2}}, "sequence config is missing fields ['base']"),
     ("check-carleson", {"sequence": {"kind": []}}, "unknown sequence kind []"),
     # check-carleson echoes the weights in its report, so it builds them too
@@ -436,20 +449,18 @@ PARAM_CASES = {
          "assert_carleson": ("--assert-carleson", None, True)},
     ),
     "bounds": (
-        {"stride": 3, "offset": 2, "start": 1, "dimension": 10, "tol": 1e-9},
+        {"stride": 3, "offset": 2, "start": 1, "dimension": 10},
         {"stride": ("--N", "2", 2), "offset": ("--j", "1", 1), "start": ("--K", "2", 2),
-         "dimension": ("--M", "12", 12), "tol": ("--tol", "1e-8", 1e-8)},
+         "dimension": ("--M", "12", 12)},
     ),
     "subsample-sweep": (
-        {"strides": [2], "starts": [1], "dimension": 10, "tol": 1e-9},
-        {"strides": ("--N", "3", [3]), "starts": ("--K", "0,2", [0, 2]), "dimension": ("--M", "12", 12),
-         "tol": ("--tol", "1e-8", 1e-8)},
+        {"strides": [2], "starts": [1], "dimension": 10},
+        {"strides": ("--N", "3", [3]), "starts": ("--K", "0,2", [0, 2]), "dimension": ("--M", "12", 12)},
     ),
     "weave": (
-        {"stride": 3, "pattern": "constant:2", "safety": 0.4, "dimension": 10, "j_max": 300, "tol": 1e-9},
+        {"stride": 3, "pattern": "constant:2", "safety": 0.4, "dimension": 10, "j_max": 300},
         {"stride": ("--N", "2", 2), "pattern": ("--pattern", "periodic:0,1", "periodic:0,1"),
-         "safety": ("--safety", "0.6", 0.6), "dimension": ("--M", "12", 12), "j_max": ("--J-max", "200", 200),
-         "tol": ("--tol", "1e-8", 1e-8)},
+         "safety": ("--safety", "0.6", 0.6), "dimension": ("--M", "12", 12), "j_max": ("--J-max", "200", 200)},
     ),
     "adversary": (
         {"oracle": "orthonormal", "levels": 3, "budget": 1000, "estimate_dimension": 4},

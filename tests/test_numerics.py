@@ -102,11 +102,6 @@ def test_real_and_complex_paths_agree(monkeypatch):
     assert max(real_residual, complex_residual) <= 1e-13
 
 
-def test_rejects_nonpositive_tol():
-    with pytest.raises(ValueError):
-        extremal_eigenvalues(np.eye(2), tol=0.0)
-
-
 def test_rayleigh_quotient_sandwich():
     rng = np.random.default_rng(11)
     raw = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
@@ -129,12 +124,13 @@ def test_against_independent_jacobi():
     assert hi == pytest.approx(j_hi, rel=1e-12)
 
 
-def test_residual_contract_enforced():
+def test_residual_contract_enforced(monkeypatch):
     rng = np.random.default_rng(3)
     raw = rng.normal(size=(20, 20))
     s = raw @ raw.T  # generic spectrum: roundoff makes the residual nonzero
-    with pytest.raises(EigensolverError):
-        extremal_eigenvalues(s, tol=1e-320)
+    monkeypatch.setattr(numerics, "DEFAULT_EIG_TOL", 1e-320)
+    with pytest.raises(EigensolverError, match="exceeds tolerance 1.000e-320"):
+        extremal_eigenvalues(s)
 
 
 def test_non_finite_entries_raise():
@@ -384,7 +380,7 @@ def test_blocked_hermitian_check_keeps_errors_for_the_last_block(monkeypatch, ro
 def test_certificate_refines_while_residual_exceeds_tol(monkeypatch):
     # lambda_min's eigenvector is almost orthogonal to the fixed start vector,
     # so the first inverse-iteration step leaves a residual near
-    # eps * 1e5; a tolerance below it takes a second step
+    # eps * 1e5; a residual bound below it takes a second step
     n = 20
     start = (np.arange(1, n + 1) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0 - 0.5
     start /= np.linalg.norm(start)
@@ -400,8 +396,10 @@ def test_certificate_refines_while_residual_exceeds_tol(monkeypatch):
     _, _, coarse = extremal_eigenvalues(s)
     assert len(calls) == 2 and 1e-13 < coarse <= 1e-10
     calls.clear()
-    _, _, fine = extremal_eigenvalues(s, tol=1e-13)
+    monkeypatch.setattr(numerics, "DEFAULT_EIG_TOL", 1e-13)
+    _, _, fine = extremal_eigenvalues(s)
     assert len(calls) == 3 and fine <= 1e-13
+    monkeypatch.setattr(numerics, "DEFAULT_EIG_TOL", 1e-320)
     with pytest.raises(EigensolverError):
-        extremal_eigenvalues(s, tol=1e-320)
+        extremal_eigenvalues(s)
     assert len(calls) == 3 + 4  # every step spent on lambda_min, then it fails

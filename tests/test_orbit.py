@@ -512,6 +512,17 @@ def test_frame_bounds_at_extreme_scales(weights, dim):
         assert estimate.b_est == pytest.approx(B_EST_FULL_M40 * weights**2, rel=1e-12)
 
 
+def test_an_underflowed_operator_is_no_frame():
+    # at weight 1e-162 every |c_n|^2 is below the smallest subnormal, so the
+    # stride base is zero, and its zero eigenvalues are no frame bounds
+    for seq in (GeometricApproach(2.0), ExplicitSequence((0.5j, 0.3, 0.1, 0.2, 0.4))):
+        system = OrbitSystem(seq, ConstantWeights(1e-162))
+        with pytest.raises(numerics.EigensolverError, match=r"underflows to 0 at M=5$"):
+            frame_bounds(system, SubsampleScheme(1), 5)
+        with pytest.raises(numerics.EigensolverError, match=r"underflows to 0 at M=5$"):
+            orbit.sweep_bounds(system, (2,), (0, 3), 5)
+
+
 def test_frame_bounds_when_the_first_shift_is_singular():
     # lambda_min sits about 10 eps * ||S|| above zero, so the first shifted
     # solve at it can meet an exactly zero pivot (it does with OpenBLAS);
