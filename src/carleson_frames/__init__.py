@@ -41,7 +41,6 @@ from .numerics import (
 from .orbit import (
     FrameBoundEstimate,
     OrbitSystem,
-    SingularDenominatorError,
     SubsampleScheme,
     frame_bounds,
     frame_operator_matrix,

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .numerics import _row_blocks, compensated_sum
-from .sequences import LambdaSequence, _outside_disc, drop_prefix, validate
+from .sequences import LambdaSequence, drop_prefix, validate
 
 DEFAULT_FAIL_THRESHOLD = 1e-12
 
@@ -93,14 +93,11 @@ def _products(seq: LambdaSequence, window, rows: range, k_trunc: int) -> tuple:
 
     Real sequences go through signed gaps, which keeps the factors exact when
     the points crowd the circle; complex ones use the direct formula in real
-    arithmetic that rounds like Python's complex numbers. A window with a
-    point outside the disc raises at its first such point; a repeated point
+    arithmetic that rounds like Python's complex numbers. A repeated point
     gives a zero factor, log 0 = -inf, hence P_n = 0. Rows are evaluated in
     blocks of at most _CHUNK_TERMS factors, so memory stays linear in the
     window length.
     """
-    if not window.in_disc:
-        raise _outside_disc(window.first_out_of_disc)
     values = []
     for block in _row_blocks(len(rows), window.gaps.size):
         factors = _factor_block(window, np.array(rows[block]))
@@ -142,12 +139,11 @@ def carleson_inf_estimate(
         raise ValueError("n_max must be >= 1")
     if n_max > k_trunc:
         raise ValueError("need n_max <= k_trunc")
-    limit_n = n_max if seq.length is None else min(n_max, seq.length)
     window = validate(seq, k_trunc)
-    entries = _products(seq, window, range(1, limit_n + 1), k_trunc)
+    entries = _products(seq, window, range(1, min(n_max, window.gaps.size) + 1), k_trunc)
     inf_estimate = min(entry.value for entry in entries)
     ratio_sup = None
-    if seq.strictly_increasing_moduli and window.n_checked >= 2:
+    if seq.strictly_increasing_moduli and window.gaps.size >= 2:
         ratio_sup = float(np.max(window.gaps[1:] / window.gaps[:-1]))
     parameters = {
         "n_max": n_max,

@@ -32,14 +32,9 @@ from .numerics import (
     extremal_eigenvalues,  # orbit's name for it, which bench/test_bench.py reads
     one_minus_pow,
 )
-from .sequences import InvariantViolation, LambdaSequence, Weights, _outside_disc, validate
+from .sequences import InvariantViolation, LambdaSequence, Weights, validate
 
 DEFAULT_DIMENSION = 40
-
-
-class SingularDenominatorError(ArithmeticError):
-    """(lambda_m conj(lambda_n))^N hit 1 exactly - impossible strictly inside
-    the open disc, so this flags invalid input."""
 
 
 @dataclass(frozen=True)
@@ -135,9 +130,7 @@ def _window(system: OrbitSystem, dimension: int) -> SystemArrays:
     """The validated window of exactly the first `dimension` coordinates."""
     seq, weights = system.lambdas, system.weights
     report = validate(seq, dimension)
-    if not report.in_disc:
-        raise _outside_disc(report.first_out_of_disc)
-    if not report.distinct:
+    if report.first_duplicate is not None:
         raise InvariantViolation(f"repeated eigenvalue at indices {report.first_duplicate}")
     if weights.length is not None and weights.length < dimension:
         raise IndexError(f"weights provide {weights.length} < {dimension} entries")
@@ -167,8 +160,6 @@ def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:
     filled in blocks of at most _CHUNK_TERMS entries, so the only
     matrix-sized array is the result.
     """
-    if step < 1:
-        raise ValueError("step must be >= 1")
     if arrays.real_positive:
         phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
     else:
@@ -187,13 +178,7 @@ def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:
                 out[rows] = coeffs * (1.0 / denominator)
             else:
                 denominator = 1.0 - complex_pow(np.outer(lam[rows], conj_lam), step)
-                if np.any(denominator == 0.0):
-                    raise SingularDenominatorError("(lambda_m conj(lambda_n))^N == 1")
                 out[rows] = coeffs / denominator
-    # tiny weights underflow every c_n; this PSD operator with a zero diagonal
-    # is zero, and its zero eigenvalues would read as frame bounds
-    if not np.any(np.diagonal(out)):
-        raise EigensolverError(f"every coefficient |c_n|^2 underflows to 0 at M={phi.size}")
     return out
 
 
@@ -235,14 +220,19 @@ def bounds_from_matrix(matrix: np.ndarray, scheme: SubsampleScheme | None = None
 
     Eigenvalues within -DEFAULT_EIG_TOL * ||S|| of zero are clamped to 0;
     anything more negative means the matrix is not a frame operator and
-    raises. The work runs on one private copy; the caller's matrix is never
-    written."""
+    raises, as does a zero matrix given with a scheme. The work runs on one
+    private copy; the caller's matrix is never written."""
     return _bounds(_private_copy(matrix), scheme)
 
 
 def _bounds(operator: np.ndarray, scheme=None) -> FrameBoundEstimate:
     """`bounds_from_matrix` of an operator the package just assembled, in its
     own buffer, which `_extremes` checks, solves and certifies in place."""
+    # tiny weights underflow every c_n, a deep scheme the powers in D S D*;
+    # a PSD operator with a zero diagonal is zero, and its zero eigenvalues
+    # would read as frame bounds
+    if scheme is not None and not np.any(np.diagonal(operator)):
+        raise EigensolverError(f"the frame operator underflows to 0 at M={operator.shape[0]}")
     extremes = _extremes(operator)
     scale = max(abs(extremes.lambda_min), abs(extremes.lambda_max))
     if extremes.lambda_min < -numerics.DEFAULT_EIG_TOL * scale:

@@ -14,7 +14,8 @@ the one way values and gaps are read.
 import cmath
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +39,6 @@ def _first(mask: np.ndarray) -> int | None:
     """1-based index of the first True entry, or None."""
     hits = np.flatnonzero(mask)
     return int(hits[0]) + 1 if hits.size else None
-
-
-def _outside_disc(k) -> InvariantViolation:
-    """The error for a point lambda_k on or outside the unit circle."""
-    return InvariantViolation(f"|lambda_{k}| >= 1 leaves the open unit disc")
 
 
 class LambdaSequence(ABC):
@@ -393,24 +389,20 @@ class ExplicitWeights(Weights):
         return np.array(self.values, dtype=np.complex128)[k - 1]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Read-only values, modulus gaps and (real sequences) signed gaps 1 - lambda_k
-    of indices 1..n_checked, with the checks on them; failures are reported, not raised."""
+    of the checked indices, and the first repeated pair (i, k), i < k, if any."""
 
-    n_checked: int
-    in_disc: bool
-    first_out_of_disc: int | None
-    distinct: bool
+    values: np.ndarray
+    gaps: np.ndarray
+    signed_gaps: np.ndarray | None
     first_duplicate: tuple[int, int] | None
-    values: np.ndarray = field(compare=False, repr=False)
-    gaps: np.ndarray = field(compare=False, repr=False)
-    signed_gaps: np.ndarray | None = field(compare=False, repr=False)
 
 
 def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
     """Evaluate indices 1..n_max (capped at the length) once and check them:
-    in-disc and pairwise distinct.
+    InvariantViolation at the first point outside the open disc; the first
+    repeated pair is reported, not raised.
 
     Pure and idempotent; distinctness of real sequences is decided on signed
     gaps so that generator kinds stay resolvable far beyond the range where
@@ -421,6 +413,9 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
         raise ValueError("n_max must be >= 1")
     limit = n_max if seq.length is None else min(n_max, seq.length)
     values, gaps = seq._points(np.arange(1, limit + 1))
+    outside = _first(gaps <= 0.0)
+    if outside is not None:
+        raise InvariantViolation(f"|lambda_{outside}| >= 1 leaves the open unit disc")
     signed = np.where(values.real >= 0.0, gaps, 2.0 - gaps) if seq.is_real else None
     for array in (gaps, values, signed):
         if array is not None:
@@ -433,15 +428,4 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
         _, first_seen, key_of = np.unique(keys, return_index=True, return_inverse=True, equal_nan=False)
         repeat = _first(first_seen[key_of] != np.arange(limit))
         first_dup = None if repeat is None else (int(first_seen[key_of[repeat - 1]]) + 1, repeat)
-    first_out = _first(gaps <= 0.0)
-
-    return ValidationReport(
-        n_checked=limit,
-        in_disc=first_out is None,
-        first_out_of_disc=first_out,
-        distinct=first_dup is None,
-        first_duplicate=first_dup,
-        values=values,
-        gaps=gaps,
-        signed_gaps=signed,
-    )
+    return ValidationReport(values, gaps, signed, first_dup)

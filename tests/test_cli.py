@@ -226,8 +226,14 @@ def test_non_finite_operator_exits_one(tmp_path, capsys):
         ["bounds", "--weight-value", "1e154", "--M", "20"],
         # every |c_n|^2 underflows to 0: a zero operator gives no frame bounds
         ["bounds", "--weight-value", "1e-162", "--M", "5"],
+        # every power lambda_n^K underflows to 0, which zeroes the operator too
+        ["bounds", "--M", "5", "--K", "1000000"],
+        ["subsample-sweep", "--M", "5", "--K", "0,1000000"],
     ],
-    ids=["overflow", "complex-overflow", "sweep", "weave", "eigenvalue-overflow", "underflow"],
+    ids=[
+        "overflow", "complex-overflow", "sweep", "weave", "eigenvalue-overflow", "underflow",
+        "deep-underflow", "sweep-deep-underflow",
+    ],
 )
 def test_huge_weights_exit_one_without_a_warning(tmp_path, capsys, argv):
     out = tmp_path / "report.json"

@@ -15,7 +15,6 @@ from carleson_frames import (
     OrbitFrameOracle,
     OrbitSystem,
     PowerSequence,
-    SingularDenominatorError,
     SubsampleScheme,
     frame_bounds,
     frame_operator_matrix,
@@ -308,10 +307,7 @@ def _old_progression_matrix(arrays, first_exponent, step):
             return coeffs * (complex_pow(w, first_exponent) / one_minus_pow(h, step))
     coeffs = np.outer(arrays.phi, arrays.phi.conj())
     w = np.outer(arrays.lam, arrays.lam.conj())
-    denominator = 1.0 - complex_pow(w, step)
-    if np.any(denominator == 0.0):
-        raise SingularDenominatorError("(lambda_m conj(lambda_n))^N == 1")
-    return coeffs * complex_pow(w, first_exponent) / denominator
+    return coeffs * complex_pow(w, first_exponent) / (1.0 - complex_pow(w, step))
 
 
 def _unblocked_progression_matrix(arrays, step):
@@ -323,10 +319,7 @@ def _unblocked_progression_matrix(arrays, step):
         with np.errstate(over="ignore", invalid="ignore"):
             return coeffs * (1.0 / one_minus_pow(h, step))
     coeffs = np.outer(arrays.phi, arrays.phi.conj())
-    denominator = 1.0 - complex_pow(np.outer(arrays.lam, arrays.lam.conj()), step)
-    if np.any(denominator == 0.0):
-        raise SingularDenominatorError("(lambda_m conj(lambda_n))^N == 1")
-    return coeffs / denominator
+    return coeffs / (1.0 - complex_pow(np.outer(arrays.lam, arrays.lam.conj()), step))
 
 
 def _unblocked_conjugation(operator, arrays, exponent):
@@ -418,16 +411,16 @@ def test_sweep_equals_frame_bounds_bit_for_bit():
 
 
 @pytest.mark.parametrize("rows_per_block", [None, 1, 2])
-def test_blocked_assembly_raises_singular_denominator_in_last_block(monkeypatch, rows_per_block):
+def test_a_point_on_the_circle_in_the_last_block_is_a_non_finite_operator(monkeypatch, rows_per_block):
     # a hand-built window with a point on the circle, which validation
-    # would reject: its diagonal denominator 1 - |i|^2 is exactly zero
+    # would reject: its diagonal denominator 1 - |i|^2 is exactly zero, and
+    # the eigen stage rejects the entry that quotient leaves
     if rows_per_block is not None:
         monkeypatch.setattr(numerics, "_CHUNK_TERMS", rows_per_block * 5)
     lam = np.array([0.5, 0.25j, -0.5, 0.125, 1j])
     arrays = orbit.SystemArrays(lam, 1.0 - np.abs(lam), np.ones(5, complex), np.full(5, 0.5 + 0j), False)
-    for compute in (orbit._progression_matrix, _unblocked_progression_matrix):
-        with pytest.raises(SingularDenominatorError, match=r"\^N == 1"):
-            compute(arrays, 2)
+    with np.errstate(divide="ignore"), pytest.raises(numerics.EigensolverError, match="non-finite"):
+        orbit._bounds(orbit._progression_matrix(arrays, 2))
 
 
 def test_assembly_memory_is_one_operator_plus_blocks():
@@ -514,13 +507,16 @@ def test_frame_bounds_at_extreme_scales(weights, dim):
 
 def test_an_underflowed_operator_is_no_frame():
     # at weight 1e-162 every |c_n|^2 is below the smallest subnormal, so the
-    # stride base is zero, and its zero eigenvalues are no frame bounds
+    # stride base is zero; at K = 10^6 every power lambda_n^K underflows, so
+    # the congruence is; zero eigenvalues are no frame bounds
     for seq in (GeometricApproach(2.0), ExplicitSequence((0.5j, 0.3, 0.1, 0.2, 0.4))):
         system = OrbitSystem(seq, ConstantWeights(1e-162))
         with pytest.raises(numerics.EigensolverError, match=r"underflows to 0 at M=5$"):
             frame_bounds(system, SubsampleScheme(1), 5)
         with pytest.raises(numerics.EigensolverError, match=r"underflows to 0 at M=5$"):
             orbit.sweep_bounds(system, (2,), (0, 3), 5)
+        with pytest.raises(numerics.EigensolverError, match=r"underflows to 0 at M=5$"):
+            frame_bounds(OrbitSystem(seq, ConstantWeights(1.0)), SubsampleScheme(1, 0, 10**6), 5)
 
 
 def test_frame_bounds_when_the_first_shift_is_singular():

@@ -48,14 +48,15 @@ def test_window_matches_scalar_accessors_bit_for_bit(seq):
     if not seq.is_real:
         assert window.signed_gaps is None
         return
-    points = [scalar_point(seq, k) for k in range(1, window.n_checked + 1)]
+    points = [scalar_point(seq, k) for k in range(1, window.gaps.size + 1)]
     signed = [gap if value.real >= 0.0 else 2.0 - gap for value, gap in points]
     assert np.array(signed).tobytes() == window.signed_gaps.tobytes()
 
 
 REFERENCE_CASES = (
     [(seq, 60) for seq in KINDS]
-    + [(GeometricApproach(a), 2000) for a in (1.05, 2.0, 4.0)]
+    # 2^-1074 and 4^-537 are the last gaps that do not underflow out of the disc
+    + [(GeometricApproach(1.05), 2000), (GeometricApproach(2.0), 1074), (GeometricApproach(4.0), 537)]
     + [(PowerSequence(GeometricApproach(1.0940252), 3), 2000)]  # a gap 2 ulps off
 )
 
@@ -66,7 +67,7 @@ def test_window_matches_scalar_closed_forms(seq, n_max):
     # move the gaps of powers p >= 3 by up to 2 ulps, and numpy's complex
     # multiply moves the powers of a complex base by up to p ulps of |value|
     window = validate(seq, n_max)
-    values, gaps = map(np.array, zip(*(scalar_point(seq, k) for k in range(1, window.n_checked + 1))))
+    values, gaps = map(np.array, zip(*(scalar_point(seq, k) for k in range(1, window.gaps.size + 1))))
     p = seq.exponent if isinstance(seq, PowerSequence) else 1
     if p >= 3:
         assert np.all(np.abs(window.gaps - gaps) <= 2 * np.spacing(gaps))
@@ -197,6 +198,8 @@ def test_weight_breach_reports_first_index():
 def test_every_site_reports_a_point_outside_the_disc_alike(capsys):
     seq = ExplicitSequence((0.5, 1.5, 0.2))
     message = r"^\|lambda_2\| >= 1 leaves the open unit disc$"
+    with pytest.raises(InvariantViolation, match=message):
+        validate(seq, 3)
     with pytest.raises(InvariantViolation, match=message):
         system_arrays(OrbitSystem(seq, ConstantWeights(1.0)), 3)
     # the gap 2^-1075 underflows to 0, which the window reads as leaving the disc
