@@ -20,7 +20,7 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .numerics import complex_pow, compensated_sum
+from .numerics import EigensolverError, complex_pow, compensated_sum
 from .orbit import OrbitSystem, _bounds, system_arrays
 
 DEFAULT_SEARCH_BUDGET = 10**6
@@ -57,7 +57,8 @@ class OrbitFrameOracle:
     stay accurate deep into the basis via modulus gaps. A query at basis
     index j reads the validated window of the first j coordinates, which
     grows by doubling (see `system_arrays`); the oracle converts the held
-    window to Python numbers once per growth and answers from them.
+    window to Python numbers once per growth and answers from them. A
+    window in which some |c_n|^2 underflows to 0 raises EigensolverError.
     """
 
     system: OrbitSystem
@@ -68,6 +69,13 @@ class OrbitFrameOracle:
         if held is None or not 0 < basis_index <= len(held.lam):
             system_arrays(self.system, basis_index)  # grows the system's window, or raises
             window = self.system._window
+            # c_n = m_n sqrt(1 - |lambda_n|^2) is never 0, so |c_n|^2 = 0 is underflow,
+            # which would make every bound that reads it hold vacuously
+            moduli = np.abs(window.phi)
+            lost = np.flatnonzero(moduli * moduli == 0.0)
+            if lost.size:
+                n = int(lost[0]) + 1
+                raise EigensolverError(f"|c_{n}|^2 underflows to 0 (|c_{n}| = {moduli[n - 1]:.3e})")
             held = _HeldCoordinates(
                 window.lam.tolist(),
                 window.phi.tolist(),

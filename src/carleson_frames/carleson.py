@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import _row_blocks, compensated_sum
+from .numerics import _row_blocks, compensated_sum, one_minus_products
 from .sequences import LambdaSequence, drop_prefix, validate
 
 DEFAULT_FAIL_THRESHOLD = 1e-12
@@ -77,9 +77,8 @@ def _factor_block(window, n: np.ndarray) -> np.ndarray:
     window, one row per n, with 1 at k = n (log(1) = 0 adds nothing)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if window.signed_gaps is not None:
-            g = window.signed_gaps
-            anchor = g[n - 1, None]
-            factors = np.abs(anchor - g) / (anchor + g - anchor * g)
+            s, anchor = window.signed_gaps, window.signed_gaps[n - 1]
+            factors = np.abs(np.subtract.outer(anchor, s)) / one_minus_products(anchor, s)
         else:
             re, im = window.values.real, window.values.imag
             a, b = re[n - 1, None], im[n - 1, None]

@@ -45,19 +45,24 @@ def _check_hermitian(a: np.ndarray) -> np.ndarray:
 
     An infinite or NaN entry raises EigensolverError (no eigenvalue of such a
     matrix means anything); a deviation from conjugate symmetry beyond four
-    ulps of the largest entry raises NonHermitianError. Both checks read `a`
-    in blocks of at most _CHUNK_TERMS entries, the symmetry check only the
-    upper strips, so they add no matrix-sized temporary.
+    ulps of the largest entry raises NonHermitianError. One loop over row
+    blocks of at most _CHUNK_TERMS entries takes both: the scale from the
+    block's rows, the deviation from their upper strip, from the diagonal
+    on, against the mirrored columns, which sees every pair (m, n), (n, m).
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {a.shape}")
     if a.size:
-        blocks = _row_blocks(a.shape[0], a.shape[0])
+        moduli, deviations = [], []
+        with np.errstate(invalid="ignore"):  # inf - inf of a non-finite matrix, which raises below
+            for rows in _row_blocks(a.shape[0], a.shape[0]):
+                moduli.append(np.abs(a[rows]).max())
+                deviations.append(np.abs(a[rows, rows.start :] - a[rows.start :, rows].conj().T).max())
         # np.max propagates NaN, so a NaN anywhere makes the scale NaN
-        scale = float(np.max([np.abs(a[rows]).max() for rows in blocks]))
+        scale = float(np.max(moduli))
         if not math.isfinite(scale):
             raise EigensolverError(f"matrix has a non-finite entry (largest modulus {scale!r})")
-        deviation = _hermitian_deviation(a, blocks)
+        deviation = float(np.max(deviations))
         if deviation > 4.0 * _EPS * max(scale, np.finfo(np.float64).tiny):
             raise NonHermitianError(
                 f"hermitian deviation {deviation:.3e} exceeds 4 ulps of scale {scale:.3e}"
@@ -70,19 +75,6 @@ def _row_blocks(count: int, width: int) -> list:
     at most _CHUNK_TERMS entries each (one row at least)."""
     per_block = max(1, _CHUNK_TERMS // width)
     return [slice(low, low + per_block) for low in range(0, count, per_block)]
-
-
-def _hermitian_deviation(a: np.ndarray, blocks) -> float:
-    """max |a - a^H| over every entry, read one strip at a time: the rows of
-    each block, from the diagonal on, against the mirrored columns.
-
-    |a_mn - conj(a_nm)| and |a_nm - conj(a_mn)| are the same double, so the
-    upper strips see every pair, and the mirrored reads stay short and
-    contiguous where a whole column block would stride across the matrix.
-    """
-    return max(
-        float(np.abs(a[rows, rows.start :] - a[rows.start :, rows].conj().T).max()) for rows in blocks
-    )
 
 
 class ExtremalEigenvalues(NamedTuple):
@@ -234,6 +226,13 @@ def complex_pow_table(z, exponents) -> np.ndarray:
     for bit in range(1, top):
         np.multiply(table, squarings[bit], out=table, where=later[bit])
     return table.reshape(exponents.shape + z.shape)
+
+
+def one_minus_products(a, b) -> np.ndarray:
+    """1 - (1 - a_m)(1 - b_n) as a_m + b_n - a_m b_n, one row per row gap a_m:
+    the pair term 1 - lambda_m lambda_n of real points lambda = 1 - gap,
+    accurate where they crowd 1 and the product itself would round to 1."""
+    return np.add.outer(a, b) - np.outer(a, b)
 
 
 def one_minus_pow(gap, p: int):

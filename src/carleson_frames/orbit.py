@@ -31,6 +31,7 @@ from .numerics import (
     compensated_sum,
     extremal_eigenvalues,  # orbit's name for it, which bench/test_bench.py reads
     one_minus_pow,
+    one_minus_products,
 )
 from .sequences import InvariantViolation, LambdaSequence, Weights, validate
 
@@ -172,9 +173,8 @@ def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:
         for rows in _row_blocks(phi.size, phi.size):
             coeffs = np.outer(phi[rows], phi.conj())
             if arrays.real_positive:
-                # 1 - w = g_m + g_n - g_m g_n exactly, hence 1 - w^step via gap powers
-                h = np.add.outer(gaps[rows], gaps) - np.outer(gaps[rows], gaps)
-                denominator = one_minus_pow(h, step)
+                # 1 - w from the gaps, hence 1 - w^step via gap powers
+                denominator = one_minus_pow(one_minus_products(gaps[rows], gaps), step)
                 out[rows] = coeffs * (1.0 / denominator)
             else:
                 denominator = 1.0 - complex_pow(np.outer(lam[rows], conj_lam), step)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from carleson_frames import (
     ConstantWeights,
+    EigensolverError,
     ExplicitSequence,
     GeometricApproach,
     InvariantViolation,
@@ -271,6 +272,20 @@ def test_orbit_oracle_bad_point_raises_only_from_its_index():
         oracle.tail_energy(6, 0)
     with pytest.raises(InvariantViolation):
         oracle.coefficient(7, 0)
+
+
+def test_orbit_oracle_refuses_underflowed_coefficients():
+    # |c_n|^2 = m^2 (1 - |lambda_n|^2) underflows to 0 at every n for m = 1e-162,
+    # where each step bound would hold vacuously
+    tiny = OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1e-162)))
+    with pytest.raises(EigensolverError, match=r"^\|c_1\|\^2 underflows to 0 \(\|c_1\| = 8\.660e-163\)$"):
+        build_adversarial_subsequence(tiny, 3)
+    # at m = 1e-150 only coordinates past about n = 80 underflow: the first
+    # window answers, and the window that reaches them raises
+    small = OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1e-150)))
+    assert small.tail_energy(1, 0) > 0.0
+    with pytest.raises(EigensolverError, match="underflows to 0"):
+        small.coefficient(100, 0)
 
 
 def _spiral(count=200, rho=0.9, theta=0.5):

@@ -229,10 +229,12 @@ def test_non_finite_operator_exits_one(tmp_path, capsys):
         # every power lambda_n^K underflows to 0, which zeroes the operator too
         ["bounds", "--M", "5", "--K", "1000000"],
         ["subsample-sweep", "--M", "5", "--K", "0,1000000"],
+        # the adversary's step bounds would read the underflowed |c_n|^2 as 0
+        ["adversary", "--alpha", "2", "--L", "3", "--weight-value", "1e-162"],
     ],
     ids=[
         "overflow", "complex-overflow", "sweep", "weave", "eigenvalue-overflow", "underflow",
-        "deep-underflow", "sweep-deep-underflow",
+        "deep-underflow", "sweep-deep-underflow", "adversary-underflow",
     ],
 )
 def test_huge_weights_exit_one_without_a_warning(tmp_path, capsys, argv):
@@ -514,6 +516,19 @@ def test_adversary_command(tmp_path):
     assert report["result"]["picked_indices"] == [0, 6, 33, 177, 443, 1064, 4968]
     assert report["result"]["reverification_deviation"] <= 1e-12
     assert report["result"]["picked_lower_bound_estimate"] <= 2.0**-6
+
+
+def test_adversary_budget_exhaustion_exits_one_with_a_report(tmp_path, capsys):
+    # picks grow about 2.2x per level, so level 13 needs more than the default
+    # budget of 10^6 indices past the previous pick
+    out = tmp_path / "adversary.json"
+    assert run_cli("adversary", "--alpha", "2", "--L", "13", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("adversarial construction failed: no qualifying picked index")
+    assert captured.err == ""
+    result = read_json(out)["result"]
+    assert result["built"] is False
+    assert captured.out == f"adversarial construction failed: {result['message']}\n"
 
 
 def test_adversary_orthonormal(tmp_path):

@@ -257,6 +257,25 @@ def test_one_minus_pow_no_cancellation_for_tiny_gaps():
     assert value == pytest.approx(4.0 * gap, rel=1e-12)
 
 
+def test_one_minus_products_matches_exact_rationals():
+    # row and column gaps from 1e-300 to 1, and points crowding 1 from below,
+    # each term against the exact 1 - (1 - a)(1 - b) of its double inputs
+    rng = np.random.default_rng(11)
+    a, b = (
+        np.concatenate([[1e-300, 1.0], 10.0 ** rng.uniform(-300, 0, 30), 1.0 - 10.0 ** rng.uniform(-16, 0, 8)])
+        for _ in range(2)
+    )
+    terms = numerics.one_minus_products(a[:-3], b)
+    assert terms.shape == (a.size - 3, b.size)
+    for m, n in np.ndindex(terms.shape):
+        exact = 1 - (1 - Fraction(a[m])) * (1 - Fraction(b[n]))
+        assert abs(Fraction(terms[m, n]) - exact) <= 2 * Fraction(np.spacing(float(exact)))
+    # the product of the points themselves rounds to 1 and leaves no digit
+    gap = 1e-300
+    assert 1.0 - (1.0 - gap) * (1.0 - gap) == 0.0
+    assert numerics.one_minus_products(np.array([gap]), np.array([gap]))[0, 0] == 2.0 * gap
+
+
 def test_nan_residual_is_not_swallowed(monkeypatch):
     # a breakdown of the shifted solve must fail the certificate, not fold
     # into a zero residual
@@ -326,21 +345,45 @@ def test_certificate_holds_at_extreme_scales():
 
 @pytest.mark.parametrize("rows", [1, 3, 4, 11])
 @pytest.mark.parametrize("complex_entries", [False, True])
-def test_strip_deviation_equals_whole_matrix_deviation(rows, complex_entries):
+def test_strip_deviation_equals_whole_matrix_deviation(monkeypatch, rows, complex_entries):
     # one-row, ragged three- and four-row (11 = 3 * 3 + 2 = 2 * 4 + 3) and
     # single blocks of near-Hermitian matrices, some with exactly symmetric
-    # entries, signed zeros and subnormal skews
+    # entries, signed zeros and subnormal skews: the one loop over row blocks
+    # raises exactly when the whole matrix's deviation exceeds 4 ulps of its
+    # largest modulus, and names both
+    monkeypatch.setattr(numerics, "_CHUNK_TERMS", rows * 11)
     rng = np.random.default_rng(7)
-    blocks = [slice(low, low + rows) for low in range(0, 11, rows)]
+    outcomes = set()
     for trial in range(40):
         s = _random_hermitian(rng, 11, complex_entries)
         skew = rng.normal(size=(11, 11)) * 10.0 ** rng.integers(-320, -10)
         if complex_entries:
-            skew = skew + 1j * rng.normal(size=(11, 11)) * 1e-14
+            skew = skew + 1j * rng.normal(size=(11, 11)) * 10.0 ** rng.integers(-320, -10)
         s = s + skew * (rng.random((11, 11)) < 0.3)
         s[rng.integers(11), rng.integers(11)] = -0.0
-        expected = float(np.abs(s - s.conj().T).max())
-        assert numerics._hermitian_deviation(s, blocks) == expected
+        deviation = float(np.abs(s - s.conj().T).max())
+        scale = float(np.abs(s).max())
+        raises = deviation > 4.0 * np.finfo(float).eps * scale
+        if raises:
+            with pytest.raises(NonHermitianError) as excinfo:
+                numerics._check_hermitian(s)
+            assert str(excinfo.value) == (
+                f"hermitian deviation {deviation:.3e} exceeds 4 ulps of scale {scale:.3e}"
+            )
+        else:
+            assert numerics._check_hermitian(s) is s
+        outcomes.add(raises)
+    assert outcomes == {False, True}
+    # but for the single block, the deviation reads (7, 2) only among the
+    # mirrored columns, not in any upper strip; a non-finite entry there
+    # alone raises EigensolverError, not NonHermitianError
+    for bad, shown in ((np.inf, "inf"), (np.nan, "nan")):
+        s = _random_hermitian(np.random.default_rng(5), 11, complex_entries)
+        s[7, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigensolverError, match=f"largest modulus {shown}"):
+                numerics._check_hermitian(s)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
