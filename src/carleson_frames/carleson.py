@@ -20,8 +20,6 @@ import numpy as np
 from .numerics import _row_blocks, compensated_sum, one_minus_products
 from .sequences import LambdaSequence, drop_prefix, validate
 
-DEFAULT_FAIL_THRESHOLD = 1e-12
-
 
 class Verdict(Enum):
     CERTIFIED_HOLDS = "CertifiedHolds"
@@ -107,7 +105,7 @@ def _products(seq: LambdaSequence, window, rows: range, k_trunc: int) -> tuple:
     return tuple(map(ProductEntry, rows, values, tails))
 
 
-def _verdict(entries, seq, fail_threshold):
+def _verdict(entries, seq):
     if any(entry.value == 0.0 for entry in entries):
         return Verdict.CERTIFIED_FAILS
     certificate = seq.ratio_certificate()
@@ -118,17 +116,10 @@ def _verdict(entries, seq, fail_threshold):
         and seq.strictly_increasing_moduli
     ):
         return Verdict.CERTIFIED_HOLDS
-    if any(entry.value + entry.tail_error < fail_threshold for entry in entries):
-        return Verdict.CERTIFIED_FAILS
     return Verdict.INCONCLUSIVE
 
 
-def carleson_inf_estimate(
-    seq: LambdaSequence,
-    n_max: int,
-    k_trunc: int,
-    fail_threshold: float = DEFAULT_FAIL_THRESHOLD,
-) -> CarlesonReport:
+def carleson_inf_estimate(seq: LambdaSequence, n_max: int, k_trunc: int) -> CarlesonReport:
     """Assemble P_n for n = 1..n_max and decide the verdict.
 
     Entries are produced in increasing n; each product is summed in fixed
@@ -147,7 +138,6 @@ def carleson_inf_estimate(
     parameters = {
         "n_max": n_max,
         "k_trunc": k_trunc,
-        "fail_threshold": fail_threshold,
         "real_positive": seq.real_positive,
         "strictly_increasing_moduli": seq.strictly_increasing_moduli,
     }
@@ -156,18 +146,12 @@ def carleson_inf_estimate(
         inf_estimate=inf_estimate,
         ratio_sup=ratio_sup,
         certified_c=seq.ratio_certificate(),
-        verdict=_verdict(entries, seq, fail_threshold),
+        verdict=_verdict(entries, seq),
         parameters=parameters,
     )
 
 
-def drop_prefix_check(
-    seq: LambdaSequence,
-    n_drop: int,
-    n_max: int,
-    k_trunc: int,
-    fail_threshold: float = DEFAULT_FAIL_THRESHOLD,
-) -> CarlesonReport:
+def drop_prefix_check(seq: LambdaSequence, n_drop: int, n_max: int, k_trunc: int) -> CarlesonReport:
     """Analyze {lambda_k}_{k > n_drop} and propagate its verdict to the full
     sequence: a tail that certifiably satisfies the condition certifies the
     whole sequence, provided the dropped points stay distinct from everything.
@@ -180,9 +164,9 @@ def drop_prefix_check(
     if n_drop > k_trunc:
         raise ValueError("need n_drop <= k_trunc")
     if n_drop == 0:
-        return carleson_inf_estimate(seq, n_max, k_trunc, fail_threshold)
+        return carleson_inf_estimate(seq, n_max, k_trunc)
     tail_seq = drop_prefix(seq, n_drop)  # raises on empty remainder
-    report = carleson_inf_estimate(tail_seq, n_max, k_trunc, fail_threshold)
+    report = carleson_inf_estimate(tail_seq, n_max, k_trunc)
     window = validate(seq, k_trunc)
     dropped = _products(seq, window, range(1, n_drop + 1), k_trunc)
     verdict = report.verdict

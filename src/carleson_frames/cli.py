@@ -33,12 +33,7 @@ from .adversarial import (
     estimate_subsequence_lower_bound,
     reverify_certificate,
 )
-from .carleson import (
-    DEFAULT_FAIL_THRESHOLD,
-    Verdict,
-    carleson_inf_estimate,
-    drop_prefix_check,
-)
+from .carleson import Verdict, carleson_inf_estimate, drop_prefix_check
 from .numerics import EigensolverError
 from .orbit import (
     DEFAULT_DIMENSION,
@@ -61,7 +56,6 @@ from .sequences import (
 )
 from .weaving import (
     DEFAULT_J_MAX,
-    DEFAULT_SAFETY,
     ConstantPattern,
     ExplicitPattern,
     PeriodicPattern,
@@ -133,8 +127,6 @@ _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 PARAMS = (
     Param("check-carleson", "n_max", "--n-max", 30, _integer, _AT_LEAST_1),
     Param("check-carleson", "k_trunc", "--k-trunc", 200, _integer, None),
-    Param("check-carleson", "fail_threshold", "--fail-threshold", DEFAULT_FAIL_THRESHOLD, _real,
-          ("finite", math.isfinite)),
     Param("check-carleson", "drop_prefix", "--drop-prefix", 0, _integer, _AT_LEAST_0),
     Param("check-carleson", "assert_carleson", "--assert-carleson", False, _boolean, None),
     Param("bounds", "stride", "--N", 1, _integer, _AT_LEAST_1),
@@ -148,7 +140,6 @@ PARAMS = (
     Param("subsample-sweep", "dimension", "--M", DEFAULT_DIMENSION, _integer, _AT_LEAST_1),
     Param("weave", "stride", "--N", 2, _integer, _AT_LEAST_1),
     Param("weave", "pattern", "--pattern", "constant:1", str, None),
-    Param("weave", "safety", "--safety", DEFAULT_SAFETY, _real, ("in (0, 1]", lambda v: 0.0 < v <= 1.0)),
     Param("weave", "dimension", "--M", DEFAULT_DIMENSION, _integer, _AT_LEAST_1),
     Param("weave", "j_max", "--J-max", DEFAULT_J_MAX, _integer, _AT_LEAST_0),
     Param("adversary", "oracle", "--oracle", "orbit", str,
@@ -347,9 +338,7 @@ def _cmd_check_carleson(resolved: dict) -> tuple:
             raise ConfigError(f"k_trunc (--k-trunc) must be >= {name} = {p[name]}, got {p['k_trunc']}")
     sequence = _system(resolved).lambdas  # the weights the report echoes are built, so checked, too
     # with drop_prefix 0 this is carleson_inf_estimate on the whole sequence
-    report = drop_prefix_check(
-        sequence, p["drop_prefix"], p["n_max"], p["k_trunc"], p["fail_threshold"]
-    )
+    report = drop_prefix_check(sequence, p["drop_prefix"], p["n_max"], p["k_trunc"])
     products = [(entry.n, entry.value, entry.tail_error) for entry in report.products]
     _emit_csv(resolved, ("n", "P_n", "tail_error"), products)
     lines = [f"verdict: {report.verdict.value}", f"inf estimate over tested n: {report.inf_estimate:.17g}"]
@@ -403,7 +392,7 @@ def _cmd_weave(resolved: dict) -> tuple:
                 "eigensolver's resolution, so no defect threshold can be set",
                 (),
             )
-        result = find_weaving_index(system, pattern, reference.a_est, p["safety"], dimension, p["j_max"])
+        result = find_weaving_index(system, pattern, reference.a_est, dimension, p["j_max"])
     except WeavingSearchError as exc:
         print(f"weaving index not found: {exc}")
         return EXIT_ANALYSIS, {
@@ -533,9 +522,7 @@ def _reproduction_checks(dimension: int) -> list:
 
     for stride in (2, 3):
         reference = frame_bounds(system, SubsampleScheme(stride), dimension)
-        result = find_weaving_index(
-            system, ConstantPattern(stride, 1), reference.a_est, 0.5, dimension
-        )
+        result = find_weaving_index(system, ConstantPattern(stride, 1), reference.a_est, dimension)
         verified_ok = (
             result.verified_bounds.a_est >= result.predicted_lower_bound - 1e-8
         )

@@ -80,10 +80,6 @@ def write_json(path: str, data) -> None:
 
 
 def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format_float(value)

@@ -175,14 +175,6 @@ class TwoPointAugmented(LambdaSequence):
     def is_real(self):
         return self.base.is_real
 
-    def tail_modulus_gap_sum(self, k_start):
-        if k_start >= 3:
-            return self.base.tail_modulus_gap_sum(k_start - 2)
-        base_tail = self.base.tail_modulus_gap_sum(1)
-        if base_tail is None:
-            return None
-        return (3 - k_start) * (1.0 - self.q) + base_tail
-
 
 @dataclass(frozen=True)
 class PowerSequence(LambdaSequence):

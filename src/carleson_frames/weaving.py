@@ -347,7 +347,6 @@ class WeavingResult:
     start_index: int
     defect: float
     a_est_used: float
-    safety: float
     predicted_lower_bound: float
     verified_bounds: FrameBoundEstimate
     sweep: tuple
@@ -357,11 +356,10 @@ def find_weaving_index(
     system: OrbitSystem,
     pattern: WeavePattern,
     a_est: float,
-    safety: float = DEFAULT_SAFETY,
     dimension: int = DEFAULT_DIMENSION,
     j_max: int = DEFAULT_J_MAX,
 ) -> WeavingResult:
-    """Smallest J with defect(J) < safety * a_est, then a direct verification.
+    """Smallest J with defect(J) < DEFAULT_SAFETY * a_est, then a direct verification.
     It stops at J = 0 when the coordinate tail bound alone reaches the threshold.
 
     a_est comes from a truncated model and over-estimates the true lower
@@ -371,9 +369,7 @@ def find_weaving_index(
     """
     if a_est <= 0.0:
         raise ValueError("a_est must be positive")
-    if not 0.0 < safety <= 1.0:
-        raise ValueError("safety must lie in (0, 1]")
-    threshold = safety * a_est
+    threshold = DEFAULT_SAFETY * a_est
     sweep = []
     found = None
     for point in defect_points(system, pattern, dimension, j_max):
@@ -398,7 +394,6 @@ def find_weaving_index(
         start_index=found,
         defect=defect,
         a_est_used=a_est,
-        safety=safety,
         predicted_lower_bound=predicted,
         verified_bounds=verified,
         sweep=tuple(sweep),

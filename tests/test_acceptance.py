@@ -195,7 +195,7 @@ def test_criterion_7_weaving_index():
     details = []
     for stride in (2, 3):
         a_est = frame_bounds(SYSTEM, SubsampleScheme(stride), 40).a_est
-        result = find_weaving_index(SYSTEM, ConstantPattern(stride, 1), a_est, 0.5, 40)
+        result = find_weaving_index(SYSTEM, ConstantPattern(stride, 1), a_est, 40)
         good = result.verified_bounds.a_est >= result.predicted_lower_bound - 1e-8
         ok = ok and good and result.defect < 0.5 * a_est
         details.append(

@@ -96,15 +96,29 @@ def test_inf_estimate_counterexample_fails():
 
 
 def test_inf_estimate_slowly_increasing_list_never_certifies_holds():
-    # the ratio sup creeps toward 1 and the finite window cannot certify;
-    # depending on how small the products get the verdict is Inconclusive or
-    # (below the fail threshold) CertifiedFails - never CertifiedHolds
+    # the ratio sup creeps toward 1 and the finite window cannot certify; the
+    # points are distinct, so no factor is 0 and nothing is refuted either
     values = tuple(1.0 - 1.0 / (k + 1) for k in range(1, 21))
     report = carleson_inf_estimate(ExplicitSequence(values), 10, 20)
-    assert report.verdict in (Verdict.INCONCLUSIVE, Verdict.CERTIFIED_FAILS)
-    assert report.verdict is not Verdict.CERTIFIED_HOLDS
+    assert report.verdict is Verdict.INCONCLUSIVE
     assert report.ratio_sup == pytest.approx(20.0 / 21.0, rel=1e-12)
     assert report.certified_c is None
+
+
+def test_small_products_of_a_carleson_power_are_no_refutation():
+    # (1 - 1.1^-k)^2 is a Carleson sequence, but its products over a
+    # 1000-point window fall below 1e-18; only a zero factor refutes
+    report = carleson_inf_estimate(PowerSequence(GeometricApproach(1.1), 2), 20, 1000)
+    assert 0.0 < report.inf_estimate < 1e-12
+    assert report.ratio_sup < 1.0
+    assert report.verdict is Verdict.INCONCLUSIVE
+
+
+def test_close_distinct_points_are_no_refutation():
+    # a finite set of distinct points is always Carleson, however close two lie
+    report = carleson_inf_estimate(ExplicitSequence((0.5, 0.5000000000001, 0.9)), 3, 3)
+    assert 0.0 < report.inf_estimate < 1e-12
+    assert report.verdict is Verdict.INCONCLUSIVE
 
 
 @given(st.floats(min_value=0.01, max_value=0.49))

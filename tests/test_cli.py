@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from carleson_frames import cli
+from carleson_frames.weaving import ExplicitPattern
 
 
 def run_cli(*argv):
@@ -50,6 +51,24 @@ def test_check_carleson_counterexample_assertion_fails(tmp_path):
     assert report["result"]["inf_estimate"] == 0.0
 
 
+def test_check_carleson_small_products_are_inconclusive(capsys):
+    argv = ("check-carleson", "--alpha", "1.1", "--power", "2", "--n-max", "20", "--k-trunc", "1000")
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out.startswith("verdict: Inconclusive\n")
+    assert run_cli(*argv, "--assert-carleson") == 1
+    assert capsys.readouterr().out.startswith("verdict: Inconclusive\n")
+
+
+@pytest.mark.parametrize("q,verdict", [("0.9999999999", "Inconclusive"), ("0.9", "CertifiedHolds")])
+def test_check_carleson_drop_prefix_downgrades_a_prefix_beyond_the_window(capsys, q, verdict):
+    # the certified tail reaches modulus 1 - 2^-18 in a 20-point window; a
+    # dropped q = 1 - 1e-10 lies beyond it and could meet a later point
+    argv = ("check-carleson", "--alpha", "2", "--two-point-q", q, "--drop-prefix", "2", "--n-max", "5",
+            "--k-trunc", "20")
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out.startswith(f"verdict: {verdict}\n")
+
+
 def test_check_carleson_drop_prefix(capsys):
     code = run_cli(
         "check-carleson", "--alpha", "2", "--two-point-q", "0.3",
@@ -79,14 +98,33 @@ def test_argparse_errors_are_one_usage_line(capsys):
 
 
 def test_tol_is_no_parameter(tmp_path, capsys):
-    # the certificate's residual bound is fixed: no subcommand takes it as a flag or a key
+    # the certificate's residual bound is fixed, verdicts come from proofs
+    # only and the weaving threshold is half the reference bound: no
+    # subcommand takes tol, fail_threshold or safety as a flag or a key
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"params": {"tol": 1e-10}}))
-    for command in sorted({row.command for row in cli.PARAMS}):
-        for argv in ((command, "--tol", "1e-10"), (command, "--config", str(config))):
-            assert run_cli(*argv) == 2, argv
-            lines = capsys.readouterr().err.splitlines()
-            assert len(lines) == 1 and "tol" in lines[0], argv
+    for name, value in (("tol", "1e-10"), ("fail_threshold", "1e-10"), ("safety", "0.5")):
+        flag = "--" + name.replace("_", "-")
+        config.write_text(json.dumps({"params": {name: float(value)}}))
+        for command in sorted({row.command for row in cli.PARAMS}):
+            for argv, text in (((command, flag, value), flag), ((command, "--config", str(config)), name)):
+                assert run_cli(*argv) == 2, argv
+                lines = capsys.readouterr().err.splitlines()
+                assert len(lines) == 1 and text in lines[0], argv
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [(None, "cannot read config file"), ("{not json", "config file is not valid JSON")],
+)
+def test_unreadable_config_file_exits_two(tmp_path, capsys, content, message):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_text(content)
+    out = tmp_path / "report.json"
+    assert run_cli("bounds", "--config", str(config), "--out", str(out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {message}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--out", "--csv"])
@@ -307,7 +345,7 @@ def test_weave_not_found_exits_one(tmp_path):
     out = tmp_path / "weave.json"
     code = run_cli(
         "weave", "--alpha", "2", "--N", "2", "--pattern", "constant:1",
-        "--M", "40", "--J-max", "0", "--safety", "1e-9", "--out", str(out),
+        "--M", "40", "--J-max", "0", "--out", str(out),
     )
     assert code == 1
     report = read_json(out)
@@ -340,7 +378,7 @@ def test_weave_reference_below_resolution_exits_one(tmp_path, capsys):
         (("subsample-sweep", "--M", "0"), "--M"),
         (("check-carleson", "--n-max", "300", "--k-trunc", "200"), "--k-trunc"),
         (("check-carleson", "--n-max", "0"), "--n-max"),
-        (("weave", "--safety", "0"), "--safety"),
+        (("weave", "--N", "0"), "--N"),
         (("adversary", "--L", "0"), "--L"),
         (("bounds", "--alpha", "2", "--K", "-1"), "--K"),
         (("subsample-sweep", "--alpha", "2", "--N", "1,x"), "--N"),
@@ -355,8 +393,8 @@ def test_weave_reference_below_resolution_exits_one(tmp_path, capsys):
         (("bounds", "--alpha", "2", "--weight-value", "inf"), "weights config"),
         (("check-carleson", "--alpha", "2", "--n-max", "2", "--k-trunc", "2", "--drop-prefix", "5"),
          "--k-trunc"),
-        (("check-carleson", "--fail-threshold", "nan"), "--fail-threshold"),
-        (("check-carleson", "--fail-threshold", "inf"), "--fail-threshold"),
+        (("check-carleson", "--drop-prefix", "-1"), "--drop-prefix"),
+        (("check-carleson", "--k-trunc", "x"), "--k-trunc"),
         (("adversary", "--oracle", "bogus"), "--oracle"),
         (("bounds", "--alpha", "x"), "--alpha"),
         (("bounds", "--power", "2.5"), "--power"),
@@ -404,7 +442,7 @@ MALFORMED_CONFIGS = (
     ("check-carleson", {"params": {"n_max": 2.7}}, "cannot parse n_max (--n-max)"),
     ("check-carleson", {"params": {"n_max": True}}, "cannot parse n_max (--n-max)"),
     ("bounds", {"params": {"dimension": 20.0}}, "cannot parse dimension (--M)"),
-    ("weave", {"params": {"safety": True}}, "cannot parse safety (--safety)"),
+    ("weave", {"params": {"j_max": 1.5}}, "cannot parse j_max (--J-max)"),
     ("subsample-sweep", {"params": {"strides": [1, 2.5]}}, "cannot parse strides (--N)"),
     ("subsample-sweep", {"params": {"starts": [True]}}, "cannot parse starts (--K)"),
     ("check-carleson", {"sequence": dict(SQUARED_TWO_POINT, exponent=2.7)}, "invalid sequence config"),
@@ -425,7 +463,9 @@ MALFORMED_CONFIGS = (
     # a 400-digit JSON integer has no float form
     ("check-carleson", {"sequence": {"kind": "geometric", "alpha": 10**400}}, "invalid sequence config"),
     ("bounds", {"weights": {"kind": "constant", "value": 10**400}}, "invalid weights config"),
-    ("check-carleson", {"params": {"fail_threshold": 10**400}}, "cannot parse fail_threshold (--fail-threshold)"),
+    ("check-carleson", {"params": {"drop_prefix": [1]}}, "cannot parse drop_prefix (--drop-prefix)"),
+    ("bounds", {"sequence": 5}, "sequence config must be an object with a 'kind' field"),
+    ("bounds", [{"params": {}}], "config file must hold a JSON object"),
     ("check-carleson", {"sequence": {"kind": "power", "exponent": 2}}, "sequence config is missing fields ['base']"),
     ("check-carleson", {"sequence": {"kind": []}}, "unknown sequence kind []"),
     # check-carleson echoes the weights in its report, so it builds them too
@@ -451,9 +491,8 @@ def test_malformed_config_param_exits_two(tmp_path, capsys):
 # per subcommand: a config-file value and a different flag value for every param
 PARAM_CASES = {
     "check-carleson": (
-        {"n_max": 4, "k_trunc": 40, "fail_threshold": 1e-10, "drop_prefix": 1, "assert_carleson": True},
-        {"n_max": ("--n-max", "5", 5), "k_trunc": ("--k-trunc", "50", 50),
-         "fail_threshold": ("--fail-threshold", "1e-9", 1e-9), "drop_prefix": ("--drop-prefix", "2", 2),
+        {"n_max": 4, "k_trunc": 40, "drop_prefix": 1, "assert_carleson": True},
+        {"n_max": ("--n-max", "5", 5), "k_trunc": ("--k-trunc", "50", 50), "drop_prefix": ("--drop-prefix", "2", 2),
          "assert_carleson": ("--assert-carleson", None, True)},
     ),
     "bounds": (
@@ -466,9 +505,9 @@ PARAM_CASES = {
         {"strides": ("--N", "3", [3]), "starts": ("--K", "0,2", [0, 2]), "dimension": ("--M", "12", 12)},
     ),
     "weave": (
-        {"stride": 3, "pattern": "constant:2", "safety": 0.4, "dimension": 10, "j_max": 300},
+        {"stride": 3, "pattern": "constant:2", "dimension": 10, "j_max": 300},
         {"stride": ("--N", "2", 2), "pattern": ("--pattern", "periodic:0,1", "periodic:0,1"),
-         "safety": ("--safety", "0.6", 0.6), "dimension": ("--M", "12", 12), "j_max": ("--J-max", "200", 200)},
+         "dimension": ("--M", "12", 12), "j_max": ("--J-max", "200", 200)},
     ),
     "adversary": (
         {"oracle": "orthonormal", "levels": 3, "budget": 1000, "estimate_dimension": 4},
@@ -496,6 +535,21 @@ def test_every_param_from_config_file_and_flag(tmp_path, command):
         argv += [flag] if text is None else [flag, text]
     assert run_cli(*argv) in (0, 1)
     assert read_json(out)["config"]["params"] == {name: value for name, (_, _, value) in flags.items()}
+
+
+def test_weave_explicit_pattern_spec(tmp_path):
+    assert cli.pattern_from_spec("explicit:1,0,1", 2) == ExplicitPattern(2, (1, 0, 1))
+    assert cli.pattern_from_spec("explicit:", 2) == ExplicitPattern(2, ())
+    out = tmp_path / "weave.json"
+    args = ("weave", "--alpha", "2", "--N", "2", "--out", str(out))
+    # D(J) is 0 from the end of the support on, and the coordinate tail is far
+    # below half the reference bound
+    assert run_cli(*args, "--pattern", "explicit:1,0,1") == 0
+    assert read_json(out)["result"]["start_index"] == 3
+    # the empty list swaps nothing: the identity pattern, found at J = 0
+    assert run_cli(*args, "--pattern", "explicit:") == 0
+    result = read_json(out)["result"]
+    assert result["start_index"] == 0 and result["defect"] == 0.0
 
 
 def test_weave_pattern_specs():

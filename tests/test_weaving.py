@@ -177,7 +177,7 @@ def test_woven_operator_finite_vs_periodic_prefix():
 
 
 def test_find_weaving_index_identity_pattern():
-    result = find_weaving_index(SYSTEM, ConstantPattern(2, 0), a_est=0.5, safety=0.5)
+    result = find_weaving_index(SYSTEM, ConstantPattern(2, 0), a_est=0.5)
     assert result.start_index == 0
     assert result.defect == 0.0
     assert result.predicted_lower_bound == pytest.approx(0.5, rel=1e-15)
@@ -186,7 +186,7 @@ def test_find_weaving_index_identity_pattern():
 @pytest.mark.parametrize("stride,expected_j", [(2, 84), (3, 57)])
 def test_find_weaving_index_regression(stride, expected_j):
     a_est = frame_bounds(SYSTEM, SubsampleScheme(stride), 40).a_est
-    result = find_weaving_index(SYSTEM, ConstantPattern(stride, 1), a_est, 0.5, 40)
+    result = find_weaving_index(SYSTEM, ConstantPattern(stride, 1), a_est, 40)
     assert result.start_index == expected_j
     assert result.defect < 0.5 * a_est
     # minimality: one step earlier the defect must still be too large
@@ -196,7 +196,7 @@ def test_find_weaving_index_regression(stride, expected_j):
 
 def test_weaving_result_verifies_perturbation_bound():
     a_est = frame_bounds(SYSTEM, SubsampleScheme(2), 40).a_est
-    result = find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est, 0.5, 40)
+    result = find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est, 40)
     predicted = (math.sqrt(a_est) - math.sqrt(result.defect)) ** 2
     assert result.predicted_lower_bound == pytest.approx(predicted, rel=1e-15)
     assert result.verified_bounds.a_est >= result.predicted_lower_bound - 1e-8
@@ -206,7 +206,7 @@ def test_weaving_result_verifies_perturbation_bound():
 
 def test_find_weaving_index_search_failure_carries_curve():
     with pytest.raises(WeavingSearchError) as excinfo:
-        find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est=1e-6, safety=0.5, j_max=5)
+        find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est=1e-6, j_max=5)
     assert len(excinfo.value.sweep) == 6
     assert excinfo.value.sweep[0].value > 0.0
 
@@ -215,7 +215,7 @@ def test_find_weaving_index_stops_when_tail_bound_blocks_every_j():
     # the coordinate tail bound (about 1.8e-12 at M = 40) does not depend on J
     # and already exceeds 0.5 * 1e-30, so the search ends at J = 0
     with pytest.raises(WeavingSearchError) as excinfo:
-        find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est=1e-30, safety=0.5, j_max=5)
+        find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est=1e-30, j_max=5)
     (point,) = excinfo.value.sweep
     assert point.start_index == 0 and point.value > 0.0
     assert point.truncation_bound >= 0.5e-30
@@ -225,13 +225,11 @@ def test_find_weaving_index_stops_when_tail_bound_blocks_every_j():
 def test_find_weaving_index_input_validation():
     with pytest.raises(ValueError):
         find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est=0.0)
-    with pytest.raises(ValueError):
-        find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est=1.0, safety=1.5)
 
 
 def test_weaving_result_serialization():
     a_est = frame_bounds(SYSTEM, SubsampleScheme(2), 30).a_est
-    result = find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est, 0.5, 30)
+    result = find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est, 30)
     data = json.loads(canonical_json(result))
     assert data["start_index"] == result.start_index
     assert data["verified_bounds"]["dimension"] == 30
@@ -291,7 +289,7 @@ def test_defect_points_walk_the_curve_in_order():
 def test_find_weaving_index_sweep_matches_the_curve():
     a_est = frame_bounds(SYSTEM, SubsampleScheme(3), 40).a_est
     pattern = SeededPattern(3, 42, 128)
-    result = find_weaving_index(SYSTEM, pattern, a_est, 0.5, 40)
+    result = find_weaving_index(SYSTEM, pattern, a_est, 40)
     values, _ = defect_curve(SYSTEM, pattern, 0, result.start_index, 40)
     assert [point.value for point in result.sweep] == values
     assert result.sweep[-1].value + result.sweep[-1].truncation_bound < 0.5 * a_est
@@ -300,7 +298,7 @@ def test_find_weaving_index_sweep_matches_the_curve():
 
 def test_weaving_result_serialization_matches_the_dataclass_fields():
     a_est = frame_bounds(SYSTEM, SubsampleScheme(2), 30).a_est
-    result = find_weaving_index(SYSTEM, ExplicitPattern(2, (1, 0, 1, 1)), a_est, 0.5, 30)
+    result = find_weaving_index(SYSTEM, ExplicitPattern(2, (1, 0, 1, 1)), a_est, 30)
     fields = dataclasses.asdict(result)  # every field, nested dataclasses as dicts
     assert json.loads(canonical_json(result)) == json.loads(json.dumps(fields))
 
