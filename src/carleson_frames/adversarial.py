@@ -15,6 +15,7 @@ deterministic and reproducible.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Protocol
 
@@ -23,7 +24,8 @@ import numpy as np
 from .numerics import EigensolverError, complex_pow, compensated_sum
 from .orbit import OrbitSystem, _bounds, system_arrays
 
-DEFAULT_SEARCH_BUDGET = 10**6
+_FLOAT_INDICES = int(sys.float_info.max)  # the largest index a float can hold
+_WITNESS_CAP = 10**6  # witness candidates tried past the previous witness
 
 
 class FrameOracle(Protocol):
@@ -42,9 +44,9 @@ class FrameOracle(Protocol):
 class _HeldCoordinates(NamedTuple):
     """The held window of an orbit system as Python numbers, 0-based."""
 
-    lam: list
     phi: list
-    gaps: list
+    log_moduli: list  # log|lambda_j| = log1p(-g_j), -inf at lambda_j = 0
+    phases: list  # u_j = lambda_j / |lambda_j|, 1 at lambda_j = 0
     moduli: list  # |m_j|
 
 
@@ -52,12 +54,15 @@ class _HeldCoordinates(NamedTuple):
 class OrbitFrameOracle:
     """Oracle for the orbit frame {T^k phi}_{k>=0} of an orbit system.
 
-    coefficient(j, k) = m_j lambda_j^k sqrt(1 - |lambda_j|^2) and the tails
-    sum to |m_j|^2 |lambda_j|^(2K) by geometric summation; both closed forms
-    stay accurate deep into the basis via modulus gaps. A query at basis
-    index j reads the validated window of the first j coordinates, which
-    grows by doubling (see `system_arrays`); the oracle converts the held
-    window to Python numbers once per growth and answers from them. A
+    coefficient(j, k) = c_j |lambda_j|^k u_j^k, c_j = m_j sqrt(1 - |lambda_j|^2),
+    with the phase u_j = lambda_j / |lambda_j| (exactly 1 for real positive
+    points); the tails sum to |m_j|^2 |lambda_j|^(2K). Both take |lambda_j|^k
+    as exp(k log1p(-g_j)) from the modulus gap g_j, accurate at any index a
+    float can hold (a power of the rounded lambda_j loses k eps); at
+    lambda_j = 0, index 0 reads as 1. A
+    query at basis index j reads the validated window of the first j
+    coordinates, which grows by doubling (see `system_arrays`); the oracle
+    converts it to Python numbers, logs and phases once per growth. A
     window in which some |c_n|^2 underflows to 0 raises EigensolverError.
     """
 
@@ -66,7 +71,7 @@ class OrbitFrameOracle:
 
     def _coordinates(self, basis_index: int) -> _HeldCoordinates:
         held = self._held
-        if held is None or not 0 < basis_index <= len(held.lam):
+        if held is None or not 0 < basis_index <= len(held.phi):
             system_arrays(self.system, basis_index)  # grows the system's window, or raises
             window = self.system._window
             # c_n = m_n sqrt(1 - |lambda_n|^2) is never 0, so |c_n|^2 = 0 is underflow,
@@ -77,9 +82,9 @@ class OrbitFrameOracle:
                 n = int(lost[0]) + 1
                 raise EigensolverError(f"|c_{n}|^2 underflows to 0 (|c_{n}| = {moduli[n - 1]:.3e})")
             held = _HeldCoordinates(
-                window.lam.tolist(),
                 window.phi.tolist(),
-                window.gaps.tolist(),
+                [math.log1p(-gap) if gap < 1.0 else -math.inf for gap in window.gaps.tolist()],
+                [z / abs(z) if z else 1.0 for z in window.lam.tolist()],  # x / |x| is exactly 1 for x > 0
                 np.hypot(window.weights.real, window.weights.imag).tolist(),  # abs() of each
             )
             object.__setattr__(self, "_held", held)
@@ -89,15 +94,16 @@ class OrbitFrameOracle:
         if frame_index < 0:
             raise IndexError("frame indices start at 0")
         held = self._coordinates(basis_index)
-        return held.phi[basis_index - 1] * complex_pow(held.lam[basis_index - 1], frame_index)
+        i = basis_index - 1
+        modulus = math.exp(frame_index * held.log_moduli[i]) if frame_index else 1.0  # not 0 * -inf
+        return held.phi[i] * modulus * complex_pow(held.phases[i], frame_index)
 
     def tail_energy(self, basis_index: int, start: int) -> float:
         if start < 0:
             raise IndexError("frame indices start at 0")
         held = self._coordinates(basis_index)
         weight = held.moduli[basis_index - 1]
-        # |lambda|^(2K) = exp(2K log(1 - gap)), stable for any K
-        return weight * weight * math.exp(2.0 * start * math.log1p(-held.gaps[basis_index - 1]))
+        return weight * weight * (math.exp(2.0 * start * held.log_moduli[basis_index - 1]) if start else 1.0)
 
 
 @dataclass(frozen=True)
@@ -112,8 +118,8 @@ class OrthonormalBasisOracle:
 
 
 class SearchBudgetExceededError(RuntimeError):
-    """No qualifying index within the budget - a non-Bessel oracle or a budget
-    too small; the construction itself can never fail mathematically."""
+    """No qualifying index in a search's range - a non-Bessel oracle, or witnesses
+    past the cap; the construction itself can never fail mathematically."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,6 @@ class AdversarialCertificate:
     step_bounds: tuple
     steps: tuple
     initial_tail: float
-    search_budget: int
 
 
 def _smallest_index(predicate, start: int, budget: int, what: str, monotone: bool = False) -> int:
@@ -169,14 +174,10 @@ def _smallest_index(predicate, start: int, budget: int, what: str, monotone: boo
                         below = middle
                 return above
             below, step = probe, 2 * step
-    raise SearchBudgetExceededError(
-        f"no qualifying {what} within budget {budget} (starting at {start})"
-    )
+    raise SearchBudgetExceededError(f"no qualifying {what} among the {budget:.4g} indices from {start}")
 
 
-def build_adversarial_subsequence(
-    oracle: FrameOracle, levels: int, budget: int = DEFAULT_SEARCH_BUDGET
-) -> AdversarialCertificate:
+def build_adversarial_subsequence(oracle: FrameOracle, levels: int) -> AdversarialCertificate:
     """Run the inductive construction down to level `levels`.
 
     Step 0 picks the smallest N_1 with tail_energy(1, N_1) <= 1; step l picks
@@ -184,20 +185,18 @@ def build_adversarial_subsequence(
     <= 2^-(l+1), then the smallest N_{l+1} > N_l with
     tail_energy(j_l, N_{l+1}) <= 2^-(l+1).
 
-    Each search covers `budget` consecutive indices from its start. The
-    picks rely on tail_energy being nonincreasing and are found by
-    bisection; the witness condition is not monotone, so witnesses are
-    tried one by one.
+    The picks rely on tail_energy being nonincreasing and are found by
+    bisection up to the largest index a float can hold, in about 2 log2(pick)
+    oracle calls; the witness condition is not monotone, so witnesses are
+    tried one by one, at most 10^6 past the previous one.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
 
     first = _smallest_index(
         lambda n: oracle.tail_energy(1, n) <= 1.0,
         start=0,
-        budget=budget,
+        budget=_FLOAT_INDICES + 1,
         what="initial index",
         monotone=True,
     )
@@ -214,14 +213,14 @@ def build_adversarial_subsequence(
         witness = _smallest_index(
             lambda j: witness_energy(j) <= half_threshold,
             start=previous_witness + 1,
-            budget=budget,
+            budget=_WITNESS_CAP,
             what="witness coordinate",
         )
         coefficient_sum = witness_energy(witness)
         next_pick = _smallest_index(
             lambda n: oracle.tail_energy(witness, n) <= half_threshold,
             start=picks[-1] + 1,
-            budget=budget,
+            budget=_FLOAT_INDICES - picks[-1],
             what="picked index",
             monotone=True,
         )
@@ -246,7 +245,6 @@ def build_adversarial_subsequence(
         step_bounds=tuple(step.bound for step in steps),
         steps=tuple(steps),
         initial_tail=oracle.tail_energy(1, first),
-        search_budget=budget,
     )
 
 

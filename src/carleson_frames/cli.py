@@ -25,7 +25,6 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .adversarial import (
-    DEFAULT_SEARCH_BUDGET,
     OrbitFrameOracle,
     OrthonormalBasisOracle,
     SearchBudgetExceededError,
@@ -145,7 +144,6 @@ PARAMS = (
     Param("adversary", "oracle", "--oracle", "orbit", str,
           ("orbit or orthonormal", lambda v: v in ("orbit", "orthonormal"))),
     Param("adversary", "levels", "--L", 6, _integer, _AT_LEAST_1),
-    Param("adversary", "budget", "--budget", DEFAULT_SEARCH_BUDGET, _integer, _AT_LEAST_1),
     Param("adversary", "estimate_dimension", "--estimate-dim", 0, _integer, _AT_LEAST_0),
     Param("reproduce-paper", "dimension", "--M", DEFAULT_DIMENSION, _integer, _AT_LEAST_1),
 )
@@ -420,7 +418,7 @@ def _cmd_adversary(resolved: dict) -> tuple:
     else:
         oracle = OrthonormalBasisOracle()
     try:
-        certificate = build_adversarial_subsequence(oracle, p["levels"], p["budget"])
+        certificate = build_adversarial_subsequence(oracle, p["levels"])
     except SearchBudgetExceededError as exc:
         print(f"adversarial construction failed: {exc}")
         return EXIT_ANALYSIS, {"built": False, "message": str(exc)}

@@ -265,9 +265,11 @@ def scalar_point(seq, k: int):
 
 class PerCallOrbitOracle:
     """The orbit oracle answered one query at a time from the validated window
-    of the first j coordinates, as scalars: <e_j, f_k> = phi_j lambda_j^k in
-    Python complex arithmetic, and |m_j|^2 exp(2K log(1 - gap_j)) for the tail.
-    Estimates built on it go through the per-coordinate family operator."""
+    of the first j coordinates, as scalars: <e_j, f_k> = phi_j |lambda_j|^k u_j^k
+    in Python complex arithmetic, with |lambda_j|^k = exp(k log(1 - gap_j)) and
+    the phase u_j = lambda_j / |lambda_j|, and |m_j|^2 exp(2K log(1 - gap_j)) for
+    the tail; no point may be 0. Estimates built on it go through the
+    per-coordinate family operator."""
 
     def __init__(self, system):
         self.system = system
@@ -280,7 +282,8 @@ class PerCallOrbitOracle:
             raise IndexError("frame indices start at 0")
         arrays = system_arrays(self.system, basis_index)
         lam = complex(arrays.lam[basis_index - 1])
-        return complex(arrays.phi[basis_index - 1]) * complex_pow(lam, frame_index)
+        modulus = math.exp(frame_index * math.log1p(-float(arrays.gaps[basis_index - 1])))
+        return complex(arrays.phi[basis_index - 1]) * modulus * complex_pow(lam / abs(lam), frame_index)
 
     def tail_energy(self, basis_index, start):
         from carleson_frames.orbit import system_arrays

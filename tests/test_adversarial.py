@@ -96,15 +96,24 @@ def test_orthonormal_oracle_certificate():
 
 
 def test_budget_exhaustion_signals_bad_oracle():
+    # the witness qualifies at once, but the tail never falls to 1/4: the pick
+    # search doubles its step up to the largest index a float holds and stops
     class FatTailOracle:
+        calls = 0
+
         def coefficient(self, basis_index, frame_index):
-            return 1.0 + 0.0j
+            return 0.0j
 
         def tail_energy(self, basis_index, start):
+            self.calls += 1
             return 1.0
 
-    with pytest.raises(SearchBudgetExceededError):
-        build_adversarial_subsequence(FatTailOracle(), 1, budget=50)
+    oracle = FatTailOracle()
+    with pytest.raises(
+        SearchBudgetExceededError, match=r"^no qualifying picked index among the 1\.798e\+308 indices from 1$"
+    ):
+        build_adversarial_subsequence(oracle, 1)
+    assert 1000 < oracle.calls < 1100
 
 
 def test_input_validation():
@@ -179,7 +188,7 @@ PINNED_L12 = {
 def test_orbit_certificates_pinned_up_to_l12(alpha):
     oracle = OrbitFrameOracle(OrbitSystem(GeometricApproach(alpha), ConstantWeights(1.0)))
     picks, witnesses = PINNED_L12[alpha]
-    cert = build_adversarial_subsequence(oracle, 12, budget=10**7)
+    cert = build_adversarial_subsequence(oracle, 12)
     assert cert.picked_indices == picks
     assert cert.witnesses == witnesses
     assert reverify_certificate(oracle, cert) <= 1e-12
@@ -187,11 +196,42 @@ def test_orbit_certificates_pinned_up_to_l12(alpha):
 
 def test_deep_certificate_builds_and_reverifies():
     oracle = OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0)))
-    cert = build_adversarial_subsequence(oracle, 30, budget=10**13)
+    cert = build_adversarial_subsequence(oracle, 30)
     assert len(cert.picked_indices) == 31
     assert cert.picked_indices[-1] == 1_476_614_058_018
     assert all(step.bound <= step.threshold for step in cert.steps)
     assert reverify_certificate(oracle, cert) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+@pytest.mark.parametrize("levels", [20, 30, 40, 50, 60])
+def test_deep_coefficient_sums_match_mpmath(alpha, levels):
+    # each step's sum over the certificate's own picks and witness, at 80 digits:
+    # sum_{i<=l} (1 - lambda_w^2) lambda_w^(2 N_i) with lambda_w = 1 - alpha^-w
+    mpmath = pytest.importorskip("mpmath")
+    oracle = OrbitFrameOracle(OrbitSystem(GeometricApproach(alpha), ConstantWeights(1.0)))
+    cert = build_adversarial_subsequence(oracle, levels)
+    with mpmath.workdps(80):
+        for step in cert.steps:
+            lam = 1 - mpmath.mpf(alpha) ** -step.witness
+            exact = mpmath.fsum((1 - lam * lam) * lam ** (2 * pick) for pick in cert.picked_indices[: step.level])
+            assert abs(step.coefficient_sum - exact) <= 1e-12 * exact, (step.level, step.coefficient_sum)
+            assert step.bound <= step.threshold
+
+
+def test_orbit_oracle_at_a_zero_point():
+    # lambda_1 = 0: the coefficient is phi_1 = m_1 at k = 0 and 0 beyond, the
+    # tail |m_1|^2 from start 0 and 0 beyond
+    values = (0.0,) + tuple(1.0 - 2.0**-k for k in range(1, 60))
+    oracle = OrbitFrameOracle(OrbitSystem(ExplicitSequence(values), ConstantWeights(0.75)))
+    assert oracle.coefficient(1, 0) == 0.75
+    assert oracle.tail_energy(1, 0) == 0.5625
+    for k in (1, 2, 1000):
+        assert oracle.coefficient(1, k) == 0.0
+        assert oracle.tail_energy(1, k) == 0.0
+    assert oracle.coefficient(2, 3) == pytest.approx(0.75 * 0.5**3 * math.sqrt(0.75), rel=1e-15)
+    cert = build_adversarial_subsequence(oracle, 6)
+    assert all(step.bound <= step.threshold for step in cert.steps)
 
 
 def _linear_scan(predicate, start, budget):
@@ -216,7 +256,7 @@ def test_bisection_equals_linear_scan_on_monotone_predicates(start, budget, offs
     if expected is None:
         with pytest.raises(SearchBudgetExceededError) as excinfo:
             _smallest_index(predicate, start, budget, "thing", monotone=True)
-        assert str(excinfo.value) == f"no qualifying thing within budget {budget} (starting at {start})"
+        assert str(excinfo.value) == f"no qualifying thing among the {budget:.4g} indices from {start}"
     else:
         assert _smallest_index(predicate, start, budget, "thing", monotone=True) == expected
     assert all(start <= n < start + budget for n in calls)
@@ -306,11 +346,11 @@ ORACLE_SEQUENCES = {
 @pytest.mark.parametrize("name", sorted(ORACLE_SEQUENCES))
 def test_orbit_oracle_is_bit_identical_to_per_call_queries(name):
     # separate systems: each side grows its own window
-    levels, budget, dimension = (12, 10**7, 40) if name.startswith("geometric") else (6, 10**6, 12)
+    levels, dimension = (12, 40) if name.startswith("geometric") else (6, 12)
     oracle = OrbitFrameOracle(OrbitSystem(ORACLE_SEQUENCES[name](), ConstantWeights(1.0)))
     reference = PerCallOrbitOracle(OrbitSystem(ORACLE_SEQUENCES[name](), ConstantWeights(1.0)))
-    certificate = build_adversarial_subsequence(oracle, levels, budget)
-    assert canonical_json(certificate) == canonical_json(build_adversarial_subsequence(reference, levels, budget))
+    certificate = build_adversarial_subsequence(oracle, levels)
+    assert canonical_json(certificate) == canonical_json(build_adversarial_subsequence(reference, levels))
     assert reverify_certificate(oracle, certificate) == reverify_certificate(reference, certificate)
     picks = certificate.picked_indices
     for j in range(1, dimension + 1):

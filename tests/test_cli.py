@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from carleson_frames import cli
+from carleson_frames import adversarial, cli
 from carleson_frames.weaving import ExplicitPattern
 
 
@@ -99,14 +99,15 @@ def test_argparse_errors_are_one_usage_line(capsys):
 
 def test_tol_is_no_parameter(tmp_path, capsys):
     # the certificate's residual bound is fixed, verdicts come from proofs
-    # only and the weaving threshold is half the reference bound: no
-    # subcommand takes tol, fail_threshold or safety as a flag or a key
+    # only, the weaving threshold is half the reference bound and the
+    # adversary's picks are searched up to the float range: no subcommand
+    # takes tol, fail_threshold, safety or budget as a flag or a key
     config = tmp_path / "config.json"
-    for name, value in (("tol", "1e-10"), ("fail_threshold", "1e-10"), ("safety", "0.5")):
+    for name, value in (("tol", 1e-10), ("fail_threshold", 1e-10), ("safety", 0.5), ("budget", 5)):
         flag = "--" + name.replace("_", "-")
-        config.write_text(json.dumps({"params": {name: float(value)}}))
+        config.write_text(json.dumps({"params": {name: value}}))
         for command in sorted({row.command for row in cli.PARAMS}):
-            for argv, text in (((command, flag, value), flag), ((command, "--config", str(config)), name)):
+            for argv, text in (((command, flag, str(value)), flag), ((command, "--config", str(config)), name)):
                 assert run_cli(*argv) == 2, argv
                 lines = capsys.readouterr().err.splitlines()
                 assert len(lines) == 1 and text in lines[0], argv
@@ -510,8 +511,8 @@ PARAM_CASES = {
          "dimension": ("--M", "12", 12), "j_max": ("--J-max", "200", 200)},
     ),
     "adversary": (
-        {"oracle": "orthonormal", "levels": 3, "budget": 1000, "estimate_dimension": 4},
-        {"oracle": ("--oracle", "orbit", "orbit"), "levels": ("--L", "2", 2), "budget": ("--budget", "2000", 2000),
+        {"oracle": "orthonormal", "levels": 3, "estimate_dimension": 4},
+        {"oracle": ("--oracle", "orbit", "orbit"), "levels": ("--L", "2", 2),
          "estimate_dimension": ("--estimate-dim", "5", 5)},
     ),
     "reproduce-paper": ({"dimension": 24}, {"dimension": ("--M", "30", 30)}),
@@ -572,17 +573,38 @@ def test_adversary_command(tmp_path):
     assert report["result"]["picked_lower_bound_estimate"] <= 2.0**-6
 
 
-def test_adversary_budget_exhaustion_exits_one_with_a_report(tmp_path, capsys):
-    # picks grow about 2.2x per level, so level 13 needs more than the default
-    # budget of 10^6 indices past the previous pick
+def test_adversary_deep_levels_build_at_the_defaults(tmp_path):
+    # picks grow about 2.2x per level and are searched up to the float range:
+    # level 13 lies more than 10^6 indices past level 12, level 60 near 6e21
     out = tmp_path / "adversary.json"
-    assert run_cli("adversary", "--alpha", "2", "--L", "13", "--out", str(out)) == 1
+    for levels, last in (("13", 2_543_859), ("60", 6_239_718_618_858_895_441_920)):
+        assert run_cli("adversary", "--alpha", "2", "--L", levels, "--out", str(out)) == 0
+        result = read_json(out)["result"]
+        assert result["built"] is True and "search_budget" not in result
+        assert result["picked_indices"][-1] == last
+
+
+def test_adversary_witness_cap_exits_one_with_a_report(tmp_path, capsys, monkeypatch):
+    # near alpha = 1 every |c_j|^2 = 1 - lambda_j^2 stays above 1/4 far past the
+    # cap of witness candidates; a smaller cap keeps the run short
+    monkeypatch.setattr(adversarial, "_WITNESS_CAP", 1000)
+    out = tmp_path / "adversary.json"
+    assert run_cli("adversary", "--alpha", "1.0000001", "--L", "1", "--out", str(out)) == 1
     captured = capsys.readouterr()
-    assert captured.out.startswith("adversarial construction failed: no qualifying picked index")
+    message = "no qualifying witness coordinate among the 1000 indices from 2"
+    assert captured.out == f"adversarial construction failed: {message}\n"
     assert captured.err == ""
+    assert read_json(out)["result"] == {"built": False, "message": message}
+
+
+def test_adversary_zero_point_builds(tmp_path):
+    # lambda_1 = 0 lies in the open disc: its coefficients vanish past k = 0
+    values = ",".join(["0"] + [repr(1.0 - 2.0**-k) for k in range(1, 60)])
+    out = tmp_path / "adversary.json"
+    assert run_cli("adversary", "--values", values, "--L", "6", "--out", str(out)) == 0
     result = read_json(out)["result"]
-    assert result["built"] is False
-    assert captured.out == f"adversarial construction failed: {result['message']}\n"
+    assert result["built"] is True
+    assert all(step["bound"] <= step["threshold"] for step in result["steps"])
 
 
 def test_adversary_orthonormal(tmp_path):
