@@ -26,7 +26,6 @@ from .carleson import (
     ProductEntry,
     Verdict,
     carleson_inf_estimate,
-    drop_prefix_check,
 )
 from .numerics import (
     EigensolverError,
@@ -58,7 +57,6 @@ from .sequences import (
     TwoPointAugmented,
     ValidationReport,
     Weights,
-    drop_prefix,
     validate,
 )
 from .weaving import (

@@ -45,7 +45,7 @@ class _HeldCoordinates(NamedTuple):
     """The held window of an orbit system as Python numbers, 0-based."""
 
     phi: list
-    log_moduli: list  # log|lambda_j| = log1p(-g_j), -inf at lambda_j = 0
+    log_moduli: list  # log|lambda_j|: from |lambda_j| below 1/2, else log1p(-g_j); -inf at 0
     phases: list  # u_j = lambda_j / |lambda_j|, 1 at lambda_j = 0
     moduli: list  # |m_j|
 
@@ -57,8 +57,9 @@ class OrbitFrameOracle:
     coefficient(j, k) = c_j |lambda_j|^k u_j^k, c_j = m_j sqrt(1 - |lambda_j|^2),
     with the phase u_j = lambda_j / |lambda_j| (exactly 1 for real positive
     points); the tails sum to |m_j|^2 |lambda_j|^(2K). Both take |lambda_j|^k
-    as exp(k log1p(-g_j)) from the modulus gap g_j, accurate at any index a
-    float can hold (a power of the rounded lambda_j loses k eps); at
+    as exp(k log|lambda_j|), accurate at any index a float can hold (a power
+    of the rounded lambda_j loses k eps), the log as log1p(-g_j) from the
+    modulus gap, or from |lambda_j| below 1/2, where the gap rounds; at
     lambda_j = 0, index 0 reads as 1. A
     query at basis index j reads the validated window of the first j
     coordinates, which grows by doubling (see `system_arrays`); the oracle
@@ -83,7 +84,8 @@ class OrbitFrameOracle:
                 raise EigensolverError(f"|c_{n}|^2 underflows to 0 (|c_{n}| = {moduli[n - 1]:.3e})")
             held = _HeldCoordinates(
                 window.phi.tolist(),
-                [math.log1p(-gap) if gap < 1.0 else -math.inf for gap in window.gaps.tolist()],
+                [math.log(m) if 0.0 < m < 0.5 else math.log1p(-g) if g < 1.0 else -math.inf
+                 for m, g in zip(np.abs(window.lam).tolist(), window.gaps.tolist())],
                 [z / abs(z) if z else 1.0 for z in window.lam.tolist()],  # x / |x| is exactly 1 for x > 0
                 np.hypot(window.weights.real, window.weights.imag).tolist(),  # abs() of each
             )

@@ -32,7 +32,7 @@ from .adversarial import (
     estimate_subsequence_lower_bound,
     reverify_certificate,
 )
-from .carleson import Verdict, carleson_inf_estimate, drop_prefix_check
+from .carleson import Verdict, carleson_inf_estimate
 from .numerics import EigensolverError
 from .orbit import (
     DEFAULT_DIMENSION,
@@ -126,7 +126,6 @@ _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 PARAMS = (
     Param("check-carleson", "n_max", "--n-max", 30, _integer, _AT_LEAST_1),
     Param("check-carleson", "k_trunc", "--k-trunc", 200, _integer, None),
-    Param("check-carleson", "drop_prefix", "--drop-prefix", 0, _integer, _AT_LEAST_0),
     Param("check-carleson", "assert_carleson", "--assert-carleson", False, _boolean, None),
     Param("bounds", "stride", "--N", 1, _integer, _AT_LEAST_1),
     Param("bounds", "offset", "--j", 0, _integer, None),
@@ -331,12 +330,10 @@ def _emit_csv(resolved: dict, header, rows) -> None:
 
 def _cmd_check_carleson(resolved: dict) -> tuple:
     p = resolved["params"]
-    for name in ("n_max", "drop_prefix"):
-        if p["k_trunc"] < p[name]:
-            raise ConfigError(f"k_trunc (--k-trunc) must be >= {name} = {p[name]}, got {p['k_trunc']}")
+    if p["k_trunc"] < p["n_max"]:
+        raise ConfigError(f"k_trunc (--k-trunc) must be >= n_max = {p['n_max']}, got {p['k_trunc']}")
     sequence = _system(resolved).lambdas  # the weights the report echoes are built, so checked, too
-    # with drop_prefix 0 this is carleson_inf_estimate on the whole sequence
-    report = drop_prefix_check(sequence, p["drop_prefix"], p["n_max"], p["k_trunc"])
+    report = carleson_inf_estimate(sequence, p["n_max"], p["k_trunc"])
     products = [(entry.n, entry.value, entry.tail_error) for entry in report.products]
     _emit_csv(resolved, ("n", "P_n", "tail_error"), products)
     lines = [f"verdict: {report.verdict.value}", f"inf estimate over tested n: {report.inf_estimate:.17g}"]
@@ -346,9 +343,6 @@ def _cmd_check_carleson(resolved: dict) -> tuple:
         lines.append(f"analytic ratio certificate: {report.certified_c:.17g}")
     lines.append(f"{'n':>6}  {'P_n':>24}  {'tail_error':>24}")
     lines += [f"{n:>6}  {value:>24.17g}  {tail:>24.17g}" for n, value, tail in products]
-    if report.n_drop is not None:
-        lines.append(f"dropped prefix products (full sequence, n <= {report.n_drop}):")
-        lines += [f"{entry.n:>6}  {entry.value:>24.17g}" for entry in report.dropped_products]
     print("\n".join(lines))
     failed = p["assert_carleson"] and report.verdict is not Verdict.CERTIFIED_HOLDS
     return EXIT_ANALYSIS if failed else EXIT_OK, report
@@ -406,8 +400,7 @@ def _cmd_weave(resolved: dict) -> tuple:
         f"predicted lower bound={result.predicted_lower_bound:.17g}  "
         f"verified lambda_min={result.verified_bounds.a_est:.17g}"
     )
-    # the fields as `write_json` converts them, once; no field of WeavingResult
-    # or AdversarialCertificate is one that `jsonable` leaves out
+    # the fields as `write_json` converts them, once
     return EXIT_OK, dict(vars(result), found=True, reference_bounds=reference)
 
 

@@ -21,16 +21,15 @@ def format_float(value) -> str:
 
 @functools.cache
 def _fields(cls) -> tuple:
-    """(name, whether its declared default is None) of each field of a dataclass type."""
+    """The field names of a dataclass type."""
     if not dataclasses.is_dataclass(cls):
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-    return tuple((f.name, f.default is None) for f in dataclasses.fields(cls))
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def jsonable(value):
     """The JSON form of a report value: a dataclass becomes the object of its
-    fields, without a field whose declared default is None while it is None;
-    an enum becomes its value, a tuple a list, a non-finite float its
+    fields; an enum becomes its value, a tuple a list, a non-finite float its
     `format_float` text ("inf"); anything else raises TypeError, as `json.dumps` does."""
     if isinstance(value, float):
         return value if math.isfinite(value) else format_float(value)
@@ -42,11 +41,8 @@ def jsonable(value):
         return {key: jsonable(item) for key, item in value.items()}
     if isinstance(value, Enum):
         return value.value
-    return {  # a dataclass; `_fields` raises TypeError for any other type
-        name: jsonable(item)
-        for name, optional in _fields(type(value))
-        if (item := getattr(value, name)) is not None or not optional
-    }
+    # a dataclass; `_fields` raises TypeError for any other type
+    return {name: jsonable(getattr(value, name)) for name in _fields(type(value))}
 
 
 def canonical_json(data) -> str:

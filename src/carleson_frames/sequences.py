@@ -214,79 +214,12 @@ class PowerSequence(LambdaSequence):
     def strictly_increasing_moduli(self):
         return self.base.strictly_increasing_moduli
 
-    def ratio_certificate(self):
-        return self.base.ratio_certificate() if self.exponent == 1 else None
-
     def tail_modulus_gap_sum(self, k_start):
         base_tail = self.base.tail_modulus_gap_sum(k_start)
         if base_tail is None:
             return None
         # 1 - x**N <= N (1 - x) on [0, 1]
         return base_tail if self.exponent == 1 else self.exponent * base_tail
-
-
-@dataclass(frozen=True)
-class ShiftedSequence(LambdaSequence):
-    """View of a base sequence with the first `shift` indices dropped."""
-
-    base: LambdaSequence
-    shift: int
-
-    def __post_init__(self):
-        s = int(self.shift)
-        if s < 1:
-            raise InvariantViolation("shift must be >= 1")
-        base_len = self.base.length
-        if base_len is not None and s >= base_len:
-            raise InvariantViolation("shift would drop the whole sequence")
-        object.__setattr__(self, "shift", s)
-
-    @property
-    def length(self):
-        base_len = self.base.length
-        return None if base_len is None else base_len - self.shift
-
-    def _points(self, k):
-        return self.base._points(k + self.shift)
-
-    @property
-    def is_real(self):
-        return self.base.is_real
-
-    @property
-    def real_positive(self):
-        return self.base.real_positive
-
-    @property
-    def strictly_increasing_moduli(self):
-        return self.base.strictly_increasing_moduli
-
-    def ratio_certificate(self):
-        # an all-k ratio bound on the base covers every shifted index
-        return self.base.ratio_certificate()
-
-    def tail_modulus_gap_sum(self, k_start):
-        return self.base.tail_modulus_gap_sum(k_start + self.shift)
-
-
-def drop_prefix(seq: LambdaSequence, n_drop: int) -> LambdaSequence:
-    """The sequence {lambda_k}_{k > n_drop}, preserving closed forms where possible."""
-    n_drop = int(n_drop)
-    if n_drop < 0:
-        raise ValueError("n_drop must be nonnegative")
-    if n_drop == 0:
-        return seq
-    if seq.length is not None and n_drop >= seq.length:
-        raise ValueError("dropping the whole sequence leaves nothing to analyze")
-    if isinstance(seq, ExplicitSequence):
-        return ExplicitSequence(seq.values[n_drop:])
-    if isinstance(seq, TwoPointAugmented) and n_drop >= 2:
-        return drop_prefix(seq.base, n_drop - 2)
-    if isinstance(seq, PowerSequence):
-        return PowerSequence(drop_prefix(seq.base, n_drop), seq.exponent)
-    if isinstance(seq, ShiftedSequence):
-        return drop_prefix(seq.base, seq.shift + n_drop)
-    return ShiftedSequence(seq, n_drop)
 
 
 class Weights(ABC):
@@ -396,10 +329,11 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
     InvariantViolation at the first point outside the open disc; the first
     repeated pair is reported, not raised.
 
-    Pure and idempotent; distinctness of real sequences is decided on signed
-    gaps so that generator kinds stay resolvable far beyond the range where
-    the values themselves round to 1.0. Strictly decreasing signed gaps, as
-    every real positive kind has, prove distinctness without a sort.
+    Pure and idempotent; distinctness of real sequences is decided on the
+    modulus gaps and signs so that generator kinds stay resolvable far beyond
+    the range where the values themselves round to 1.0, but on the values
+    below modulus 1/2, where the gaps round. Strictly decreasing signed gaps,
+    as every real positive kind has, prove distinctness without a sort.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -416,7 +350,11 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
     if signed is not None and np.all(signed[:-1] > signed[1:]):
         first_dup = None  # strictly decreasing keys are distinct: no sort needed
     else:
-        keys = values if signed is None else signed
+        # real keys in three spaces apart by their imaginary part: values below
+        # modulus 1/2 (0j), else the modulus gaps of positive (1j) and negative (2j) points
+        keys = values if signed is None else np.where(
+            np.abs(values.real) < 0.5, values, gaps + np.where(values.real > 0.0, 1j, 2j)
+        )
         _, first_seen, key_of = np.unique(keys, return_index=True, return_inverse=True, equal_nan=False)
         repeat = _first(first_seen[key_of] != np.arange(limit))
         first_dup = None if repeat is None else (int(first_seen[key_of[repeat - 1]]) + 1, repeat)

@@ -227,7 +227,6 @@ def scalar_point(seq, k: int):
         ExplicitSequence,
         GeometricApproach,
         PowerSequence,
-        ShiftedSequence,
         TwoPointAugmented,
     )
 
@@ -241,8 +240,6 @@ def scalar_point(seq, k: int):
         if k <= 2:
             return complex(seq.q if k == 1 else -seq.q), 1.0 - seq.q
         return scalar_point(seq.base, k - 2)
-    if isinstance(seq, ShiftedSequence):
-        return scalar_point(seq.base, k + seq.shift)
     if isinstance(seq, PowerSequence):
         value, gap = scalar_point(seq.base, k)
         p = seq.exponent
@@ -266,10 +263,11 @@ def scalar_point(seq, k: int):
 class PerCallOrbitOracle:
     """The orbit oracle answered one query at a time from the validated window
     of the first j coordinates, as scalars: <e_j, f_k> = phi_j |lambda_j|^k u_j^k
-    in Python complex arithmetic, with |lambda_j|^k = exp(k log(1 - gap_j)) and
-    the phase u_j = lambda_j / |lambda_j|, and |m_j|^2 exp(2K log(1 - gap_j)) for
-    the tail; no point may be 0. Estimates built on it go through the
-    per-coordinate family operator."""
+    in Python complex arithmetic, with |lambda_j|^k = exp(k log|lambda_j|) and
+    the phase u_j = lambda_j / |lambda_j|, and |m_j|^2 exp(2K log|lambda_j|) for
+    the tail, the log taken as log(1 - gap_j), or from |lambda_j| below 1/2; no
+    point may be 0. Estimates built on it go through the per-coordinate family
+    operator."""
 
     def __init__(self, system):
         self.system = system
@@ -282,7 +280,7 @@ class PerCallOrbitOracle:
             raise IndexError("frame indices start at 0")
         arrays = system_arrays(self.system, basis_index)
         lam = complex(arrays.lam[basis_index - 1])
-        modulus = math.exp(frame_index * math.log1p(-float(arrays.gaps[basis_index - 1])))
+        modulus = math.exp(frame_index * _log_modulus(arrays, basis_index))
         return complex(arrays.phi[basis_index - 1]) * modulus * complex_pow(lam / abs(lam), frame_index)
 
     def tail_energy(self, basis_index, start):
@@ -291,9 +289,13 @@ class PerCallOrbitOracle:
         if start < 0:
             raise IndexError("frame indices start at 0")
         arrays = system_arrays(self.system, basis_index)
-        gap = float(arrays.gaps[basis_index - 1])
         weight = abs(complex(arrays.weights[basis_index - 1]))
-        return weight * weight * math.exp(2.0 * start * math.log1p(-gap))
+        return weight * weight * math.exp(2.0 * start * _log_modulus(arrays, basis_index))
+
+
+def _log_modulus(arrays, basis_index):
+    modulus = abs(complex(arrays.lam[basis_index - 1]))
+    return math.log(modulus) if modulus < 0.5 else math.log1p(-float(arrays.gaps[basis_index - 1]))
 
 
 def first_duplicate_by_sort(keys):

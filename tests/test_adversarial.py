@@ -234,6 +234,20 @@ def test_orbit_oracle_at_a_zero_point():
     assert all(step.bound <= step.threshold for step in cert.steps)
 
 
+@pytest.mark.parametrize("first", [1e-20, 1e-10])
+def test_orbit_oracle_small_moduli_match_mpmath(first):
+    # below modulus 1/2 the gap 1 - |lambda| rounds, to 1.0 at 1e-20, which
+    # would read as lambda = 0: the log comes from |lambda| itself there
+    mpmath = pytest.importorskip("mpmath")
+    oracle = OrbitFrameOracle(OrbitSystem(ExplicitSequence((first, 0.5, 0.75)), ConstantWeights(1.0)))
+    with mpmath.workdps(60):
+        lam = mpmath.mpf(first)
+        for k in (1, 3):
+            tail, coefficient = lam ** (2 * k), mpmath.sqrt(1 - lam * lam) * lam**k
+            assert abs(oracle.tail_energy(1, k) - tail) <= 1e-14 * tail
+            assert abs(oracle.coefficient(1, k) - coefficient) <= 1e-14 * coefficient
+
+
 def _linear_scan(predicate, start, budget):
     return next((n for n in range(start, start + budget) if predicate(n)), None)
 

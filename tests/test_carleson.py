@@ -13,7 +13,6 @@ from carleson_frames import (
     TwoPointAugmented,
     Verdict,
     carleson_inf_estimate,
-    drop_prefix_check,
 )
 from carleson_frames import cli, numerics
 from carleson_frames.reporting import canonical_json
@@ -179,49 +178,60 @@ def test_ratio_test_explicit_list_has_no_certificate():
     assert report.certified_c is None
 
 
-def test_drop_prefix_check_geometric():
-    report = drop_prefix_check(GEO2, 5, 20, 200)
-    assert report.verdict is Verdict.CERTIFIED_HOLDS
-    assert report.ratio_sup == 0.5
-    assert report.n_drop == 5
-    assert len(report.dropped_products) == 5
-    assert all(entry.value > 0.0 for entry in report.dropped_products)
+# finite heads: TwoPointAugmented layers prepend points to a certified tail,
+# and the report's certified_c is the tail's certificate, the one the proof uses
+HEAD_CASES = [
+    pytest.param(TwoPointAugmented(0.3, GEO2), 5, 50, Verdict.CERTIFIED_HOLDS, 0.5, id="two-point"),
+    # q = 0.5 and 0.75 are the base points 1 - 2^-1 and 1 - 2^-2
+    pytest.param(TwoPointAugmented(0.5, GEO2), 5, 50, Verdict.CERTIFIED_FAILS, 0.5, id="q-is-base-point-1"),
+    pytest.param(TwoPointAugmented(0.75, GEO2), 5, 50, Verdict.CERTIFIED_FAILS, 0.5, id="q-is-base-point-2"),
+    # the window's last modulus, 1 - 2^-18, is below q, which a later point could meet
+    pytest.param(TwoPointAugmented(0.999999, GEO2), 5, 20, Verdict.INCONCLUSIVE, 0.5, id="q-past-the-window"),
+    pytest.param(TwoPointAugmented(0.3, GEO2), 2, 2, Verdict.INCONCLUSIVE, 0.5, id="window-within-the-head"),
+    pytest.param(TwoPointAugmented(0.2, TwoPointAugmented(0.4, GeometricApproach(1.5))), 5, 50,
+                 Verdict.CERTIFIED_HOLDS, 1.0 / 1.5, id="nested"),
+    # row 1 has no zero factor; the repeat of 0.75 at indices 3 and 6 refutes
+    pytest.param(TwoPointAugmented(0.2, TwoPointAugmented(0.75, GEO2)), 1, 50, Verdict.CERTIFIED_FAILS, 0.5,
+                 id="nested-repeat-beyond-the-rows"),
+    pytest.param(PowerSequence(TwoPointAugmented(0.3, GEO2), 1), 5, 50, Verdict.CERTIFIED_HOLDS, 0.5, id="power-1"),
+]
 
 
-def test_drop_prefix_check_propagates_two_point():
-    report = drop_prefix_check(TwoPointAugmented(0.3, GEO2), 2, 20, 200)
-    assert report.verdict is Verdict.CERTIFIED_HOLDS
+@pytest.mark.parametrize("seq,n_max,k_trunc,verdict,certified_c", HEAD_CASES)
+def test_finite_head_verdicts(seq, n_max, k_trunc, verdict, certified_c):
+    report = carleson_inf_estimate(seq, n_max, k_trunc)
+    assert (report.verdict, report.certified_c) == (verdict, certified_c)
 
 
-def test_drop_prefix_check_detects_duplicate_in_prefix():
-    seq = PowerSequence(TwoPointAugmented(0.3, GEO2), 2)
-    report = drop_prefix_check(seq, 2, 10, 100)
-    assert report.verdict is Verdict.CERTIFIED_FAILS
-
-
-def test_drop_prefix_check_rejects_a_prefix_beyond_the_window():
-    with pytest.raises(ValueError, match=r"need n_drop <= k_trunc"):
-        drop_prefix_check(GEO2, 5, 2, 2)
-
-
-def test_drop_prefix_check_empty_rest_errors():
-    with pytest.raises(ValueError):
-        drop_prefix_check(ExplicitSequence((0.1, 0.2)), 2, 1, 10)
+@pytest.mark.parametrize(
+    "values, product",  # P_1 of three distinct points, to 60 digits with mpmath
+    [
+        ((0.1, 0.10000000000000002, 0.5), 5.9023020979540485e-18),  # 1 - 0.1 rounds alike
+        ((-0.75, -0.7500000000000001, 0.9), 2.4997772153606941e-16),  # 2 - 0.25 rounds alike
+        ((0.49999999999999994, 0.5, 0.9), 5.3828995133340928e-17),  # 1 - lambda: 0.5 twice
+    ],
+)
+def test_near_duplicate_points_are_no_refutation(values, product):
+    # the signed gaps of the first two points round to one double
+    report = carleson_inf_estimate(ExplicitSequence(values), 3, 3)
+    assert report.verdict is Verdict.INCONCLUSIVE
+    for entry in report.products[:2]:
+        assert entry.value == pytest.approx(product, rel=1e-14, abs=0.0)
 
 
 def test_report_serialization_round_trip(tmp_path, capsys):
     report = carleson_inf_estimate(TwoPointAugmented(0.3, GEO2), 4, 50)
     data = json.loads(canonical_json(report))
-    assert data["verdict"] == "Inconclusive"
+    assert data["verdict"] == "CertifiedHolds"
+    assert data["certified_c"] == 0.5
     assert data["products"][0]["tail_error"] == "inf"  # no bound for mixed-sign kinds
-    assert "n_drop" not in data and "dropped_products" not in data
     out, table = tmp_path / "report.json", tmp_path / "products.csv"
     argv = ["check-carleson", "--alpha", "2", "--two-point-q", "0.3", "--n-max", "4", "--k-trunc", "50"]
     assert cli.main(argv + ["--out", str(out), "--csv", str(table)]) == 0
     assert json.loads(out.read_text())["result"] == data
     assert len(table.read_text().splitlines()) == 1 + 4  # header and one row per n
     text = capsys.readouterr().out
-    assert "verdict: Inconclusive" in text
+    assert "verdict: CertifiedHolds" in text
 
 
 # ---- blocked evaluation of the rows P_1..P_n ---------------------------------
@@ -250,12 +260,9 @@ def test_inf_estimate_rows_equal_carleson_product(seq, n_max, k_trunc):
 def test_block_size_does_not_change_products(monkeypatch, seq, n_max, k_trunc, rows_per_block):
     # 1-row blocks, and blocks of 3 or 5 rows that leave a ragged last block
     whole = carleson_inf_estimate(seq, n_max, k_trunc)
-    dropped = drop_prefix_check(seq, 2, min(n_max, 5), k_trunc)
     window = min(k_trunc, seq.length or k_trunc)
     monkeypatch.setattr(numerics, "_CHUNK_TERMS", rows_per_block * window + window - 1)
     assert carleson_inf_estimate(seq, n_max, k_trunc).products == whole.products
-    blocked = drop_prefix_check(seq, 2, min(n_max, 5), k_trunc)
-    assert (blocked.products, blocked.dropped_products) == (dropped.products, dropped.dropped_products)
 
 
 @pytest.mark.parametrize("outside", [1.5, 1.5j])
@@ -292,9 +299,6 @@ def test_out_of_disc_row_point_is_reported_before_its_factors():
     seq = ExplicitSequence((1.5, 1.5, 0.3))
     with pytest.raises(InvariantViolation, match=r"^\|lambda_1\| >= 1"):
         carleson_inf_estimate(seq, 3, 3)
-    # a dropped prefix point: the tail (0.4, 0.2, 0.6) passes, then the full window raises
-    with pytest.raises(InvariantViolation, match=r"^\|lambda_1\| >= 1"):
-        drop_prefix_check(ExplicitSequence((1.5, 0.4, 0.2, 0.6)), 1, 3, 3)
 
 
 @pytest.mark.parametrize(

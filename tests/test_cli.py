@@ -59,23 +59,33 @@ def test_check_carleson_small_products_are_inconclusive(capsys):
     assert capsys.readouterr().out.startswith("verdict: Inconclusive\n")
 
 
-@pytest.mark.parametrize("q,verdict", [("0.9999999999", "Inconclusive"), ("0.9", "CertifiedHolds")])
-def test_check_carleson_drop_prefix_downgrades_a_prefix_beyond_the_window(capsys, q, verdict):
-    # the certified tail reaches modulus 1 - 2^-18 in a 20-point window; a
-    # dropped q = 1 - 1e-10 lies beyond it and could meet a later point
-    argv = ("check-carleson", "--alpha", "2", "--two-point-q", q, "--drop-prefix", "2", "--n-max", "5",
-            "--k-trunc", "20")
-    assert run_cli(*argv) == 0
+@pytest.mark.parametrize(
+    "q,n_max,k_trunc,verdict",
+    [
+        ("0.3", "5", "50", "CertifiedHolds"),
+        ("0.9", "5", "20", "CertifiedHolds"),
+        # the tail reaches modulus 1 - 2^-18 in a 20-point window; q = 1 - 1e-10
+        # lies beyond it and could meet a later point
+        ("0.9999999999", "5", "20", "Inconclusive"),
+        ("0.75", "5", "20", "CertifiedFails"),  # the base point 1 - 2^-2
+    ],
+)
+def test_check_carleson_certifies_a_finite_head(capsys, q, n_max, k_trunc, verdict):
+    argv = ("check-carleson", "--alpha", "2", "--two-point-q", q, "--n-max", n_max, "--k-trunc", k_trunc)
+    assert run_cli(*argv, "--assert-carleson") == (0 if verdict == "CertifiedHolds" else 1)
     assert capsys.readouterr().out.startswith(f"verdict: {verdict}\n")
 
 
-def test_check_carleson_drop_prefix(capsys):
-    code = run_cli(
-        "check-carleson", "--alpha", "2", "--two-point-q", "0.3",
-        "--drop-prefix", "2", "--n-max", "10", "--k-trunc", "100",
-    )
-    assert code == 0
-    assert "CertifiedHolds" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "values", ["0.1,0.10000000000000002,0.5", "0.9,-0.75,-0.7500000000000001", "0.49999999999999994,0.5,0.9"]
+)
+@pytest.mark.parametrize("n_max", ["1", "3"])
+def test_near_duplicate_points_are_distinct(capsys, values, n_max):
+    # two of the points share a rounded signed gap 1 - lambda; the points do not
+    assert run_cli("check-carleson", f"--values={values}", "--n-max", n_max, "--k-trunc", "3") == 0
+    assert capsys.readouterr().out.startswith("verdict: Inconclusive\n")
+    assert run_cli("bounds", f"--values={values}", "--M", "3") == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_usage_error_exit_code():
@@ -99,11 +109,13 @@ def test_argparse_errors_are_one_usage_line(capsys):
 
 def test_tol_is_no_parameter(tmp_path, capsys):
     # the certificate's residual bound is fixed, verdicts come from proofs
-    # only, the weaving threshold is half the reference bound and the
-    # adversary's picks are searched up to the float range: no subcommand
-    # takes tol, fail_threshold, safety or budget as a flag or a key
+    # only and read finite heads themselves, the weaving threshold is half the
+    # reference bound and the adversary's picks are searched up to the float
+    # range: no subcommand takes tol, fail_threshold, safety, budget or
+    # drop_prefix as a flag or a key
     config = tmp_path / "config.json"
-    for name, value in (("tol", 1e-10), ("fail_threshold", 1e-10), ("safety", 0.5), ("budget", 5)):
+    for name, value in (("tol", 1e-10), ("fail_threshold", 1e-10), ("safety", 0.5), ("budget", 5),
+                        ("drop_prefix", 2)):
         flag = "--" + name.replace("_", "-")
         config.write_text(json.dumps({"params": {name: value}}))
         for command in sorted({row.command for row in cli.PARAMS}):
@@ -392,9 +404,8 @@ def test_weave_reference_below_resolution_exits_one(tmp_path, capsys):
         (("bounds", "--values", "nan,0.5,0.7", "--M", "3"), "sequence config"),
         (("bounds", "--alpha", "2", "--weight-value", "nan"), "weights config"),
         (("bounds", "--alpha", "2", "--weight-value", "inf"), "weights config"),
-        (("check-carleson", "--alpha", "2", "--n-max", "2", "--k-trunc", "2", "--drop-prefix", "5"),
-         "--k-trunc"),
-        (("check-carleson", "--drop-prefix", "-1"), "--drop-prefix"),
+        (("check-carleson", "--k-trunc", "1e3"), "--k-trunc"),
+        (("check-carleson", "--two-point-q", "1"), "sequence config"),
         (("check-carleson", "--k-trunc", "x"), "--k-trunc"),
         (("adversary", "--oracle", "bogus"), "--oracle"),
         (("bounds", "--alpha", "x"), "--alpha"),
@@ -464,7 +475,6 @@ MALFORMED_CONFIGS = (
     # a 400-digit JSON integer has no float form
     ("check-carleson", {"sequence": {"kind": "geometric", "alpha": 10**400}}, "invalid sequence config"),
     ("bounds", {"weights": {"kind": "constant", "value": 10**400}}, "invalid weights config"),
-    ("check-carleson", {"params": {"drop_prefix": [1]}}, "cannot parse drop_prefix (--drop-prefix)"),
     ("bounds", {"sequence": 5}, "sequence config must be an object with a 'kind' field"),
     ("bounds", [{"params": {}}], "config file must hold a JSON object"),
     ("check-carleson", {"sequence": {"kind": "power", "exponent": 2}}, "sequence config is missing fields ['base']"),
@@ -492,8 +502,8 @@ def test_malformed_config_param_exits_two(tmp_path, capsys):
 # per subcommand: a config-file value and a different flag value for every param
 PARAM_CASES = {
     "check-carleson": (
-        {"n_max": 4, "k_trunc": 40, "drop_prefix": 1, "assert_carleson": True},
-        {"n_max": ("--n-max", "5", 5), "k_trunc": ("--k-trunc", "50", 50), "drop_prefix": ("--drop-prefix", "2", 2),
+        {"n_max": 4, "k_trunc": 40, "assert_carleson": True},
+        {"n_max": ("--n-max", "5", 5), "k_trunc": ("--k-trunc", "50", 50),
          "assert_carleson": ("--assert-carleson", None, True)},
     ),
     "bounds": (

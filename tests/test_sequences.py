@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from carleson_frames import (
     OrbitSystem,
     PowerSequence,
     TwoPointAugmented,
-    drop_prefix,
     validate,
 )
 from carleson_frames.orbit import system_arrays
@@ -152,7 +152,8 @@ _COMPLEX_POINTS = st.builds(complex, st.floats(min_value=-0.7, max_value=0.7), s
 @st.composite
 def _windows(draw):
     """Monotone (strictly increasing reals), non-monotone real, repeated-point
-    and complex windows; any of them may carry a repeat of an earlier point."""
+    and complex windows; any of them may carry a repeat of an earlier point,
+    or its neighbour one ulp away."""
     kind = draw(st.sampled_from(("monotone", "non-monotone", "repeated", "complex")))
     points = draw(st.lists(_COMPLEX_POINTS if kind == "complex" else _REAL_POINTS, min_size=1, max_size=30))
     if kind == "monotone":
@@ -160,16 +161,39 @@ def _windows(draw):
     if kind == "repeated" or draw(st.booleans()):
         source = draw(st.integers(min_value=0, max_value=len(points) - 1))
         target = draw(st.integers(min_value=source + 1, max_value=len(points)))
-        points.insert(target, points[source])
+        point = complex(points[source])
+        if draw(st.booleans()):  # distinct, though below modulus 1/2 its signed gap may round alike
+            point = complex(math.nextafter(point.real, 1.0), point.imag)
+        points.insert(target, point)
     return points
+
+
+def _distinctness_keys(report):
+    """One key per point: the value of a complex point, or of a real one below
+    modulus 1/2, where the value is exact and the gaps round; else the modulus
+    gap, tagged apart from the values and by the sign of the point."""
+    if report.signed_gaps is None:
+        return report.values
+    return np.array(
+        [complex(v.real, 0.0) if abs(v.real) < 0.5 else complex(g, 1.0 if v.real > 0.0 else 2.0)
+         for v, g in zip(report.values.tolist(), report.gaps.tolist())]
+    )
 
 
 @given(_windows(), st.integers(min_value=1, max_value=40))
 def test_validate_distinctness_equals_the_sort_based_reference(points, n_max):
     report = validate(ExplicitSequence(tuple(points)), n_max)
-    keys = report.values if report.signed_gaps is None else report.signed_gaps
-    expected = first_duplicate_by_sort(keys)
+    expected = first_duplicate_by_sort(_distinctness_keys(report))
     assert report.first_duplicate == expected
+
+
+@pytest.mark.parametrize("a, b", [(0.1, 0.10000000000000002), (-0.75, -0.7500000000000001), (0.49999999999999994, 0.5)])
+def test_validate_keeps_points_that_share_a_signed_gap_distinct(a, b):
+    # 1 - a and 1 - b round to one double
+    report = validate(ExplicitSequence((a, b, 0.9)), 3)
+    assert report.signed_gaps[0] == report.signed_gaps[1]
+    assert report.first_duplicate is None
+    assert validate(ExplicitSequence((a, 0.9, b, a)), 4).first_duplicate == (1, 4)
 
 
 @pytest.mark.parametrize(
@@ -182,30 +206,7 @@ def test_validate_distinctness_of_generator_kinds_equals_the_sort(seq):
     # 2^-1074 is the last gap of alpha = 2 that does not underflow to 0, which
     # would leave the disc
     report = validate(seq, 1074)
-    keys = report.values if report.signed_gaps is None else report.signed_gaps
-    assert report.first_duplicate == first_duplicate_by_sort(keys)
-
-
-def test_drop_prefix_views():
-    geo = GeometricApproach(2.0)
-    shifted = drop_prefix(geo, 5)
-    assert validate(shifted, 1).values[0] == validate(geo, 6).values[5]
-    assert shifted.ratio_certificate() == 0.5
-    assert shifted.real_positive and shifted.strictly_increasing_moduli
-
-    two = TwoPointAugmented(0.3, geo)
-    assert drop_prefix(two, 2) is geo
-    tail_one = drop_prefix(two, 1)
-    assert validate(tail_one, 1).values[0] == -0.3
-    assert not tail_one.real_positive
-
-    explicit = ExplicitSequence((0.1, 0.2, 0.3))
-    assert drop_prefix(explicit, 1).values == (0.2 + 0j, 0.3 + 0j)
-    with pytest.raises(ValueError):
-        drop_prefix(explicit, 3)
-
-    powered = drop_prefix(PowerSequence(geo, 2), 4)
-    assert validate(powered, 1).values[0] == validate(geo, 5).values[4] ** 2
+    assert report.first_duplicate == first_duplicate_by_sort(_distinctness_keys(report))
 
 
 def test_tail_gap_sums():

@@ -17,14 +17,12 @@ from carleson_frames import (
     PowerSequence,
     SubsampleScheme,
     TwoPointAugmented,
-    drop_prefix,
     find_weaving_index,
     frame_bounds,
     validate,
 )
 from carleson_frames import cli, orbit
 from carleson_frames.orbit import system_arrays
-from carleson_frames.sequences import ShiftedSequence
 
 from oracles import scalar_point
 
@@ -36,7 +34,6 @@ KINDS = [
     PowerSequence(GeometricApproach(1.7), 3),
     PowerSequence(TwoPointAugmented(0.3, GeometricApproach(2.0)), 2),
     PowerSequence(ExplicitSequence((0.5j, 0.3 + 0.1j, -0.2 - 0.6j, 0.9)), 3),
-    ShiftedSequence(TwoPointAugmented(0.4, GeometricApproach(1.5)), 1),
 ]
 
 
@@ -113,7 +110,6 @@ PREFIX_SEQUENCES = [
     GeometricApproach(1.05),
     GeometricApproach(2.0),
     PowerSequence(TwoPointAugmented(0.3, GeometricApproach(2.0)), 3),
-    drop_prefix(GeometricApproach(1.7), 5),
     SPIRAL,
     PowerSequence(SPIRAL, 5),
 ]
