@@ -83,12 +83,6 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _real(value) -> float:
-    if isinstance(value, bool):
-        raise TypeError(value)
-    return float(value)
-
-
 def _number(value) -> float:  # a config-file real: a JSON number only
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
@@ -152,15 +146,15 @@ PARAMS = (
 # applied in this order: --values beats --alpha, then --two-point-q and --power wrap
 SYSTEM_FLAGS = (
     ("sequence", "--alpha", "alpha", "geometric sequence 1 - alpha^-k",
-     lambda text, config: {"kind": "geometric", "alpha": _real(text)}),
+     lambda text, config: {"kind": "geometric", "alpha": float(text)}),
     ("sequence", "--values", "values", "comma-separated explicit sequence values (complex literals)",
      lambda text, config: {"kind": "explicit", "values": text.split(",")}),
     ("sequence", "--two-point-q", "two_point_q", "prepend q, -q to the sequence",
-     lambda text, config: {"kind": "two_point", "q": _real(text), "base": config}),
+     lambda text, config: {"kind": "two_point", "q": float(text), "base": config}),
     ("sequence", "--power", "power", "raise the sequence entrywise to this power",
      lambda text, config: {"kind": "power", "exponent": _integer(text), "base": config}),
     ("weights", "--weight-value", "weight_value", "constant weights of this value",
-     lambda text, config: {"kind": "constant", "value": _real(text)}),
+     lambda text, config: {"kind": "constant", "value": float(text)}),
 )
 
 
@@ -374,21 +368,13 @@ def _cmd_subsample_sweep(resolved: dict) -> tuple:
 def _cmd_weave(resolved: dict) -> tuple:
     p = resolved["params"]
     system = _system(resolved)
-    dimension = p["dimension"]
     pattern = pattern_from_spec(p["pattern"], p["stride"])
-    reference = frame_bounds(system, SubsampleScheme(p["stride"]), dimension)
     try:
-        if reference.a_est <= 0.0:
-            raise WeavingSearchError(
-                f"reference A_est = {reference.a_est!r} at M={dimension} is below the "
-                "eigensolver's resolution, so no defect threshold can be set",
-                (),
-            )
-        result = find_weaving_index(system, pattern, reference.a_est, dimension, p["j_max"])
+        result = find_weaving_index(system, pattern, p["dimension"], p["j_max"])
     except WeavingSearchError as exc:
         print(f"weaving index not found: {exc}")
         return EXIT_ANALYSIS, {
-            "found": False, "message": str(exc), "reference_bounds": reference, "sweep": exc.sweep
+            "found": False, "message": str(exc), "reference_bounds": exc.reference_bounds, "sweep": exc.sweep
         }
     _emit_csv(
         resolved,
@@ -401,7 +387,7 @@ def _cmd_weave(resolved: dict) -> tuple:
         f"verified lambda_min={result.verified_bounds.a_est:.17g}"
     )
     # the fields as `write_json` converts them, once
-    return EXIT_OK, dict(vars(result), found=True, reference_bounds=reference)
+    return EXIT_OK, dict(vars(result), found=True)
 
 
 def _cmd_adversary(resolved: dict) -> tuple:
@@ -512,8 +498,7 @@ def _reproduction_checks(dimension: int) -> list:
             )
 
     for stride in (2, 3):
-        reference = frame_bounds(system, SubsampleScheme(stride), dimension)
-        result = find_weaving_index(system, ConstantPattern(stride, 1), reference.a_est, dimension)
+        result = find_weaving_index(system, ConstantPattern(stride, 1), dimension)
         verified_ok = (
             result.verified_bounds.a_est >= result.predicted_lower_bound - 1e-8
         )

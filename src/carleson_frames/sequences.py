@@ -219,7 +219,7 @@ class PowerSequence(LambdaSequence):
         if base_tail is None:
             return None
         # 1 - x**N <= N (1 - x) on [0, 1]
-        return base_tail if self.exponent == 1 else self.exponent * base_tail
+        return self.exponent * base_tail
 
 
 class Weights(ABC):

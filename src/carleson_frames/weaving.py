@@ -26,8 +26,10 @@ from .orbit import (
     DEFAULT_DIMENSION,
     FrameBoundEstimate,
     OrbitSystem,
+    SubsampleScheme,
     _bounds,
     conjugate_by_powers,
+    frame_bounds,
     phi_norm_squared,
     system_arrays,
     _progression_matrix,
@@ -333,10 +335,12 @@ def woven_frame_operator(
 
 class WeavingSearchError(RuntimeError):
     """No start index within the search budget pushed the defect below the
-    required fraction of the lower bound; carries the evaluated defect curve."""
+    required fraction of the lower bound; carries the stride-N reference
+    bounds and the evaluated defect curve."""
 
-    def __init__(self, message: str, sweep: tuple):
+    def __init__(self, message: str, reference_bounds: FrameBoundEstimate, sweep: tuple):
         super().__init__(message)
+        self.reference_bounds = reference_bounds
         self.sweep = sweep
 
 
@@ -349,26 +353,33 @@ class WeavingResult:
     a_est_used: float
     predicted_lower_bound: float
     verified_bounds: FrameBoundEstimate
+    reference_bounds: FrameBoundEstimate
     sweep: tuple
 
 
 def find_weaving_index(
     system: OrbitSystem,
     pattern: WeavePattern,
-    a_est: float,
     dimension: int = DEFAULT_DIMENSION,
     j_max: int = DEFAULT_J_MAX,
 ) -> WeavingResult:
-    """Smallest J with defect(J) < DEFAULT_SAFETY * a_est, then a direct verification.
-    It stops at J = 0 when the coordinate tail bound alone reaches the threshold.
+    """Smallest J with defect(J) < DEFAULT_SAFETY * A, then a direct verification.
+    A is the `a_est` of the stride-N reference `frame_bounds(system,
+    SubsampleScheme(N), dimension)`. The search ends before any J when A reads
+    0, and at J = 0 when the coordinate tail bound alone reaches the threshold.
 
-    a_est comes from a truncated model and over-estimates the true lower
+    A comes from a truncated model and over-estimates the true lower
     bound, hence the safety factor and the follow-up verification: the woven
     family's operator is assembled in closed form and its smallest eigenvalue
     reported next to the predicted (sqrt(A) - sqrt(D))^2.
     """
+    reference = frame_bounds(system, SubsampleScheme(pattern.stride), dimension)
+    a_est = reference.a_est
     if a_est <= 0.0:
-        raise ValueError("a_est must be positive")
+        raise WeavingSearchError(
+            f"reference A_est = {a_est!r} at M={dimension} is below the "
+            "eigensolver's resolution, so no defect threshold can be set", reference, ()
+        )
     threshold = DEFAULT_SAFETY * a_est
     sweep = []
     found = None
@@ -380,12 +391,11 @@ def find_weaving_index(
         if point.truncation_bound >= threshold:  # the same for every J
             raise WeavingSearchError(
                 f"coordinate tail bound {point.truncation_bound:.3e} beyond M={dimension} is not "
-                f"below {threshold:.3e}, so no J can succeed",
-                tuple(sweep),
+                f"below {threshold:.3e}, so no J can succeed", reference, tuple(sweep)
             )
     if found is None:
         raise WeavingSearchError(
-            f"defect never fell below {threshold:.3e} for J <= {j_max}", tuple(sweep)
+            f"defect never fell below {threshold:.3e} for J <= {j_max}", reference, tuple(sweep)
         )
     defect = sweep[-1].value + sweep[-1].truncation_bound
     predicted = (math.sqrt(a_est) - math.sqrt(defect)) ** 2
@@ -396,5 +406,6 @@ def find_weaving_index(
         a_est_used=a_est,
         predicted_lower_bound=predicted,
         verified_bounds=verified,
+        reference_bounds=reference,
         sweep=tuple(sweep),
     )

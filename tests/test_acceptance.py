@@ -194,10 +194,11 @@ def test_criterion_7_weaving_index():
     ok = True
     details = []
     for stride in (2, 3):
-        a_est = frame_bounds(SYSTEM, SubsampleScheme(stride), 40).a_est
-        result = find_weaving_index(SYSTEM, ConstantPattern(stride, 1), a_est, 40)
+        result = find_weaving_index(SYSTEM, ConstantPattern(stride, 1), 40)
+        reference = result.reference_bounds
         good = result.verified_bounds.a_est >= result.predicted_lower_bound - 1e-8
-        ok = ok and good and result.defect < 0.5 * a_est
+        good = good and reference == frame_bounds(SYSTEM, SubsampleScheme(stride), 40)
+        ok = ok and good and result.defect < 0.5 * reference.a_est
         details.append(
             f"N={stride}: J={result.start_index}, "
             f"lambda_min={result.verified_bounds.a_est:.3e} >= "

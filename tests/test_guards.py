@@ -1,0 +1,46 @@
+"""Public entry points reject an out-of-range argument, each with its own
+exception type."""
+
+import pytest
+
+from carleson_frames import (
+    ConstantPattern,
+    ConstantWeights,
+    ExplicitSequence,
+    GeometricApproach,
+    InvariantViolation,
+    OrbitSystem,
+    OrthonormalBasisOracle,
+    PowerSequence,
+    carleson_inf_estimate,
+    estimate_subsequence_lower_bound,
+    one_minus_pow,
+    retilde_weights,
+    woven_frame_operator,
+)
+
+SEQUENCE = GeometricApproach(2.0)
+SYSTEM = OrbitSystem(SEQUENCE, ConstantWeights(1.0))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: estimate_subsequence_lower_bound(OrthonormalBasisOracle(), [0], 0), ValueError, "dimension"),
+        (lambda: carleson_inf_estimate(SEQUENCE, 0, 10), ValueError, "n_max"),
+        (lambda: one_minus_pow(0.5, -1), ValueError, "exponent"),
+        (lambda: retilde_weights(SYSTEM, 0, 5), ValueError, "stride"),
+        (lambda: ExplicitSequence(()), InvariantViolation, "empty"),
+        (lambda: PowerSequence(SEQUENCE, 0), InvariantViolation, "exponent"),
+        (lambda: ConstantPattern(0, 0), InvariantViolation, "stride"),
+        (lambda: ConstantPattern(2, 1).offset_at(-1), IndexError, "start at 0"),
+        (lambda: woven_frame_operator(SYSTEM, ConstantPattern(2, 1), -1), ValueError, "start index"),
+    ],
+    ids=[
+        "estimate-dimension", "inf-estimate-n-max", "one-minus-pow-exponent", "retilde-stride",
+        "explicit-empty", "power-exponent", "pattern-stride", "pattern-index", "woven-start",
+    ],
+)
+def test_input_guard(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

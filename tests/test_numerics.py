@@ -26,6 +26,10 @@ def test_identity_matrix():
     assert residual <= 1e-15
 
 
+def test_zero_matrix_has_zero_extremes():
+    assert tuple(extremal_eigenvalues(np.zeros((3, 3)))) == (0.0, 0.0, 0.0)
+
+
 def test_two_by_two_analytic():
     lo, hi, _ = extremal_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert lo == pytest.approx(1.0, abs=1e-14)

@@ -8,6 +8,7 @@ import pytest
 
 from carleson_frames import (
     ConstantWeights,
+    EigensolverError,
     ExplicitSequence,
     ExplicitWeights,
     GeometricApproach,
@@ -245,6 +246,11 @@ def test_psd_across_scheme_grid():
                 s = frame_operator_matrix(SYSTEM, SubsampleScheme(stride, offset, start), 24)
                 eigs = np.linalg.eigvalsh(s)
                 assert eigs[0] >= -1e-10 * max(1.0, eigs[-1])
+
+
+def test_bounds_from_matrix_rejects_a_negative_eigenvalue():
+    with pytest.raises(EigensolverError, match="frame operator not PSD"):
+        orbit.bounds_from_matrix(np.diag([-1.0, 1.0]))
 
 
 def test_scheme_validation():

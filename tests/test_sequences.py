@@ -222,6 +222,13 @@ def test_tail_gap_sums():
     assert powered.tail_modulus_gap_sum(5) >= true_tail
 
 
+def test_two_point_tail_gap_sum_is_zero_past_a_finite_base():
+    augmented = TwoPointAugmented(0.3, ExplicitSequence((0.5, 0.75)))  # length 4
+    assert augmented.tail_modulus_gap_sum(5) == 0.0
+    assert augmented.tail_modulus_gap_sum(4) is None
+    assert TwoPointAugmented(0.3, GeometricApproach(2.0)).tail_modulus_gap_sum(5) is None
+
+
 def test_constant_weights():
     weights = ConstantWeights(1.0)
     assert system_arrays(OrbitSystem(GeometricApproach(2.0), weights), 7).weights[6] == 1.0

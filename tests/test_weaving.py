@@ -13,6 +13,7 @@ from carleson_frames import (
     ConstantPattern,
     ConstantWeights,
     ExplicitPattern,
+    ExplicitSequence,
     ExplicitWeights,
     GeometricApproach,
     InvariantViolation,
@@ -35,7 +36,7 @@ from carleson_frames import cli, numerics
 from carleson_frames.numerics import complex_pow, complex_pow_table
 from carleson_frames.orbit import _progression_matrix, conjugate_by_powers, system_arrays
 from carleson_frames.reporting import canonical_json
-from carleson_frames.weaving import _exact_row_sums
+from carleson_frames.weaving import _coordinate_tail_bound, _exact_row_sums
 from oracles import brute_defect_sum, pointwise_tail_defect, xorshift64_reference
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
@@ -176,17 +177,25 @@ def test_woven_operator_finite_vs_periodic_prefix():
     assert np.max(np.abs(explicit - constant)) <= 4.0 * tail_mass
 
 
+def _reference(system, stride, dimension):
+    return frame_bounds(system, SubsampleScheme(stride), dimension)
+
+
 def test_find_weaving_index_identity_pattern():
-    result = find_weaving_index(SYSTEM, ConstantPattern(2, 0), a_est=0.5)
+    result = find_weaving_index(SYSTEM, ConstantPattern(2, 0))
+    reference = _reference(SYSTEM, 2, 40)
+    assert result.reference_bounds == reference
     assert result.start_index == 0
     assert result.defect == 0.0
-    assert result.predicted_lower_bound == pytest.approx(0.5, rel=1e-15)
+    assert result.a_est_used == reference.a_est
+    assert result.predicted_lower_bound == pytest.approx(reference.a_est, rel=1e-15)
 
 
 @pytest.mark.parametrize("stride,expected_j", [(2, 84), (3, 57)])
 def test_find_weaving_index_regression(stride, expected_j):
-    a_est = frame_bounds(SYSTEM, SubsampleScheme(stride), 40).a_est
-    result = find_weaving_index(SYSTEM, ConstantPattern(stride, 1), a_est, 40)
+    result = find_weaving_index(SYSTEM, ConstantPattern(stride, 1), 40)
+    assert result.reference_bounds == _reference(SYSTEM, stride, 40)
+    a_est = result.reference_bounds.a_est
     assert result.start_index == expected_j
     assert result.defect < 0.5 * a_est
     # minimality: one step earlier the defect must still be too large
@@ -195,44 +204,54 @@ def test_find_weaving_index_regression(stride, expected_j):
 
 
 def test_weaving_result_verifies_perturbation_bound():
-    a_est = frame_bounds(SYSTEM, SubsampleScheme(2), 40).a_est
-    result = find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est, 40)
+    result = find_weaving_index(SYSTEM, ConstantPattern(2, 1), 40)
+    a_est = result.reference_bounds.a_est
     predicted = (math.sqrt(a_est) - math.sqrt(result.defect)) ** 2
     assert result.predicted_lower_bound == pytest.approx(predicted, rel=1e-15)
     assert result.verified_bounds.a_est >= result.predicted_lower_bound - 1e-8
     assert result.verified_bounds.scheme is None
+    assert result.reference_bounds.scheme == SubsampleScheme(2)
     assert result.sweep[-1].start_index == result.start_index
 
 
 def test_find_weaving_index_search_failure_carries_curve():
-    with pytest.raises(WeavingSearchError) as excinfo:
-        find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est=1e-6, j_max=5)
+    # at M = 40 the first J below 0.5 * A_est is 84, beyond j_max = 5
+    with pytest.raises(WeavingSearchError, match=r"defect never fell below 6\.405e-06 for J <= 5") as excinfo:
+        find_weaving_index(SYSTEM, ConstantPattern(2, 1), 40, j_max=5)
+    assert excinfo.value.reference_bounds == _reference(SYSTEM, 2, 40)
     assert len(excinfo.value.sweep) == 6
     assert excinfo.value.sweep[0].value > 0.0
 
 
 def test_find_weaving_index_stops_when_tail_bound_blocks_every_j():
-    # the coordinate tail bound (about 1.8e-12 at M = 40) does not depend on J
-    # and already exceeds 0.5 * 1e-30, so the search ends at J = 0
-    with pytest.raises(WeavingSearchError) as excinfo:
-        find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est=1e-30, j_max=5)
+    # the coordinate tail bound 2 sum_{n>5} 2^-n = 1/16 at M = 5 does not
+    # depend on J and already exceeds 0.5 * A_est, so the search ends at J = 0
+    with pytest.raises(WeavingSearchError, match=r"tail bound 6\.250e-02 beyond M=5 is not below 3\.044e-04") as excinfo:
+        find_weaving_index(SYSTEM, ConstantPattern(2, 1), 5)
+    reference = _reference(SYSTEM, 2, 5)
+    assert excinfo.value.reference_bounds == reference
     (point,) = excinfo.value.sweep
     assert point.start_index == 0 and point.value > 0.0
-    assert point.truncation_bound >= 0.5e-30
-    assert "tail bound" in str(excinfo.value)
+    assert point.truncation_bound == 0.0625 >= 0.5 * reference.a_est
 
 
 def test_find_weaving_index_input_validation():
-    with pytest.raises(ValueError):
-        find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est=0.0)
+    # at alpha = 1.05 the reference A_est (about 3e-55) is below what the
+    # eigensolver resolves; it reads 0, and the search ends before any J
+    system = OrbitSystem(GeometricApproach(1.05), ConstantWeights(1.0))
+    with pytest.raises(WeavingSearchError, match="below the eigensolver's resolution") as excinfo:
+        find_weaving_index(system, ConstantPattern(2, 1), 40)
+    assert excinfo.value.reference_bounds == _reference(system, 2, 40)
+    assert excinfo.value.reference_bounds.a_est == 0.0
+    assert excinfo.value.sweep == ()
 
 
 def test_weaving_result_serialization():
-    a_est = frame_bounds(SYSTEM, SubsampleScheme(2), 30).a_est
-    result = find_weaving_index(SYSTEM, ConstantPattern(2, 1), a_est, 30)
+    result = find_weaving_index(SYSTEM, ConstantPattern(2, 1), 30)
     data = json.loads(canonical_json(result))
     assert data["start_index"] == result.start_index
     assert data["verified_bounds"]["dimension"] == 30
+    assert data["reference_bounds"]["dimension"] == 30
     assert len(data["sweep"]) == result.start_index + 1
 
 
@@ -270,6 +289,15 @@ def test_finite_pattern_curve_is_zero_past_its_support():
     assert defect_curve(SYSTEM, ExplicitPattern(2, (1,)), 5, 8, 40)[0] == [0.0] * 4
 
 
+def test_coordinate_tail_bound_is_zero_within_a_finite_sequence():
+    system = OrbitSystem(ExplicitSequence((0.1, 0.3, 0.5)), ConstantWeights(1.0))
+    pattern = ConstantPattern(2, 1)
+    assert _coordinate_tail_bound(system, pattern, 3) == 0.0
+    assert _coordinate_tail_bound(system, pattern, 5) == 0.0
+    # 2 C2^2 (1 - 0.5) for the one coordinate beyond M = 2
+    assert _coordinate_tail_bound(system, pattern, 2) == 1.0
+
+
 def test_defect_curve_input_validation():
     with pytest.raises(ValueError):
         defect_curve(SYSTEM, ConstantPattern(2, 1), -1, 3, 40)
@@ -287,9 +315,10 @@ def test_defect_points_walk_the_curve_in_order():
 
 
 def test_find_weaving_index_sweep_matches_the_curve():
-    a_est = frame_bounds(SYSTEM, SubsampleScheme(3), 40).a_est
     pattern = SeededPattern(3, 42, 128)
-    result = find_weaving_index(SYSTEM, pattern, a_est, 40)
+    result = find_weaving_index(SYSTEM, pattern, 40)
+    assert result.reference_bounds == _reference(SYSTEM, 3, 40)
+    a_est = result.reference_bounds.a_est
     values, _ = defect_curve(SYSTEM, pattern, 0, result.start_index, 40)
     assert [point.value for point in result.sweep] == values
     assert result.sweep[-1].value + result.sweep[-1].truncation_bound < 0.5 * a_est
@@ -297,8 +326,7 @@ def test_find_weaving_index_sweep_matches_the_curve():
 
 
 def test_weaving_result_serialization_matches_the_dataclass_fields():
-    a_est = frame_bounds(SYSTEM, SubsampleScheme(2), 30).a_est
-    result = find_weaving_index(SYSTEM, ExplicitPattern(2, (1, 0, 1, 1)), a_est, 30)
+    result = find_weaving_index(SYSTEM, ExplicitPattern(2, (1, 0, 1, 1)), 30)
     fields = dataclasses.asdict(result)  # every field, nested dataclasses as dicts
     assert json.loads(canonical_json(result)) == json.loads(json.dumps(fields))
 
@@ -308,17 +336,19 @@ def test_weave_reports_found_and_not_found(tmp_path):
     args = ("weave", "--alpha", "2", "--N", "2", "--pattern", "constant:1")
     assert cli.main([*args, "--out", str(found)]) == 0
     assert cli.main([*args, "--J-max", "5", "--out", str(missing)]) == 1
-    reference = frame_bounds(SYSTEM, SubsampleScheme(2), 40)
-    result = find_weaving_index(SYSTEM, ConstantPattern(2, 1), reference.a_est)
+    result = find_weaving_index(SYSTEM, ConstantPattern(2, 1))
     report = json.loads(found.read_text())["result"]
-    assert report == dict(
-        json.loads(canonical_json(result)), found=True, reference_bounds=json.loads(canonical_json(reference))
-    )
+    assert report == dict(json.loads(canonical_json(result)), found=True)
+    assert report["reference_bounds"] == json.loads(canonical_json(_reference(SYSTEM, 2, 40)))
     with pytest.raises(WeavingSearchError) as excinfo:
-        find_weaving_index(SYSTEM, ConstantPattern(2, 1), reference.a_est, j_max=5)
+        find_weaving_index(SYSTEM, ConstantPattern(2, 1), j_max=5)
     report = json.loads(missing.read_text())["result"]
-    assert report["found"] is False and "start_index" not in report
-    assert report["sweep"] == json.loads(canonical_json(excinfo.value.sweep))
+    assert report == {
+        "found": False,
+        "message": str(excinfo.value),
+        "reference_bounds": json.loads(canonical_json(_reference(SYSTEM, 2, 40))),
+        "sweep": json.loads(canonical_json(excinfo.value.sweep)),
+    }
 
 
 def _woven_by_rank_one_updates(system, pattern, start, dimension):

@@ -163,9 +163,10 @@ def test_subsample_sweep_validates_once(monkeypatch, tmp_path):
 
 def test_weaving_search_validates_once(monkeypatch):
     system = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
-    a_est = frame_bounds(system, SubsampleScheme(2), 30).a_est
+    frame_bounds(system, SubsampleScheme(2), 30)
     calls = _count_validate(monkeypatch)
-    result = find_weaving_index(system, ConstantPattern(2, 1), a_est, 40)
+    result = find_weaving_index(system, ConstantPattern(2, 1), 40)
+    assert result.reference_bounds == frame_bounds(system, SubsampleScheme(2), 40)
     assert len(result.sweep) > 10
     # the held M = 30 window grows to 60 and the search reads its prefix
     assert calls == {(GeometricApproach(2.0), 60): 1}
