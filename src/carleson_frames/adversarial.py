@@ -56,15 +56,15 @@ class OrbitFrameOracle:
 
     coefficient(j, k) = c_j |lambda_j|^k u_j^k, c_j = m_j sqrt(1 - |lambda_j|^2),
     with the phase u_j = lambda_j / |lambda_j| (exactly 1 for real positive
-    points); the tails sum to |m_j|^2 |lambda_j|^(2K). Both take |lambda_j|^k
-    as exp(k log|lambda_j|), accurate at any index a float can hold (a power
-    of the rounded lambda_j loses k eps), the log as log1p(-g_j) from the
-    modulus gap, or from |lambda_j| below 1/2, where the gap rounds; at
-    lambda_j = 0, index 0 reads as 1. A
-    query at basis index j reads the validated window of the first j
-    coordinates, which grows by doubling (see `system_arrays`); the oracle
-    converts it to Python numbers, logs and phases once per growth. A
-    window in which some |c_n|^2 underflows to 0 raises EigensolverError.
+    points), and the tails sum to |m_j|^2 exp(K (2 log|lambda_j|)), where 2K
+    could overflow. Both read |lambda_j|^k as exp(k log|lambda_j|), accurate at
+    any index a float can hold (a power of the rounded lambda_j loses k eps),
+    the log as log1p(-g_j) from the modulus gap, or from |lambda_j| below 1/2,
+    where the gap rounds; at lambda_j = 0, index 0 reads as 1. A query at
+    basis index j reads the validated window of the first j coordinates,
+    which grows by doubling (see `system_arrays`); the oracle converts it to
+    Python numbers, logs and phases once per growth. A window in which some
+    |c_n|^2 underflows to 0, or some |m_n|^2 overflows, raises EigensolverError.
     """
 
     system: OrbitSystem
@@ -75,6 +75,12 @@ class OrbitFrameOracle:
         if held is None or not 0 < basis_index <= len(held.phi):
             system_arrays(self.system, basis_index)  # grows the system's window, or raises
             window = self.system._window
+            # an inf |m_n|^2 makes every tail inf or NaN; checked first, so no |c_n|^2 overflows
+            weights = np.hypot(window.weights.real, window.weights.imag)  # abs() of each
+            huge = np.flatnonzero(weights > math.sqrt(sys.float_info.max))
+            if huge.size:
+                n = int(huge[0]) + 1
+                raise EigensolverError(f"|m_{n}|^2 overflows (|m_{n}| = {weights[n - 1]:.3e})")
             # c_n = m_n sqrt(1 - |lambda_n|^2) is never 0, so |c_n|^2 = 0 is underflow,
             # which would make every bound that reads it hold vacuously
             moduli = np.abs(window.phi)
@@ -87,7 +93,7 @@ class OrbitFrameOracle:
                 [math.log(m) if 0.0 < m < 0.5 else math.log1p(-g) if g < 1.0 else -math.inf
                  for m, g in zip(np.abs(window.lam).tolist(), window.gaps.tolist())],
                 [z / abs(z) if z else 1.0 for z in window.lam.tolist()],  # x / |x| is exactly 1 for x > 0
-                np.hypot(window.weights.real, window.weights.imag).tolist(),  # abs() of each
+                weights.tolist(),
             )
             object.__setattr__(self, "_held", held)
         return held
@@ -105,7 +111,7 @@ class OrbitFrameOracle:
             raise IndexError("frame indices start at 0")
         held = self._coordinates(basis_index)
         weight = held.moduli[basis_index - 1]
-        return weight * weight * (math.exp(2.0 * start * held.log_moduli[basis_index - 1]) if start else 1.0)
+        return weight * weight * (math.exp(start * (2.0 * held.log_moduli[basis_index - 1])) if start else 1.0)
 
 
 @dataclass(frozen=True)

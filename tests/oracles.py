@@ -290,7 +290,7 @@ class PerCallOrbitOracle:
             raise IndexError("frame indices start at 0")
         arrays = system_arrays(self.system, basis_index)
         weight = abs(complex(arrays.weights[basis_index - 1]))
-        return weight * weight * math.exp(2.0 * start * _log_modulus(arrays, basis_index))
+        return weight * weight * math.exp(start * (2.0 * _log_modulus(arrays, basis_index)))
 
 
 def _log_modulus(arrays, basis_index):

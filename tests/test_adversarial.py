@@ -342,6 +342,37 @@ def test_orbit_oracle_refuses_underflowed_coefficients():
         small.coefficient(100, 0)
 
 
+@pytest.mark.parametrize(
+    "value, shown", [(1.4e154, r"1\.400e\+154"), (1e155, r"1\.000e\+155")], ids=["1.4e154", "1e155"]
+)
+def test_orbit_oracle_refuses_overflowed_weights(value, shown):
+    # |m_n|^2 overflows from |m_n| = 1.34e154 on, and |c_n|^2 too from about 1.55e154;
+    # every tail would read inf or NaN
+    huge = OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), ConstantWeights(value)))
+    with pytest.raises(EigensolverError, match=rf"^\|m_1\|\^2 overflows \(\|m_1\| = {shown}\)$"):
+        build_adversarial_subsequence(huge, 3)
+
+
+def test_orbit_oracle_tail_at_the_float_range_matches_mpmath():
+    # from start = 2^1023 on, 2 * start overflows to inf; the exponent doubles the log instead
+    mpmath = pytest.importorskip("mpmath")
+    oracle = OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1e154)))
+    with mpmath.workdps(40):
+        two = mpmath.mpf(2)
+        exact = mpmath.mpf(1e154) ** 2 * mpmath.exp(2 * two**1023 * mpmath.log1p(-(two**-1027)))
+    assert oracle.tail_energy(1027, 2**1023) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+    # no pick a float can hold brings the level-1 witness's tail below 2^-2: no certificate
+    with pytest.raises(SearchBudgetExceededError, match=r"^no qualifying picked index among the 1\.798e\+308 indices"):
+        build_adversarial_subsequence(oracle, 3)
+    # at |m| = 1e152 the picks fit, and each step's tail is the true one (the last pick is past 2^1023)
+    smaller = OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1e152)))
+    certificate = build_adversarial_subsequence(smaller, 3)
+    for step, pick in zip(certificate.steps, certificate.picked_indices[1:]):
+        with mpmath.workdps(40):
+            exact = mpmath.mpf(1e152) ** 2 * mpmath.exp(2 * pick * mpmath.log1p(-(two**-step.witness)))
+        assert step.tail_value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
 def _spiral(count=200, rho=0.9, theta=0.5):
     return ExplicitSequence(tuple((1.0 - 0.5 * rho**k) * cmath.exp(1j * theta * k) for k in range(1, count + 1)))
 

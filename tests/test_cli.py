@@ -282,10 +282,14 @@ def test_non_finite_operator_exits_one(tmp_path, capsys):
         ["subsample-sweep", "--M", "5", "--K", "0,1000000"],
         # the adversary's step bounds would read the underflowed |c_n|^2 as 0
         ["adversary", "--alpha", "2", "--L", "3", "--weight-value", "1e-162"],
+        # and every tail would read the overflowed |m_n|^2 as inf or NaN
+        ["adversary", "--alpha", "2", "--L", "3", "--weight-value", "1.4e154"],
+        ["adversary", "--alpha", "2", "--L", "3", "--weight-value", "1e155"],
     ],
     ids=[
         "overflow", "complex-overflow", "sweep", "weave", "eigenvalue-overflow", "underflow",
-        "deep-underflow", "sweep-deep-underflow", "adversary-underflow",
+        "deep-underflow", "sweep-deep-underflow", "adversary-underflow", "adversary-overflow",
+        "adversary-coefficient-overflow",
     ],
 )
 def test_huge_weights_exit_one_without_a_warning(tmp_path, capsys, argv):

@@ -469,7 +469,7 @@ def test_exact_row_sums_equal_fractions_across_the_double_range():
     rows = [
         [0.0, 0.0, 0.0],
         [tiny, tiny, 3 * tiny, 2.0**-1022 - tiny],  # subnormals, the largest one included
-        [2.0**1023, largest, largest, tiny],  # the whole range, carried across every limb
+        [2.0**1023, largest, largest, tiny],  # the whole range, summed past the largest double
         [1.0, -0.0, 2.0**-1022, 0.5 + 2.0**-53],
         [largest] * 64,
     ]
