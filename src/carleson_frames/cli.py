@@ -38,7 +38,6 @@ from .orbit import (
     DEFAULT_DIMENSION,
     OrbitSystem,
     SubsampleScheme,
-    _bounds,
     frame_bounds,
     retilde_weights,
     sweep_bounds,
@@ -60,10 +59,10 @@ from .weaving import (
     PeriodicPattern,
     SeededPattern,
     WeavingSearchError,
+    defect_curve,
     defect_points,
     defect_upper_bound,
     find_weaving_index,
-    woven_frame_operator,
 )
 
 EXIT_OK = 0
@@ -473,27 +472,19 @@ def _reproduction_checks(dimension: int) -> list:
             ("seeded-42", SeededPattern(stride, 42, 128)),
         ):
             universal = defect_upper_bound(system, dimension)
-            # one walk gives the grid and the first J <= 1000 with D(J) + bound
-            # below 1e-6; the bound does not depend on J, so at or above 1e-6
-            # no J can pass and the walk stops at the grid's end
-            values, below_threshold = [], None
-            for point in defect_points(system, pattern, dimension, 1000):
-                values.append(point.value)
-                bound = point.truncation_bound
-                if below_threshold is None and point.value + bound < 1e-6:
-                    below_threshold = point.start_index
-                if point.start_index >= _DEFECT_GRID[-1] and (below_threshold is not None or bound >= 1e-6):
-                    break
+            values, bound = defect_curve(system, pattern, 0, _DEFECT_GRID[-1], dimension)
+            points = defect_points(system, pattern, dimension, 1000)
+            below = next((p.start_index for p in points if p.value + p.truncation_bound < 1e-6), None)
             grid = [values[j] + bound for j in _DEFECT_GRID]
             monotone = all(grid[i] >= grid[i + 1] for i in range(len(grid) - 1))
             checks.append(
                 {
                     "name": f"defect-bound-N-{stride}-{label}",
-                    "pass": values[0] <= universal + bound and monotone and below_threshold is not None,
+                    "pass": values[0] <= universal + bound and monotone and below is not None,
                     "defect_at_0": values[0],
                     "universal_bound": universal,
                     "monotone_on_grid": monotone,
-                    "first_index_below_1e-6": below_threshold,
+                    "first_index_below_1e-6": below,
                 }
             )
 
@@ -502,8 +493,9 @@ def _reproduction_checks(dimension: int) -> list:
         verified_ok = (
             result.verified_bounds.a_est >= result.predicted_lower_bound - 1e-8
         )
-        # empirical probe of the J=0 weaving question: reported, never asserted
-        j0_bounds = _bounds(woven_frame_operator(system, ConstantPattern(stride, 1), 0, dimension))
+        # empirical probe of the J=0 weaving question: reported, never asserted;
+        # swapping every k from J = 0 gives exactly the subfamily (N, 1, 0)
+        j0_bounds = frame_bounds(system, SubsampleScheme(stride, 1), dimension)
         checks.append(
             {
                 "name": f"weaving-index-N-{stride}",

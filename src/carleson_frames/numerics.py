@@ -34,12 +34,6 @@ def _real_part_if_real(a: np.ndarray) -> np.ndarray:
     return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
 
 
-def _private_copy(matrix) -> np.ndarray:
-    """A C-contiguous copy, float64 if `matrix` is real or its imaginary part zero."""
-    a = _real_part_if_real(np.asarray(matrix))
-    return np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64, order="C")
-
-
 def _check_hermitian(a: np.ndarray) -> np.ndarray:
     """`a`, read in place; raises unless it is a square, finite Hermitian matrix.
 
@@ -96,7 +90,8 @@ def extremal_eigenvalues(matrix) -> ExtremalEigenvalues:
     `matrix` (float64 if `matrix` is real or its imaginary part zero), once
     `_check_hermitian` has found it square, finite and Hermitian to 4 ulps.
     """
-    return _extremes(_private_copy(matrix))
+    a = _real_part_if_real(np.asarray(matrix))
+    return _extremes(np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64, order="C"))
 
 
 def _extremes(s: np.ndarray) -> ExtremalEigenvalues:

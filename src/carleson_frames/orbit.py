@@ -25,7 +25,6 @@ from . import numerics
 from .numerics import (
     EigensolverError,
     _extremes,
-    _private_copy,
     _row_blocks,
     complex_pow,
     compensated_sum,
@@ -215,19 +214,10 @@ def frame_operator_matrix(
     return conjugate_by_powers(base, arrays, scheme.exponent(scheme.start))
 
 
-def bounds_from_matrix(matrix: np.ndarray, scheme: SubsampleScheme | None = None) -> FrameBoundEstimate:
-    """Extremal eigenvalues of an assembled M x M frame operator, PSD-checked.
-
-    Eigenvalues within -DEFAULT_EIG_TOL * ||S|| of zero are clamped to 0;
-    anything more negative means the matrix is not a frame operator and
-    raises, as does a zero matrix given with a scheme. The work runs on one
-    private copy; the caller's matrix is never written."""
-    return _bounds(_private_copy(matrix), scheme)
-
-
 def _bounds(operator: np.ndarray, scheme=None) -> FrameBoundEstimate:
-    """`bounds_from_matrix` of an operator the package just assembled, in its
-    own buffer, which `_extremes` checks, solves and certifies in place."""
+    """Frame-bound estimates from an operator the package assembled, in its own buffer,
+    which `_extremes` overwrites; a lambda_min within -DEFAULT_EIG_TOL ||S|| of 0 reads
+    as 0, a lower one raises (no frame operator), as does a zero matrix with a scheme."""
     # tiny weights underflow every c_n, a deep scheme the powers in D S D*;
     # a PSD operator with a zero diagonal is zero, and its zero eigenvalues
     # would read as frame bounds

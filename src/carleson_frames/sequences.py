@@ -43,6 +43,7 @@ def _first(mask: np.ndarray) -> int | None:
 
 class LambdaSequence(ABC):
     """Abstract sequence {lambda_k}_{k>=1} strictly inside the open unit disc."""
+    exact_values = False  # whether each value is its point; a computed power may underflow to 0
 
     @property
     @abstractmethod
@@ -117,6 +118,7 @@ class ExplicitSequence(LambdaSequence):
     """Finite, explicitly listed sequence; structural flags come from the list."""
 
     values: tuple
+    exact_values = True
     # set per instance from the list in __post_init__
     is_real = real_positive = strictly_increasing_moduli = False
 
@@ -174,6 +176,10 @@ class TwoPointAugmented(LambdaSequence):
     @property
     def is_real(self):
         return self.base.is_real
+
+    @property
+    def exact_values(self):
+        return self.base.exact_values
 
 
 @dataclass(frozen=True)
@@ -355,6 +361,8 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
         keys = values if signed is None else np.where(
             np.abs(values.real) < 0.5, values, gaps + np.where(values.real > 0.0, 1j, 2j)
         )
+        if not seq.exact_values:  # a zero or subnormal value may be rounded: it tells no points apart
+            keys = np.where(np.abs(keys) < np.finfo(np.float64).tiny, np.nan, keys)
         _, first_seen, key_of = np.unique(keys, return_index=True, return_inverse=True, equal_nan=False)
         repeat = _first(first_seen[key_of] != np.arange(limit))
         first_dup = None if repeat is None else (int(first_seen[key_of[repeat - 1]]) + 1, repeat)

@@ -88,6 +88,21 @@ def test_near_duplicate_points_are_distinct(capsys, values, n_max):
     assert capsys.readouterr().err == ""
 
 
+def test_underflowed_powers_are_no_repeat(capsys):
+    # 0.5^2600 and 0.75^2600 are distinct points that both round to 0.0;
+    # listed zeros are one point, also under a prepended pair
+    argv = ("check-carleson", "--alpha", "2", "--power", "2600", "--n-max", "5", "--k-trunc", "10")
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out.startswith("verdict: Inconclusive\n")
+    assert run_cli("bounds", "--alpha", "2", "--power", "2600", "--M", "5") == 0
+    assert capsys.readouterr().out == "scheme (N=1, j=0, K=0)  M=5  A_est=0  B_est=5\n"
+    for values in (("--values", "0,0"), ("--values", "0,0", "--two-point-q", "0.3")):
+        assert run_cli("check-carleson", *values, "--n-max", "2", "--k-trunc", "4") == 0
+        assert capsys.readouterr().out.startswith("verdict: CertifiedFails\n")
+        assert run_cli("bounds", *values, "--M", "4") == 2
+        assert "repeated eigenvalue at indices" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     assert run_cli("check-carleson", "--no-such-flag") == 2
     assert run_cli("bounds", "--N", "not-an-int") == 2

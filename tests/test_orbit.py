@@ -248,9 +248,9 @@ def test_psd_across_scheme_grid():
                 assert eigs[0] >= -1e-10 * max(1.0, eigs[-1])
 
 
-def test_bounds_from_matrix_rejects_a_negative_eigenvalue():
+def test_bounds_rejects_a_negative_eigenvalue():
     with pytest.raises(EigensolverError, match="frame operator not PSD"):
-        orbit.bounds_from_matrix(np.diag([-1.0, 1.0]))
+        orbit._bounds(np.diag([-1.0, 1.0]))
 
 
 def test_scheme_validation():
@@ -458,10 +458,7 @@ CALLER_LAYOUTS = {
     "read_only": _read_only,
     "complex_zero_imaginary": lambda matrix: matrix.astype(np.complex128),
 }
-PUBLIC_EIGEN_ENTRIES = {
-    "bounds_from_matrix": orbit.bounds_from_matrix,
-    "extremal_eigenvalues": numerics.extremal_eigenvalues,
-}
+PUBLIC_EIGEN_ENTRIES = {"extremal_eigenvalues": numerics.extremal_eigenvalues}
 
 
 def _bits(result):
@@ -487,7 +484,7 @@ def test_public_eigen_entries_hold_one_copy_of_the_operator():
     # the one private copy plus vectors and blocks, no second operator
     system = OrbitSystem(GeometricApproach(1.6), ConstantWeights(1.0))
     s = frame_operator_matrix(system, SubsampleScheme(2, 1, 0), 800)
-    for entry in (orbit.bounds_from_matrix, numerics.extremal_eigenvalues):
+    for entry in PUBLIC_EIGEN_ENTRIES.values():
         tracemalloc.start()
         try:
             entry(s)

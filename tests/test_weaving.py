@@ -159,6 +159,15 @@ def test_woven_operator_constant_at_zero_is_offset_scheme():
     assert np.max(np.abs(woven - offset_scheme)) <= 1e-13
 
 
+@pytest.mark.parametrize("dimension", [5, 40, 200])
+@pytest.mark.parametrize("stride", [2, 3, 5])
+def test_woven_operator_swapping_every_k_is_the_offset_one_scheme_bit_for_bit(stride, dimension):
+    # (S - S) + D S D: reproduce-paper's J = 0 probe reads frame_bounds of (N, 1, 0)
+    woven = woven_frame_operator(SYSTEM, ConstantPattern(stride, 1), 0, dimension)
+    scheme = frame_operator_matrix(SYSTEM, SubsampleScheme(stride, 1), dimension)
+    assert (woven.dtype, woven.tobytes()) == (scheme.dtype, scheme.tobytes())
+
+
 def test_woven_operator_periodic_consistency():
     # a periodic pattern with a constant cycle must agree with the constant kind
     constant = woven_frame_operator(SYSTEM, ConstantPattern(2, 1), 4, 24)
