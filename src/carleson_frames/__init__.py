@@ -68,7 +68,6 @@ from .weaving import (
     WeavePattern,
     WeavingResult,
     WeavingSearchError,
-    defect_curve,
     defect_points,
     defect_upper_bound,
     find_weaving_index,

@@ -18,6 +18,7 @@ sequence or weights config one row of `SYSTEM_FLAGS`.
 import argparse
 import datetime
 import functools
+import itertools
 import json
 import math
 import sys
@@ -59,7 +60,6 @@ from .weaving import (
     PeriodicPattern,
     SeededPattern,
     WeavingSearchError,
-    defect_curve,
     defect_points,
     defect_upper_bound,
     find_weaving_index,
@@ -472,16 +472,17 @@ def _reproduction_checks(dimension: int) -> list:
             ("seeded-42", SeededPattern(stride, 42, 128)),
         ):
             universal = defect_upper_bound(system, dimension)
-            values, bound = defect_curve(system, pattern, 0, _DEFECT_GRID[-1], dimension)
             points = defect_points(system, pattern, dimension, 1000)
-            below = next((p.start_index for p in points if p.value + p.truncation_bound < 1e-6), None)
-            grid = [values[j] + bound for j in _DEFECT_GRID]
+            head = list(itertools.islice(points, _DEFECT_GRID[-1] + 1))  # the grid; the walk goes on
+            bound = head[0].truncation_bound  # the same at every J
+            below = next((p.start_index for p in itertools.chain(head, points) if p.value + bound < 1e-6), None)
+            grid = [head[j].value + bound for j in _DEFECT_GRID]
             monotone = all(grid[i] >= grid[i + 1] for i in range(len(grid) - 1))
             checks.append(
                 {
                     "name": f"defect-bound-N-{stride}-{label}",
-                    "pass": values[0] <= universal + bound and monotone and below is not None,
-                    "defect_at_0": values[0],
+                    "pass": head[0].value <= universal + bound and monotone and below is not None,
+                    "defect_at_0": head[0].value,
                     "universal_bound": universal,
                     "monotone_on_grid": monotone,
                     "first_index_below_1e-6": below,

@@ -16,6 +16,7 @@ standard frame perturbation bound; the same inequality holds verbatim in the
 M-truncated model, which is what this module verifies numerically.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from .sequences import InvariantViolation
 DEFAULT_SAFETY = 0.5
 DEFAULT_J_MAX = 10_000
 
-_FIRST_BLOCK = 16  # J values in the first block of a curve walk
+_FIRST_BLOCK = 16  # J values in the first block of a periodic walk
 _UNITS_PER_ONE = 1 << 1074  # 2^-1074 units in 1.0
 _FRACTION_MASK = (1 << 52) - 1
 
@@ -179,14 +180,13 @@ def _exact_row_sums(rows: np.ndarray) -> list:
     return [sum(map(operator.lshift, row, shift)) for row, shift in zip(units.tolist(), shifts.tolist())]
 
 
-def defect_curve(
+def defect_points(
     system: OrbitSystem,
     pattern: WeavePattern,
-    first: int,
-    last: int,
     dimension: int = DEFAULT_DIMENSION,
+    j_max: int = DEFAULT_J_MAX,
 ):
-    """([D(J) for J = first..last], truncation_bound), where
+    """DefectPoint(J, D(J), truncation_bound) for J = 0, 1, .., j_max, where
     D(J) = sum_{k>=J} ||T^(Nk)phi - T^(Nk+j_k)phi||^2 over the first
     `dimension` coordinates and the truncation bound, which does not depend
     on J, covers the coordinates beyond `dimension`.
@@ -194,37 +194,42 @@ def defect_curve(
     Each D(J) is the correctly rounded sum of its terms
     |c_n|^2 (1 - lambda_n^(j_k))^2 lambda_n^(2Nk), the k-sum being exact.
     A periodic pattern (constant ones included) sums each residue class in
-    closed form, one row of P*M terms per J. A finite-support pattern
-    computes one row of M terms per k once and takes exact suffix sums, so
-    the whole curve costs O(len(offsets) * M).
+    closed form, one row of P*M terms per J, built in blocks of J that double
+    in length and summed as each point is read, so a caller that stops early
+    pays for at most twice the points it read. A finite-support pattern
+    computes one row of M terms per swapped k once and takes exact suffix
+    sums, so the whole walk costs O(len(offsets) * M); D(J) is 0 from the end
+    of its support on.
     """
-    if first < 0:
-        raise ValueError("start index must be nonnegative")
-    if last < first:
-        raise ValueError("the curve needs last >= first")
     _require_weavable(system)
     arrays = system_arrays(system, dimension)
     two_n = 2 * pattern.stride
     lam = arrays.lam.real
     gaps = arrays.gaps
     energy = (np.abs(arrays.weights) ** 2) * one_minus_pow(gaps, 2)  # |c_n|^2
-    count = last - first + 1
     bound = _coordinate_tail_bound(system, pattern, dimension)
 
     if pattern.period is not None:
         period = pattern.period
         denominator = one_minus_pow(gaps, two_n * period)
         residues = [r for r in range(period) if pattern.offsets[r]]
-        terms = np.empty((count, len(residues), dimension))
-        for column, residue in enumerate(residues):
-            swap = one_minus_pow(gaps, pattern.offsets[residue])
-            # k0 = the first k >= J in the residue class
-            exponents = [two_n * (j + (residue - j) % period) for j in range(first, last + 1)]
-            terms[:, column] = energy * swap * swap * complex_pow_table(lam, exponents) / denominator
-        rows = terms.reshape(count, -1).tolist()
-        return [compensated_sum(row) for row in rows], bound
+        factors = [energy * swap * swap for swap in (one_minus_pow(gaps, pattern.offsets[r]) for r in residues)]
+        cap = _row_blocks(1, period * dimension)[0].stop  # the rows of one block
+        first, count = 0, min(_FIRST_BLOCK, cap)
+        while first <= j_max:
+            count = min(count, j_max + 1 - first)
+            terms = np.empty((count, len(residues), dimension))
+            for column, residue in enumerate(residues):
+                # k0 = the first k >= J in the residue class
+                exponents = [two_n * (j + (residue - j) % period) for j in range(first, first + count)]
+                terms[:, column] = factors[column] * complex_pow_table(lam, exponents) / denominator
+            for j, row in enumerate(terms.reshape(count, -1).tolist(), start=first):
+                yield DefectPoint(j, compensated_sum(row), bound)
+            first += count
+            count = min(2 * count, cap)
+        return
 
-    swapped = [k for k in range(first, len(pattern.offsets)) if pattern.offsets[k]]
+    swapped = [k for k, j in enumerate(pattern.offsets) if j]
     distinct, which = np.unique([pattern.offsets[k] for k in swapped], return_inverse=True)
     swaps = np.array([one_minus_pow(gaps, int(j)) for j in distinct]).reshape(len(distinct), dimension)
     row_sums = []
@@ -232,39 +237,12 @@ def defect_curve(
         exponents = [two_n * k for k in swapped[rows]]
         swap = swaps[which[rows]]
         row_sums += _exact_row_sums(energy * swap * swap * complex_pow_table(lam, exponents))
-    values = [0.0] * count  # D(J) = 0 from the end of the support on
-    suffix, position = 0, len(swapped)
-    for j in range(min(last, len(pattern.offsets) - 1), first - 1, -1):
-        while position and swapped[position - 1] >= j:
-            position -= 1
-            suffix += row_sums[position]
-        values[j - first] = suffix / _UNITS_PER_ONE
-    return values, bound
-
-
-def defect_points(
-    system: OrbitSystem,
-    pattern: WeavePattern,
-    dimension: int = DEFAULT_DIMENSION,
-    j_max: int = DEFAULT_J_MAX,
-):
-    """DefectPoint(J, D(J), truncation_bound) for J = 0, 1, .., j_max, read from
-    `defect_curve` in blocks that double in length, so a caller that stops
-    early pays for at most twice the points it read. A finite-support pattern
-    is one block up to the end of its support, where D(J) reaches 0."""
-    if pattern.period is None:
-        rows, cap = len(pattern.offsets) + 1, math.inf
-    else:
-        cap = _row_blocks(1, pattern.period * dimension)[0].stop  # the rows of one block
-        rows = min(_FIRST_BLOCK, cap)
-    first = 0
-    while first <= j_max:
-        last = min(j_max, first + rows - 1)
-        values, bound = defect_curve(system, pattern, first, last, dimension)
-        for j, value in enumerate(values, start=first):
-            yield DefectPoint(j, value, bound)
-        first = last + 1
-        rows = min(2 * rows, cap)
+    units = [0] * len(pattern.offsets)  # each k's exact row sum, 0 where k swaps nothing
+    for k, row_sum in zip(swapped, row_sums):
+        units[k] = row_sum
+    suffixes = list(itertools.accumulate(reversed(units)))[::-1]  # D(J) in units, J < len(offsets)
+    for j in range(j_max + 1):
+        yield DefectPoint(j, suffixes[j] / _UNITS_PER_ONE if j < len(suffixes) else 0.0, bound)
 
 
 def defect_upper_bound(system: OrbitSystem, dimension: int = DEFAULT_DIMENSION) -> float:
@@ -328,7 +306,6 @@ class WeavingResult:
 
     start_index: int
     defect: float
-    a_est_used: float
     predicted_lower_bound: float
     verified_bounds: FrameBoundEstimate
     reference_bounds: FrameBoundEstimate
@@ -381,7 +358,6 @@ def find_weaving_index(
     return WeavingResult(
         start_index=found,
         defect=defect,
-        a_est_used=a_est,
         predicted_lower_bound=predicted,
         verified_bounds=verified,
         reference_bounds=reference,

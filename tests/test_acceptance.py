@@ -25,7 +25,7 @@ from carleson_frames import (
     build_adversarial_subsequence,
     carleson_inf_estimate,
     cli,
-    defect_curve,
+    defect_points,
     defect_upper_bound,
     find_weaving_index,
     frame_bounds,
@@ -178,7 +178,8 @@ def test_criterion_6_defect_lemma_bound():
             ("seeded:42", SeededPattern(stride, 42, 128)),
         ):
             universal = defect_upper_bound(SYSTEM, 40)
-            values, bound = defect_curve(SYSTEM, pattern, 0, 1000, 40)
+            points = list(defect_points(SYSTEM, pattern, 40, 1000))
+            values, bound = [point.value for point in points], points[0].truncation_bound
             value0 = values[0]
             ok = ok and value0 <= universal + bound
             grid = [values[j] + bound for j in (0, 1, 2, 5, 10, 20)]

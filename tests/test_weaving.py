@@ -23,7 +23,6 @@ from carleson_frames import (
     SubsampleScheme,
     TwoPointAugmented,
     WeavingSearchError,
-    defect_curve,
     defect_points,
     defect_upper_bound,
     find_weaving_index,
@@ -32,7 +31,7 @@ from carleson_frames import (
     phi_norm_squared,
     woven_frame_operator,
 )
-from carleson_frames import cli, numerics
+from carleson_frames import cli, numerics, weaving
 from carleson_frames.numerics import complex_pow, complex_pow_table
 from carleson_frames.orbit import _progression_matrix, conjugate_by_powers, system_arrays
 from carleson_frames.reporting import canonical_json
@@ -40,6 +39,15 @@ from carleson_frames.weaving import _coordinate_tail_bound, _exact_row_sums
 from oracles import brute_defect_sum, pointwise_tail_defect, xorshift64_reference
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
+
+
+def _curve(system, pattern, last, dimension):
+    """([D(J) for J = 0..last], truncation_bound), read from one walk; the
+    walk yields J = 0..last in order with one truncation bound."""
+    points = list(defect_points(system, pattern, dimension, last))
+    assert [point.start_index for point in points] == list(range(last + 1))
+    (bound,) = {point.truncation_bound for point in points}
+    return [point.value for point in points], bound
 
 
 def test_pattern_offsets_and_validation():
@@ -75,54 +83,54 @@ def test_zero_seed_is_remapped():
 
 
 def test_identity_pattern_has_zero_defect():
+    values, bound = _curve(SYSTEM, ConstantPattern(2, 0), 10, 40)
     for start in (0, 3, 10):
-        (value,), bound = defect_curve(SYSTEM, ConstantPattern(2, 0), start, start, 40)
-        assert value == 0.0
+        assert values[start] == 0.0
         assert bound == 0.0
 
 
 def test_defect_requires_positive_increasing_sequence():
     mixed = OrbitSystem(TwoPointAugmented(0.3, GeometricApproach(2.0)), ConstantWeights(1.0))
     with pytest.raises(InvariantViolation):
-        defect_curve(mixed, ConstantPattern(2, 1), 0, 0, 10)
+        _curve(mixed, ConstantPattern(2, 1), 0, 10)
 
 
 def test_constant_defect_matches_brute_double_sum():
     # 12 coordinates: 50000 terms drive the slowest mode (1-2^-12)^(4k)
     # below 1e-16, so the plain double sum is a converged oracle
-    (value,), _ = defect_curve(SYSTEM, ConstantPattern(2, 1), 0, 0, 12)
+    (value,), _ = _curve(SYSTEM, ConstantPattern(2, 1), 0, 12)
     oracle = brute_defect_sum(2.0, 12, 2, lambda k: 1, 0, 50_000)
     assert value == pytest.approx(oracle, rel=1e-11)
-    (value40,), bound40 = defect_curve(SYSTEM, ConstantPattern(2, 1), 0, 0, 40)
+    (value40,), bound40 = _curve(SYSTEM, ConstantPattern(2, 1), 0, 40)
     assert value40 <= 5.0 / 3.0  # universal bound for unit weights
     assert bound40 <= 1e-11
 
 
 def test_seeded_defect_matches_brute_double_sum():
     pattern = SeededPattern(3, 42, 64)
-    (value,), _ = defect_curve(SYSTEM, pattern, 5, 5, 40)
+    value = _curve(SYSTEM, pattern, 5, 40)[0][5]
     oracle = brute_defect_sum(2.0, 40, 3, pattern.offset_at, 5, 64)
     assert value == pytest.approx(oracle, rel=1e-12)
 
 
 def test_periodic_defect_matches_brute_double_sum():
     pattern = PeriodicPattern(3, (1, 0, 2))
-    (value,), _ = defect_curve(SYSTEM, pattern, 2, 2, 12)
+    value = _curve(SYSTEM, pattern, 2, 12)[0][2]
     oracle = brute_defect_sum(2.0, 12, 3, pattern.offset_at, 2, 40_000)
     assert value == pytest.approx(oracle, rel=1e-11)
 
 
 def test_defect_monotone_decreasing_in_start():
-    values = [defect_curve(SYSTEM, ConstantPattern(2, 1), j, j, 40)[0][0] for j in (0, 5, 10)]
-    assert values[0] > values[1] > values[2]
+    values, _ = _curve(SYSTEM, ConstantPattern(2, 1), 10, 40)
+    assert values[0] > values[5] > values[10]
 
 
 def test_defect_vanishes_along_grid():
     previous = math.inf
+    values, bound = _curve(SYSTEM, ConstantPattern(2, 1), 20000, 40)
     for j in (0, 1, 2, 5, 10, 20, 100, 400, 4000, 20000):
-        (value,), bound = defect_curve(SYSTEM, ConstantPattern(2, 1), j, j, 40)
-        assert value + bound <= previous + 1e-18
-        previous = value + bound
+        assert values[j] + bound <= previous + 1e-18
+        previous = values[j] + bound
     # the deep coordinates drain polynomially (the n-th mode dies only once
     # J >> 2^n), so the decay is steady rather than geometric
     assert previous < 1e-9
@@ -134,7 +142,7 @@ def test_defect_never_exceeds_universal_bound():
         (3, SeededPattern(3, 42, 128)),
         (3, PeriodicPattern(3, (2, 1))),
     ):
-        (value,), bound = defect_curve(SYSTEM, pattern, 0, 0, 40)
+        (value,), bound = _curve(SYSTEM, pattern, 0, 40)
         assert value <= defect_upper_bound(SYSTEM, 40) + bound
 
 
@@ -196,7 +204,6 @@ def test_find_weaving_index_identity_pattern():
     assert result.reference_bounds == reference
     assert result.start_index == 0
     assert result.defect == 0.0
-    assert result.a_est_used == reference.a_est
     assert result.predicted_lower_bound == pytest.approx(reference.a_est, rel=1e-15)
 
 
@@ -208,8 +215,8 @@ def test_find_weaving_index_regression(stride, expected_j):
     assert result.start_index == expected_j
     assert result.defect < 0.5 * a_est
     # minimality: one step earlier the defect must still be too large
-    (value,), bound = defect_curve(SYSTEM, ConstantPattern(stride, 1), expected_j - 1, expected_j - 1, 40)
-    assert value + bound >= 0.5 * a_est
+    values, bound = _curve(SYSTEM, ConstantPattern(stride, 1), expected_j - 1, 40)
+    assert values[-1] + bound >= 0.5 * a_est
 
 
 def test_weaving_result_verifies_perturbation_bound():
@@ -274,28 +281,37 @@ CURVE_PATTERNS = (
 
 @pytest.mark.parametrize("dimension", [12, 40, 200])
 @pytest.mark.parametrize("pattern", CURVE_PATTERNS, ids=["constant", "periodic", "explicit", "seeded"])
-def test_defect_curve_equals_pointwise_defects_bit_for_bit(pattern, dimension):
+def test_defect_curve_equals_pointwise_defects_bit_for_bit(pattern, dimension, monkeypatch):
     system = OrbitSystem(GeometricApproach(1.9), ConstantWeights(0.75))
     last = 140  # past the support of the finite patterns
-    values, bound = defect_curve(system, pattern, 0, last, dimension)
+    values, bound = _curve(system, pattern, last, dimension)
     assert len(values) == last + 1
     starts = list(range(0, 24)) + [63, 64, 100, 127, 128, 129, 140]
     for j in starts:
         assert values[j] == pointwise_tail_defect(system, pattern, j, dimension)
-        assert defect_curve(system, pattern, j, j, dimension) == ([values[j]], bound)
-    # a block that starts and ends inside the curve reads the same values
-    middle, _ = defect_curve(system, pattern, 5, 70, dimension)
-    assert middle == values[5:71]
+    # small blocks of J and of swapped rows: a walk reads the same doubles
+    monkeypatch.setattr(weaving, "_FIRST_BLOCK", 3)
+    monkeypatch.setattr(numerics, "_CHUNK_TERMS", 600)
+    assert _curve(system, pattern, last, dimension) == (values, bound)
 
 
 def test_finite_pattern_curve_is_zero_past_its_support():
-    values, bound = defect_curve(SYSTEM, ExplicitPattern(2, (1, 0, 1)), 0, 6, 40)
+    values, bound = _curve(SYSTEM, ExplicitPattern(2, (1, 0, 1)), 6, 40)
     assert values[0] > values[2] > 0.0
     assert values[1] == values[2]  # k = 1 swaps nothing
     assert values[3:] == [0.0, 0.0, 0.0, 0.0]
     assert bound > 0.0
-    assert defect_curve(SYSTEM, ExplicitPattern(2, ()), 0, 3, 40)[0] == [0.0] * 4
-    assert defect_curve(SYSTEM, ExplicitPattern(2, (1,)), 5, 8, 40)[0] == [0.0] * 4
+    assert _curve(SYSTEM, ExplicitPattern(2, ()), 3, 40)[0] == [0.0] * 4
+    assert _curve(SYSTEM, ExplicitPattern(2, (1,)), 8, 40)[0][5:] == [0.0] * 4
+
+
+@pytest.mark.parametrize("j_max", [0, 1, 2, 3, 4, 9])
+def test_finite_pattern_walk_yields_j_max_plus_one_points(j_max):
+    # the support ends at J = 3: walks cut before it, at it and beyond it
+    pattern = ExplicitPattern(2, (1, 0, 1))
+    points = list(defect_points(SYSTEM, pattern, 40, j_max))
+    assert [point.start_index for point in points] == list(range(j_max + 1))
+    assert [point.value for point in points] == [pointwise_tail_defect(SYSTEM, pattern, j, 40) for j in range(j_max + 1)]
 
 
 def test_coordinate_tail_bound_is_zero_within_a_finite_sequence():
@@ -307,19 +323,13 @@ def test_coordinate_tail_bound_is_zero_within_a_finite_sequence():
     assert _coordinate_tail_bound(system, pattern, 2) == 1.0
 
 
-def test_defect_curve_input_validation():
-    with pytest.raises(ValueError):
-        defect_curve(SYSTEM, ConstantPattern(2, 1), -1, 3, 40)
-    with pytest.raises(ValueError):
-        defect_curve(SYSTEM, ConstantPattern(2, 1), 4, 3, 40)
-
-
 def test_defect_points_walk_the_curve_in_order():
     pattern = PeriodicPattern(2, (1, 0))
     points = list(defect_points(SYSTEM, pattern, 40, j_max=100))
     assert [point.start_index for point in points] == list(range(101))
-    values, bound = defect_curve(SYSTEM, pattern, 0, 100, 40)
-    assert [point.value for point in points] == values
+    # where a walk stops moves none of its points
+    values, bound = _curve(SYSTEM, pattern, 300, 40)
+    assert [point.value for point in points] == values[:101]
     assert {point.truncation_bound for point in points} == {bound}
 
 
@@ -328,7 +338,7 @@ def test_find_weaving_index_sweep_matches_the_curve():
     result = find_weaving_index(SYSTEM, pattern, 40)
     assert result.reference_bounds == _reference(SYSTEM, 3, 40)
     a_est = result.reference_bounds.a_est
-    values, _ = defect_curve(SYSTEM, pattern, 0, result.start_index, 40)
+    values, _ = _curve(SYSTEM, pattern, result.start_index, 40)
     assert [point.value for point in result.sweep] == values
     assert result.sweep[-1].value + result.sweep[-1].truncation_bound < 0.5 * a_est
     assert result.sweep[-2].value + result.sweep[-2].truncation_bound >= 0.5 * a_est
@@ -492,17 +502,17 @@ def test_exact_row_sums_equal_fractions(rows):
 
 
 def test_defect_curve_with_an_empty_swap_set_is_zero():
-    values, bound = defect_curve(SYSTEM, ExplicitPattern(2, (0, 0, 0)), 0, 5, 40)
+    values, bound = _curve(SYSTEM, ExplicitPattern(2, (0, 0, 0)), 5, 40)
     assert values == [0.0] * 6 and bound == 0.0
 
 
 def test_reproduction_defect_checks_equal_two_separate_reads():
-    # the grid from defect_curve(0, 20), then a walk for the first J below 1e-6
+    # the grid from a walk to J = 20, then a walk for the first J below 1e-6
     dimension = 40
     checks = {check["name"]: check for check in cli._reproduction_checks(dimension)}
     for stride in (2, 3):
         for label, pattern in (("constant-1", ConstantPattern(stride, 1)), ("seeded-42", SeededPattern(stride, 42, 128))):
-            values, bound = defect_curve(SYSTEM, pattern, 0, 20, dimension)
+            values, bound = _curve(SYSTEM, pattern, 20, dimension)
             grid = [values[j] + bound for j in (0, 1, 2, 5, 10, 20)]
             points = defect_points(SYSTEM, pattern, dimension, 1000)
             below = next((p.start_index for p in points if p.value + p.truncation_bound < 1e-6), None)
@@ -511,3 +521,19 @@ def test_reproduction_defect_checks_equal_two_separate_reads():
             assert check["monotone_on_grid"] == all(a >= b for a, b in zip(grid, grid[1:]))
             assert below is not None and check["first_index_below_1e-6"] == below
             assert check["pass"]
+
+
+def test_reproduction_sums_each_seeded_swap_row_once(monkeypatch, capsys):
+    # each defect check reads its grid and its first J below 1e-6 from one walk,
+    # so the two 128-swap seeded patterns sum their swapped rows once each
+    summed = []
+
+    def counting(rows):
+        summed.append(len(rows))
+        return _exact_row_sums(rows)
+
+    monkeypatch.setattr(weaving, "_exact_row_sums", counting)
+    assert cli.main(["reproduce-paper", "--M", "40"]) == 0
+    assert "PASS  overall" in capsys.readouterr().out
+    swaps = sum(1 for stride in (2, 3) for j in SeededPattern(stride, 42, 128).offsets if j)
+    assert sum(summed) == swaps == 147
