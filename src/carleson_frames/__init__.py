@@ -33,7 +33,6 @@ from .numerics import (
     NonHermitianError,
     compensated_sum,
     complex_pow,
-    complex_pow_table,
     extremal_eigenvalues,
     one_minus_pow,
 )

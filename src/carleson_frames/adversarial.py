@@ -48,6 +48,8 @@ class _HeldCoordinates(NamedTuple):
     log_moduli: list  # log|lambda_j|: from |lambda_j| below 1/2, else log1p(-g_j); -inf at 0
     phases: list  # u_j = lambda_j / |lambda_j|, 1 at lambda_j = 0
     moduli: list  # |m_j|
+    refused: float  # the first index j whose |m_j|^2 overflows or |c_j|^2 underflows, inf if none
+    refusal: str  # what went wrong there
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,9 @@ class OrbitFrameOracle:
     where the gap rounds; at lambda_j = 0, index 0 reads as 1. A query at
     basis index j reads the validated window of the first j coordinates,
     which grows by doubling (see `system_arrays`); the oracle converts it to
-    Python numbers, logs and phases once per growth. A window in which some
-    |c_n|^2 underflows to 0, or some |m_n|^2 overflows, raises EigensolverError.
+    Python numbers, logs and phases once per growth. A query at or past the
+    first index n whose |c_n|^2 underflows to 0, or whose |m_n|^2 overflows,
+    raises EigensolverError; one before it is answered.
     """
 
     system: OrbitSystem
@@ -75,27 +78,29 @@ class OrbitFrameOracle:
         if held is None or not 0 < basis_index <= len(held.phi):
             system_arrays(self.system, basis_index)  # grows the system's window, or raises
             window = self.system._window
-            # an inf |m_n|^2 makes every tail inf or NaN; checked first, so no |c_n|^2 overflows
+            # an inf |m_n|^2 makes every tail inf or NaN; each |c_n| is squared only before it
             weights = np.hypot(window.weights.real, window.weights.imag)  # abs() of each
             huge = np.flatnonzero(weights > math.sqrt(sys.float_info.max))
-            if huge.size:
-                n = int(huge[0]) + 1
-                raise EigensolverError(f"|m_{n}|^2 overflows (|m_{n}| = {weights[n - 1]:.3e})")
+            end = int(huge[0]) if huge.size else weights.size
+            refusal = f"|m_{end + 1}|^2 overflows (|m_{end + 1}| = {weights[end]:.3e})" if huge.size else ""
             # c_n = m_n sqrt(1 - |lambda_n|^2) is never 0, so |c_n|^2 = 0 is underflow,
             # which would make every bound that reads it hold vacuously
-            moduli = np.abs(window.phi)
+            moduli = np.abs(window.phi[:end])
             lost = np.flatnonzero(moduli * moduli == 0.0)
             if lost.size:
-                n = int(lost[0]) + 1
-                raise EigensolverError(f"|c_{n}|^2 underflows to 0 (|c_{n}| = {moduli[n - 1]:.3e})")
+                end = int(lost[0])
+                refusal = f"|c_{end + 1}|^2 underflows to 0 (|c_{end + 1}| = {moduli[end]:.3e})"
             held = _HeldCoordinates(
                 window.phi.tolist(),
                 [math.log(m) if 0.0 < m < 0.5 else math.log1p(-g) if g < 1.0 else -math.inf
                  for m, g in zip(np.abs(window.lam).tolist(), window.gaps.tolist())],
                 [z / abs(z) if z else 1.0 for z in window.lam.tolist()],  # x / |x| is exactly 1 for x > 0
                 weights.tolist(),
+                end + 1 if refusal else math.inf, refusal,
             )
             object.__setattr__(self, "_held", held)
+        if basis_index >= held.refused:
+            raise EigensolverError(held.refusal)
         return held
 
     def coefficient(self, basis_index: int, frame_index: int) -> complex:

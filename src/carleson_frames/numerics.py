@@ -1,6 +1,6 @@
 """Dense Hermitian numerics: extremal eigenvalues with a residual certificate,
-correctly rounded summation, and integer powers that stay accurate near the
-unit circle.
+correctly rounded summation, integer powers by binary exponentiation, and
+1 - (1 - gap)^p without cancellation near the unit circle.
 
 The public functions never write their inputs and are safe to call
 concurrently; sums are correctly rounded, so they do not depend on the order
@@ -189,38 +189,6 @@ def complex_pow(z, p: int):
         if not p:
             return result
         base = base * base
-
-
-def complex_pow_table(z, exponents) -> np.ndarray:
-    """z**p for every integer p >= 0 in `exponents`, one row per exponent.
-
-    The rows equal ``complex_pow(z, p)`` bit for bit: the squarings of z are
-    the same, and each row starts from the squaring of its lowest set bit and
-    multiplies in those of its higher bits in the same order, one masked
-    multiply per bit for the whole table; rows with exponent 0 are ones.
-    """
-    z = np.asarray(z)
-    try:
-        exponents = np.array(exponents, dtype=np.int64)
-    except OverflowError:  # beyond int64: keep Python integers, as complex_pow does
-        exponents = np.array(exponents, dtype=object)
-    if np.any(exponents < 0):
-        raise ValueError("exponent must be nonnegative")
-    flat = exponents.reshape(-1)
-    top = max(int(flat.max(initial=0)).bit_length(), 1)
-    squarings = [z]
-    while len(squarings) < top:
-        squarings.append(squarings[-1] * squarings[-1])
-    positions = np.arange(top)
-    bits = ((flat[:, None] >> positions) & 1).astype(bool)
-    lowest = bits.argmax(axis=1)
-    table = np.stack(squarings)[lowest]
-    table[flat == 0] = 1
-    # (bit, row) masks of the factors each row multiplies in after its first
-    later = (bits & (lowest[:, None] < positions)).T.reshape((top, -1) + (1,) * z.ndim)
-    for bit in range(1, top):
-        np.multiply(table, squarings[bit], out=table, where=later[bit])
-    return table.reshape(exponents.shape + z.shape)
 
 
 def one_minus_products(a, b) -> np.ndarray:

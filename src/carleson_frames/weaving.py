@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _row_blocks, compensated_sum, complex_pow_table, one_minus_pow
+from .numerics import _row_blocks, compensated_sum, one_minus_pow
 from .orbit import (
     DEFAULT_DIMENSION,
     FrameBoundEstimate,
@@ -164,6 +164,23 @@ def _coordinate_tail_bound(system: OrbitSystem, pattern: WeavePattern, dimension
     return 2.0 * system.weights.c2 ** 2 * tail
 
 
+def _log_points(arrays) -> np.ndarray:
+    """log lambda_n of real positive points by the orbit oracle's rule: from
+    lambda_n below 1/2, else as log1p(-gap_n), which keeps the digits that
+    rounding lambda_n near 1 loses; -inf at a point that underflowed to 0."""
+    with np.errstate(divide="ignore"):
+        return np.where(arrays.lam.real < 0.5, np.log(arrays.lam.real), np.log1p(-arrays.gaps))
+
+
+def _powers(logs: np.ndarray, exponents) -> np.ndarray:
+    """lambda_n^p as exp(p log lambda_n), one row per integer p >= 0: about
+    |p log lambda_n| ulps, where repeated squaring carries about p. A row with
+    p = 0 is ones, also at lambda_n = 0 (its product is left 0, not 0 * -inf)."""
+    p = np.array(exponents, dtype=np.float64)[:, None]
+    scaled = np.multiply(p, logs, out=np.zeros((len(p), logs.size)), where=p > 0)
+    return np.exp(scaled, out=scaled)
+
+
 def _exact_row_sums(rows: np.ndarray) -> list:
     """The exact sum of each row of finite nonnegative floats, as an integer
     count of 2^-1074, the spacing of the subnormals; every double is a whole
@@ -191,8 +208,8 @@ def defect_points(
     `dimension` coordinates and the truncation bound, which does not depend
     on J, covers the coordinates beyond `dimension`.
 
-    Each D(J) is the correctly rounded sum of its terms
-    |c_n|^2 (1 - lambda_n^(j_k))^2 lambda_n^(2Nk), the k-sum being exact.
+    Each D(J) is the correctly rounded sum of its terms |c_n|^2 (1 - lambda_n^(j_k))^2
+    lambda_n^(2Nk), the k-sum exact and each power exp(2Nk log lambda_n).
     A periodic pattern (constant ones included) sums each residue class in
     closed form, one row of P*M terms per J, built in blocks of J that double
     in length and summed as each point is read, so a caller that stops early
@@ -204,9 +221,9 @@ def defect_points(
     _require_weavable(system)
     arrays = system_arrays(system, dimension)
     two_n = 2 * pattern.stride
-    lam = arrays.lam.real
     gaps = arrays.gaps
     energy = (np.abs(arrays.weights) ** 2) * one_minus_pow(gaps, 2)  # |c_n|^2
+    logs = _log_points(arrays)
     bound = _coordinate_tail_bound(system, pattern, dimension)
 
     if pattern.period is not None:
@@ -222,7 +239,7 @@ def defect_points(
             for column, residue in enumerate(residues):
                 # k0 = the first k >= J in the residue class
                 exponents = [two_n * (j + (residue - j) % period) for j in range(first, first + count)]
-                terms[:, column] = factors[column] * complex_pow_table(lam, exponents) / denominator
+                terms[:, column] = factors[column] * _powers(logs, exponents) / denominator
             for j, row in enumerate(terms.reshape(count, -1).tolist(), start=first):
                 yield DefectPoint(j, compensated_sum(row), bound)
             first += count
@@ -236,7 +253,7 @@ def defect_points(
     for rows in _row_blocks(len(swapped), dimension):
         exponents = [two_n * k for k in swapped[rows]]
         swap = swaps[which[rows]]
-        row_sums += _exact_row_sums(energy * swap * swap * complex_pow_table(lam, exponents))
+        row_sums += _exact_row_sums(energy * swap * swap * _powers(logs, exponents))
     units = [0] * len(pattern.offsets)  # each k's exact row sum, 0 where k swaps nothing
     for k, row_sum in zip(swapped, row_sums):
         units[k] = row_sum
@@ -278,11 +295,11 @@ def woven_frame_operator(
         # one row per swapped k: kept T^(Nk+j_k) phi, removed T^(Nk) phi
         swapped = [k for k in range(start_index, len(pattern.offsets)) if pattern.offsets[k]]
         phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
-        lam = arrays.lam.real
+        logs = _log_points(arrays)
         for rows in _row_blocks(len(swapped), dimension):
             chunk = swapped[rows]
-            kept = phi * complex_pow_table(lam, [stride * k + pattern.offsets[k] for k in chunk])
-            removed = phi * complex_pow_table(lam, [stride * k for k in chunk])
+            kept = phi * _powers(logs, [stride * k + pattern.offsets[k] for k in chunk])
+            removed = phi * _powers(logs, [stride * k for k in chunk])
             update = kept.T @ kept.conj()
             update -= removed.T @ removed.conj()
             total += update

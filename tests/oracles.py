@@ -145,6 +145,32 @@ def brute_defect_sum(alpha, dim, stride, offsets_at, start, k_terms):
     return total
 
 
+def mpmath_tail_defect(point, dimension, weight, pattern, start, dps=60):
+    """D(start) of constant weights `weight` over coordinates n = 1..dimension
+    in `dps`-digit arithmetic, lambda_n = point(n) evaluated at that precision.
+    The terms |c_n|^2 (1 - lambda_n^j)^2 lambda_n^(2Nk) are summed by hand over
+    k >= start for a finite pattern, and per residue class in closed form, over
+    1 - lambda_n^(2NP), for a periodic one."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        two_n = 2 * pattern.stride
+        total = mpmath.mpf(0)
+        for n in range(1, dimension + 1):
+            lam = point(n)
+            energy = abs(mpmath.mpmathify(weight)) ** 2 * (1 - lam * lam)
+            if pattern.period is None:
+                for k in range(start, len(pattern.offsets)):
+                    if pattern.offsets[k]:
+                        total += energy * (1 - lam ** pattern.offsets[k]) ** 2 * lam ** (two_n * k)
+                continue
+            for residue, offset in enumerate(pattern.offsets):
+                k0 = start + (residue - start) % pattern.period
+                cycle = 1 - lam ** (two_n * pattern.period)
+                total += energy * (1 - lam**offset) ** 2 * lam ** (two_n * k0) / cycle
+        return total
+
+
 def jacobi_extremal_eigenvalues(matrix, sweeps=40, tol=1e-14):
     """Cyclic complex Jacobi diagonalization; independent of LAPACK."""
     a = np.array(matrix, dtype=complex)
@@ -190,16 +216,27 @@ def xorshift64_reference(seed: int, count: int):
     return out
 
 
+def log_rule_powers(arrays, exponents) -> np.ndarray:
+    """lambda_n^p of real positive points as exp(p log lambda_n), one row per
+    integer p >= 0, the log taken from lambda_n below 1/2 and as
+    log1p(-gap_n) from 1/2 on; p = 0 reads 1."""
+    lam = arrays.lam.real
+    with np.errstate(divide="ignore"):
+        logs = np.where(lam < 0.5, np.log(lam), np.log1p(-arrays.gaps))
+    rows = [np.exp(p * logs) if p else np.ones_like(logs) for p in exponents]
+    return np.array(rows).reshape(-1, lam.size)
+
+
 def pointwise_tail_defect(system, pattern, start, dimension):
     """D(start) evaluated on its own, the way the curve's terms are defined:
     per residue class in closed form for a periodic pattern, term by term in
     k for a finite one, each term |c_n|^2 (1 - lambda_n^j)^2 lambda_n^(2Nk)
-    with the powers from `complex_pow`, and one `math.fsum` of them all."""
-    from carleson_frames.numerics import complex_pow, one_minus_pow
+    with the power from `log_rule_powers`, and one `math.fsum` of them all."""
+    from carleson_frames.numerics import one_minus_pow
     from carleson_frames.orbit import system_arrays
 
     arrays = system_arrays(system, dimension)
-    lam, gaps = arrays.lam.real, arrays.gaps
+    gaps = arrays.gaps
     energy = (np.abs(arrays.weights) ** 2) * one_minus_pow(gaps, 2)
     two_n = 2 * pattern.stride
     terms = []
@@ -210,12 +247,12 @@ def pointwise_tail_defect(system, pattern, start, dimension):
             if offset:
                 k0 = start + (residue - start) % period
                 swap = one_minus_pow(gaps, offset)
-                terms += (energy * swap * swap * complex_pow(lam, two_n * k0) / denominator).tolist()
+                terms += (energy * swap * swap * log_rule_powers(arrays, [two_n * k0])[0] / denominator).tolist()
     else:
         for k in range(start, len(pattern.offsets)):
             if pattern.offsets[k]:
                 swap = one_minus_pow(gaps, pattern.offsets[k])
-                terms += (energy * swap * swap * complex_pow(lam, two_n * k)).tolist()
+                terms += (energy * swap * swap * log_rule_powers(arrays, [two_n * k])[0]).tolist()
     return math.fsum(terms)
 
 

@@ -11,6 +11,7 @@ from carleson_frames import (
     ConstantWeights,
     EigensolverError,
     ExplicitSequence,
+    ExplicitWeights,
     GeometricApproach,
     InvariantViolation,
     OrbitFrameOracle,
@@ -334,12 +335,55 @@ def test_orbit_oracle_refuses_underflowed_coefficients():
     tiny = OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1e-162)))
     with pytest.raises(EigensolverError, match=r"^\|c_1\|\^2 underflows to 0 \(\|c_1\| = 8\.660e-163\)$"):
         build_adversarial_subsequence(tiny, 3)
-    # at m = 1e-150 only coordinates past about n = 80 underflow: the first
-    # window answers, and the window that reaches them raises
+    # at m = 1e-150 only coordinates from n = 80 on underflow: a query before
+    # them is answered, and a query at or past them raises
     small = OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1e-150)))
     assert small.tail_energy(1, 0) > 0.0
     with pytest.raises(EigensolverError, match="underflows to 0"):
         small.coefficient(100, 0)
+
+
+def _first_refused(oracle, indices):
+    """(j, message) of the first basis index j in `indices` whose query raises, or None."""
+    for j in indices:
+        try:
+            oracle.coefficient(j, 0)
+            oracle.tail_energy(j, 1)
+        except EigensolverError as exc:
+            return j, str(exc)
+    return None
+
+
+def test_orbit_oracle_refuses_only_from_the_underflowed_index():
+    # |c_n|^2 underflows from n = 80 on at m = 1e-150; sequential queries grow
+    # the window to 128 coordinates at j = 65 and still answer up to j = 79
+    def system():
+        return OrbitSystem(GeometricApproach(2.0), ConstantWeights(1e-150))
+
+    refused = (80, "|c_80|^2 underflows to 0 (|c_80| = 1.286e-162)")
+    assert _first_refused(OrbitFrameOracle(system()), range(1, 200)) == refused
+    assert _first_refused(OrbitFrameOracle(system()), (70, 79, 80)) == refused
+    assert _first_refused(OrbitFrameOracle(system()), (200, 79)) == (200, refused[1])
+    oracle = OrbitFrameOracle(system())
+    assert _first_refused(oracle, (200,)) == (200, refused[1])
+    assert _first_refused(oracle, range(1, 80)) is None
+    per_call = PerCallOrbitOracle(system())
+    assert [oracle.coefficient(j, 3) for j in (70, 79)] == [per_call.coefficient(j, 3) for j in (70, 79)]
+
+
+def test_orbit_oracle_answers_before_an_underflowed_weight():
+    # |c_14|^2 underflows to 0, but the witnesses of six levels stop at 11
+    values = [1.0] * 20
+    values[13] = 1e-170
+
+    def certificate(weights):
+        return build_adversarial_subsequence(OrbitFrameOracle(OrbitSystem(GeometricApproach(2.0), weights)), 6)
+
+    tiny = certificate(ExplicitWeights(tuple(values), 1e-300, 1.0))
+    unit = certificate(ConstantWeights(1.0))
+    assert tiny == unit
+    assert unit.picked_indices == (0, 6, 33, 177, 443, 1064, 4968)
+    assert max(unit.witnesses) == 11
 
 
 @pytest.mark.parametrize(

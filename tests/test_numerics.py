@@ -12,7 +12,6 @@ from carleson_frames import (
     NonHermitianError,
     compensated_sum,
     complex_pow,
-    complex_pow_table,
     extremal_eigenvalues,
     one_minus_pow,
 )
@@ -185,37 +184,6 @@ def test_complex_pow_on_arrays():
     z = np.array([0.5 + 0j, -0.25j])
     np.testing.assert_array_equal(complex_pow(z, 2), z * z)
     np.testing.assert_array_equal(complex_pow(z, 0), np.ones_like(z))
-
-
-def _bits(array):
-    return np.ascontiguousarray(array).view(np.uint8)
-
-
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_complex_pow_table_matches_complex_pow_bit_for_bit(kind):
-    rng = np.random.default_rng(5)
-    if kind == "real":
-        z = np.concatenate([1.0 - 2.0 ** -np.arange(1, 41), rng.uniform(-1.0, 1.0, 8), [0.0, -0.0, 1.0]])
-    else:
-        z = rng.uniform(0.9, 1.0, 24) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, 24))
-    exponents = np.arange(5001)
-    table = complex_pow_table(z, exponents)
-    assert table.shape == (5001, len(z)) and table.dtype == z.dtype
-    for p in exponents:
-        assert np.array_equal(_bits(table[p]), _bits(complex_pow(z, int(p)))), p
-    # any order of exponents, repeats included, and a scalar base
-    picked = [4096, 3, 0, 3, 1, 2**40 + 7, 2**70 + 1]
-    for row, p in zip(complex_pow_table(z, picked), picked):
-        assert np.array_equal(_bits(row), _bits(complex_pow(z, p)))
-    assert complex_pow_table(0.5, [0, 1, 3]).tolist() == [1.0, 0.5, 0.125]
-    # the table keeps the shape of the exponents, none or all zero included
-    assert complex_pow_table(z, []).shape == (0, len(z))
-    assert np.array_equal(_bits(complex_pow_table(z, [0, 0])), _bits(np.ones((2, len(z)), dtype=z.dtype)))
-    grid = complex_pow_table(z, [[5, 0], [2**40 + 7, 12]])
-    assert grid.shape == (2, 2, len(z))
-    assert np.array_equal(_bits(grid[1, 0]), _bits(complex_pow(z, 2**40 + 7)))
-    with pytest.raises(ValueError):
-        complex_pow_table(z, [2, -1])
 
 
 @given(

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from carleson_frames import (
     InvariantViolation,
     OrbitSystem,
     PeriodicPattern,
+    PowerSequence,
     SeededPattern,
     SubsampleScheme,
     TwoPointAugmented,
@@ -32,11 +34,17 @@ from carleson_frames import (
     woven_frame_operator,
 )
 from carleson_frames import cli, numerics, weaving
-from carleson_frames.numerics import complex_pow, complex_pow_table
+from carleson_frames.numerics import complex_pow
 from carleson_frames.orbit import _progression_matrix, conjugate_by_powers, system_arrays
 from carleson_frames.reporting import canonical_json
 from carleson_frames.weaving import _coordinate_tail_bound, _exact_row_sums
-from oracles import brute_defect_sum, pointwise_tail_defect, xorshift64_reference
+from oracles import (
+    brute_defect_sum,
+    log_rule_powers,
+    mpmath_tail_defect,
+    pointwise_tail_defect,
+    xorshift64_reference,
+)
 
 SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
 
@@ -314,6 +322,54 @@ def test_finite_pattern_walk_yields_j_max_plus_one_points(j_max):
     assert [point.value for point in points] == [pointwise_tail_defect(SYSTEM, pattern, j, 40) for j in range(j_max + 1)]
 
 
+@pytest.mark.parametrize(
+    "sequence, weight, pattern, dimension, starts",
+    [
+        (GeometricApproach(2.0), 1.0, ConstantPattern(2, 1), 40, (0, 5, 50, 213, 1000)),
+        (GeometricApproach(1.9), 0.75, PeriodicPattern(3, (1, 0, 2)), 40, (0, 7, 100, 600)),
+        (GeometricApproach(2.000125), 1.0, SeededPattern(2, 1000, 128), 200, (0, 10, 64)),
+        (GeometricApproach(1.3), 1.0, ConstantPattern(2, 1), 60, (0, 100, 2000, 5000)),
+        (GeometricApproach(1.05), 1.0, ConstantPattern(3, 2), 80, (0, 1000)),
+        (ExplicitSequence((0.1, 0.3, 0.5, 0.7, 0.9, 0.99)), 1.0, ConstantPattern(2, 1), 6, (0, 20, 200, 1000)),
+    ],
+    ids=["alpha2-constant", "alpha1.9-periodic", "alpha2.000125-seeded", "alpha1.3-constant",
+         "alpha1.05-constant", "explicit-constant"],
+)
+def test_defect_points_match_mpmath(sequence, weight, pattern, dimension, starts):
+    # lambda^p as exp(p log lambda) carries about |p log lambda| ulps; a power
+    # by repeated squaring carried about p, 2.8e-13 of D(5000) at alpha = 1.3
+    mpmath = pytest.importorskip("mpmath")
+    if isinstance(sequence, GeometricApproach):
+        def point(n):
+            return 1 - mpmath.mpf(sequence.alpha) ** -n
+    else:
+        def point(n):
+            return mpmath.mpf(sequence.values[n - 1].real)
+    system = OrbitSystem(sequence, ConstantWeights(weight))
+    values, _ = _curve(system, pattern, max(starts), dimension)
+    for j in starts:
+        exact = mpmath_tail_defect(point, dimension, weight, pattern, j)
+        assert exact > 0
+        assert abs(values[j] - exact) <= 1e-14 * exact, j
+
+
+def test_underflowed_points_raise_no_warning():
+    # 0.5^2600 and 0.75^2600 underflow to 0.0: exponent 0 reads 1 there and
+    # every other exponent 0, not the NaN of 0 * log(0)
+    system = OrbitSystem(PowerSequence(GeometricApproach(2.0), 2600), ConstantWeights(1.0))
+    explicit = ExplicitPattern(2, (1, 1, 0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pattern, nonzero in ((explicit, 2), (ConstantPattern(2, 1), 3)):
+            values, _ = _curve(system, pattern, 6, 5)
+            assert values[0] == 5.0
+            assert values[1] == pytest.approx(3.997986740371958e-144, rel=1e-13)
+            assert min(values[:nonzero]) > 0.0 and values[nonzero:] == [0.0] * (7 - nonzero)
+        # lambda_1^0 phi_1 = 1 is kept at J = 1 and swapped for lambda_1 phi_1 = 0 at J = 0
+        assert woven_frame_operator(system, explicit, 0, 5).tolist() == [[0.0] * 5] * 5
+        assert woven_frame_operator(system, explicit, 1, 5).tolist() == [[1.0] * 5] * 5
+
+
 def test_coordinate_tail_bound_is_zero_within_a_finite_sequence():
     system = OrbitSystem(ExplicitSequence((0.1, 0.3, 0.5)), ConstantWeights(1.0))
     pattern = ConstantPattern(2, 1)
@@ -456,8 +512,8 @@ def _woven_out_of_place(system, pattern, start, dimension):
     rows = max(1, numerics._CHUNK_TERMS // dimension)
     for low in range(0, len(swapped), rows):
         chunk = swapped[low : low + rows]
-        kept = phi * complex_pow_table(arrays.lam.real, [stride * k + pattern.offsets[k] for k in chunk])
-        removed = phi * complex_pow_table(arrays.lam.real, [stride * k for k in chunk])
+        kept = phi * log_rule_powers(arrays, [stride * k + pattern.offsets[k] for k in chunk])
+        removed = phi * log_rule_powers(arrays, [stride * k for k in chunk])
         total = total + (kept.T @ kept.conj() - removed.T @ removed.conj())
     return total
 
