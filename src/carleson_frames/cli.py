@@ -624,6 +624,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # writing the JSON report, a CSV table or standard output
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # an --M or --k-trunc too large for an M x M operator or a window
+        print(f"cannot allocate: {exc or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -34,34 +34,46 @@ def _real_part_if_real(a: np.ndarray) -> np.ndarray:
     return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
 
 
-def _check_hermitian(a: np.ndarray) -> np.ndarray:
-    """`a`, read in place; raises unless it is a square, finite Hermitian matrix.
+def _check_hermitian(a: np.ndarray) -> bool:
+    """Whether `a`, read in place, is real and equal to its transpose bit for
+    bit; raises unless it is a square, finite Hermitian matrix.
 
     An infinite or NaN entry raises EigensolverError (no eigenvalue of such a
     matrix means anything); a deviation from conjugate symmetry beyond four
-    ulps of the largest entry raises NonHermitianError. One loop over row
-    blocks of at most _CHUNK_TERMS entries takes both: the scale from the
-    block's rows, the deviation from their upper strip, from the diagonal
-    on, against the mirrored columns, which sees every pair (m, n), (n, m).
+    ulps of the largest entry raises NonHermitianError. One loop over square
+    tiles on and above the diagonal, each of a quarter of _CHUNK_TERMS entries
+    at most, takes both from each tile and its mirror below the diagonal: the
+    scale from their moduli, the deviation from their difference, which sees
+    every pair (m, n), (n, m) once. A real tile whose bits agree with its
+    mirror's skips both for the mirror.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {a.shape}")
-    if a.size:
-        moduli, deviations = [], []
-        with np.errstate(invalid="ignore"):  # inf - inf of a non-finite matrix, which raises below
-            for rows in _row_blocks(a.shape[0], a.shape[0]):
-                moduli.append(np.abs(a[rows]).max())
-                deviations.append(np.abs(a[rows, rows.start :] - a[rows.start :, rows].conj().T).max())
+    real = not np.iscomplexobj(a)
+    width = max(1, math.isqrt(_CHUNK_TERMS // 4))
+    moduli, deviations = [], []
+    with np.errstate(invalid="ignore"):  # inf - inf of a non-finite matrix, which raises below
+        for low in range(0, a.shape[0], width):
+            rows = slice(low, low + width)
+            for high in range(low, a.shape[0], width):
+                cols = slice(high, high + width)
+                tile, mirror = a[rows, cols], a[cols, rows].T
+                moduli.append(np.abs(tile).max())
+                if real and np.array_equal(tile.view(np.int64), mirror.view(np.int64)):
+                    continue  # the mirror holds the tile's moduli, and the pair deviates by 0
+                moduli.append(np.abs(mirror).max())
+                deviations.append(np.abs(tile - mirror.conj()).max())
+    if moduli:
         # np.max propagates NaN, so a NaN anywhere makes the scale NaN
         scale = float(np.max(moduli))
         if not math.isfinite(scale):
             raise EigensolverError(f"matrix has a non-finite entry (largest modulus {scale!r})")
-        deviation = float(np.max(deviations))
+        deviation = float(np.max(deviations, initial=0.0))
         if deviation > 4.0 * _EPS * max(scale, np.finfo(np.float64).tiny):
             raise NonHermitianError(
                 f"hermitian deviation {deviation:.3e} exceeds 4 ulps of scale {scale:.3e}"
             )
-    return a
+    return real and not deviations
 
 
 def _row_blocks(count: int, width: int) -> list:
@@ -98,9 +110,12 @@ def _extremes(s: np.ndarray) -> ExtremalEigenvalues:
     """`extremal_eigenvalues` of an operator the package owns, checked, solved
     and certified in its own buffer, which is left overwritten. A complex `s`
     with a zero imaginary part gives way to a C-contiguous copy of its real part."""
-    s = _check_hermitian(np.asarray(_real_part_if_real(s), order="C"))
+    s = np.asarray(_real_part_if_real(s), order="C")
+    # an exactly symmetric s equals its transpose, an F-contiguous view, which
+    # numpy's wrappers copy into LAPACK's column-major buffer without a stride
+    lapack = s.T if _check_hermitian(s) else s
     try:
-        eigvals = np.linalg.eigvalsh(s)
+        eigvals = np.linalg.eigvalsh(lapack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolverError(str(exc)) from exc
     lo = float(eigvals[0])
@@ -110,13 +125,13 @@ def _extremes(s: np.ndarray) -> ExtremalEigenvalues:
     norm = max(abs(lo), abs(hi))
     if norm == 0.0:
         return ExtremalEigenvalues(0.0, 0.0, 0.0)
-    residual = _certificate(s, lo, hi, norm)
+    residual = _certificate(s, lapack, lo, hi, norm)
     if not residual <= DEFAULT_EIG_TOL:  # a NaN residual fails too
         raise EigensolverError(f"residual {residual:.3e} exceeds tolerance {DEFAULT_EIG_TOL:.3e}")
     return ExtremalEigenvalues(lo, hi, residual)
 
 
-def _certificate(s: np.ndarray, lo: float, hi: float, norm: float) -> float:
+def _certificate(s: np.ndarray, lapack: np.ndarray, lo: float, hi: float, norm: float) -> float:
     """max ||S v - lambda v|| / ||S|| over lambda in (lo, hi), v from inverse
     iteration at each extreme; the first residual above DEFAULT_EIG_TOL (NaN
     included), if there is one.
@@ -130,7 +145,8 @@ def _certificate(s: np.ndarray, lo: float, hi: float, norm: float) -> float:
     above it, the next step refines v, and a solve that meets an exactly
     zero pivot (the shift is an eigenvalue to working precision) is
     repeated with the shift doubled. `s`, C-contiguous, is scaled and shifted
-    in place; each solve restores its diagonal.
+    in place; each solve reads it as `lapack`, `s` or its transpose (a view of
+    the same buffer), and restores its diagonal.
     """
     e = -math.frexp(norm)[1]
     np.ldexp(s.view(np.float64), e, out=s.view(np.float64))
@@ -145,7 +161,7 @@ def _certificate(s: np.ndarray, lo: float, hi: float, norm: float) -> float:
         for _ in range(_INVERSE_STEPS):
             diagonal[:] = saved - (lam + side * gap)
             try:
-                x = np.linalg.solve(s, v)
+                x = np.linalg.solve(lapack, v)
             except np.linalg.LinAlgError as exc:
                 failure = exc
                 gap *= 2.0
@@ -211,9 +227,17 @@ def one_minus_pow(gap, p: int):
     gap = np.asarray(gap, dtype=np.float64)
     if p == 0:
         return np.zeros_like(gap)
-    if p == 1:
-        return gap.copy()
+    return _one_minus_pow_in_place(gap.copy(), p)
+
+
+def _one_minus_pow_in_place(x: np.ndarray, p: int) -> np.ndarray:
+    """`one_minus_pow(x, p)` for p >= 1, in the float64 array x, returned:
+    x itself at p = 1, x (2 - x) at p = 2, -expm1(p log1p(-x)) beyond."""
     if p == 2:
-        return gap * (2.0 - gap)
-    with np.errstate(divide="ignore"):
-        return -np.expm1(p * np.log1p(-gap))
+        x *= 2.0 - x
+    elif p > 2:
+        with np.errstate(divide="ignore"):
+            np.log1p(np.negative(x, out=x), out=x)
+            x *= p
+            np.negative(np.expm1(x, out=x), out=x)
+    return x

@@ -25,12 +25,12 @@ from . import numerics
 from .numerics import (
     EigensolverError,
     _extremes,
+    _one_minus_pow_in_place,
     _row_blocks,
     complex_pow,
     compensated_sum,
     extremal_eigenvalues,  # orbit's name for it, which bench/test_bench.py reads
     one_minus_pow,
-    one_minus_products,
 )
 from .sequences import InvariantViolation, LambdaSequence, Weights, validate
 
@@ -158,26 +158,30 @@ def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:
     gaps, which keeps it exact when the eigenvalues crowd the circle, and
     with real weights the whole matrix is assembled in float64. Rows are
     filled in blocks of at most _CHUNK_TERMS entries, so the only
-    matrix-sized array is the result.
+    matrix-sized array is the result; a real positive block is built in its
+    output rows by the operations of
+    coeffs * (1 / one_minus_pow(one_minus_products(...), step)), in order.
     """
     if arrays.real_positive:
         phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
     else:
         phi, lam, conj_lam = arrays.phi, arrays.lam, arrays.lam.conj()
-    gaps = arrays.gaps
+    gaps, conj_phi = arrays.gaps, phi.conj()
     out = np.empty((phi.size, phi.size), dtype=phi.dtype)
     # huge weights overflow the coefficients and subnormal gaps the quotient;
     # the eigen stage rejects the inf or NaN entries that result
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_blocks(phi.size, phi.size):
-            coeffs = np.outer(phi[rows], phi.conj())
             if arrays.real_positive:
                 # 1 - w from the gaps, hence 1 - w^step via gap powers
-                denominator = one_minus_pow(one_minus_products(gaps[rows], gaps), step)
-                out[rows] = coeffs * (1.0 / denominator)
+                denominator = np.add.outer(gaps[rows], gaps)
+                denominator -= np.multiply.outer(gaps[rows], gaps)
+                np.divide(1.0, _one_minus_pow_in_place(denominator, step), out=denominator)
+                block = np.multiply.outer(phi[rows], conj_phi, out=out[rows])
+                block *= denominator
             else:
                 denominator = 1.0 - complex_pow(np.outer(lam[rows], conj_lam), step)
-                out[rows] = coeffs / denominator
+                out[rows] = np.outer(phi[rows], conj_phi) / denominator
     return out
 
 

@@ -344,3 +344,25 @@ def first_duplicate_by_sort(keys):
     if not repeats.size:
         return None
     return int(first_seen[key_of[repeats[0]]]) + 1, int(repeats[0]) + 1
+
+
+def row_strip_hermitian_check(a, rows_per_block):
+    """The Hermitian check as one loop over row strips of `rows_per_block`
+    rows, each strip's upper part, from the diagonal on, read against the
+    strided columns it mirrors; raises what `numerics._check_hermitian`
+    raises, with the same message."""
+    from carleson_frames.numerics import EigensolverError, NonHermitianError
+
+    eps = np.finfo(np.float64).eps
+    moduli, deviations = [], []
+    with np.errstate(invalid="ignore"):
+        for low in range(0, a.shape[0], rows_per_block):
+            rows = slice(low, low + rows_per_block)
+            moduli.append(np.abs(a[rows]).max())
+            deviations.append(np.abs(a[rows, low:] - a[low:, rows].conj().T).max())
+    scale = float(np.max(moduli))
+    if not math.isfinite(scale):
+        raise EigensolverError(f"matrix has a non-finite entry (largest modulus {scale!r})")
+    deviation = float(np.max(deviations))
+    if deviation > 4.0 * eps * max(scale, np.finfo(np.float64).tiny):
+        raise NonHermitianError(f"hermitian deviation {deviation:.3e} exceeds 4 ulps of scale {scale:.3e}")

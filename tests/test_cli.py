@@ -122,6 +122,26 @@ def test_argparse_errors_are_one_usage_line(capsys):
         assert f" {flag} " in out
 
 
+def test_an_unallocatable_size_is_one_usage_line(monkeypatch, capsys):
+    # numpy's refusal of a 7.28 TiB operator (--M 1000000) or of a --k-trunc
+    # window, simulated: nothing that large is allocated here, since a host
+    # that overcommits may grant it and only fail once it is written
+    from carleson_frames import carleson, orbit
+
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(orbit, "_progression_matrix", refuse)
+    monkeypatch.setattr(carleson, "validate", refuse)
+    for argv in (("bounds", "--alpha", "1.0001", "--M", "50"), ("check-carleson", "--k-trunc", "50")):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"cannot allocate: {message}\n"
+        assert captured.out == ""
+
+
 def test_tol_is_no_parameter(tmp_path, capsys):
     # the certificate's residual bound is fixed, verdicts come from proofs
     # only and read finite heads themselves, the weaving threshold is half the

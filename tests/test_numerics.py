@@ -8,15 +8,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from carleson_frames import (
+    ConstantWeights,
     EigensolverError,
+    ExplicitPattern,
+    ExplicitSequence,
+    GeometricApproach,
     NonHermitianError,
+    OrbitFrameOracle,
+    OrbitSystem,
+    PeriodicPattern,
+    SubsampleScheme,
     compensated_sum,
     complex_pow,
+    estimate_subsequence_lower_bound,
     extremal_eigenvalues,
+    frame_bounds,
     one_minus_pow,
+    woven_frame_operator,
 )
-from carleson_frames import numerics
-from oracles import jacobi_extremal_eigenvalues
+from carleson_frames import numerics, orbit
+from oracles import jacobi_extremal_eigenvalues, row_strip_hermitian_check
 
 
 def test_identity_matrix():
@@ -318,11 +329,12 @@ def test_certificate_holds_at_extreme_scales():
 @pytest.mark.parametrize("rows", [1, 3, 4, 11])
 @pytest.mark.parametrize("complex_entries", [False, True])
 def test_strip_deviation_equals_whole_matrix_deviation(monkeypatch, rows, complex_entries):
-    # one-row, ragged three- and four-row (11 = 3 * 3 + 2 = 2 * 4 + 3) and
-    # single blocks of near-Hermitian matrices, some with exactly symmetric
-    # entries, signed zeros and subnormal skews: the one loop over row blocks
-    # raises exactly when the whole matrix's deviation exceeds 4 ulps of its
-    # largest modulus, and names both
+    # tiles 1, 2, 3 and 5 wide (11 = 5 * 2 + 1 = 3 * 3 + 2 = 2 * 5 + 1) of
+    # near-Hermitian matrices, some with exactly symmetric entries, signed
+    # zeros and subnormal skews: the one loop over tiles raises exactly when
+    # the whole matrix's deviation exceeds 4 ulps of its largest modulus, and
+    # names both; it reports exact symmetry exactly when a real matrix equals
+    # its transpose bit for bit
     monkeypatch.setattr(numerics, "_CHUNK_TERMS", rows * 11)
     rng = np.random.default_rng(7)
     outcomes = set()
@@ -343,12 +355,12 @@ def test_strip_deviation_equals_whole_matrix_deviation(monkeypatch, rows, comple
                 f"hermitian deviation {deviation:.3e} exceeds 4 ulps of scale {scale:.3e}"
             )
         else:
-            assert numerics._check_hermitian(s) is s
+            exact = not complex_entries and np.array_equal(s.view(np.int64), s.T.view(np.int64))
+            assert numerics._check_hermitian(s) is exact
         outcomes.add(raises)
     assert outcomes == {False, True}
-    # but for the single block, the deviation reads (7, 2) only among the
-    # mirrored columns, not in any upper strip; a non-finite entry there
-    # alone raises EigensolverError, not NonHermitianError
+    # (7, 2) lies below the diagonal, in a mirror tile: a non-finite entry
+    # there alone raises EigensolverError, not NonHermitianError
     for bad, shown in ((np.inf, "inf"), (np.nan, "nan")):
         s = _random_hermitian(np.random.default_rng(5), 11, complex_entries)
         s[7, 2] = bad
@@ -361,8 +373,8 @@ def test_strip_deviation_equals_whole_matrix_deviation(monkeypatch, rows, comple
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("complex_entries", [False, True])
 def test_blocked_hermitian_check_keeps_errors_for_the_last_block(monkeypatch, rows, complex_entries):
-    # one-row and ragged three-row blocks of an 8 x 8 matrix; the bad entry
-    # sits in the last row
+    # tiles one and two entries wide of an 8 x 8 matrix; the bad entry sits
+    # in the last row
     monkeypatch.setattr(numerics, "_CHUNK_TERMS", rows * 8)
     s = _random_hermitian(np.random.default_rng(31), 8, complex_entries)
     scale = float(np.max(np.abs(s)))
@@ -390,6 +402,122 @@ def test_blocked_hermitian_check_keeps_errors_for_the_last_block(monkeypatch, ro
     broken[7, 7] = np.nan
     with pytest.raises(EigensolverError, match="largest modulus nan"):
         extremal_eigenvalues(broken)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_tiled_hermitian_check_matches_the_row_strip_loop(monkeypatch, complex_entries):
+    # 7-wide tiles of a 30 x 30 matrix (30 = 4 * 7 + 2), so the last tiles
+    # are ragged; a NaN, an inf and a 5-ulp asymmetry in the last ragged tile
+    # and in an off-diagonal tile pair raise what the old loop over row
+    # strips raised, class and message; 3 ulps pass both, not exactly symmetric
+    monkeypatch.setattr(numerics, "_CHUNK_TERMS", 4 * 7 * 7)
+    s = _random_hermitian(np.random.default_rng(41), 30, complex_entries)
+    ulp = np.finfo(float).eps * float(np.max(np.abs(s)))
+    for m, n in ((29, 28), (28, 29), (20, 3), (3, 20)):
+        for value, raises in ((np.nan, True), (np.inf, True), (s[m, n] + 5 * ulp, True), (s[m, n] + 3 * ulp, False)):
+            bad = s.copy()
+            bad[m, n] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _raised(numerics._check_hermitian, bad)
+                for rows_per_block in (1, 4, 30):
+                    expected = _raised(lambda a: row_strip_hermitian_check(a, rows_per_block), bad)
+                    assert (type(got), str(got)) == (type(expected), str(expected))
+            assert (got is not None) == raises
+            if not raises:
+                assert numerics._check_hermitian(bad) is False
+    assert numerics._check_hermitian(s) is not complex_entries
+
+
+def _raised(check, a):
+    """The error `check(a)` raises, or None."""
+    try:
+        check(a)
+    except (EigensolverError, NonHermitianError) as exc:
+        return exc
+    return None
+
+
+def _lapack_orders(monkeypatch, run):
+    """`run()`, and the memory order, "C" or "F", of every matrix it hands
+    np.linalg.eigvalsh and np.linalg.solve, in call order."""
+    orders = []
+    with monkeypatch.context() as patch:
+        for name in ("eigvalsh", "solve"):
+
+            def record(a, *rest, _name=name, _call=getattr(np.linalg, name)):
+                assert a.flags.c_contiguous != a.flags.f_contiguous
+                orders.append((_name, "C" if a.flags.c_contiguous else "F"))
+                return _call(a, *rest)
+
+            patch.setattr(np.linalg, name, record)
+        result = run()
+    return result, orders
+
+
+def _bits(extremes):
+    return np.array(extremes, dtype=np.float64).tobytes()
+
+
+def _extremes_both_ways(monkeypatch, s):
+    """The LAPACK orders of `numerics._extremes` on a copy of `s`, once its
+    three floats are found equal, bit for bit, to those it gives when exact
+    symmetry is not read and every LAPACK input is C-ordered."""
+    got, orders = _lapack_orders(monkeypatch, lambda: numerics._extremes(s.copy()))
+    check = numerics._check_hermitian
+    with monkeypatch.context() as patch:
+        patch.setattr(numerics, "_check_hermitian", lambda a: check(a) and False)
+        reference, reference_orders = _lapack_orders(monkeypatch, lambda: numerics._extremes(s.copy()))
+    assert {order for _, order in reference_orders} == {"C"}
+    assert [name for name, _ in orders] == [name for name, _ in reference_orders]
+    assert _bits(got) == _bits(reference)
+    return orders
+
+
+_SYSTEM = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
+_COLUMN_MAJOR_CASES = {
+    "scheme": lambda: frame_bounds(_SYSTEM, SubsampleScheme(3, 2, 3), 30),
+    "sweep_row": lambda: orbit.sweep_bounds(_SYSTEM, (2,), (1,), 30),
+    "periodic_weave": lambda: orbit._bounds(woven_frame_operator(_SYSTEM, PeriodicPattern(3, (1, 0, 2)), 4, 30)),
+    "finite_weave": lambda: orbit._bounds(woven_frame_operator(_SYSTEM, ExplicitPattern(2, (1, 0, 1, 1, 0)), 1, 30)),
+    "adversary_estimate": lambda: estimate_subsequence_lower_bound(OrbitFrameOracle(_SYSTEM), range(0, 200, 3), 30),
+    "explicit_real_list": lambda: frame_bounds(
+        OrbitSystem(ExplicitSequence((-0.5, 0.3, 0.7, -0.9, 0.95)), ConstantWeights(1.0)),
+        SubsampleScheme(2, 1, 1),
+        5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COLUMN_MAJOR_CASES))
+def test_exactly_symmetric_operators_reach_lapack_column_major(monkeypatch, case):
+    # every real operator the package builds equals its transpose bit for
+    # bit, so eigvalsh and every certificate solve read the F-contiguous view,
+    # and the three floats are those of LAPACK on the C-ordered matrix
+    operators = []
+    extremes = orbit._extremes
+    monkeypatch.setattr(orbit, "_extremes", lambda s: operators.append(s.copy()) or extremes(s))
+    _, orders = _lapack_orders(monkeypatch, _COLUMN_MAJOR_CASES[case])
+    assert operators and orders[0] == ("eigvalsh", "F") and {order for _, order in orders} == {"F"}
+    assert sum((_extremes_both_ways(monkeypatch, s) for s in operators), []) == orders
+
+
+def test_other_operators_reach_lapack_as_before(monkeypatch):
+    # a real matrix symmetric only to one ulp, a complex Hermitian matrix and
+    # a real one whose mirrored pair holds +0.0 and -0.0 (equal as numbers,
+    # not as bits) keep the C-ordered calls
+    rng = np.random.default_rng(43)
+    near = _random_hermitian(rng, 12, False) + 12 * np.eye(12)
+    near[3, 8] = np.nextafter(near[8, 3], np.inf)
+    signed = _random_hermitian(rng, 12, False) + 12 * np.eye(12)
+    signed[3, 8], signed[8, 3] = 0.0, -0.0
+    for s in (near, _random_hermitian(rng, 12, True) + 12 * np.eye(12), signed):
+        _, orders = _lapack_orders(monkeypatch, lambda: extremal_eigenvalues(s))
+        assert orders[0] == ("eigvalsh", "C") and {order for _, order in orders} == {"C"}
+        _extremes_both_ways(monkeypatch, s)
+    assert numerics._check_hermitian(signed) is False
+    signed[3, 8] = -0.0
+    assert numerics._check_hermitian(signed) is True
 
 
 def test_certificate_refines_while_residual_exceeds_tol(monkeypatch):
