@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import warnings
 from fractions import Fraction
 
@@ -440,14 +442,16 @@ def _raised(check, a):
 
 def _lapack_orders(monkeypatch, run):
     """`run()`, and the memory order, "C" or "F", of every matrix it hands
-    np.linalg.eigvalsh and np.linalg.solve, in call order."""
+    np.linalg.eigvalsh and np.linalg.solve, in call order; a stack of
+    matrices gives the order of each member."""
     orders = []
     with monkeypatch.context() as patch:
         for name in ("eigvalsh", "solve"):
 
             def record(a, *rest, _name=name, _call=getattr(np.linalg, name)):
-                assert a.flags.c_contiguous != a.flags.f_contiguous
-                orders.append((_name, "C" if a.flags.c_contiguous else "F"))
+                for member in a if a.ndim == 3 else (a,):
+                    assert member.flags.c_contiguous != member.flags.f_contiguous
+                    orders.append((_name, "C" if member.flags.c_contiguous else "F"))
                 return _call(a, *rest)
 
             patch.setattr(np.linalg, name, record)
@@ -463,11 +467,11 @@ def _extremes_both_ways(monkeypatch, s):
     """The LAPACK orders of `numerics._extremes` on a copy of `s`, once its
     three floats are found equal, bit for bit, to those it gives when exact
     symmetry is not read and every LAPACK input is C-ordered."""
-    got, orders = _lapack_orders(monkeypatch, lambda: numerics._extremes(s.copy()))
+    got, orders = _lapack_orders(monkeypatch, lambda: numerics._extremes(s.copy())[0])
     check = numerics._check_hermitian
     with monkeypatch.context() as patch:
         patch.setattr(numerics, "_check_hermitian", lambda a: check(a) and False)
-        reference, reference_orders = _lapack_orders(monkeypatch, lambda: numerics._extremes(s.copy()))
+        reference, reference_orders = _lapack_orders(monkeypatch, lambda: numerics._extremes(s.copy())[0])
     assert {order for _, order in reference_orders} == {"C"}
     assert [name for name, _ in orders] == [name for name, _ in reference_orders]
     assert _bits(got) == _bits(reference)
@@ -514,17 +518,16 @@ def test_other_operators_reach_lapack_as_before(monkeypatch):
     for s in (near, _random_hermitian(rng, 12, True) + 12 * np.eye(12), signed):
         _, orders = _lapack_orders(monkeypatch, lambda: extremal_eigenvalues(s))
         assert orders[0] == ("eigvalsh", "C") and {order for _, order in orders} == {"C"}
-        _extremes_both_ways(monkeypatch, s)
+        _extremes_both_ways(monkeypatch, s[np.newaxis])
     assert numerics._check_hermitian(signed) is False
     signed[3, 8] = -0.0
     assert numerics._check_hermitian(signed) is True
 
 
-def test_certificate_refines_while_residual_exceeds_tol(monkeypatch):
-    # lambda_min's eigenvector is almost orthogonal to the fixed start vector,
-    # so the first inverse-iteration step leaves a residual near
-    # eps * 1e5; a residual bound below it takes a second step
-    n = 20
+def _slow_start_operator(n):
+    """A real symmetric n x n operator whose lambda_min eigenvector is almost
+    orthogonal to the certificate's fixed start vector, so the first
+    inverse-iteration step leaves a residual near eps * 1e5."""
     start = (np.arange(1, n + 1) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0 - 0.5
     start /= np.linalg.norm(start)
     w = np.random.default_rng(4).normal(size=n)
@@ -532,7 +535,12 @@ def test_certificate_refines_while_residual_exceeds_tol(monkeypatch):
     u = w / np.linalg.norm(w) + 1e-5 * start
     basis, _ = np.linalg.qr(np.column_stack([u, np.eye(n)[:, : n - 1]]))
     s = basis @ np.diag(np.linspace(0.1, 2.0, n)) @ basis.T
-    s = (s + s.T) / 2
+    return (s + s.T) / 2
+
+
+def test_certificate_refines_while_residual_exceeds_tol(monkeypatch):
+    # a residual bound below the first step's residual takes a second step
+    s = _slow_start_operator(20)
     solve = np.linalg.solve
     calls = []
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
@@ -546,3 +554,62 @@ def test_certificate_refines_while_residual_exceeds_tol(monkeypatch):
     with pytest.raises(EigensolverError):
         extremal_eigenvalues(s)
     assert len(calls) == 3 + 4  # every step spent on lambda_min, then it fails
+
+
+def _each_alone(stack):
+    """`numerics._extremes` of each member of `stack` as a stack of one."""
+    return [numerics._extremes(member[np.newaxis].copy())[0][0] for member in stack]
+
+
+def test_a_stack_certifies_each_member_as_it_would_alone(monkeypatch):
+    # under a 1e-13 bound the slow-start member takes a second
+    # inverse-iteration step; every member's three floats are those it gets
+    # as a stack of one
+    rng = np.random.default_rng(5)
+    stack = np.stack([_random_hermitian(rng, 20, False) + 20 * np.eye(20), _slow_start_operator(20),
+                      _random_hermitian(rng, 20, False) + 20 * np.eye(20)])
+    monkeypatch.setattr(numerics, "DEFAULT_EIG_TOL", 1e-13)
+    expected = _each_alone(stack)
+    solve = np.linalg.solve
+    calls = []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
+    got, error = numerics._extremes(stack.copy())
+    assert error is None and _bits(got) == _bits(expected)
+    assert len(calls) == 2 * 3 + 1
+
+
+def test_a_stack_after_a_zero_pivot_certifies_each_member_as_it_would_alone():
+    # the full orbit of alpha = 1.05 at M = 7 has lambda_min within a few
+    # eps ||S|| of 0, so its first shifted solve can meet an exactly zero
+    # pivot (it does with OpenBLAS) and widen the shift
+    system = OrbitSystem(GeometricApproach(1.05), ConstantWeights(1.0))
+    stack = np.stack([
+        orbit.frame_operator_matrix(system, SubsampleScheme(*scheme), 7) for scheme in ((2, 1, 0), (1, 0, 0), (3, 2, 1))
+    ])
+    got, error = numerics._extremes(stack.copy())
+    assert error is None and _bits(got) == _bits(_each_alone(stack))
+
+
+def test_a_failed_worker_half_is_taken_one_member_at_a_time(monkeypatch):
+    # halves of two 260 x 260 members give eigvalsh 520 rows each, so a
+    # worker thread takes the second; its LinAlgError reaches this thread,
+    # which then takes every member alone, and the worker is gone
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    rng = np.random.default_rng(6)
+    stack = np.stack([_random_hermitian(rng, 260, False) for _ in range(4)])
+    expected = _each_alone(stack)
+    eigvalsh = np.linalg.eigvalsh
+
+    def failing_off_the_main_thread(a):
+        if threading.current_thread() is not threading.main_thread():
+            failed.append(len(a))
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a)
+
+    failed = []
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_off_the_main_thread)
+    before = threading.active_count()
+    got, error = numerics._extremes(stack.copy())
+    assert error is None and _bits(got) == _bits(expected)
+    assert failed == [2] and threading.active_count() == before
