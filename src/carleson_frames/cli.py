@@ -466,12 +466,12 @@ def _reproduction_checks(dimension: int) -> list:
             }
         )
 
+    universal = defect_upper_bound(system, dimension)
     for stride in (2, 3):
         for label, pattern in (
             ("constant-1", ConstantPattern(stride, 1)),
             ("seeded-42", SeededPattern(stride, 42, 128)),
         ):
-            universal = defect_upper_bound(system, dimension)
             points = defect_points(system, pattern, dimension, 1000)
             head = list(itertools.islice(points, _DEFECT_GRID[-1] + 1))  # the grid; the walk goes on
             bound = head[0].truncation_bound  # the same at every J

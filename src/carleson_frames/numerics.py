@@ -104,35 +104,32 @@ def extremal_eigenvalues(matrix) -> ExtremalEigenvalues:
     the algorithm behind it: the eigenvalues come from LAPACK without
     eigenvectors, and each v comes from inverse iteration, solves with S
     shifted just outside the spectrum at that extreme: one solve each, more
-    only while the residual is above the bound; all on one private copy of
+    only while the residual is above the bound; all on a private copy of
     `matrix` (float64 if `matrix` is real or its imaginary part zero), once
     `_check_hermitian` has found it square, finite and Hermitian to 4 ulps.
     """
-    a = _real_part_if_real(np.asarray(matrix))
-    copy = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64, order="C")
-    extremes, error = _extremes(copy[np.newaxis])
-    if error is not None:
-        raise error
-    return extremes[0]
+    copy = np.array(matrix, dtype=np.complex128 if np.iscomplexobj(matrix) else np.float64, order="C")
+    return next(_extremes(copy[np.newaxis]))
 
 
-def _extremes(s: np.ndarray) -> tuple:
-    """`extremal_eigenvalues` of each member of a C-contiguous (k, M, M) stack
-    of operators the package owns, checked, solved and certified in the
-    stack's buffer, which is left overwritten.
+def _extremes(s: np.ndarray):
+    """Yields `extremal_eigenvalues` of each member of a C-contiguous (k, M, M)
+    stack of operators the package owns, in order, in the stack's buffer,
+    which is left overwritten; where a member fails, raises its error.
 
-    Returns the extremes of the members before the first one that fails, and
-    that member's error (None if none fails): what a loop over the members
-    would return before it raised. `_eigvalsh` reads the whole stack, and
-    `_certificate` each member in turn, so every member's three floats are
-    those of the member alone, bit for bit. A complex stack with a zero
-    imaginary part gives way to a C-contiguous copy of its real part; one
-    where only some members have a zero imaginary part, or whose `eigvalsh`
-    fails, is taken one member at a time.
+    Every member is checked, and `_eigvalsh` reads the checked prefix, before
+    the first yield; `_certificate` takes each member when it is asked for,
+    so a consumer that raises on one member certifies no later one, as a
+    loop over the members would. Each member's three floats are its own, bit
+    for bit. A complex stack with a zero imaginary part gives way to a
+    C-contiguous copy of its real part; one where only some members have a
+    zero imaginary part, or whose `eigvalsh` fails, is taken one at a time.
     """
     s = np.asarray(_real_part_if_real(s), order="C")
     if len(s) > 1 and np.iscomplexobj(s) and not all(np.any(member.imag) for member in s):
-        return _one_at_a_time(s)
+        for index in range(len(s)):
+            yield from _extremes(s[index : index + 1])
+        return
     symmetric, error = [], None
     for member in s:
         try:
@@ -141,35 +138,28 @@ def _extremes(s: np.ndarray) -> tuple:
             error = exc
             break
     s = s[: len(symmetric)]
-    if not symmetric:
-        return [], error
     # an exactly symmetric member equals its transpose, an F-contiguous view,
     # which numpy's wrappers copy into LAPACK's column-major buffer without a stride
-    lapack = s.transpose(0, 2, 1) if all(symmetric) else s
+    lapack = s.transpose(0, 2, 1) if symmetric and all(symmetric) else s
     try:
-        eigvals = _eigvalsh(lapack)
+        eigvals = _eigvalsh(lapack) if symmetric else ()  # none if no member passed its check
     except np.linalg.LinAlgError as exc:  # LAPACK failure, on either thread
-        if len(s) > 1:
-            extremes, failure = _one_at_a_time(s)
-            return extremes, error if failure is None else failure
-        return [], EigensolverError(str(exc))
-    extremes = []
+        if len(s) == 1:
+            raise EigensolverError(str(exc)) from exc
+        for index in range(len(s)):
+            yield from _extremes(s[index : index + 1])
+        eigvals = ()
     for member, view, values in zip(s, lapack, eigvals):
         lo, hi = float(values[0]), float(values[-1])
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            return extremes, EigensolverError(f"non-finite extreme eigenvalue: lambda_min {lo!r}, lambda_max {hi!r}")
+            raise EigensolverError(f"non-finite extreme eigenvalue: lambda_min {lo!r}, lambda_max {hi!r}")
         norm = max(abs(lo), abs(hi))
         if norm == 0.0:
-            extremes.append(ExtremalEigenvalues(0.0, 0.0, 0.0))
-            continue
-        try:
-            residual = _certificate(member, view, lo, hi, norm)
-        except EigensolverError as exc:
-            return extremes, exc
-        if not residual <= DEFAULT_EIG_TOL:  # a NaN residual fails too
-            return extremes, EigensolverError(f"residual {residual:.3e} exceeds tolerance {DEFAULT_EIG_TOL:.3e}")
-        extremes.append(ExtremalEigenvalues(lo, hi, residual))
-    return extremes, error
+            yield ExtremalEigenvalues(0.0, 0.0, 0.0)
+        else:
+            yield ExtremalEigenvalues(lo, hi, _certificate(member, view, lo, hi, norm))
+    if error is not None:
+        raise error
 
 
 def _eigvalsh(lapack: np.ndarray) -> np.ndarray:
@@ -209,21 +199,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _one_at_a_time(s: np.ndarray) -> tuple:
-    """`_extremes` of the stack `s` by one `_extremes` call per member, in order."""
-    extremes = []
-    for index in range(len(s)):
-        done, error = _extremes(s[index : index + 1])
-        extremes += done
-        if error is not None:
-            return extremes, error
-    return extremes, None
-
-
 def _certificate(s: np.ndarray, lapack: np.ndarray, lo: float, hi: float, norm: float) -> float:
     """max ||S v - lambda v|| / ||S|| over lambda in (lo, hi), v from inverse
-    iteration at each extreme; the first residual above DEFAULT_EIG_TOL (NaN
-    included), if there is one.
+    iteration at each extreme; raises EigensolverError at the first residual
+    above DEFAULT_EIG_TOL (NaN included).
 
     Everything runs on S scaled by the power of two 2^e that brings ||S||
     into [1/2, 1), exactly, so the shift cannot underflow and the solve
@@ -264,7 +243,7 @@ def _certificate(s: np.ndarray, lapack: np.ndarray, lo: float, hi: float, norm: 
         if residual is None:
             raise EigensolverError(f"shifted solve failed at every shift: {failure}")
         if not residual <= DEFAULT_EIG_TOL:  # also NaN, which max() would drop: max(0.0, nan) is 0.0
-            return residual
+            raise EigensolverError(f"residual {residual:.3e} exceeds tolerance {DEFAULT_EIG_TOL:.3e}")
         worst = max(worst, residual)
     return worst
 
@@ -300,7 +279,9 @@ def one_minus_products(a, b) -> np.ndarray:
     """1 - (1 - a_m)(1 - b_n) as a_m + b_n - a_m b_n, one row per row gap a_m:
     the pair term 1 - lambda_m lambda_n of real points lambda = 1 - gap,
     accurate where they crowd 1 and the product itself would round to 1."""
-    return np.add.outer(a, b) - np.outer(a, b)
+    out = np.add.outer(a, b)
+    out -= np.multiply.outer(a, b)
+    return out
 
 
 def one_minus_pow(gap, p: int):

@@ -31,6 +31,7 @@ from .numerics import (
     compensated_sum,
     extremal_eigenvalues,  # orbit's name for it, which bench/test_bench.py reads
     one_minus_pow,
+    one_minus_products,
 )
 from .sequences import InvariantViolation, LambdaSequence, Weights, validate
 
@@ -176,8 +177,7 @@ def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:
         for rows in _row_blocks(phi.size, phi.size):
             if arrays.real_positive:
                 # 1 - w from the gaps, hence 1 - w^step via gap powers
-                denominator = np.add.outer(gaps[rows], gaps)
-                denominator -= np.multiply.outer(gaps[rows], gaps)
+                denominator = one_minus_products(gaps[rows], gaps)
                 np.divide(1.0, _one_minus_pow_in_place(denominator, step), out=denominator)
                 block = np.multiply.outer(phi[rows], conj_phi, out=out[rows])
                 block *= denominator
@@ -229,8 +229,8 @@ def _bounds(operator: np.ndarray, scheme=None) -> FrameBoundEstimate:
 
 def _stack_bounds(stack: np.ndarray, schemes) -> list:
     """`_bounds` of each operator of a C-contiguous (k, M, M) stack with its
-    scheme, all in one `_extremes` call; raises what `_bounds` on one operator
-    after another would raise first."""
+    scheme, checked as `_extremes` yields it, before the next is certified:
+    raises what `_bounds` on one operator after another would raise first."""
     # tiny weights underflow every c_n, a deep scheme the powers in D S D*;
     # a PSD operator with a zero diagonal is zero, and its zero eigenvalues
     # would read as frame bounds
@@ -238,9 +238,8 @@ def _stack_bounds(stack: np.ndarray, schemes) -> list:
         (i for i, scheme in enumerate(schemes) if scheme is not None and not np.any(np.diagonal(stack[i]))),
         len(stack),
     )
-    extremes, error = _extremes(stack[:nonzero])
     estimates = []
-    for member, scheme in zip(extremes, schemes):
+    for member, scheme in zip(_extremes(stack[:nonzero]), schemes):
         scale = max(abs(member.lambda_min), abs(member.lambda_max))
         if member.lambda_min < -numerics.DEFAULT_EIG_TOL * scale:
             raise EigensolverError(f"frame operator not PSD: lambda_min = {member.lambda_min:.3e}")
@@ -253,8 +252,6 @@ def _stack_bounds(stack: np.ndarray, schemes) -> list:
                 scheme=scheme,
             )
         )
-    if error is not None:
-        raise error
     if nonzero < len(stack):
         raise EigensolverError(f"the frame operator underflows to 0 at M={stack.shape[-1]}")
     return estimates

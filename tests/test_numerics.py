@@ -467,11 +467,11 @@ def _extremes_both_ways(monkeypatch, s):
     """The LAPACK orders of `numerics._extremes` on a copy of `s`, once its
     three floats are found equal, bit for bit, to those it gives when exact
     symmetry is not read and every LAPACK input is C-ordered."""
-    got, orders = _lapack_orders(monkeypatch, lambda: numerics._extremes(s.copy())[0])
+    got, orders = _lapack_orders(monkeypatch, lambda: list(numerics._extremes(s.copy())))
     check = numerics._check_hermitian
     with monkeypatch.context() as patch:
         patch.setattr(numerics, "_check_hermitian", lambda a: check(a) and False)
-        reference, reference_orders = _lapack_orders(monkeypatch, lambda: numerics._extremes(s.copy())[0])
+        reference, reference_orders = _lapack_orders(monkeypatch, lambda: list(numerics._extremes(s.copy())))
     assert {order for _, order in reference_orders} == {"C"}
     assert [name for name, _ in orders] == [name for name, _ in reference_orders]
     assert _bits(got) == _bits(reference)
@@ -558,7 +558,7 @@ def test_certificate_refines_while_residual_exceeds_tol(monkeypatch):
 
 def _each_alone(stack):
     """`numerics._extremes` of each member of `stack` as a stack of one."""
-    return [numerics._extremes(member[np.newaxis].copy())[0][0] for member in stack]
+    return [next(numerics._extremes(member[np.newaxis].copy())) for member in stack]
 
 
 def test_a_stack_certifies_each_member_as_it_would_alone(monkeypatch):
@@ -573,8 +573,8 @@ def test_a_stack_certifies_each_member_as_it_would_alone(monkeypatch):
     solve = np.linalg.solve
     calls = []
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
-    got, error = numerics._extremes(stack.copy())
-    assert error is None and _bits(got) == _bits(expected)
+    got = list(numerics._extremes(stack.copy()))
+    assert _bits(got) == _bits(expected)
     assert len(calls) == 2 * 3 + 1
 
 
@@ -586,8 +586,8 @@ def test_a_stack_after_a_zero_pivot_certifies_each_member_as_it_would_alone():
     stack = np.stack([
         orbit.frame_operator_matrix(system, SubsampleScheme(*scheme), 7) for scheme in ((2, 1, 0), (1, 0, 0), (3, 2, 1))
     ])
-    got, error = numerics._extremes(stack.copy())
-    assert error is None and _bits(got) == _bits(_each_alone(stack))
+    got = list(numerics._extremes(stack.copy()))
+    assert _bits(got) == _bits(_each_alone(stack))
 
 
 def test_a_failed_worker_half_is_taken_one_member_at_a_time(monkeypatch):
@@ -610,6 +610,48 @@ def test_a_failed_worker_half_is_taken_one_member_at_a_time(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", failing_off_the_main_thread)
     before = threading.active_count()
-    got, error = numerics._extremes(stack.copy())
-    assert error is None and _bits(got) == _bits(expected)
+    got = list(numerics._extremes(stack.copy()))
+    assert _bits(got) == _bits(expected)
     assert failed == [2] and threading.active_count() == before
+
+
+def _counted_solves(monkeypatch):
+    """A list that gains one entry per np.linalg.solve call from here on."""
+    solve = np.linalg.solve
+    calls = []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
+    return calls
+
+
+def _positive_definite_stack(rng, first):
+    """`first` and two positive definite 6 x 6 operators, as a C-contiguous stack."""
+    return np.stack([first] + [_random_hermitian(rng, 6, False) + 6 * np.eye(6) for _ in range(2)])
+
+
+def test_a_stack_certifies_no_member_past_the_first_that_is_not_psd(monkeypatch):
+    # lambda_min = -1 fails the PSD check on the first member, after its two
+    # certificate solves, and the two positive definite members are never
+    # certified, as with frame bounds taken one operator after another
+    stack = _positive_definite_stack(np.random.default_rng(7), np.diag(np.linspace(-1.0, 2.0, 6)))
+    calls = _counted_solves(monkeypatch)
+    with pytest.raises(EigensolverError, match="frame operator not PSD"):
+        orbit._stack_bounds(stack, (None,) * 3)
+    assert len(calls) == 2
+
+
+def test_the_first_member_of_a_stack_takes_only_its_own_solves(monkeypatch):
+    stack = _positive_definite_stack(np.random.default_rng(8), np.diag(np.linspace(1.0, 2.0, 6)))
+    calls = _counted_solves(monkeypatch)
+    next(numerics._extremes(stack))
+    assert len(calls) == 2
+
+
+def test_a_stack_yields_the_members_before_a_non_hermitian_one_then_raises():
+    rng = np.random.default_rng(9)
+    stack = _positive_definite_stack(rng, _random_hermitian(rng, 6, False) + 6 * np.eye(6))
+    stack[1, 0, 5] += 1e-3
+    expected = next(numerics._extremes(stack[:1].copy()))
+    members = numerics._extremes(stack.copy())
+    assert _bits([next(members)]) == _bits([expected])
+    with pytest.raises(NonHermitianError, match=r"hermitian deviation 1\.000e-03 exceeds 4 ulps of scale"):
+        next(members)
