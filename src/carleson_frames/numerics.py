@@ -42,7 +42,7 @@ def _real_part_if_real(a: np.ndarray) -> np.ndarray:
 
 def _check_hermitian(a: np.ndarray) -> bool:
     """Whether `a`, read in place, is real and equal to its transpose bit for
-    bit; raises unless it is a square, finite Hermitian matrix.
+    bit; raises unless it is a nonempty square, finite Hermitian matrix.
 
     An infinite or NaN entry raises EigensolverError (no eigenvalue of such a
     matrix means anything); a deviation from conjugate symmetry beyond four
@@ -55,6 +55,8 @@ def _check_hermitian(a: np.ndarray) -> bool:
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {a.shape}")
+    if not a.size:  # no eigenvalue to bound
+        raise NonHermitianError(f"expected a nonempty square matrix, got shape {a.shape}")
     real = not np.iscomplexobj(a)
     width = max(1, math.isqrt(_CHUNK_TERMS // 4))
     moduli, deviations = [], []

@@ -8,7 +8,10 @@ points crowd the unit circle works on gaps, not on the rounded values.
 
 Each kind has one closed form, `_points`, over an array of 1-based indices.
 `validate` evaluates it once into a read-only, checked window of arrays,
-the one way values and gaps are read.
+the one way values and gaps are read. Each kind fixes its length and its
+structural flags when it is built: as class attributes, or once in
+`__post_init__` from its list or its base. Weight kinds fix their bounds C1,
+C2 the same way; `ExplicitWeights` takes them as `(values, c1, c2)`.
 """
 
 import cmath
@@ -43,29 +46,15 @@ def _first(mask: np.ndarray) -> int | None:
 
 class LambdaSequence(ABC):
     """Abstract sequence {lambda_k}_{k>=1} strictly inside the open unit disc."""
-    exact_values = False  # whether each value is its point; a computed power may underflow to 0
 
-    @property
-    @abstractmethod
-    def length(self) -> int | None:
-        """Number of evaluable indices; None when unbounded."""
+    length = None  # number of evaluable indices; None when unbounded
+    is_real = real_positive = strictly_increasing_moduli = False
+    exact_values = False  # whether each value is its point; a computed power may underflow to 0
 
     @abstractmethod
     def _points(self, k: np.ndarray) -> tuple:
         """(values, gaps) at the 1-based indices k, unchecked: lambda_k as
         complex128 and the modulus gaps 1 - |lambda_k| as float64."""
-
-    @property
-    @abstractmethod
-    def is_real(self) -> bool: ...
-
-    @property
-    @abstractmethod
-    def real_positive(self) -> bool: ...
-
-    @property
-    @abstractmethod
-    def strictly_increasing_moduli(self) -> bool: ...
 
     def ratio_certificate(self) -> float | None:
         """Analytic bound c with (1-|l_{k+1}|)/(1-|l_k|) <= c for *all* k, if known.
@@ -91,7 +80,6 @@ class GeometricApproach(LambdaSequence):
     """
 
     alpha: float
-    length = None
     is_real = real_positive = strictly_increasing_moduli = True
 
     def __post_init__(self):
@@ -119,21 +107,16 @@ class ExplicitSequence(LambdaSequence):
 
     values: tuple
     exact_values = True
-    # set per instance from the list in __post_init__
-    is_real = real_positive = strictly_increasing_moduli = False
 
     def __post_init__(self):
         vals = _finite_values(self.values, "explicit sequence")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "length", len(vals))
         real = all(v.imag == 0.0 for v in vals)
         object.__setattr__(self, "is_real", real)
         object.__setattr__(self, "real_positive", real and all(v.real > 0.0 for v in vals))
         gaps = self._points(np.arange(1, len(vals) + 1))[1]
         object.__setattr__(self, "strictly_increasing_moduli", bool(np.all(gaps[:-1] > gaps[1:])))
-
-    @property
-    def length(self):
-        return len(self.values)
 
     def _points(self, k):
         values = np.array(self.values, dtype=np.complex128)[k - 1]
@@ -154,32 +137,21 @@ class TwoPointAugmented(LambdaSequence):
 
     q: float
     base: LambdaSequence
-    real_positive = strictly_increasing_moduli = False
 
     def __post_init__(self):
         q = float(self.q)
         if not 0.0 < q < 1.0:
             raise InvariantViolation("q must lie in (0, 1)")
         object.__setattr__(self, "q", q)
-
-    @property
-    def length(self):
-        base_len = self.base.length
-        return None if base_len is None else base_len + 2
+        object.__setattr__(self, "length", None if self.base.length is None else self.base.length + 2)
+        object.__setattr__(self, "is_real", self.base.is_real)
+        object.__setattr__(self, "exact_values", self.base.exact_values)
 
     def _points(self, k):
         values, gaps = self.base._points(np.maximum(k - 2, 1))  # head entries replaced below
         head = k <= 2
         values = np.where(head, np.where(k == 1, self.q, -self.q), values)
         return values, np.where(head, 1.0 - self.q, gaps)
-
-    @property
-    def is_real(self):
-        return self.base.is_real
-
-    @property
-    def exact_values(self):
-        return self.base.exact_values
 
 
 @dataclass(frozen=True)
@@ -198,27 +170,16 @@ class PowerSequence(LambdaSequence):
         if n < 1:
             raise InvariantViolation("exponent must be a positive integer")
         object.__setattr__(self, "exponent", n)
-
-    @property
-    def length(self):
-        return self.base.length
+        base = self.base
+        object.__setattr__(self, "length", base.length)
+        object.__setattr__(self, "is_real", base.is_real)
+        object.__setattr__(self, "real_positive", base.real_positive or (base.is_real and n % 2 == 0))
+        object.__setattr__(self, "strictly_increasing_moduli", base.strictly_increasing_moduli)
 
     def _points(self, k):
         values, gaps = self.base._points(k)
         # 1 - |b^N| = 1 - |b|^N, from the base gap without cancellation
         return complex_pow(values, self.exponent), one_minus_pow(gaps, self.exponent)
-
-    @property
-    def is_real(self):
-        return self.base.is_real
-
-    @property
-    def real_positive(self):
-        return self.base.real_positive or (self.base.is_real and self.exponent % 2 == 0)
-
-    @property
-    def strictly_increasing_moduli(self):
-        return self.base.strictly_increasing_moduli
 
     def tail_modulus_gap_sum(self, k_start):
         base_tail = self.base.tail_modulus_gap_sum(k_start)
@@ -229,19 +190,10 @@ class PowerSequence(LambdaSequence):
 
 
 class Weights(ABC):
-    """Scalar weights with certified bounds 0 < C1 <= |m_k| <= C2 < inf."""
+    """Scalar weights with certified bounds 0 < C1 <= |m_k| <= C2 < inf, which
+    each kind fixes as its attributes `c1` and `c2` when it is built."""
 
-    @property
-    @abstractmethod
-    def c1(self) -> float: ...
-
-    @property
-    @abstractmethod
-    def c2(self) -> float: ...
-
-    @property
-    @abstractmethod
-    def length(self) -> int | None: ...
+    length = None  # number of evaluable indices; None when unbounded
 
     @abstractmethod
     def _values(self, k: np.ndarray) -> np.ndarray:
@@ -272,16 +224,8 @@ class ConstantWeights(Weights):
         if v == 0:
             raise InvariantViolation("constant weight must be nonzero")
         object.__setattr__(self, "value", v)
-
-    length = None
-
-    @property
-    def c1(self):
-        return abs(self.value)
-
-    @property
-    def c2(self):
-        return abs(self.value)
+        object.__setattr__(self, "c1", abs(v))
+        object.__setattr__(self, "c2", abs(v))
 
     def _values(self, k):
         return np.full(k.shape, self.value, dtype=np.complex128)
@@ -292,29 +236,18 @@ class ExplicitWeights(Weights):
     """Finite weight list with caller-certified bounds; breaches surface on access."""
 
     values: tuple
-    lower: float
-    upper: float
+    c1: float
+    c2: float
 
     def __post_init__(self):
         vals = _finite_values(self.values, "explicit weights")
-        lo, hi = float(self.lower), float(self.upper)
-        if not (0.0 < lo <= hi < math.inf):
+        c1, c2 = float(self.c1), float(self.c2)
+        if not (0.0 < c1 <= c2 < math.inf):
             raise InvariantViolation("need 0 < C1 <= C2 < inf")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def c1(self):
-        return self.lower
-
-    @property
-    def c2(self):
-        return self.upper
-
-    @property
-    def length(self):
-        return len(self.values)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "length", len(vals))
 
     def _values(self, k):
         return np.array(self.values, dtype=np.complex128)[k - 1]

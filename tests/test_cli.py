@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -265,6 +266,15 @@ def test_explicit_weights_config(tmp_path):
     report = read_json(out)
     assert report["config"]["weights"]["c2"] == 2.0
     assert report["result"]["b_est"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "section,kind", [(section, kind) for section, kinds in cli._KINDS.items() for kind in kinds]
+)
+def test_config_keys_are_the_constructor_fields(section, kind):
+    # configs pass their keys positionally: names and order must be the dataclass fields'
+    constructor, keys = cli._KINDS[section][kind]
+    assert [name for name, _ in keys] == [field.name for field in dataclasses.fields(constructor)]
 
 
 def test_bounds_command(tmp_path):

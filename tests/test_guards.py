@@ -1,6 +1,7 @@
 """Public entry points reject an out-of-range argument, each with its own
 exception type."""
 
+import numpy as np
 import pytest
 
 from carleson_frames import (
@@ -9,11 +10,13 @@ from carleson_frames import (
     ExplicitSequence,
     GeometricApproach,
     InvariantViolation,
+    NonHermitianError,
     OrbitSystem,
     OrthonormalBasisOracle,
     PowerSequence,
     carleson_inf_estimate,
     estimate_subsequence_lower_bound,
+    extremal_eigenvalues,
     one_minus_pow,
     retilde_weights,
     woven_frame_operator,
@@ -35,10 +38,13 @@ SYSTEM = OrbitSystem(SEQUENCE, ConstantWeights(1.0))
         (lambda: ConstantPattern(0, 0), InvariantViolation, "stride"),
         (lambda: ConstantPattern(2, 1).offset_at(-1), IndexError, "start at 0"),
         (lambda: woven_frame_operator(SYSTEM, ConstantPattern(2, 1), -1), ValueError, "start index"),
+        (lambda: extremal_eigenvalues(np.zeros((0, 0))), NonHermitianError,
+         r"^expected a nonempty square matrix, got shape \(0, 0\)$"),
     ],
     ids=[
         "estimate-dimension", "inf-estimate-n-max", "one-minus-pow-exponent", "retilde-stride",
         "explicit-empty", "power-exponent", "pattern-stride", "pattern-index", "woven-start",
+        "eigenvalues-empty",
     ],
 )
 def test_input_guard(call, error, message):

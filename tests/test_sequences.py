@@ -256,3 +256,32 @@ def test_explicit_weights_bounds():
         system_arrays(OrbitSystem(GeometricApproach(2.0), breached), 2)
     with pytest.raises(InvariantViolation):
         ExplicitWeights((1.0,), 2.0, 1.0)
+
+
+_LISTED = ExplicitSequence((-0.5, 0.25, 0.75))
+
+
+@pytest.mark.parametrize(
+    "seq,structure",
+    [
+        (PowerSequence(TwoPointAugmented(0.1, _LISTED), 2), (5, True, True, False, False)),
+        (TwoPointAugmented(0.1, _LISTED), (5, True, False, False, True)),
+        (PowerSequence(_LISTED, 3), (3, True, False, False, False)),
+        (PowerSequence(GeometricApproach(2.0), 1), (None, True, True, True, False)),
+        (ExplicitSequence((0.5j, 0.25)), (2, False, False, False, True)),
+    ],
+    ids=["even-power-of-two-point", "two-point", "odd-power", "power-of-geometric", "complex-explicit"],
+)
+def test_nested_kinds_fix_their_structure(seq, structure):
+    assert (
+        seq.length, seq.is_real, seq.real_positive, seq.strictly_increasing_moduli, seq.exact_values
+    ) == structure
+
+
+@pytest.mark.parametrize(
+    "weights,structure",
+    [(ExplicitWeights((1.0, 2.0), 0.5, 2.0), (0.5, 2.0, 2)), (ConstantWeights(3 + 4j), (5.0, 5.0, None))],
+    ids=["explicit", "constant"],
+)
+def test_weight_kinds_fix_their_bounds(weights, structure):
+    assert (weights.c1, weights.c2, weights.length) == structure
