@@ -3,16 +3,13 @@ correctly rounded summation, integer powers by binary exponentiation, and
 1 - (1 - gap)^p without cancellation near the unit circle.
 
 The public functions never write their inputs and are safe to call
-concurrently, and the package does call numpy's LAPACK wrappers
-concurrently: the eigenvalues of a large stack of operators are taken half
-on the calling thread, half on a worker thread (`_eigvalsh`). Sums are
+concurrently. The eigen stage takes one operator per call, on the calling
+thread, and leaves any use of threads inside LAPACK to the BLAS. Sums are
 correctly rounded, so they do not depend on the order of their terms.
 """
 
 import math
 import operator
-import os
-import threading
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -21,8 +18,6 @@ _EPS = float(np.finfo(np.float64).eps)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # start vector of the inverse-iteration certificate
 _INVERSE_STEPS = 4  # solves per extreme in the eigenvalue certificate, at most
 _CHUNK_TERMS = 1 << 16  # entries per block of a blocked array pass, which bounds its memory
-# numpy's linalg calls release the GIL only above this many rows per call: stack count times M
-_GIL_FREE_ROWS = 500
 
 DEFAULT_EIG_TOL = 1e-10  # residual bound of the eigenvalue certificate, read at each call
 
@@ -111,94 +106,28 @@ def extremal_eigenvalues(matrix) -> ExtremalEigenvalues:
     `_check_hermitian` has found it square, finite and Hermitian to 4 ulps.
     """
     copy = np.array(matrix, dtype=np.complex128 if np.iscomplexobj(matrix) else np.float64, order="C")
-    return next(_extremes(copy[np.newaxis]))
+    return _extremes(copy)
 
 
-def _extremes(s: np.ndarray):
-    """Yields `extremal_eigenvalues` of each member of a C-contiguous (k, M, M)
-    stack of operators the package owns, in order, in the stack's buffer,
-    which is left overwritten; where a member fails, raises its error.
-
-    Every member is checked, and `_eigvalsh` reads the checked prefix, before
-    the first yield; `_certificate` takes each member when it is asked for,
-    so a consumer that raises on one member certifies no later one, as a
-    loop over the members would. Each member's three floats are its own, bit
-    for bit. A complex stack with a zero imaginary part gives way to a
-    C-contiguous copy of its real part; one where only some members have a
-    zero imaginary part, or whose `eigvalsh` fails, is taken one at a time.
-    """
+def _extremes(s: np.ndarray) -> ExtremalEigenvalues:
+    """`extremal_eigenvalues` of one operator the package owns, checked, solved and
+    certified in its own buffer, which is left overwritten; a complex `s` with a
+    zero imaginary part gives way to a C-contiguous copy of its real part."""
     s = np.asarray(_real_part_if_real(s), order="C")
-    if len(s) > 1 and np.iscomplexobj(s) and not all(np.any(member.imag) for member in s):
-        for index in range(len(s)):
-            yield from _extremes(s[index : index + 1])
-        return
-    symmetric, error = [], None
-    for member in s:
-        try:
-            symmetric.append(_check_hermitian(member))
-        except (NonHermitianError, EigensolverError) as exc:
-            error = exc
-            break
-    s = s[: len(symmetric)]
-    # an exactly symmetric member equals its transpose, an F-contiguous view,
-    # which numpy's wrappers copy into LAPACK's column-major buffer without a stride
-    lapack = s.transpose(0, 2, 1) if symmetric and all(symmetric) else s
+    # an exactly symmetric s equals its transpose, an F-contiguous view, which
+    # numpy's wrappers copy into LAPACK's column-major buffer without a stride
+    lapack = s.T if _check_hermitian(s) else s
     try:
-        eigvals = _eigvalsh(lapack) if symmetric else ()  # none if no member passed its check
-    except np.linalg.LinAlgError as exc:  # LAPACK failure, on either thread
-        if len(s) == 1:
-            raise EigensolverError(str(exc)) from exc
-        for index in range(len(s)):
-            yield from _extremes(s[index : index + 1])
-        eigvals = ()
-    for member, view, values in zip(s, lapack, eigvals):
-        lo, hi = float(values[0]), float(values[-1])
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise EigensolverError(f"non-finite extreme eigenvalue: lambda_min {lo!r}, lambda_max {hi!r}")
-        norm = max(abs(lo), abs(hi))
-        if norm == 0.0:
-            yield ExtremalEigenvalues(0.0, 0.0, 0.0)
-        else:
-            yield ExtremalEigenvalues(lo, hi, _certificate(member, view, lo, hi, norm))
-    if error is not None:
-        raise error
-
-
-def _eigvalsh(lapack: np.ndarray) -> np.ndarray:
-    """`np.linalg.eigvalsh` of a stack. Where each half of the stack gives
-    numpy more than _GIL_FREE_ROWS rows, so that its call on that half
-    releases the GIL, and the process may use two CPUs, a worker thread
-    takes the second half while this thread takes the first; the worker is
-    joined before return. Only `eigvalsh` runs there: OpenBLAS gives a call
-    that overlaps another its own packing buffer, of which the certificate's
-    LU solve fills about 0.9 MB at M = 400 and `eigvalsh` 0.14 MB."""
-    half = len(lapack) // 2
-    if half * lapack.shape[-1] <= _GIL_FREE_ROWS or _usable_cpus() < 2:
-        return np.linalg.eigvalsh(lapack)
-    tail = []
-
-    def solve_tail():
-        try:
-            tail.append(np.linalg.eigvalsh(lapack[half:]))
-        except Exception as exc:  # raised below, in this thread
-            tail.append(exc)
-
-    worker = threading.Thread(target=solve_tail)
-    worker.start()
-    try:
-        head = np.linalg.eigvalsh(lapack[:half])
-    finally:
-        worker.join()
-    if isinstance(tail[0], Exception):
-        raise tail[0]
-    return np.concatenate((head, tail[0]))
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        eigvals = np.linalg.eigvalsh(lapack)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(str(exc)) from exc
+    lo, hi = float(eigvals[0]), float(eigvals[-1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise EigensolverError(f"non-finite extreme eigenvalue: lambda_min {lo!r}, lambda_max {hi!r}")
+    norm = max(abs(lo), abs(hi))
+    if norm == 0.0:
+        return ExtremalEigenvalues(0.0, 0.0, 0.0)
+    return ExtremalEigenvalues(lo, hi, _certificate(s, lapack, lo, hi, norm))
 
 
 def _certificate(s: np.ndarray, lapack: np.ndarray, lo: float, hi: float, norm: float) -> float:

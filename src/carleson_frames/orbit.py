@@ -36,8 +36,6 @@ from .numerics import (
 from .sequences import InvariantViolation, LambdaSequence, Weights, validate
 
 DEFAULT_DIMENSION = 40
-# operators a sweep solves at once: two pairs, whose eigenvalues `_eigvalsh` may take on two threads
-_SWEEP_STACK = 4
 
 
 @dataclass(frozen=True)
@@ -224,37 +222,22 @@ def _bounds(operator: np.ndarray, scheme=None) -> FrameBoundEstimate:
     """Frame-bound estimates from an operator the package assembled, in its own buffer,
     which `_extremes` overwrites; a lambda_min within -DEFAULT_EIG_TOL ||S|| of 0 reads
     as 0, a lower one raises (no frame operator), as does a zero matrix with a scheme."""
-    return _stack_bounds(operator[np.newaxis], (scheme,))[0]
-
-
-def _stack_bounds(stack: np.ndarray, schemes) -> list:
-    """`_bounds` of each operator of a C-contiguous (k, M, M) stack with its
-    scheme, checked as `_extremes` yields it, before the next is certified:
-    raises what `_bounds` on one operator after another would raise first."""
     # tiny weights underflow every c_n, a deep scheme the powers in D S D*;
     # a PSD operator with a zero diagonal is zero, and its zero eigenvalues
     # would read as frame bounds
-    nonzero = next(
-        (i for i, scheme in enumerate(schemes) if scheme is not None and not np.any(np.diagonal(stack[i]))),
-        len(stack),
+    if scheme is not None and not np.any(np.diagonal(operator)):
+        raise EigensolverError(f"the frame operator underflows to 0 at M={operator.shape[0]}")
+    extremes = _extremes(operator)
+    scale = max(abs(extremes.lambda_min), abs(extremes.lambda_max))
+    if extremes.lambda_min < -numerics.DEFAULT_EIG_TOL * scale:
+        raise EigensolverError(f"frame operator not PSD: lambda_min = {extremes.lambda_min:.3e}")
+    return FrameBoundEstimate(
+        a_est=max(0.0, extremes.lambda_min),
+        b_est=extremes.lambda_max,
+        dimension=operator.shape[0],
+        eig_residual=extremes.residual,
+        scheme=scheme,
     )
-    estimates = []
-    for member, scheme in zip(_extremes(stack[:nonzero]), schemes):
-        scale = max(abs(member.lambda_min), abs(member.lambda_max))
-        if member.lambda_min < -numerics.DEFAULT_EIG_TOL * scale:
-            raise EigensolverError(f"frame operator not PSD: lambda_min = {member.lambda_min:.3e}")
-        estimates.append(
-            FrameBoundEstimate(
-                a_est=max(0.0, member.lambda_min),
-                b_est=member.lambda_max,
-                dimension=stack.shape[-1],
-                eig_residual=member.residual,
-                scheme=scheme,
-            )
-        )
-    if nonzero < len(stack):
-        raise EigensolverError(f"the frame operator underflows to 0 at M={stack.shape[-1]}")
-    return estimates
 
 
 def frame_bounds(
@@ -271,30 +254,21 @@ def sweep_bounds(system: OrbitSystem, strides, starts, dimension: int = DEFAULT_
     `starts` and 0 <= j < N, in that order.
 
     Each stride's base S_(N,0,0) is assembled once; every scheme of that
-    stride conjugates a copy of it, exactly as `frame_operator_matrix` does,
-    in a stack of _SWEEP_STACK operators (fewer if there are fewer schemes),
-    which `_stack_bounds` solves at once, so each estimate equals
-    `frame_bounds` for its scheme bit for bit. The sweep holds the base and
-    that stack; `strides` and `starts` are sequences.
+    stride copies it into one work buffer and conjugates it there, exactly as
+    `frame_operator_matrix` does, so each estimate equals `frame_bounds` for
+    its scheme bit for bit. The sweep holds the base, the work buffer and
+    LAPACK's copy; `strides` and `starts` are sequences.
     """
     arrays = system_arrays(system, dimension)
-    size = min(_SWEEP_STACK, len(starts) * sum(max(0, stride) for stride in strides))
-    stack, schemes, estimates = None, [], []
+    work, estimates = None, []
     for stride in strides:
         base = _progression_matrix(arrays, stride)
-        if stack is None:
-            stack = np.empty((size,) + base.shape, base.dtype)
+        work = np.empty_like(base) if work is None else work
         for start in starts:
             for offset in range(stride):
                 scheme = SubsampleScheme(stride, offset, start)
-                np.copyto(stack[len(schemes)], base)
-                conjugate_by_powers(stack[len(schemes)], arrays, scheme.exponent(start))
-                schemes.append(scheme)
-                if len(schemes) == size:
-                    estimates += _stack_bounds(stack, schemes)
-                    schemes = []
-    if schemes:
-        estimates += _stack_bounds(stack[: len(schemes)], schemes)
+                np.copyto(work, base)
+                estimates.append(_bounds(conjugate_by_powers(work, arrays, scheme.exponent(start)), scheme))
     return estimates
 
 

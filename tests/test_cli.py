@@ -5,9 +5,19 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from carleson_frames import adversarial, cli
+from carleson_frames import (
+    ConstantWeights,
+    EigensolverError,
+    GeometricApproach,
+    OrbitSystem,
+    SubsampleScheme,
+    adversarial,
+    cli,
+    frame_bounds,
+)
 from carleson_frames.weaving import ExplicitPattern
 
 
@@ -308,6 +318,23 @@ def test_non_finite_operator_exits_one(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("analysis error:")
     assert "non-finite" in lines[0]
+    assert captured.out == "" and not out.exists()
+
+
+def test_a_failed_eigvalsh_is_an_eigensolver_error(monkeypatch, tmp_path, capsys):
+    # LAPACK's LinAlgError reaches frame_bounds' caller as EigensolverError,
+    # and the CLI's as one analysis error line with no report
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    system = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
+    with pytest.raises(EigensolverError, match="^Eigenvalues did not converge$"):
+        frame_bounds(system, SubsampleScheme(1), 10)
+    out = tmp_path / "bounds.json"
+    assert run_cli("bounds", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "analysis error: Eigenvalues did not converge\n"
     assert captured.out == "" and not out.exists()
 
 

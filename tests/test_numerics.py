@@ -1,6 +1,4 @@
 import math
-import os
-import threading
 import warnings
 from fractions import Fraction
 
@@ -467,11 +465,11 @@ def _extremes_both_ways(monkeypatch, s):
     """The LAPACK orders of `numerics._extremes` on a copy of `s`, once its
     three floats are found equal, bit for bit, to those it gives when exact
     symmetry is not read and every LAPACK input is C-ordered."""
-    got, orders = _lapack_orders(monkeypatch, lambda: list(numerics._extremes(s.copy())))
+    got, orders = _lapack_orders(monkeypatch, lambda: numerics._extremes(s.copy()))
     check = numerics._check_hermitian
     with monkeypatch.context() as patch:
         patch.setattr(numerics, "_check_hermitian", lambda a: check(a) and False)
-        reference, reference_orders = _lapack_orders(monkeypatch, lambda: list(numerics._extremes(s.copy())))
+        reference, reference_orders = _lapack_orders(monkeypatch, lambda: numerics._extremes(s.copy()))
     assert {order for _, order in reference_orders} == {"C"}
     assert [name for name, _ in orders] == [name for name, _ in reference_orders]
     assert _bits(got) == _bits(reference)
@@ -518,7 +516,7 @@ def test_other_operators_reach_lapack_as_before(monkeypatch):
     for s in (near, _random_hermitian(rng, 12, True) + 12 * np.eye(12), signed):
         _, orders = _lapack_orders(monkeypatch, lambda: extremal_eigenvalues(s))
         assert orders[0] == ("eigvalsh", "C") and {order for _, order in orders} == {"C"}
-        _extremes_both_ways(monkeypatch, s[np.newaxis])
+        _extremes_both_ways(monkeypatch, s)
     assert numerics._check_hermitian(signed) is False
     signed[3, 8] = -0.0
     assert numerics._check_hermitian(signed) is True
@@ -557,101 +555,42 @@ def test_certificate_refines_while_residual_exceeds_tol(monkeypatch):
 
 
 def _each_alone(stack):
-    """`numerics._extremes` of each member of `stack` as a stack of one."""
-    return [next(numerics._extremes(member[np.newaxis].copy())) for member in stack]
-
-
-def test_a_stack_certifies_each_member_as_it_would_alone(monkeypatch):
-    # under a 1e-13 bound the slow-start member takes a second
-    # inverse-iteration step; every member's three floats are those it gets
-    # as a stack of one
-    rng = np.random.default_rng(5)
-    stack = np.stack([_random_hermitian(rng, 20, False) + 20 * np.eye(20), _slow_start_operator(20),
-                      _random_hermitian(rng, 20, False) + 20 * np.eye(20)])
-    monkeypatch.setattr(numerics, "DEFAULT_EIG_TOL", 1e-13)
-    expected = _each_alone(stack)
-    solve = np.linalg.solve
-    calls = []
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
-    got = list(numerics._extremes(stack.copy()))
-    assert _bits(got) == _bits(expected)
-    assert len(calls) == 2 * 3 + 1
+    """`numerics._extremes` of each member of `stack`, on a copy of it."""
+    return [numerics._extremes(member.copy()) for member in stack]
 
 
 def test_a_stack_after_a_zero_pivot_certifies_each_member_as_it_would_alone():
     # the full orbit of alpha = 1.05 at M = 7 has lambda_min within a few
     # eps ||S|| of 0, so its first shifted solve can meet an exactly zero
-    # pivot (it does with OpenBLAS) and widen the shift
+    # pivot (it does with OpenBLAS) and widen the shift; the operators of a
+    # stack, each taken in its slice of the stack's buffer, get the floats
+    # each gets on a copy of its own
     system = OrbitSystem(GeometricApproach(1.05), ConstantWeights(1.0))
     stack = np.stack([
         orbit.frame_operator_matrix(system, SubsampleScheme(*scheme), 7) for scheme in ((2, 1, 0), (1, 0, 0), (3, 2, 1))
     ])
-    got = list(numerics._extremes(stack.copy()))
+    got = [numerics._extremes(member) for member in stack.copy()]
     assert _bits(got) == _bits(_each_alone(stack))
 
 
-def test_a_failed_worker_half_is_taken_one_member_at_a_time(monkeypatch):
-    # halves of two 260 x 260 members give eigvalsh 520 rows each, so a
-    # worker thread takes the second; its LinAlgError reaches this thread,
-    # which then takes every member alone, and the worker is gone
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    rng = np.random.default_rng(6)
-    stack = np.stack([_random_hermitian(rng, 260, False) for _ in range(4)])
-    expected = _each_alone(stack)
+def test_a_sweep_certifies_no_scheme_past_its_first_that_is_not_psd(monkeypatch):
+    # the second scheme's operator is shifted to lambda_min < 0: it fails the
+    # PSD check after its eigenvalues and certificate, and the third scheme
+    # is never built or solved, as with frame bounds taken one after another
+    conjugate = orbit.conjugate_by_powers
+    built = []
+
+    def shift_the_second(operator, arrays, exponent):
+        operator = conjugate(operator, arrays, exponent)
+        built.append(exponent)
+        if len(built) == 2:
+            operator[np.diag_indices_from(operator)] -= 2.0 * np.abs(operator).max()
+        return operator
+
+    monkeypatch.setattr(orbit, "conjugate_by_powers", shift_the_second)
     eigvalsh = np.linalg.eigvalsh
-
-    def failing_off_the_main_thread(a):
-        if threading.current_thread() is not threading.main_thread():
-            failed.append(len(a))
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigvalsh(a)
-
-    failed = []
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing_off_the_main_thread)
-    before = threading.active_count()
-    got = list(numerics._extremes(stack.copy()))
-    assert _bits(got) == _bits(expected)
-    assert failed == [2] and threading.active_count() == before
-
-
-def _counted_solves(monkeypatch):
-    """A list that gains one entry per np.linalg.solve call from here on."""
-    solve = np.linalg.solve
-    calls = []
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
-    return calls
-
-
-def _positive_definite_stack(rng, first):
-    """`first` and two positive definite 6 x 6 operators, as a C-contiguous stack."""
-    return np.stack([first] + [_random_hermitian(rng, 6, False) + 6 * np.eye(6) for _ in range(2)])
-
-
-def test_a_stack_certifies_no_member_past_the_first_that_is_not_psd(monkeypatch):
-    # lambda_min = -1 fails the PSD check on the first member, after its two
-    # certificate solves, and the two positive definite members are never
-    # certified, as with frame bounds taken one operator after another
-    stack = _positive_definite_stack(np.random.default_rng(7), np.diag(np.linspace(-1.0, 2.0, 6)))
-    calls = _counted_solves(monkeypatch)
+    solved = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(1) or eigvalsh(a))
     with pytest.raises(EigensolverError, match="frame operator not PSD"):
-        orbit._stack_bounds(stack, (None,) * 3)
-    assert len(calls) == 2
-
-
-def test_the_first_member_of_a_stack_takes_only_its_own_solves(monkeypatch):
-    stack = _positive_definite_stack(np.random.default_rng(8), np.diag(np.linspace(1.0, 2.0, 6)))
-    calls = _counted_solves(monkeypatch)
-    next(numerics._extremes(stack))
-    assert len(calls) == 2
-
-
-def test_a_stack_yields_the_members_before_a_non_hermitian_one_then_raises():
-    rng = np.random.default_rng(9)
-    stack = _positive_definite_stack(rng, _random_hermitian(rng, 6, False) + 6 * np.eye(6))
-    stack[1, 0, 5] += 1e-3
-    expected = next(numerics._extremes(stack[:1].copy()))
-    members = numerics._extremes(stack.copy())
-    assert _bits([next(members)]) == _bits([expected])
-    with pytest.raises(NonHermitianError, match=r"hermitian deviation 1\.000e-03 exceeds 4 ulps of scale"):
-        next(members)
+        orbit.sweep_bounds(_SYSTEM, (1, 2), (0,), 20)
+    assert built == [0, 0] and len(solved) == 2

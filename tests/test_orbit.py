@@ -427,49 +427,26 @@ def _sweep_schemes(strides, starts):
     return [SubsampleScheme(stride, offset, start) for stride in strides for start in starts for offset in range(stride)]
 
 
-THREADED_SWEEP_WEIGHTS = {"unit": 1.0, "2^-10": 2.0**-10, "complex": 0.6 + 0.8j}
+LARGE_SWEEP_WEIGHTS = {"unit": 1.0, "2^-10": 2.0**-10, "complex": 0.6 + 0.8j}
 
 
-@pytest.mark.parametrize("weight", sorted(THREADED_SWEEP_WEIGHTS))
+@pytest.mark.parametrize("weight", sorted(LARGE_SWEEP_WEIGHTS))
 @pytest.mark.parametrize("dim", [260, 400])
-def test_threaded_sweep_equals_frame_bounds_bit_for_bit(monkeypatch, dim, weight):
-    # at M >= 260 each pair of a stack of four gives eigvalsh more than 500
-    # rows, so with two usable CPUs a worker thread takes the second pair's
-    # eigenvalues; every row is frame_bounds for its scheme, and the worker
-    # is joined before the sweep returns
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    system = OrbitSystem(GeometricApproach(1.9), ConstantWeights(THREADED_SWEEP_WEIGHTS[weight]))
-    callers = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: callers.append(threading.current_thread()) or eigvalsh(a))
-    before = threading.active_count()
+def test_large_sweep_equals_frame_bounds_bit_for_bit(dim, weight):
+    # at the sizes of the benchmark's sweep, every row, residual included, is
+    # frame_bounds for its scheme: the work buffer holds each scheme's
+    # operator as frame_operator_matrix builds it
+    system = OrbitSystem(GeometricApproach(1.9), ConstantWeights(LARGE_SWEEP_WEIGHTS[weight]))
     estimates = orbit.sweep_bounds(system, (1, 3), (0, 3), dim)
-    assert threading.active_count() == before
-    assert sum(caller is not threading.main_thread() for caller in callers) == 2  # one per stack of four
     schemes = _sweep_schemes((1, 3), (0, 3))
     assert [_estimate_bits(e) for e in estimates] == [_estimate_bits(frame_bounds(system, s, dim)) for s in schemes]
-
-
-def test_sweep_stacks_four_schemes_and_then_the_rest(monkeypatch):
-    # N = 1 with one start is one scheme, a stack of one; N = 2, 3 with one
-    # start are five, a stack of four and a last stack of one
-    sizes = []
-    stack_bounds = orbit._stack_bounds
-    monkeypatch.setattr(orbit, "_stack_bounds", lambda stack, schemes: sizes.append(len(stack)) or stack_bounds(stack, schemes))
-    system = BLOCK_SYSTEMS["real"]
-    for strides, expected in (((1,), [1]), ((2, 3), [4, 1])):
-        sizes.clear()
-        estimates = orbit.sweep_bounds(system, strides, (0,), 260)
-        assert sizes == expected
-        schemes = _sweep_schemes(strides, (0,))
-        assert [_estimate_bits(e) for e in estimates] == [_estimate_bits(frame_bounds(system, s, 260)) for s in schemes]
 
 
 @pytest.mark.parametrize("dim", [20, 260])
 def test_sweep_raises_what_its_schemes_one_after_another_raise_first(dim):
     # points of modulus at most 0.9: K = 10^6 underflows every power
-    # lambda_n^K, so that scheme's operator is 0, the second of the first
-    # stack or the first; at weight 1e154 the K = 0 operators overflow
+    # lambda_n^K, so that scheme's operator is 0, the sweep's second or its
+    # first; at weight 1e154 the K = 0 operators overflow
     points = ExplicitSequence(tuple(0.9 * n / dim for n in range(1, dim + 1)))
     messages = set()
     for weight in (1.0, 1e154):
@@ -498,8 +475,9 @@ def test_a_sweep_stack_of_complex_and_real_valued_operators_solves_each_as_frame
     assert [_estimate_bits(e) for e in estimates] == [_estimate_bits(frame_bounds(system, s, 7)) for s in schemes]
 
 
-def test_one_usable_cpu_takes_every_stack_on_this_thread(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+def test_a_sweep_with_two_usable_cpus_starts_no_thread(monkeypatch):
+    # the eigen stage runs on the calling thread; any threads are the BLAS's own
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     started = []
     thread = threading.Thread
     monkeypatch.setattr(threading, "Thread", lambda *args, **kwargs: started.append(1) or thread(*args, **kwargs))
