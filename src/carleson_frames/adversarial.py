@@ -21,7 +21,7 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .numerics import EigensolverError, complex_pow, compensated_sum
+from .numerics import EigensolverError, SearchBudgetExceededError, complex_pow, compensated_sum
 from .orbit import OrbitSystem, _bounds, system_arrays
 
 _FLOAT_INDICES = int(sys.float_info.max)  # the largest index a float can hold
@@ -128,11 +128,6 @@ class OrthonormalBasisOracle:
 
     def tail_energy(self, basis_index: int, start: int) -> float:
         return 1.0 if basis_index - 1 >= start else 0.0
-
-
-class SearchBudgetExceededError(RuntimeError):
-    """No qualifying index in a search's range - a non-Bessel oracle, or witnesses
-    past the cap; the construction itself can never fail mathematically."""
 
 
 @dataclass(frozen=True)

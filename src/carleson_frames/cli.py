@@ -25,23 +25,12 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .adversarial import (
-    OrbitFrameOracle,
-    OrthonormalBasisOracle,
-    SearchBudgetExceededError,
-    build_adversarial_subsequence,
-    estimate_subsequence_lower_bound,
-    reverify_certificate,
-)
-from .carleson import Verdict, carleson_inf_estimate
-from .numerics import EigensolverError
-from .orbit import (
+from .numerics import (
     DEFAULT_DIMENSION,
-    OrbitSystem,
-    SubsampleScheme,
-    frame_bounds,
-    retilde_weights,
-    sweep_bounds,
+    DEFAULT_J_MAX,
+    EigensolverError,
+    SearchBudgetExceededError,
+    WeavingSearchError,
 )
 from .reporting import write_csv, write_json
 from .sequences import (
@@ -52,17 +41,6 @@ from .sequences import (
     InvariantViolation,
     PowerSequence,
     TwoPointAugmented,
-)
-from .weaving import (
-    DEFAULT_J_MAX,
-    ConstantPattern,
-    ExplicitPattern,
-    PeriodicPattern,
-    SeededPattern,
-    WeavingSearchError,
-    defect_points,
-    defect_upper_bound,
-    find_weaving_index,
 )
 
 EXIT_OK = 0
@@ -97,7 +75,7 @@ def _boolean(value) -> bool:
 def _int_list(text) -> list:
     if isinstance(text, (list, tuple)):
         return [_integer(v) for v in text]
-    return [int(part) for part in str(text).split(",") if part != ""]
+    return [int(part) for part in str(text).split(",")]  # int("") refuses an empty item
 
 
 class Param(NamedTuple):
@@ -216,6 +194,8 @@ def _build(section: str, config):
 
 
 def pattern_from_spec(spec: str, stride: int):
+    from .weaving import ConstantPattern, ExplicitPattern, PeriodicPattern, SeededPattern
+
     try:
         kind, _, rest = spec.partition(":")
         if kind == "constant":
@@ -307,7 +287,9 @@ def _resolve(args) -> dict:
     return resolved
 
 
-def _system(resolved: dict) -> OrbitSystem:
+def _system(resolved: dict):
+    from .orbit import OrbitSystem
+
     return OrbitSystem(_build("sequence", resolved["sequence"]), _build("weights", resolved["weights"]))
 
 
@@ -318,14 +300,18 @@ def _emit_csv(resolved: dict, header, rows) -> None:
 
 
 # Each handler runs one analysis on the resolved config, prints its summary,
-# writes its CSV table if asked, and returns (exit code, report result).
+# writes its CSV table if asked, and returns (exit code, report result). It
+# imports the analysis modules it runs, so that no subcommand loads another's.
 
 
 def _cmd_check_carleson(resolved: dict) -> tuple:
+    from .carleson import Verdict, carleson_inf_estimate
+
     p = resolved["params"]
     if p["k_trunc"] < p["n_max"]:
         raise ConfigError(f"k_trunc (--k-trunc) must be >= n_max = {p['n_max']}, got {p['k_trunc']}")
-    sequence = _system(resolved).lambdas  # the weights the report echoes are built, so checked, too
+    sequence = _build("sequence", resolved["sequence"])
+    _build("weights", resolved["weights"])  # the weights the report echoes are built, so checked, too
     report = carleson_inf_estimate(sequence, p["n_max"], p["k_trunc"])
     products = [(entry.n, entry.value, entry.tail_error) for entry in report.products]
     _emit_csv(resolved, ("n", "P_n", "tail_error"), products)
@@ -342,6 +328,8 @@ def _cmd_check_carleson(resolved: dict) -> tuple:
 
 
 def _cmd_bounds(resolved: dict) -> tuple:
+    from .orbit import SubsampleScheme, frame_bounds
+
     p = resolved["params"]
     scheme = SubsampleScheme(p["stride"], p["offset"], p["start"])
     estimate = frame_bounds(_system(resolved), scheme, p["dimension"])
@@ -353,6 +341,8 @@ def _cmd_bounds(resolved: dict) -> tuple:
 
 
 def _cmd_subsample_sweep(resolved: dict) -> tuple:
+    from .orbit import sweep_bounds
+
     p = resolved["params"]
     estimates = sweep_bounds(_system(resolved), p["strides"], p["starts"], p["dimension"])
     table = [(e.scheme.stride, e.scheme.offset, e.scheme.start, e.a_est, e.b_est) for e in estimates]
@@ -365,6 +355,8 @@ def _cmd_subsample_sweep(resolved: dict) -> tuple:
 
 
 def _cmd_weave(resolved: dict) -> tuple:
+    from .weaving import find_weaving_index
+
     p = resolved["params"]
     system = _system(resolved)
     pattern = pattern_from_spec(p["pattern"], p["stride"])
@@ -390,6 +382,14 @@ def _cmd_weave(resolved: dict) -> tuple:
 
 
 def _cmd_adversary(resolved: dict) -> tuple:
+    from .adversarial import (
+        OrbitFrameOracle,
+        OrthonormalBasisOracle,
+        build_adversarial_subsequence,
+        estimate_subsequence_lower_bound,
+        reverify_certificate,
+    )
+
     p = resolved["params"]
     if p["oracle"] == "orbit":
         oracle = OrbitFrameOracle(_system(resolved))
@@ -421,6 +421,16 @@ _DEFECT_GRID = (0, 1, 2, 5, 10, 20)
 
 def _reproduction_checks(dimension: int) -> list:
     """The deterministic desk-scale reproduction suite."""
+    from .adversarial import (
+        OrbitFrameOracle,
+        OrthonormalBasisOracle,
+        build_adversarial_subsequence,
+        reverify_certificate,
+    )
+    from .carleson import Verdict, carleson_inf_estimate
+    from .orbit import OrbitSystem, SubsampleScheme, frame_bounds, retilde_weights
+    from .weaving import ConstantPattern, SeededPattern, defect_points, defect_upper_bound, find_weaving_index
+
     checks = []
     system = OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0))
 

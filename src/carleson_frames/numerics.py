@@ -20,6 +20,8 @@ _INVERSE_STEPS = 4  # solves per extreme in the eigenvalue certificate, at most
 _CHUNK_TERMS = 1 << 16  # entries per block of a blocked array pass, which bounds its memory
 
 DEFAULT_EIG_TOL = 1e-10  # residual bound of the eigenvalue certificate, read at each call
+DEFAULT_DIMENSION = 40  # truncation dimension M of the frame analyses
+DEFAULT_J_MAX = 10_000  # last start index J a weaving search tries
 
 
 class NonHermitianError(ValueError):
@@ -28,6 +30,22 @@ class NonHermitianError(ValueError):
 
 class EigensolverError(RuntimeError):
     """Eigenvalue computation failed to meet its residual contract."""
+
+
+class SearchBudgetExceededError(RuntimeError):
+    """No qualifying index in a search's range - a non-Bessel oracle, or witnesses
+    past the cap; the construction itself can never fail mathematically."""
+
+
+class WeavingSearchError(RuntimeError):
+    """No start index within the search budget pushed the defect below the
+    required fraction of the lower bound; carries the stride-N reference
+    bounds (a FrameBoundEstimate) and the evaluated defect curve."""
+
+    def __init__(self, message: str, reference_bounds, sweep: tuple):
+        super().__init__(message)
+        self.reference_bounds = reference_bounds
+        self.sweep = sweep
 
 
 def _real_part_if_real(a: np.ndarray) -> np.ndarray:

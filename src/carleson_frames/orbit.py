@@ -23,6 +23,7 @@ import numpy as np
 
 from . import numerics
 from .numerics import (
+    DEFAULT_DIMENSION,
     EigensolverError,
     _extremes,
     _one_minus_pow_in_place,
@@ -34,8 +35,6 @@ from .numerics import (
     one_minus_products,
 )
 from .sequences import InvariantViolation, LambdaSequence, Weights, validate
-
-DEFAULT_DIMENSION = 40
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,9 @@ def _atomic_write(path: str, text: str) -> None:
         with open(descriptor, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(temp, path)
+    except OSError as exc:  # a failed write or rename, too, names only `path`
+        os.unlink(temp)
+        raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
         os.unlink(temp)
         raise

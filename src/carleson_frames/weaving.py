@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _row_blocks, compensated_sum, one_minus_pow
+from .numerics import DEFAULT_J_MAX, WeavingSearchError, _row_blocks, compensated_sum, one_minus_pow
 from .orbit import (
     DEFAULT_DIMENSION,
     FrameBoundEstimate,
@@ -39,7 +39,6 @@ from .orbit import (
 from .sequences import InvariantViolation
 
 DEFAULT_SAFETY = 0.5
-DEFAULT_J_MAX = 10_000
 
 _FIRST_BLOCK = 16  # J values in the first block of a periodic walk
 _UNITS_PER_ONE = 1 << 1074  # 2^-1074 units in 1.0
@@ -304,17 +303,6 @@ def woven_frame_operator(
             update -= removed.T @ removed.conj()
             total += update
     return total
-
-
-class WeavingSearchError(RuntimeError):
-    """No start index within the search budget pushed the defect below the
-    required fraction of the lower bound; carries the stride-N reference
-    bounds and the evaluated defect curve."""
-
-    def __init__(self, message: str, reference_bounds: FrameBoundEstimate, sweep: tuple):
-        super().__init__(message)
-        self.reference_bounds = reference_bounds
-        self.sweep = sweep
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,19 @@ def test_unwritable_output_exits_two(tmp_path, capsys, flag):
     assert list(tmp_path.rglob("*")) == []  # no report, no CSV table, no temp file
 
 
+@pytest.mark.parametrize(
+    "argv", [("bounds", "--M", "5", "--out"), ("subsample-sweep", "--M", "5", "--csv")], ids=["--out", "--csv"]
+)
+def test_an_existing_directory_as_output_is_named_without_its_temp(tmp_path, capsys, argv):
+    path = tmp_path / "taken"
+    path.mkdir()
+    assert run_cli(*argv, str(path)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot write output:")
+    assert lines[0].endswith(f": {str(path)!r}") and ".tmp" not in lines[0]
+    assert list(tmp_path.rglob("*")) == [path]  # the directory as it was, and no temp file
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(
@@ -489,6 +502,12 @@ def test_weave_reference_below_resolution_exits_one(tmp_path, capsys):
         (("bounds", "--weight-value", "abc"), "--weight-value"),
         (("check-carleson", "--two-point-q", "q"), "--two-point-q"),
         (("bounds", "--values", ""), "sequence config"),
+        # an empty item of a list is refused, not dropped
+        (("subsample-sweep", "--N", "1,,2", "--K", "0,,3", "--M", "6"), "cannot parse strides (--N) from '1,,2'"),
+        (("subsample-sweep", "--K", "0,,3"), "cannot parse starts (--K) from '0,,3'"),
+        (("subsample-sweep", "--N", "1,2,"), "cannot parse strides (--N) from '1,2,'"),
+        (("subsample-sweep", "--K", ",0"), "cannot parse starts (--K) from ',0'"),
+        (("subsample-sweep", "--N", ""), "cannot parse strides (--N) from ''"),
     ],
 )
 def test_out_of_range_parameters_exit_two(tmp_path, capsys, argv, flag):
@@ -533,6 +552,8 @@ MALFORMED_CONFIGS = (
     ("weave", {"params": {"j_max": 1.5}}, "cannot parse j_max (--J-max)"),
     ("subsample-sweep", {"params": {"strides": [1, 2.5]}}, "cannot parse strides (--N)"),
     ("subsample-sweep", {"params": {"starts": [True]}}, "cannot parse starts (--K)"),
+    ("subsample-sweep", {"params": {"strides": "1,,2"}}, "cannot parse strides (--N) from '1,,2'"),
+    ("subsample-sweep", {"params": {"starts": "0,"}}, "cannot parse starts (--K) from '0,'"),
     ("check-carleson", {"sequence": dict(SQUARED_TWO_POINT, exponent=2.7)}, "invalid sequence config"),
     ("check-carleson", {"sequence": {"kind": "geometric", "alpha": "2"}}, "invalid sequence config"),
     ("check-carleson", {"sequence": {"kind": "geometric", "alpha": True}}, "invalid sequence config"),
