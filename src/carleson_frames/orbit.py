@@ -8,8 +8,8 @@ those coordinates has the exact closed form
 
     S[m, n] = c_m conj(c_n) w^(j + N K) / (1 - w^N),   w = lambda_m conj(lambda_n),
 
-with c_n = m_n sqrt(1 - |lambda_n|^2), obtained by summing the geometric
-series over k, and assembled as the stride base S_(N,0,0) conjugated by
+with c_n = m_n sqrt(1 - |lambda_n|^2), summed over k in closed form without
+cancellation and assembled as the stride base S_(N,0,0) conjugated by
 D = diag(lambda_n^(j+NK)). By Cauchy interlacing the reported A_est
 *over*-estimates the true lower frame bound while B_est *under*-estimates the
 upper bound; that one-sided orientation is part of every estimate's meaning.
@@ -95,7 +95,6 @@ class SystemArrays(NamedTuple):
     gaps: np.ndarray
     weights: np.ndarray
     phi: np.ndarray
-    real_positive: bool
 
 
 def system_arrays(system: OrbitSystem, dimension: int) -> SystemArrays:
@@ -123,7 +122,7 @@ def system_arrays(system: OrbitSystem, dimension: int) -> SystemArrays:
         object.__setattr__(system, "_window", held)
     if held.lam.size == dimension:
         return held
-    return SystemArrays(*(array[:dimension] for array in held[:4]), held.real_positive)
+    return SystemArrays(*(array[:dimension] for array in held))
 
 
 def _window(system: OrbitSystem, dimension: int) -> SystemArrays:
@@ -140,7 +139,7 @@ def _window(system: OrbitSystem, dimension: int) -> SystemArrays:
     phi = m * np.sqrt(one_minus_pow(report.gaps, 2))
     m.setflags(write=False)
     phi.setflags(write=False)
-    return SystemArrays(report.values, report.gaps, m, phi, seq.real_positive)
+    return SystemArrays(report.values, report.gaps, m, phi)
 
 
 def phi_norm_squared(system: OrbitSystem, dimension: int) -> float:
@@ -154,33 +153,33 @@ def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:
     """Frame operator of {T^(step*t) phi}_{t>=0}, the stride base S_(N,0,0),
     summed in closed form: S[m, n] = c_m conj(c_n) / (1 - w^step).
 
-    Real positive systems route the denominator 1 - w^step through modulus
-    gaps, which keeps it exact when the eigenvalues crowd the circle, and
-    with real weights the whole matrix is assembled in float64. Rows are
-    filled in blocks of at most _CHUNK_TERMS entries, so the only
-    matrix-sized array is the result; a real positive block is built in its
-    output rows by the operations of
-    coeffs * (1 / one_minus_pow(one_minus_products(...), step)), in order.
+    One formula builds 1 - w^step from modulus gaps, no term cancelling:
+    x = 1 - |w|^step, then 2 - x on a real window's mixed-sign pairs at odd
+    step, or x + (1 - x)(2 sin^2(step D/2) - i sin(step D)), D = theta_m -
+    theta_n, on a complex one; a real window with real weights stays float64.
+    Rows go in blocks of at most _CHUNK_TERMS entries, the result the only
+    matrix-sized array; a real positive block is built in its output rows by
+    the operations of coeffs * (1 / one_minus_pow(one_minus_products(...), step)).
     """
-    if arrays.real_positive:
-        phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
-    else:
-        phi, lam, conj_lam = arrays.phi, arrays.lam, arrays.lam.conj()
-    gaps, conj_phi = arrays.gaps, phi.conj()
-    out = np.empty((phi.size, phi.size), dtype=phi.dtype)
+    lam, gaps = arrays.lam, arrays.gaps
+    angles = np.angle(lam) if np.any(lam.imag) else None
+    phi = arrays.phi if angles is not None or np.any(arrays.phi.imag) else arrays.phi.real
+    negative = lam.real < 0.0 if angles is None and step % 2 and np.any(lam.real < 0.0) else None
+    out, conj_phi = np.empty((phi.size, phi.size), dtype=phi.dtype), phi.conj()
     # huge weights overflow the coefficients and subnormal gaps the quotient;
     # the eigen stage rejects the inf or NaN entries that result
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_blocks(phi.size, phi.size):
-            if arrays.real_positive:
-                # 1 - w from the gaps, hence 1 - w^step via gap powers
-                denominator = one_minus_products(gaps[rows], gaps)
-                np.divide(1.0, _one_minus_pow_in_place(denominator, step), out=denominator)
-                block = np.multiply.outer(phi[rows], conj_phi, out=out[rows])
-                block *= denominator
-            else:
-                denominator = 1.0 - complex_pow(np.outer(lam[rows], conj_lam), step)
-                out[rows] = np.outer(phi[rows], conj_phi) / denominator
+            denominator = _one_minus_pow_in_place(one_minus_products(gaps[rows], gaps), step)
+            if angles is not None:
+                turn = step * np.subtract.outer(angles[rows], angles)
+                half = np.sin(0.5 * turn)
+                denominator = denominator + (1.0 - denominator) * (2.0 * half * half - 1j * np.sin(turn))
+            elif negative is not None:  # w^step = -|w|^step
+                np.subtract(2.0, denominator, out=denominator, where=np.not_equal.outer(negative[rows], negative))
+            np.divide(1.0, denominator, out=denominator)
+            block = np.multiply.outer(phi[rows], conj_phi, out=out[rows])
+            block *= denominator
     return out
 
 
@@ -189,12 +188,12 @@ def conjugate_by_powers(operator: np.ndarray, arrays: SystemArrays, exponent: in
 
     This takes the frame operator of {T^p phi}_p to that of
     {T^(p + exponent) phi}_p; exponent 0 leaves S untouched. The powers are
-    taken once on the M-vector, and rows are scaled in blocks of at most
-    _CHUNK_TERMS entries.
+    taken once on the M-vector, real for a real window, and rows are scaled
+    in blocks of at most _CHUNK_TERMS entries.
     """
     if exponent == 0:
         return operator
-    d = complex_pow(arrays.lam.real if arrays.real_positive else arrays.lam, exponent)
+    d = complex_pow(arrays.lam if np.any(arrays.lam.imag) else arrays.lam.real, exponent)
     conj_d = d.conj()
     # an inf entry from an overflowed base times an underflowed power is NaN,
     # which the eigen stage rejects
@@ -210,7 +209,7 @@ def frame_operator_matrix(
     """Closed-form M x M frame operator of {T^(Nk+j) phi}_{k>=K}; Hermitian PSD.
 
     It is the stride base S_(N,0,0) conjugated by D = diag(lambda_n^(j+NK)).
-    float64 (real symmetric) for real positive eigenvalues with real weights,
+    float64 (real symmetric) for real eigenvalues with real weights,
     complex128 otherwise."""
     arrays = system_arrays(system, dimension)
     base = _progression_matrix(arrays, scheme.stride)

@@ -5,6 +5,7 @@ and direct arithmetic - deliberately sharing no code path with the package,
 so agreement between the two is meaningful evidence.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -128,6 +129,26 @@ def mpmath_frame_lower_bound(alpha, dim, stride, offset, start, dps=50):
                 s[m, n] = c[m] * c[n] * w**first / (1 - w**stride)
         eigs = mpmath.eigsy(s, eigvals_only=True)
         return float(min(eigs))
+
+
+def mpmath_frame_bounds(points, stride, dps=60):
+    """(lambda_min, lambda_max) of the frame operator of {T^(stride*k) phi}_{k>=0}
+    with unit weights over the listed float or complex points, each taken
+    exactly, in `dps`-digit arithmetic: entries c_m conj(c_n) / (1 - w^stride),
+    w = lambda_m conj(lambda_n), summed by hand."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        lam = [mpmath.mpc(complex(z).real, complex(z).imag) for z in points]
+        c = [mpmath.sqrt(1 - abs(v) ** 2) for v in lam]
+        s = mpmath.matrix(len(lam), len(lam))
+        for m, n in itertools.product(range(len(lam)), repeat=2):
+            s[m, n] = c[m] * c[n] / (1 - (lam[m] * mpmath.conj(lam[n])) ** stride)
+        if all(v.imag == 0 for v in lam):
+            eigs = mpmath.eigsy(s.apply(mpmath.re), eigvals_only=True)
+        else:
+            eigs = mpmath.eighe(s, eigvals_only=True)
+        return float(min(eigs)), float(max(eigs))
 
 
 def brute_defect_sum(alpha, dim, stride, offsets_at, start, k_terms):

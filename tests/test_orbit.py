@@ -19,6 +19,7 @@ from carleson_frames import (
     OrbitSystem,
     PowerSequence,
     SubsampleScheme,
+    TwoPointAugmented,
     frame_bounds,
     frame_operator_matrix,
     phi_norm_squared,
@@ -32,6 +33,7 @@ from oracles import (
     brute_frame_operator,
     frame_operator_bruteforce,
     jacobi_extremal_eigenvalues,
+    mpmath_frame_bounds,
     mpmath_frame_lower_bound,
     phi_coefficients,
 )
@@ -206,6 +208,41 @@ def test_lower_bound_relative_accuracy_against_mpmath(stride, offset, start, dim
     assert estimate.a_est == pytest.approx(exact, rel=rel, abs=0.0)
 
 
+@pytest.mark.parametrize("dim", [30, 40, 50])
+def test_two_point_bounds_match_mpmath(dim):
+    # the mixed-sign pairs of q, -q and lambda_k = 1 - 2^-k: 1 - w is 2 - x
+    # from the gap x = 1 - |w|, where the old 1 - q (-lambda_k) rounded and
+    # the pairs near the circle lost up to -log10(2^-k) digits
+    pytest.importorskip("mpmath")
+    system = OrbitSystem(TwoPointAugmented(0.3, GeometricApproach(2.0)), ConstantWeights(1.0))
+    estimate = frame_bounds(system, SubsampleScheme(1), dim)
+    a, b = mpmath_frame_bounds([0.3, -0.3] + [1.0 - 2.0**-k for k in range(1, dim - 1)], 1)
+    assert estimate.a_est == pytest.approx(a, rel=1e-10, abs=0.0)
+    assert estimate.b_est == pytest.approx(b, rel=1e-13, abs=0.0)
+
+
+SPIRAL_POINTS = tuple((1 - 1.7**-k) * complex(math.cos(k), math.sin(k)) for k in range(1, 61))
+
+
+@pytest.mark.parametrize("stride,dim,rel", [(1, 20, 1e-12), (1, 40, 1e-12), (2, 30, 1e-11), (3, 20, 1e-11)])
+def test_spiral_bounds_match_mpmath(stride, dim, rel):
+    # complex points near the circle: the turned gap x + (1 - x)(2 sin^2 - i sin)
+    # keeps each entry's digits and the operator exactly Hermitian
+    pytest.importorskip("mpmath")
+    system = OrbitSystem(ExplicitSequence(SPIRAL_POINTS), ConstantWeights(1.0))
+    estimate = frame_bounds(system, SubsampleScheme(stride), dim)
+    a, _ = mpmath_frame_bounds(SPIRAL_POINTS[:dim], stride)
+    assert estimate.a_est == pytest.approx(a, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 5])
+@pytest.mark.parametrize("dim", [20, 40, 60])
+def test_spiral_bounds_certify(dim, stride):
+    system = OrbitSystem(ExplicitSequence(SPIRAL_POINTS), ConstantWeights(1.0))
+    estimate = frame_bounds(system, SubsampleScheme(stride), dim)
+    assert 0.0 < estimate.a_est <= estimate.b_est
+
+
 def test_frame_operator_dtype_follows_data():
     scheme = SubsampleScheme(2, 1, 0)
     assert frame_operator_matrix(SYSTEM, scheme, 6).dtype == np.float64
@@ -305,8 +342,9 @@ def test_estimate_serialization():
 def _old_progression_matrix(arrays, first_exponent, step):
     """The operator of {T^(first_exponent + step*t) phi}_t as it was assembled
     before the congruence: whole-matrix outer products and the M x M power
-    w^first_exponent of w = lambda_m conj(lambda_n)."""
-    if arrays.real_positive:
+    w^first_exponent of w = lambda_m conj(lambda_n); gaps for a real positive
+    window, 1 - w^step by subtraction for any other."""
+    if not np.any(arrays.lam.imag) and np.all(arrays.lam.real > 0.0):
         phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
         coeffs = np.outer(phi, phi.conj())
         w = np.outer(arrays.lam.real, arrays.lam.real)
@@ -319,20 +357,29 @@ def _old_progression_matrix(arrays, first_exponent, step):
 
 
 def _unblocked_progression_matrix(arrays, step):
-    """The stride base S_(N,0,0) from whole-matrix outer products."""
-    if arrays.real_positive:
+    """The stride base S_(N,0,0) from whole-matrix outer products: 1 - w^step
+    is x = 1 - |w|^step from the gaps, 2 - x on a real window's mixed-sign
+    pairs at odd step, x + (1 - x)(2 sin^2(step D/2) - i sin(step D)) on a
+    complex window."""
+    lam = arrays.lam
+    h = np.add.outer(arrays.gaps, arrays.gaps) - np.outer(arrays.gaps, arrays.gaps)
+    x = one_minus_pow(h, step)
+    if np.any(lam.imag):
+        coeffs = np.outer(arrays.phi, arrays.phi.conj())
+        turn = step * np.subtract.outer(np.angle(lam), np.angle(lam))
+        x = x + (1.0 - x) * (2.0 * np.sin(0.5 * turn) ** 2 - 1j * np.sin(turn))
+    else:
         phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
         coeffs = np.outer(phi, phi.conj())
-        h = np.add.outer(arrays.gaps, arrays.gaps) - np.outer(arrays.gaps, arrays.gaps)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return coeffs * (1.0 / one_minus_pow(h, step))
-    coeffs = np.outer(arrays.phi, arrays.phi.conj())
-    return coeffs / (1.0 - complex_pow(np.outer(arrays.lam, arrays.lam.conj()), step))
+        if step % 2:
+            x = np.where(np.not_equal.outer(lam.real < 0.0, lam.real < 0.0), 2.0 - x, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return coeffs * (1.0 / x)
 
 
 def _unblocked_conjugation(operator, arrays, exponent):
     """D S D* with D = diag(lambda_n^exponent) as one whole-matrix product."""
-    d = complex_pow(arrays.lam.real if arrays.real_positive else arrays.lam, exponent)
+    d = complex_pow(arrays.lam if np.any(arrays.lam.imag) else arrays.lam.real, exponent)
     return operator * np.outer(d, d.conj())
 
 
@@ -343,6 +390,7 @@ BLOCK_SYSTEMS = {
         ExplicitSequence(tuple((1 - 1.7**-k) * complex(math.cos(k), math.sin(k)) for k in range(1, 31))),
         ConstantWeights(1.0),
     ),
+    "two_point": OrbitSystem(TwoPointAugmented(0.3, GeometricApproach(1.6)), ConstantWeights(1.0)),
 }
 
 
@@ -367,22 +415,33 @@ def test_blocked_assembly_matches_unblocked_bit_for_bit(monkeypatch, kind, rows_
 
 @pytest.mark.parametrize("kind", sorted(BLOCK_SYSTEMS))
 def test_congruence_against_the_old_formula(kind):
-    # (N, 0, 0) keeps the old formula's doubles; for p = j + N K > 0 the
-    # powers lambda_m^p conj(lambda_n)^p replace (lambda_m conj(lambda_n))^p,
-    # and both forms carry a relative rounding error of about p eps / 2.
-    # Measured on these systems: at most 2.24 p ulps of the old entry.
+    # A real positive window's (N, 0, 0) keeps the old formula's doubles; for
+    # p = j + N K > 0 the powers lambda_m^p conj(lambda_n)^p replace
+    # (lambda_m conj(lambda_n))^p, and both forms carry a relative rounding
+    # error of about p eps / 2. Measured on these systems: at most 2.24 p
+    # ulps of the old entry. On any other window the old 1 - w^N by
+    # subtraction loses about eps / x relative, x = 1 - |w|^N <= |1 - w^N|:
+    # measured, the new entries lie within 1.03 (p + N + 1) eps |old| / x of
+    # the old ones (spiral; 0.69 for the two-point window), and the stated
+    # relative tolerance is twice that.
     dim = 30
     arrays = system_arrays(BLOCK_SYSTEMS[kind], dim)
+    positive = not np.any(arrays.lam.imag) and np.all(arrays.lam.real > 0.0)
+    h = np.add.outer(arrays.gaps, arrays.gaps) - np.outer(arrays.gaps, arrays.gaps)
     for stride in (1, 2, 3, 5):
         base = orbit._progression_matrix(arrays, stride)
-        assert base.tobytes() == _old_progression_matrix(arrays, 0, stride).tobytes()
+        tolerance = 2.0 * np.finfo(np.float64).eps / one_minus_pow(h, stride)
         for offset, start in itertools.product(range(stride), (0, 1, 3, 20)):
             p = offset + stride * start
-            if p == 0:
+            old = _old_progression_matrix(arrays, p, stride)
+            if positive and p == 0:
+                assert base.tobytes() == old.tobytes()
                 continue
             new = orbit.conjugate_by_powers(base.copy(), arrays, p)
-            old = _old_progression_matrix(arrays, p, stride)
-            assert np.all(np.abs(new - old) <= 4 * p * np.spacing(np.abs(old)))
+            if positive:
+                assert np.all(np.abs(new - old) <= 4 * p * np.spacing(np.abs(old)))
+            else:
+                assert np.all(np.abs(new - old) <= (p + stride + 1) * tolerance * np.abs(old))
 
 
 @pytest.mark.parametrize("kind", sorted(BLOCK_SYSTEMS))
@@ -496,7 +555,7 @@ def test_a_point_on_the_circle_in_the_last_block_is_a_non_finite_operator(monkey
     if rows_per_block is not None:
         monkeypatch.setattr(numerics, "_CHUNK_TERMS", rows_per_block * 5)
     lam = np.array([0.5, 0.25j, -0.5, 0.125, 1j])
-    arrays = orbit.SystemArrays(lam, 1.0 - np.abs(lam), np.ones(5, complex), np.full(5, 0.5 + 0j), False)
+    arrays = orbit.SystemArrays(lam, 1.0 - np.abs(lam), np.ones(5, complex), np.full(5, 0.5 + 0j))
     with np.errstate(divide="ignore"), pytest.raises(numerics.EigensolverError, match="non-finite"):
         orbit._bounds(orbit._progression_matrix(arrays, 2))
 
@@ -505,8 +564,13 @@ def test_assembly_memory_is_one_operator_plus_blocks():
     # the result is the only matrix-sized array; every temporary is a block
     # of at most _CHUNK_TERMS entries
     dim = 800
-    for weights in (ConstantWeights(1.0), ConstantWeights(0.6 + 0.8j)):
-        system = OrbitSystem(GeometricApproach(1.6), weights)
+    spiral = ExplicitSequence(tuple((1 - 1.01**-k) * complex(math.cos(k), math.sin(k)) for k in range(1, dim + 1)))
+    for seq, weights in (
+        (GeometricApproach(1.6), ConstantWeights(1.0)),
+        (GeometricApproach(1.6), ConstantWeights(0.6 + 0.8j)),
+        (spiral, ConstantWeights(1.0)),
+    ):
+        system = OrbitSystem(seq, weights)
         system_arrays(system, dim)
         tracemalloc.start()
         try:

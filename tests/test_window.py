@@ -129,8 +129,7 @@ def test_prefix_windows_equal_exact_windows_bit_for_bit(seq, weights):
         exact = system_arrays(OrbitSystem(seq, weights), dimension)
         assert exact.lam.size == dimension
         for arrays in (system_arrays(growing, dimension), system_arrays(largest, dimension)):
-            assert arrays.real_positive == exact.real_positive
-            for got, want in zip(arrays[:4], exact[:4]):
+            for got, want in zip(arrays, exact):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
