@@ -79,7 +79,8 @@ class OrbitFrameOracle:
             system_arrays(self.system, basis_index)  # grows the system's window, or raises
             window = self.system._window
             # an inf |m_n|^2 makes every tail inf or NaN; each |c_n| is squared only before it
-            weights = np.hypot(window.weights.real, window.weights.imag)  # abs() of each
+            # abs() of each: np.abs of a complex array rounds up to 2 ulps apart from it
+            weights = np.fromiter(map(abs, window.weights.tolist()), np.float64, window.weights.size)
             huge = np.flatnonzero(weights > math.sqrt(sys.float_info.max))
             end = int(huge[0]) if huge.size else weights.size
             refusal = f"|m_{end + 1}|^2 overflows (|m_{end + 1}| = {weights[end]:.3e})" if huge.size else ""

@@ -78,7 +78,7 @@ def _factor_block(window, n: np.ndarray) -> np.ndarray:
     its values (the gaps round)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if window.signed_gaps is not None:
-            s, g, v = window.signed_gaps, window.gaps, window.values.real
+            s, g, v = window.signed_gaps, window.gaps, window.values
             difference, pair = np.abs(np.subtract.outer(s[n - 1], s)), one_minus_products(s[n - 1], s)
             # patched in place: a where() over the whole block took 1.6-1.9x as long
             rows, columns = np.flatnonzero(v[n - 1] < 0.0), np.flatnonzero(v < 0.0)

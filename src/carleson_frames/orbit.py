@@ -156,16 +156,15 @@ def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:
     One formula builds 1 - w^step from modulus gaps, no term cancelling:
     x = 1 - |w|^step, then 2 - x on a real window's mixed-sign pairs at odd
     step, or x + (1 - x)(2 sin^2(step D/2) - i sin(step D)), D = theta_m -
-    theta_n, on a complex one; a real window with real weights stays float64.
+    theta_n, on a complex one; the output has the dtype of phi and lambda.
     Rows go in blocks of at most _CHUNK_TERMS entries, the result the only
     matrix-sized array; a real positive block is built in its output rows by
     the operations of coeffs * (1 / one_minus_pow(one_minus_products(...), step)).
     """
-    lam, gaps = arrays.lam, arrays.gaps
-    angles = np.angle(lam) if np.any(lam.imag) else None
-    phi = arrays.phi if angles is not None or np.any(arrays.phi.imag) else arrays.phi.real
-    negative = lam.real < 0.0 if angles is None and step % 2 and np.any(lam.real < 0.0) else None
-    out, conj_phi = np.empty((phi.size, phi.size), dtype=phi.dtype), phi.conj()
+    lam, gaps, phi = arrays.lam, arrays.gaps, arrays.phi
+    angles = np.angle(lam) if np.iscomplexobj(lam) else None
+    negative = lam < 0.0 if angles is None and step % 2 and np.any(lam < 0.0) else None
+    out, conj_phi = np.empty((phi.size, phi.size), dtype=np.result_type(phi, lam)), phi.conj()
     # huge weights overflow the coefficients and subnormal gaps the quotient;
     # the eigen stage rejects the inf or NaN entries that result
     with np.errstate(over="ignore", invalid="ignore"):
@@ -188,12 +187,12 @@ def conjugate_by_powers(operator: np.ndarray, arrays: SystemArrays, exponent: in
 
     This takes the frame operator of {T^p phi}_p to that of
     {T^(p + exponent) phi}_p; exponent 0 leaves S untouched. The powers are
-    taken once on the M-vector, real for a real window, and rows are scaled
+    taken once on the M-vector, in the window's dtype, and rows are scaled
     in blocks of at most _CHUNK_TERMS entries.
     """
     if exponent == 0:
         return operator
-    d = complex_pow(arrays.lam if np.any(arrays.lam.imag) else arrays.lam.real, exponent)
+    d = complex_pow(arrays.lam, exponent)
     conj_d = d.conj()
     # an inf entry from an overflowed base times an underflowed power is NaN,
     # which the eigen stage rejects
@@ -209,8 +208,8 @@ def frame_operator_matrix(
     """Closed-form M x M frame operator of {T^(Nk+j) phi}_{k>=K}; Hermitian PSD.
 
     It is the stride base S_(N,0,0) conjugated by D = diag(lambda_n^(j+NK)).
-    float64 (real symmetric) for real eigenvalues with real weights,
-    complex128 otherwise."""
+    Its dtype follows the window: float64 (real symmetric) for real
+    eigenvalues with real weights, complex128 otherwise."""
     arrays = system_arrays(system, dimension)
     base = _progression_matrix(arrays, scheme.stride)
     return conjugate_by_powers(base, arrays, scheme.exponent(scheme.start))

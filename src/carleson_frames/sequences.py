@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import complex_pow, compensated_sum, one_minus_pow
+from .numerics import _real_part_if_real, complex_pow, compensated_sum, one_minus_pow
 
 
 class InvariantViolation(ValueError):
@@ -54,7 +54,7 @@ class LambdaSequence(ABC):
     @abstractmethod
     def _points(self, k: np.ndarray) -> tuple:
         """(values, gaps) at the 1-based indices k, unchecked: lambda_k as
-        complex128 and the modulus gaps 1 - |lambda_k| as float64."""
+        float64 or complex128 and the modulus gaps 1 - |lambda_k| as float64."""
 
     def ratio_certificate(self) -> float | None:
         """Analytic bound c with (1-|l_{k+1}|)/(1-|l_k|) <= c for *all* k, if known.
@@ -91,7 +91,7 @@ class GeometricApproach(LambdaSequence):
     def _points(self, k):
         # Python's float power per element: np.power rounds some indices differently
         gaps = np.fromiter(map(self.alpha.__pow__, (-k).tolist()), np.float64, k.size)
-        return (1.0 - gaps).astype(np.complex128), gaps
+        return 1.0 - gaps, gaps
 
     def ratio_certificate(self):
         return 1.0 / self.alpha
@@ -197,11 +197,11 @@ class Weights(ABC):
 
     @abstractmethod
     def _values(self, k: np.ndarray) -> np.ndarray:
-        """m_k at the 1-based indices k as complex128, unchecked."""
+        """m_k at the 1-based indices k as float64 or complex128, unchecked."""
 
     def _checked(self, k: np.ndarray) -> np.ndarray:
         """m_k at the 1-based indices k, after raising for the first one
-        outside the certified bounds [C1, C2]."""
+        outside the certified bounds [C1, C2]; float64 where every m_k is real."""
         m = self._values(k)
         magnitudes = np.hypot(m.real, m.imag)  # rounds exactly like abs() of a Python complex
         bad = _first((magnitudes < self.c1) | (magnitudes > self.c2))
@@ -210,7 +210,7 @@ class Weights(ABC):
                 f"|m_{k[bad - 1]}| = {float(magnitudes[bad - 1])!r} breaches certified bounds "
                 f"[{self.c1}, {self.c2}]"
             )
-        return m
+        return np.ascontiguousarray(_real_part_if_real(m))
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,7 @@ class ExplicitWeights(Weights):
 
 
 class ValidationReport(NamedTuple):
-    """Read-only values, modulus gaps and (real sequences) signed gaps 1 - lambda_k
+    """Read-only values, modulus gaps and (real windows) signed gaps 1 - lambda_k
     of the checked indices, and the first repeated pair (i, k), i < k, if any."""
 
     values: np.ndarray
@@ -268,11 +268,13 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
     InvariantViolation at the first point outside the open disc; the first
     repeated pair is reported, not raised.
 
-    Pure and idempotent; distinctness of real sequences is decided on the
-    modulus gaps and signs so that generator kinds stay resolvable far beyond
-    the range where the values themselves round to 1.0, but on the values
-    below modulus 1/2, where the gaps round. Strictly decreasing signed gaps,
-    as every real positive kind has, prove distinctness without a sort.
+    Pure and idempotent. A window whose imaginary parts are all zero is real:
+    it holds float64 values and their signed gaps, whatever the kind. Its
+    distinctness is decided on the modulus gaps and signs so that generator
+    kinds stay resolvable far beyond the range where the values themselves
+    round to 1.0, but on the values below modulus 1/2, where the gaps round.
+    Strictly decreasing signed gaps, as every real positive kind has, prove
+    distinctness without a sort.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -281,7 +283,8 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
     outside = _first(gaps <= 0.0)
     if outside is not None:
         raise InvariantViolation(f"|lambda_{outside}| >= 1 leaves the open unit disc")
-    signed = np.where(values.real >= 0.0, gaps, 2.0 - gaps) if seq.is_real else None
+    values = np.ascontiguousarray(_real_part_if_real(values))
+    signed = None if np.iscomplexobj(values) else np.where(values >= 0.0, gaps, 2.0 - gaps)
     for array in (gaps, values, signed):
         if array is not None:
             array.setflags(write=False)
@@ -292,10 +295,11 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
         # real keys in three spaces apart by their imaginary part: values below
         # modulus 1/2 (0j), else the modulus gaps of positive (1j) and negative (2j) points
         keys = values if signed is None else np.where(
-            np.abs(values.real) < 0.5, values, gaps + np.where(values.real > 0.0, 1j, 2j)
+            np.abs(values) < 0.5, values, gaps + np.where(values > 0.0, 1j, 2j)
         )
-        if not seq.exact_values:  # a zero or subnormal value may be rounded: it tells no points apart
-            keys = np.where(np.abs(keys) < np.finfo(np.float64).tiny, np.nan, keys)
+        if not seq.exact_values:  # a zero or subnormal value or gap may be rounded: it tells no points apart
+            tiny = np.finfo(np.float64).tiny
+            keys = np.where((np.abs(values) < tiny) | (gaps < tiny), np.nan, keys)
         _, first_seen, key_of = np.unique(keys, return_index=True, return_inverse=True, equal_nan=False)
         repeat = _first(first_seen[key_of] != np.arange(limit))
         first_dup = None if repeat is None else (int(first_seen[key_of[repeat - 1]]) + 1, repeat)

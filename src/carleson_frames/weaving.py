@@ -81,13 +81,6 @@ class WeavePattern:
             raise InvariantViolation("a periodic pattern needs a nonempty cycle of length period")
         object.__setattr__(self, "offsets", offsets)
 
-    def offset_at(self, k: int) -> int:
-        if k < 0:
-            raise IndexError("pattern indices start at 0")
-        if self.period is not None:
-            return self.offsets[k % self.period]
-        return self.offsets[k] if k < len(self.offsets) else 0
-
     @property
     def max_offset(self) -> int:
         return max(self.offsets, default=0)
@@ -168,7 +161,7 @@ def _log_points(arrays) -> np.ndarray:
     lambda_n below 1/2, else as log1p(-gap_n), which keeps the digits that
     rounding lambda_n near 1 loses; -inf at a point that underflowed to 0."""
     with np.errstate(divide="ignore"):
-        return np.where(arrays.lam.real < 0.5, np.log(arrays.lam.real), np.log1p(-arrays.gaps))
+        return np.where(arrays.lam < 0.5, np.log(arrays.lam), np.log1p(-arrays.gaps))
 
 
 def _powers(logs: np.ndarray, exponents) -> np.ndarray:
@@ -293,8 +286,7 @@ def woven_frame_operator(
     else:
         # one row per swapped k: kept T^(Nk+j_k) phi, removed T^(Nk) phi
         swapped = [k for k in range(start_index, len(pattern.offsets)) if pattern.offsets[k]]
-        phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
-        logs = _log_points(arrays)
+        phi, logs = arrays.phi, _log_points(arrays)
         for rows in _row_blocks(len(swapped), dimension):
             chunk = swapped[rows]
             kept = phi * _powers(logs, [stride * k + pattern.offsets[k] for k in chunk])

@@ -151,6 +151,14 @@ def mpmath_frame_bounds(points, stride, dps=60):
         return float(min(eigs)), float(max(eigs))
 
 
+def offset_at(pattern, k: int) -> int:
+    """The offset j_k of a weave pattern at k >= 0, from its definition:
+    offsets[k % period] with a period, else offsets[k], and 0 past the list."""
+    if pattern.period is not None:
+        return pattern.offsets[k % pattern.period]
+    return pattern.offsets[k] if k < len(pattern.offsets) else 0
+
+
 def brute_defect_sum(alpha, dim, stride, offsets_at, start, k_terms):
     """Double sum sum_{k=start}^{start+k_terms-1} sum_{n<=dim} of the swap
     defect |c_n|^2 lambda_n^(2*stride*k) (1 - lambda_n^offset)^2."""

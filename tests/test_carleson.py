@@ -1,6 +1,8 @@
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from carleson_frames import (
     TwoPointAugmented,
     Verdict,
     carleson_inf_estimate,
+    validate,
 )
 from carleson_frames import cli, numerics
 from carleson_frames.reporting import canonical_json
@@ -299,6 +302,21 @@ def test_out_of_disc_row_point_is_reported_before_its_factors():
     seq = ExplicitSequence((1.5, 1.5, 0.3))
     with pytest.raises(InvariantViolation, match=r"^\|lambda_1\| >= 1"):
         carleson_inf_estimate(seq, 3, 3)
+
+
+def test_a_complex_kind_with_real_values_takes_the_real_products():
+    # (sqrt(1 - 2^-k) i)^2 is real, near -1: the window holds float64 values and
+    # signed gaps, and the products read those gaps, as a real kind's do
+    mpmath = pytest.importorskip("mpmath")
+    base = tuple(math.sqrt(1.0 - 2.0**-k) * 1j for k in range(1, 31))
+    seq = PowerSequence(ExplicitSequence(base), 2)
+    window = validate(seq, 30)
+    assert window.values.dtype == np.float64
+    assert window.signed_gaps is not None
+    with mpmath.workdps(80):
+        exact = [mpmath.mpc(b.real, b.imag) ** 2 for b in base]  # the exact squares of the base doubles
+    for entry in carleson_inf_estimate(seq, 30, 30).products:
+        assert entry.value == pytest.approx(mpmath_carleson_product(exact, entry.n), rel=1e-13)
 
 
 @pytest.mark.parametrize(

@@ -79,6 +79,7 @@ def test_check_carleson_small_products_are_inconclusive(capsys):
         # lies beyond it and could meet a later point
         ("0.9999999999", "5", "20", "Inconclusive"),
         ("0.75", "5", "20", "CertifiedFails"),  # the base point 1 - 2^-2
+        ("0.5", "30", "200", "CertifiedFails"),  # the base point 1 - 2^-1, at the default sizes
     ],
 )
 def test_check_carleson_certifies_a_finite_head(capsys, q, n_max, k_trunc, verdict):
@@ -112,6 +113,23 @@ def test_underflowed_powers_are_no_repeat(capsys):
         assert capsys.readouterr().out.startswith("verdict: CertifiedFails\n")
         assert run_cli("bounds", *values, "--M", "4") == 2
         assert "repeated eigenvalue at indices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha,k_trunc", [("1.5", "1835"), ("1.1", "7817"), ("1.05", "15272")])
+def test_gaps_that_underflow_alike_are_no_repeat(capsys, alpha, k_trunc):
+    # the last gaps alpha^-k of the window round to the same subnormal: they
+    # tell no points apart, so the ratio certificate stands
+    gaps = GeometricApproach(float(alpha))._points(np.arange(int(k_trunc) - 1, int(k_trunc) + 1))[1]
+    assert gaps[0] == gaps[1] < np.finfo(np.float64).tiny
+    assert run_cli("check-carleson", "--alpha", alpha, "--n-max", "5", "--k-trunc", k_trunc) == 0
+    assert capsys.readouterr().out.startswith("verdict: CertifiedHolds\n")
+
+
+def test_an_operator_over_gaps_that_underflow_alike_is_rejected_as_non_finite(capsys):
+    # no repeated point, but 1 / (1 - |w|) overflows where the gaps are subnormal
+    assert run_cli("bounds", "--alpha", "1.5", "--M", "1836") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["analysis error: matrix has a non-finite entry (largest modulus inf)"]
 
 
 def test_usage_error_exit_code():

@@ -36,14 +36,13 @@ SYSTEM = OrbitSystem(SEQUENCE, ConstantWeights(1.0))
         (lambda: ExplicitSequence(()), InvariantViolation, "empty"),
         (lambda: PowerSequence(SEQUENCE, 0), InvariantViolation, "exponent"),
         (lambda: ConstantPattern(0, 0), InvariantViolation, "stride"),
-        (lambda: ConstantPattern(2, 1).offset_at(-1), IndexError, "start at 0"),
         (lambda: woven_frame_operator(SYSTEM, ConstantPattern(2, 1), -1), ValueError, "start index"),
         (lambda: extremal_eigenvalues(np.zeros((0, 0))), NonHermitianError,
          r"^expected a nonempty square matrix, got shape \(0, 0\)$"),
     ],
     ids=[
         "estimate-dimension", "inf-estimate-n-max", "one-minus-pow-exponent", "retilde-stride",
-        "explicit-empty", "power-exponent", "pattern-stride", "pattern-index", "woven-start",
+        "explicit-empty", "power-exponent", "pattern-stride", "woven-start",
         "eigenvalues-empty",
     ],
 )

@@ -68,7 +68,7 @@ def test_rejects_non_hermitian():
         extremal_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=np.complex128))
 
 
-def test_hermitian_matrix_is_immutable():
+def test_the_callers_matrix_is_never_written():
     # the caller's matrix is read, never written, also when it is read-only
     given = np.array([[2.0, 1.0], [1.0, 3.0]])
     given.setflags(write=False)
@@ -86,7 +86,7 @@ def _solved_dtype(monkeypatch, matrix):
     return seen[0], result
 
 
-def test_hermitian_matrix_dtype_follows_data(monkeypatch):
+def test_the_solved_copy_dtype_follows_the_data(monkeypatch):
     real = np.array([[2.0, 1.0], [1.0, 3.0]])
     assert _solved_dtype(monkeypatch, real)[0] == np.float64
     assert _solved_dtype(monkeypatch, np.eye(2, dtype=int))[0] == np.float64
@@ -559,7 +559,7 @@ def _each_alone(stack):
     return [numerics._extremes(member.copy()) for member in stack]
 
 
-def test_a_stack_after_a_zero_pivot_certifies_each_member_as_it_would_alone():
+def test_operators_after_a_zero_pivot_certify_as_each_would_alone():
     # the full orbit of alpha = 1.05 at M = 7 has lambda_min within a few
     # eps ||S|| of 0, so its first shifted solve can meet an exactly zero
     # pivot (it does with OpenBLAS) and widen the shift; the operators of a

@@ -521,7 +521,7 @@ def test_sweep_raises_what_its_schemes_one_after_another_raise_first(dim):
     assert len(messages) == 2 and f"the frame operator underflows to 0 at M={dim}" in messages
 
 
-def test_a_sweep_stack_of_complex_and_real_valued_operators_solves_each_as_frame_bounds():
+def test_a_sweep_of_complex_and_real_valued_operators_solves_each_as_frame_bounds():
     # at K = 10^4 every power of the complex points underflows and the real
     # points' powers stay, so that operator's imaginary part is exactly 0
     # beside complex K = 0 operators: frame_bounds solves it as real
