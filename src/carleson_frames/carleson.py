@@ -5,12 +5,12 @@ The quantity of interest is inf_n P_n with
     P_n = prod_{k != n} |lambda_k - lambda_n| / |1 - conj(lambda_k) lambda_n|,
 
 which can only be *estimated* from finitely many factors. Rigorous verdicts
-therefore come from exactly three routes: an analytic gap-ratio certificate on
-real positive strictly increasing sequences (where the ratio test is an
-equivalence), that certificate on the tail under a finite head of distinct
-prepended points (which keep the condition), or a repeated point in the
-window. Everything else is reported as Inconclusive - evidence is never
-conflated with proof.
+therefore come from exactly three routes: an analytic gap-ratio certificate,
+which only real positive sequences of strictly increasing moduli carry (there
+the ratio test is an equivalence), that certificate on the tail under a
+finite head of distinct prepended points (which keep the condition), or a
+repeated point in the window. Everything else is Inconclusive - evidence is
+never conflated with proof. The report's flags and `ratio_sup` read the window.
 """
 
 import math
@@ -55,12 +55,12 @@ class CarlesonReport:
 
 def _tail_errors(seq: LambdaSequence, gaps: np.ndarray, k_trunc: int) -> list:
     """Bounds on sum_{k > k_trunc} (1 - factor_k) for the rows n with modulus
-    gaps `gaps`, derivable only for the real positive strictly increasing
-    kinds with closed-form gap tails."""
+    gaps `gaps`, derivable only for the increasing positive kinds with
+    closed-form gap tails."""
     length = seq.length
     if length is not None and k_trunc >= length:
         return [0.0] * gaps.size
-    if seq.real_positive and seq.strictly_increasing_moduli:
+    if seq.increasing_positive:
         tail = seq.tail_modulus_gap_sum(k_trunc + 1)
         if tail is not None:
             # 1 - factor <= (1-l_k)(1+l_n)/(1-l_n) for increasing positive points;
@@ -123,8 +123,6 @@ def _verdict(window, head: int, tail: LambdaSequence) -> Verdict:
     if (
         certificate is not None
         and certificate < 1.0
-        and tail.real_positive
-        and tail.strictly_increasing_moduli
         and window.gaps.size > head
         # past the window the tail's moduli only grow, so no later point can
         # meet a head point whose modulus is below the last windowed one
@@ -147,14 +145,14 @@ def carleson_inf_estimate(seq: LambdaSequence, n_max: int, k_trunc: int) -> Carl
     window = validate(seq, k_trunc)
     entries = _products(seq, window, range(1, min(n_max, window.gaps.size) + 1), k_trunc)
     inf_estimate = min(entry.value for entry in entries)
-    ratio_sup = None
-    if seq.strictly_increasing_moduli and window.gaps.size >= 2:
-        ratio_sup = float(np.max(window.gaps[1:] / window.gaps[:-1]))
+    values, gaps = window.values, window.gaps
+    increasing = bool(np.all(gaps[:-1] > gaps[1:]))
+    ratio_sup = float(np.max(gaps[1:] / gaps[:-1])) if increasing and gaps.size >= 2 else None
     parameters = {
         "n_max": n_max,
         "k_trunc": k_trunc,
-        "real_positive": seq.real_positive,
-        "strictly_increasing_moduli": seq.strictly_increasing_moduli,
+        "real_positive": not np.iscomplexobj(values) and bool(np.all(values > 0.0)),
+        "strictly_increasing_moduli": increasing,
     }
     # the head: the points TwoPointAugmented layers prepend; PowerSequence(s, 1) evaluates as s
     head, tail = 0, seq

@@ -9,8 +9,9 @@ points crowd the unit circle works on gaps, not on the rounded values.
 Each kind has one closed form, `_points`, over an array of 1-based indices.
 `validate` evaluates it once into a read-only, checked window of arrays,
 the one way values and gaps are read. Each kind fixes its length and its
-structural flags when it is built: as class attributes, or once in
-`__post_init__` from its list or its base. Weight kinds fix their bounds C1,
+flags when it is built: as class attributes, or once in `__post_init__` from
+its list or its base. `increasing_positive` speaks of the points past any
+window; the rest is read from the window. Weight kinds fix their bounds C1,
 C2 the same way; `ExplicitWeights` takes them as `(values, c1, c2)`.
 """
 
@@ -44,11 +45,17 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) + 1 if hits.size else None
 
 
+def _increasing_positive(values: np.ndarray, gaps: np.ndarray) -> bool:
+    """Whether the listed points are real and positive with strictly
+    increasing moduli, that is strictly decreasing modulus gaps."""
+    return bool(not np.any(values.imag) and np.all(values.real > 0.0) and np.all(gaps[:-1] > gaps[1:]))
+
+
 class LambdaSequence(ABC):
     """Abstract sequence {lambda_k}_{k>=1} strictly inside the open unit disc."""
 
     length = None  # number of evaluable indices; None when unbounded
-    is_real = real_positive = strictly_increasing_moduli = False
+    increasing_positive = False  # over the whole sequence: real positive points, moduli strictly increasing
     exact_values = False  # whether each value is its point; a computed power may underflow to 0
 
     @abstractmethod
@@ -60,7 +67,8 @@ class LambdaSequence(ABC):
         """Analytic bound c with (1-|l_{k+1}|)/(1-|l_k|) <= c for *all* k, if known.
 
         Finite inspection can never provide this; only generator kinds with a
-        closed form return a value.
+        closed form return a value, and only for a real positive sequence with
+        strictly increasing moduli, where the ratio test is an equivalence.
         """
         return None
 
@@ -80,7 +88,7 @@ class GeometricApproach(LambdaSequence):
     """
 
     alpha: float
-    is_real = real_positive = strictly_increasing_moduli = True
+    increasing_positive = True
 
     def __post_init__(self):
         a = float(self.alpha)
@@ -103,7 +111,7 @@ class GeometricApproach(LambdaSequence):
 
 @dataclass(frozen=True)
 class ExplicitSequence(LambdaSequence):
-    """Finite, explicitly listed sequence; structural flags come from the list."""
+    """Finite, explicitly listed sequence; `increasing_positive` comes from the list."""
 
     values: tuple
     exact_values = True
@@ -112,11 +120,8 @@ class ExplicitSequence(LambdaSequence):
         vals = _finite_values(self.values, "explicit sequence")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "length", len(vals))
-        real = all(v.imag == 0.0 for v in vals)
-        object.__setattr__(self, "is_real", real)
-        object.__setattr__(self, "real_positive", real and all(v.real > 0.0 for v in vals))
-        gaps = self._points(np.arange(1, len(vals) + 1))[1]
-        object.__setattr__(self, "strictly_increasing_moduli", bool(np.all(gaps[:-1] > gaps[1:])))
+        listed = self._points(np.arange(1, len(vals) + 1))
+        object.__setattr__(self, "increasing_positive", _increasing_positive(*listed))
 
     def _points(self, k):
         values = np.array(self.values, dtype=np.complex128)[k - 1]
@@ -144,7 +149,6 @@ class TwoPointAugmented(LambdaSequence):
             raise InvariantViolation("q must lie in (0, 1)")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "length", None if self.base.length is None else self.base.length + 2)
-        object.__setattr__(self, "is_real", self.base.is_real)
         object.__setattr__(self, "exact_values", self.base.exact_values)
 
     def _points(self, k):
@@ -158,8 +162,9 @@ class TwoPointAugmented(LambdaSequence):
 class PowerSequence(LambdaSequence):
     """Entrywise power base_k**exponent, exponent >= 1.
 
-    PowerSequence(s, 1) evaluates identically to s at every index. Even
-    powers of real sequences are real positive even when the base is not.
+    PowerSequence(s, 1) evaluates identically to s at every index. The power
+    of an increasing positive base is increasing positive; the power of any
+    other finite base is so if its powered points are.
     """
 
     base: LambdaSequence
@@ -172,9 +177,11 @@ class PowerSequence(LambdaSequence):
         object.__setattr__(self, "exponent", n)
         base = self.base
         object.__setattr__(self, "length", base.length)
-        object.__setattr__(self, "is_real", base.is_real)
-        object.__setattr__(self, "real_positive", base.real_positive or (base.is_real and n % 2 == 0))
-        object.__setattr__(self, "strictly_increasing_moduli", base.strictly_increasing_moduli)
+        increasing = base.increasing_positive
+        if not increasing and base.length is not None:
+            with np.errstate(over="ignore", invalid="ignore"):  # a point off the disc is validate's to refuse
+                increasing = _increasing_positive(*self._points(np.arange(1, base.length + 1)))
+        object.__setattr__(self, "increasing_positive", increasing)
 
     def _points(self, k):
         values, gaps = self.base._points(k)

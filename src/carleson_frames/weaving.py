@@ -131,11 +131,8 @@ class DefectPoint:
 
 
 def _require_weavable(system: OrbitSystem) -> None:
-    seq = system.lambdas
-    if not (seq.real_positive and seq.strictly_increasing_moduli):
-        raise InvariantViolation(
-            "weaving defect requires a real positive, strictly increasing sequence"
-        )
+    if not system.lambdas.increasing_positive:
+        raise InvariantViolation("weaving defect requires a real positive, strictly increasing sequence")
 
 
 def _coordinate_tail_bound(system: OrbitSystem, pattern: WeavePattern, dimension: int) -> float:
@@ -147,10 +144,7 @@ def _coordinate_tail_bound(system: OrbitSystem, pattern: WeavePattern, dimension
     """
     if pattern.max_offset == 0:
         return 0.0
-    seq = system.lambdas
-    if seq.length is not None and seq.length <= dimension:
-        return 0.0
-    tail = seq.tail_modulus_gap_sum(dimension + 1)
+    tail = system.lambdas.tail_modulus_gap_sum(dimension + 1)
     if tail is None:
         return math.inf
     return 2.0 * system.weights.c2 ** 2 * tail

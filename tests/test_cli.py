@@ -125,6 +125,43 @@ def test_gaps_that_underflow_alike_are_no_repeat(capsys, alpha, k_trunc):
     assert capsys.readouterr().out.startswith("verdict: CertifiedHolds\n")
 
 
+def test_a_complex_list_with_increasing_positive_powers_weaves(capsys):
+    # (0.5i, .., 0.9i)^4 are the real points 0.0625 .. 0.6561, the squares of
+    # the squares listed as reals, so both weave at the same J
+    for values, power in (("0.5j,0.6j,0.7j,0.8j,0.9j", "4"), ("0.25,0.36,0.49,0.64,0.81", "2")):
+        assert run_cli("weave", "--values", values, "--power", power, "--N", "2", "--M", "5") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("weaving index J=12 ")
+
+
+@pytest.mark.parametrize(
+    "argv,real_positive,increasing,ratio_sup,tails",
+    [
+        # the powered complex list is real positive, so its tails are bounded
+        (
+            ("--values", "0.5j,0.6j,0.7j,0.8j,0.9j", "--power", "4", "--n-max", "3", "--k-trunc", "3"),
+            True, True, 0.9284266666666667, [1.3599999999999997, 1.55735294117647, 1.9583103039873662],
+        ),
+        # a window of the two positive points of a list with a negative one; the tails past it stay unbounded
+        (
+            ("--values", "0.1,0.5,0.6,-0.9", "--n-max", "2", "--k-trunc", "2"),
+            True, True, 0.5555555555555556, ["inf", "inf"],
+        ),
+        # the last two gaps round to one subnormal: the window does not show increasing moduli
+        (("--alpha", "1.5", "--n-max", "5", "--k-trunc", "1835"), True, False, None, [4e-323, 7e-323, 1.14e-322]),
+    ],
+    ids=["complex-list-to-the-4th", "positive-head-of-a-list", "subnormal-gaps"],
+)
+def test_report_flags_and_ratio_sup_read_the_window(tmp_path, argv, real_positive, increasing, ratio_sup, tails):
+    assert run_cli("check-carleson", *argv, "--out", str(tmp_path / "c.json")) == 0
+    result = read_json(tmp_path / "c.json")["result"]
+    assert result["parameters"]["real_positive"] is real_positive
+    assert result["parameters"]["strictly_increasing_moduli"] is increasing
+    assert result["ratio_sup"] == ratio_sup
+    assert [entry["tail_error"] for entry in result["products"]][:3] == tails
+
+
 def test_an_operator_over_gaps_that_underflow_alike_is_rejected_as_non_finite(capsys):
     # no repeated point, but 1 / (1 - |w|) overflows where the gaps are subnormal
     assert run_cli("bounds", "--alpha", "1.5", "--M", "1836") == 1

@@ -79,9 +79,11 @@ def test_two_point_prepends_pair():
 
 
 def test_even_power_of_real_sequence_is_positive():
+    # the window is real positive, but 0.09 repeats: no increasing positive promise
     seq = PowerSequence(TwoPointAugmented(0.3, GeometricApproach(2.0)), 2)
-    assert seq.real_positive
-    assert not seq.strictly_increasing_moduli
+    window = validate(seq, 40)
+    assert np.all(window.values > 0.0)
+    assert not seq.increasing_positive
     assert validate(seq, 2).values.tolist() == [0.09 + 0j, 0.09 + 0j]
 
 
@@ -264,18 +266,23 @@ _LISTED = ExplicitSequence((-0.5, 0.25, 0.75))
 @pytest.mark.parametrize(
     "seq,structure",
     [
-        (PowerSequence(TwoPointAugmented(0.1, _LISTED), 2), (5, True, True, False, False)),
-        (TwoPointAugmented(0.1, _LISTED), (5, True, False, False, True)),
-        (PowerSequence(_LISTED, 3), (3, True, False, False, False)),
-        (PowerSequence(GeometricApproach(2.0), 1), (None, True, True, True, False)),
-        (ExplicitSequence((0.5j, 0.25)), (2, False, False, False, True)),
+        (PowerSequence(TwoPointAugmented(0.1, _LISTED), 2), (5, False, False)),
+        (TwoPointAugmented(0.1, _LISTED), (5, False, True)),
+        (PowerSequence(_LISTED, 3), (3, False, False)),
+        (PowerSequence(GeometricApproach(2.0), 1), (None, True, False)),
+        (ExplicitSequence((0.5j, 0.25)), (2, False, True)),
+        (ExplicitSequence((0.25, 0.5, 0.75)), (3, True, True)),
+        # a complex list whose fourth powers are the real points 0.0625 .. 0.6561
+        (PowerSequence(ExplicitSequence((0.5j, 0.6j, 0.7j, 0.8j, 0.9j)), 4), (5, True, False)),
+        (PowerSequence(ExplicitSequence((0.5j, 0.6j, 0.7j, 0.8j, 0.9j)), 2), (5, False, False)),
     ],
-    ids=["even-power-of-two-point", "two-point", "odd-power", "power-of-geometric", "complex-explicit"],
+    ids=[
+        "even-power-of-two-point", "two-point", "odd-power", "power-of-geometric", "complex-explicit",
+        "increasing-explicit", "real-power-of-complex", "negative-square-of-complex",
+    ],
 )
 def test_nested_kinds_fix_their_structure(seq, structure):
-    assert (
-        seq.length, seq.is_real, seq.real_positive, seq.strictly_increasing_moduli, seq.exact_values
-    ) == structure
+    assert (seq.length, seq.increasing_positive, seq.exact_values) == structure
 
 
 @pytest.mark.parametrize(

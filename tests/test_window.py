@@ -39,10 +39,10 @@ KINDS = [
 
 @pytest.mark.parametrize("seq", KINDS, ids=lambda seq: type(seq).__name__)
 def test_window_matches_scalar_accessors_bit_for_bit(seq):
-    # the signed gaps 1 - lambda_k of real kinds: the scalar modulus gap where
-    # lambda_k >= 0 and 2 minus it where lambda_k < 0; complex kinds have none
+    # the signed gaps 1 - lambda_k of real windows: the scalar modulus gap where
+    # lambda_k >= 0 and 2 minus it where lambda_k < 0; complex windows have none
     window = validate(seq, 60)
-    if not seq.is_real:
+    if np.iscomplexobj(window.values):
         assert window.signed_gaps is None
         return
     points = [scalar_point(seq, k) for k in range(1, window.gaps.size + 1)]
