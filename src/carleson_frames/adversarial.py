@@ -45,7 +45,7 @@ class _HeldCoordinates(NamedTuple):
     """The held window of an orbit system as Python numbers, 0-based."""
 
     phi: list
-    log_moduli: list  # log|lambda_j|: from |lambda_j| below 1/2, else log1p(-g_j); -inf at 0
+    log_moduli: list  # log|lambda_j|, the window's `log_moduli`
     phases: list  # u_j = lambda_j / |lambda_j|, 1 at lambda_j = 0
     moduli: list  # |m_j|
     refused: float  # the first index j whose |m_j|^2 overflows or |c_j|^2 underflows, inf if none
@@ -61,13 +61,12 @@ class OrbitFrameOracle:
     points), and the tails sum to |m_j|^2 exp(K (2 log|lambda_j|)), where 2K
     could overflow. Both read |lambda_j|^k as exp(k log|lambda_j|), accurate at
     any index a float can hold (a power of the rounded lambda_j loses k eps),
-    the log as log1p(-g_j) from the modulus gap, or from |lambda_j| below 1/2,
-    where the gap rounds; at lambda_j = 0, index 0 reads as 1. A query at
-    basis index j reads the validated window of the first j coordinates,
-    which grows by doubling (see `system_arrays`); the oracle converts it to
-    Python numbers, logs and phases once per growth. A query at or past the
-    first index n whose |c_n|^2 underflows to 0, or whose |m_n|^2 overflows,
-    raises EigensolverError; one before it is answered.
+    from the window's `log_moduli` by math.exp, which can round apart from
+    weaving's np.exp; at lambda_j = 0, index 0 reads as 1. A query at basis
+    index j reads the window of the first j coordinates, which grows by
+    doubling (see `system_arrays`), as Python numbers converted once per
+    growth. A query at or past the first index n whose |c_n|^2 underflows to
+    0, or whose |m_n|^2 overflows, raises EigensolverError; one before it is answered.
     """
 
     system: OrbitSystem
@@ -79,11 +78,9 @@ class OrbitFrameOracle:
             system_arrays(self.system, basis_index)  # grows the system's window, or raises
             window = self.system._window
             # an inf |m_n|^2 makes every tail inf or NaN; each |c_n| is squared only before it
-            # abs() of each: np.abs of a complex array rounds up to 2 ulps apart from it
-            weights = np.fromiter(map(abs, window.weights.tolist()), np.float64, window.weights.size)
-            huge = np.flatnonzero(weights > math.sqrt(sys.float_info.max))
-            end = int(huge[0]) if huge.size else weights.size
-            refusal = f"|m_{end + 1}|^2 overflows (|m_{end + 1}| = {weights[end]:.3e})" if huge.size else ""
+            huge = np.flatnonzero(window.moduli > math.sqrt(sys.float_info.max))
+            end = int(huge[0]) if huge.size else window.moduli.size
+            refusal = f"|m_{end + 1}|^2 overflows (|m_{end + 1}| = {window.moduli[end]:.3e})" if huge.size else ""
             # c_n = m_n sqrt(1 - |lambda_n|^2) is never 0, so |c_n|^2 = 0 is underflow,
             # which would make every bound that reads it hold vacuously
             moduli = np.abs(window.phi[:end])
@@ -92,11 +89,9 @@ class OrbitFrameOracle:
                 end = int(lost[0])
                 refusal = f"|c_{end + 1}|^2 underflows to 0 (|c_{end + 1}| = {moduli[end]:.3e})"
             held = _HeldCoordinates(
-                window.phi.tolist(),
-                [math.log(m) if 0.0 < m < 0.5 else math.log1p(-g) if g < 1.0 else -math.inf
-                 for m, g in zip(np.abs(window.lam).tolist(), window.gaps.tolist())],
+                window.phi.tolist(), window.log_moduli.tolist(),
                 [z / abs(z) if z else 1.0 for z in window.lam.tolist()],  # x / |x| is exactly 1 for x > 0
-                weights.tolist(),
+                window.moduli.tolist(),
                 end + 1 if refusal else math.inf, refusal,
             )
             object.__setattr__(self, "_held", held)

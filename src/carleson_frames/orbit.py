@@ -91,10 +91,16 @@ class FrameBoundEstimate:
 
 
 class SystemArrays(NamedTuple):
+    """The validated, read-only arrays of the first M coordinates. log_moduli is
+    log|lambda_n| from |lambda_n| below 1/2, where g_n rounds, else log1p(-g_n),
+    -inf at 0; taken with `math`, whose last bits the oracle's exact picks read."""
+
     lam: np.ndarray
-    gaps: np.ndarray
+    gaps: np.ndarray  # g_n = 1 - |lambda_n|
     weights: np.ndarray
     phi: np.ndarray
+    moduli: np.ndarray  # |m_n|
+    log_moduli: np.ndarray
 
 
 def system_arrays(system: OrbitSystem, dimension: int) -> SystemArrays:
@@ -135,17 +141,19 @@ def _window(system: OrbitSystem, dimension: int) -> SystemArrays:
         raise IndexError(f"weights provide {weights.length} < {dimension} entries")
     if seq.length is not None and seq.length < dimension:
         raise IndexError(f"sequence provides {seq.length} < {dimension} entries")
-    m = weights._checked(np.arange(1, dimension + 1))
+    m, moduli = weights._checked(np.arange(1, dimension + 1))
     phi = m * np.sqrt(one_minus_pow(report.gaps, 2))
-    m.setflags(write=False)
-    phi.setflags(write=False)
-    return SystemArrays(report.values, report.gaps, m, phi)
+    logs = np.array([math.log(r) if 0.0 < r < 0.5 else math.log1p(-g) if g < 1.0 else -math.inf
+                     for r, g in zip(np.abs(report.values).tolist(), report.gaps.tolist())])
+    for array in (m, phi, moduli, logs):
+        array.setflags(write=False)
+    return SystemArrays(report.values, report.gaps, m, phi, moduli, logs)
 
 
 def phi_norm_squared(system: OrbitSystem, dimension: int) -> float:
     """||phi_M||^2 = sum_{n<=M} |m_n|^2 (1 - |lambda_n|^2), summed in index order."""
     arrays = system_arrays(system, dimension)
-    terms = (np.abs(arrays.weights) ** 2) * one_minus_pow(arrays.gaps, 2)
+    terms = arrays.moduli * arrays.moduli * one_minus_pow(arrays.gaps, 2)
     return compensated_sum(terms.tolist())
 
 

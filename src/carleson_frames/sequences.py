@@ -206,9 +206,9 @@ class Weights(ABC):
     def _values(self, k: np.ndarray) -> np.ndarray:
         """m_k at the 1-based indices k as float64 or complex128, unchecked."""
 
-    def _checked(self, k: np.ndarray) -> np.ndarray:
-        """m_k at the 1-based indices k, after raising for the first one
-        outside the certified bounds [C1, C2]; float64 where every m_k is real."""
+    def _checked(self, k: np.ndarray) -> tuple:
+        """(m_k, |m_k|) at the 1-based indices k, after raising for the first one
+        outside the certified bounds [C1, C2]; m_k is float64 where every one is real."""
         m = self._values(k)
         magnitudes = np.hypot(m.real, m.imag)  # rounds exactly like abs() of a Python complex
         bad = _first((magnitudes < self.c1) | (magnitudes > self.c2))
@@ -217,7 +217,7 @@ class Weights(ABC):
                 f"|m_{k[bad - 1]}| = {float(magnitudes[bad - 1])!r} breaches certified bounds "
                 f"[{self.c1}, {self.c2}]"
             )
-        return np.ascontiguousarray(_real_part_if_real(m))
+        return np.ascontiguousarray(_real_part_if_real(m)), magnitudes
 
 
 @dataclass(frozen=True)

@@ -150,18 +150,11 @@ def _coordinate_tail_bound(system: OrbitSystem, pattern: WeavePattern, dimension
     return 2.0 * system.weights.c2 ** 2 * tail
 
 
-def _log_points(arrays) -> np.ndarray:
-    """log lambda_n of real positive points by the orbit oracle's rule: from
-    lambda_n below 1/2, else as log1p(-gap_n), which keeps the digits that
-    rounding lambda_n near 1 loses; -inf at a point that underflowed to 0."""
-    with np.errstate(divide="ignore"):
-        return np.where(arrays.lam < 0.5, np.log(arrays.lam), np.log1p(-arrays.gaps))
-
-
 def _powers(logs: np.ndarray, exponents) -> np.ndarray:
     """lambda_n^p as exp(p log lambda_n), one row per integer p >= 0: about
-    |p log lambda_n| ulps, where repeated squaring carries about p. A row with
-    p = 0 is ones, also at lambda_n = 0 (its product is left 0, not 0 * -inf)."""
+    |p log lambda_n| ulps, where squaring carries about p; np.exp can round
+    apart from the orbit oracle's math.exp. A row with p = 0 is ones, also at
+    lambda_n = 0 (its product is left 0, not 0 * -inf)."""
     p = np.array(exponents, dtype=np.float64)[:, None]
     scaled = np.multiply(p, logs, out=np.zeros((len(p), logs.size)), where=p > 0)
     return np.exp(scaled, out=scaled)
@@ -208,8 +201,7 @@ def defect_points(
     arrays = system_arrays(system, dimension)
     two_n = 2 * pattern.stride
     gaps = arrays.gaps
-    energy = (np.abs(arrays.weights) ** 2) * one_minus_pow(gaps, 2)  # |c_n|^2
-    logs = _log_points(arrays)
+    energy = arrays.moduli * arrays.moduli * one_minus_pow(gaps, 2)  # |c_n|^2
     bound = _coordinate_tail_bound(system, pattern, dimension)
 
     if pattern.period is not None:
@@ -225,7 +217,7 @@ def defect_points(
             for column, residue in enumerate(residues):
                 # k0 = the first k >= J in the residue class
                 exponents = [two_n * (j + (residue - j) % period) for j in range(first, first + count)]
-                terms[:, column] = factors[column] * _powers(logs, exponents) / denominator
+                terms[:, column] = factors[column] * _powers(arrays.log_moduli, exponents) / denominator
             for j, row in enumerate(terms.reshape(count, -1).tolist(), start=first):
                 yield DefectPoint(j, compensated_sum(row), bound)
             first += count
@@ -239,7 +231,7 @@ def defect_points(
     for rows in _row_blocks(len(swapped), dimension):
         exponents = [two_n * k for k in swapped[rows]]
         swap = swaps[which[rows]]
-        row_sums += _exact_row_sums(energy * swap * swap * _powers(logs, exponents))
+        row_sums += _exact_row_sums(energy * swap * swap * _powers(arrays.log_moduli, exponents))
     units = [0] * len(pattern.offsets)  # each k's exact row sum, 0 where k swaps nothing
     for k, row_sum in zip(swapped, row_sums):
         units[k] = row_sum
@@ -280,7 +272,7 @@ def woven_frame_operator(
     else:
         # one row per swapped k: kept T^(Nk+j_k) phi, removed T^(Nk) phi
         swapped = [k for k in range(start_index, len(pattern.offsets)) if pattern.offsets[k]]
-        phi, logs = arrays.phi, _log_points(arrays)
+        phi, logs = arrays.phi, arrays.log_moduli
         for rows in _row_blocks(len(swapped), dimension):
             chunk = swapped[rows]
             kept = phi * _powers(logs, [stride * k + pattern.offsets[k] for k in chunk])

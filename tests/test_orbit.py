@@ -555,7 +555,9 @@ def test_a_point_on_the_circle_in_the_last_block_is_a_non_finite_operator(monkey
     if rows_per_block is not None:
         monkeypatch.setattr(numerics, "_CHUNK_TERMS", rows_per_block * 5)
     lam = np.array([0.5, 0.25j, -0.5, 0.125, 1j])
-    arrays = orbit.SystemArrays(lam, 1.0 - np.abs(lam), np.ones(5, complex), np.full(5, 0.5 + 0j))
+    arrays = orbit.SystemArrays(
+        lam, 1.0 - np.abs(lam), np.ones(5, complex), np.full(5, 0.5 + 0j), np.ones(5), np.log(np.abs(lam))
+    )
     with np.errstate(divide="ignore"), pytest.raises(numerics.EigensolverError, match="non-finite"):
         orbit._bounds(orbit._progression_matrix(arrays, 2))
 

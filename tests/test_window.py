@@ -2,12 +2,15 @@
 (sequence, n) or (system, M), read-only, equal to the per-index scalar closed
 forms of `oracles.scalar_point`."""
 
+import math
+
 import numpy as np
 import pytest
 
 from carleson_frames import (
     ConstantPattern,
     ConstantWeights,
+    ExplicitPattern,
     ExplicitSequence,
     ExplicitWeights,
     GeometricApproach,
@@ -17,12 +20,13 @@ from carleson_frames import (
     PowerSequence,
     SubsampleScheme,
     TwoPointAugmented,
+    defect_points,
     find_weaving_index,
     frame_bounds,
     validate,
 )
 from carleson_frames import cli, orbit
-from carleson_frames.orbit import system_arrays
+from carleson_frames.orbit import phi_norm_squared, system_arrays
 
 from oracles import scalar_point
 
@@ -103,7 +107,7 @@ def test_windows_evaluate_each_closed_form_once(monkeypatch):
 def test_window_arrays_are_read_only():
     window = validate(TwoPointAugmented(0.3, GeometricApproach(2.0)), 10)
     arrays = system_arrays(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0)), 10)
-    for array in (window.values, window.gaps, window.signed_gaps, *arrays[:4]):
+    for array in (window.values, window.gaps, window.signed_gaps, *arrays):
         with pytest.raises(ValueError):
             array[0] = 0.5
 
@@ -204,3 +208,46 @@ def test_every_site_reports_a_point_outside_the_disc_alike(capsys):
     # the gap 2^-1075 underflows to 0, which the window reads as leaving the disc
     assert cli.main(["bounds", "--alpha", "2", "--M", "1100"]) == 2
     assert capsys.readouterr().err == "invalid input: |lambda_1075| >= 1 leaves the open unit disc\n"
+
+
+def _libm_log_modulus(value, gap):
+    """log|lambda| of one point in `math`: from |lambda| below 1/2, else from its gap."""
+    if value == 0:
+        return -math.inf
+    return math.log(abs(value)) if abs(value) < 0.5 else math.log1p(-gap)
+
+
+@pytest.mark.parametrize(
+    "seq",
+    # at alpha = 3, np.log1p and math.log1p round apart at indices 1, 3 and 4;
+    # the gap of 1e-20 rounds to 1.0, so its log must come from its value
+    [GeometricApproach(3.0), ExplicitSequence((0.0, 1e-20, 0.3j, -0.75, 0.5, 0.9 - 0.1j))],
+    ids=["geometric", "explicit"],
+)
+def test_log_moduli_follow_the_oracles_libm_rule_bit_for_bit(seq):
+    arrays = system_arrays(OrbitSystem(seq, ConstantWeights(1.0)), 40 if seq.length is None else seq.length)
+    want = [_libm_log_modulus(z, g) for z, g in zip(arrays.lam.tolist(), arrays.gaps.tolist())]
+    assert arrays.log_moduli.tolist() == want
+
+
+def test_defect_points_read_the_windows_logs():
+    # each D(J) is the correctly rounded sum of |c_n|^2 (1 - lambda_n)^2 lambda_n^(4k)
+    # over k >= J, every power np.exp(4k log lambda_n) of the libm log; numpy's
+    # log1p would move D(1) by one ulp
+    system = OrbitSystem(GeometricApproach(3.0), ConstantWeights(1.0))
+    arrays = system_arrays(system, 40)
+    logs = np.array([_libm_log_modulus(z, g) for z, g in zip(arrays.lam.tolist(), arrays.gaps.tolist())])
+    energy = arrays.gaps * (2.0 - arrays.gaps)
+    rows = [(energy * arrays.gaps * arrays.gaps * (np.exp(4.0 * k * logs) if k else 1.0)).tolist() for k in range(3)]
+    points = list(defect_points(system, ExplicitPattern(2, (1, 1, 1)), 40, 2))
+    assert [p.value for p in points] == [math.fsum(sum(rows[j:], [])) for j in range(3)]
+
+
+def test_complex_weights_give_moduli_and_phi_norm_by_abs():
+    # numpy's complex abs rounds up to 2 ulps apart from abs() of a Python complex
+    weights = tuple((1 + 0.1 * k) * complex(math.cos(k), math.sin(k)) for k in range(1, 41))
+    system = OrbitSystem(GeometricApproach(2.0), ExplicitWeights(weights, 0.5, 6.0))
+    arrays = system_arrays(system, 40)
+    assert arrays.moduli.tolist() == [abs(m) for m in weights]
+    gaps = [2.0 ** -n for n in range(1, 41)]
+    assert phi_norm_squared(system, 40) == math.fsum(abs(m) ** 2 * (g * (2.0 - g)) for m, g in zip(weights, gaps))
