@@ -243,15 +243,9 @@ def one_minus_pow(gap, p: int):
     p = operator.index(p)
     if p < 0:
         raise ValueError("exponent must be nonnegative")
-    gap = np.asarray(gap, dtype=np.float64)
+    x = np.array(gap, dtype=np.float64)  # a copy, worked in place
     if p == 0:
-        return np.zeros_like(gap)
-    return _one_minus_pow_in_place(gap.copy(), p)
-
-
-def _one_minus_pow_in_place(x: np.ndarray, p: int) -> np.ndarray:
-    """`one_minus_pow(x, p)` for p >= 1, in the float64 array x, returned:
-    x itself at p = 1, x (2 - x) at p = 2, -expm1(p log1p(-x)) beyond."""
+        return np.zeros_like(x)
     if p == 2:
         x *= 2.0 - x
     elif p > 2:

@@ -3,16 +3,14 @@ frame operators of subsampled orbit subfamilies, truncated frame-bound
 estimates, and the stride-N reweighting identity.
 
 Model space: the infinite-dimensional coordinate space is truncated to its
-first M coordinates. The frame operator of {T^(Nk+j) phi}_{k>=K} restricted to
-those coordinates has the exact closed form
-
-    S[m, n] = c_m conj(c_n) w^(j + N K) / (1 - w^N),   w = lambda_m conj(lambda_n),
-
-with c_n = m_n sqrt(1 - |lambda_n|^2), summed over k in closed form without
-cancellation and assembled as the stride base S_(N,0,0) conjugated by
-D = diag(lambda_n^(j+NK)). By Cauchy interlacing the reported A_est
-*over*-estimates the true lower frame bound while B_est *under*-estimates the
-upper bound; that one-sided orientation is part of every estimate's meaning.
+first M coordinates. There the frame operator of {T^(Nk+j) phi}_{k>=K} is the
+stride base S_(N,0,0) conjugated by D = diag(lambda_n^(j+NK)), and the base is
+the orbit operator of T^N (the paper's reduction to N = 1), whose eigenvalues
+are mu_n = lambda_n^N: S[m, n] = c_m conj(c_n) / (1 - mu_m conj(mu_n)) with
+c_n = m_n sqrt(1 - |lambda_n|^2), summed over k in closed form without
+cancellation. By Cauchy interlacing the reported A_est *over*-estimates the
+true lower frame bound while B_est *under*-estimates the upper bound; that
+one-sided orientation is part of every estimate's meaning.
 """
 
 import math
@@ -26,7 +24,6 @@ from .numerics import (
     DEFAULT_DIMENSION,
     EigensolverError,
     _extremes,
-    _one_minus_pow_in_place,
     _row_blocks,
     complex_pow,
     compensated_sum,
@@ -157,32 +154,42 @@ def phi_norm_squared(system: OrbitSystem, dimension: int) -> float:
     return compensated_sum(terms.tolist())
 
 
-def _progression_matrix(arrays: SystemArrays, step: int) -> np.ndarray:
-    """Frame operator of {T^(step*t) phi}_{t>=0}, the stride base S_(N,0,0),
-    summed in closed form: S[m, n] = c_m conj(c_n) / (1 - w^step).
+def _stride_window(arrays: SystemArrays, stride: int) -> SystemArrays:
+    """The window of mu_n = lambda_n^N, T^N's eigenvalues, that carries phi (the
+    window itself at N = 1): weights c_n / sqrt(1 - |mu_n|^2), logs N log|lambda_n|.
+    Unvalidated, since mu may repeat (q^2 twice in a two-point system at even N)."""
+    if stride == 1:
+        return arrays
+    gaps = one_minus_pow(arrays.gaps, stride)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero gap's inf, which the eigen stage rejects
+        mtilde = arrays.phi / np.sqrt(one_minus_pow(gaps, 2))
+    lam = complex_pow(arrays.lam, stride)
+    return SystemArrays(lam, gaps, mtilde, arrays.phi, np.abs(mtilde), stride * arrays.log_moduli)
 
-    One formula builds 1 - w^step from modulus gaps, no term cancelling:
-    x = 1 - |w|^step, then 2 - x on a real window's mixed-sign pairs at odd
-    step, or x + (1 - x)(2 sin^2(step D/2) - i sin(step D)), D = theta_m -
-    theta_n, on a complex one; the output has the dtype of phi and lambda.
-    Rows go in blocks of at most _CHUNK_TERMS entries, the result the only
-    matrix-sized array; a real positive block is built in its output rows by
-    the operations of coeffs * (1 / one_minus_pow(one_minus_products(...), step)).
-    """
+
+def _progression_matrix(arrays: SystemArrays) -> np.ndarray:
+    """Frame operator of a window's orbit {T^t phi}_{t>=0} in closed form,
+    S[m, n] = c_m conj(c_n) / (1 - w), w = lambda_m conj(lambda_n); a stride
+    base S_(N,0,0) is that of `_stride_window(arrays, N)`. 1 - w is built from
+    modulus gaps, no term cancelling: x = 1 - |w|, then 2 - x on a real window's
+    mixed-sign pairs, or x + (1 - x)(2 sin^2(D/2) - i sin D), D = theta_m - theta_n,
+    on a complex one. Rows go in blocks of at most _CHUNK_TERMS entries, the
+    result the only matrix-sized array; a real positive block is built in its
+    output rows by the operations of coeffs * (1 / one_minus_products(...))."""
     lam, gaps, phi = arrays.lam, arrays.gaps, arrays.phi
     angles = np.angle(lam) if np.iscomplexobj(lam) else None
-    negative = lam < 0.0 if angles is None and step % 2 and np.any(lam < 0.0) else None
+    negative = lam < 0.0 if angles is None and np.any(lam < 0.0) else None
     out, conj_phi = np.empty((phi.size, phi.size), dtype=np.result_type(phi, lam)), phi.conj()
     # huge weights overflow the coefficients and subnormal gaps the quotient;
     # the eigen stage rejects the inf or NaN entries that result
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_blocks(phi.size, phi.size):
-            denominator = _one_minus_pow_in_place(one_minus_products(gaps[rows], gaps), step)
+            denominator = one_minus_products(gaps[rows], gaps)
             if angles is not None:
-                turn = step * np.subtract.outer(angles[rows], angles)
+                turn = np.subtract.outer(angles[rows], angles)
                 half = np.sin(0.5 * turn)
                 denominator = denominator + (1.0 - denominator) * (2.0 * half * half - 1j * np.sin(turn))
-            elif negative is not None:  # w^step = -|w|^step
+            elif negative is not None:  # w = -|w|
                 np.subtract(2.0, denominator, out=denominator, where=np.not_equal.outer(negative[rows], negative))
             np.divide(1.0, denominator, out=denominator)
             block = np.multiply.outer(phi[rows], conj_phi, out=out[rows])
@@ -219,7 +226,7 @@ def frame_operator_matrix(
     Its dtype follows the window: float64 (real symmetric) for real
     eigenvalues with real weights, complex128 otherwise."""
     arrays = system_arrays(system, dimension)
-    base = _progression_matrix(arrays, scheme.stride)
+    base = _progression_matrix(_stride_window(arrays, scheme.stride))
     return conjugate_by_powers(base, arrays, scheme.exponent(scheme.start))
 
 
@@ -267,7 +274,7 @@ def sweep_bounds(system: OrbitSystem, strides, starts, dimension: int = DEFAULT_
     arrays = system_arrays(system, dimension)
     work, estimates = None, []
     for stride in strides:
-        base = _progression_matrix(arrays, stride)
+        base = _progression_matrix(_stride_window(arrays, stride))
         work = np.empty_like(base) if work is None else work
         for start in starts:
             for offset in range(stride):
@@ -278,9 +285,9 @@ def sweep_bounds(system: OrbitSystem, strides, starts, dimension: int = DEFAULT_
 
 
 def retilde_weights(system: OrbitSystem, stride: int, count: int):
-    """Reweighting that exhibits {T^(Nk) phi} as the orbit of T^N:
+    """Reweighting that exhibits {T^(Nk) phi} as the orbit of T^N (`_stride_window`):
 
-        mtilde_k = m_k sqrt((1 - |lambda_k|^2) / (1 - |lambda_k^N|^2)),
+        mtilde_k = c_k / sqrt(1 - |lambda_k^N|^2),
 
     so that mtilde_k sqrt(1 - |lambda_k^N|^2) = c_k, i.e. the regenerated
     vector is phi itself. Returns (mtilde[0..count-1], bound_check) where
@@ -290,11 +297,9 @@ def retilde_weights(system: OrbitSystem, stride: int, count: int):
     if stride < 1:
         raise ValueError("stride must be >= 1")
     arrays = system_arrays(system, count)
-    numerator = one_minus_pow(arrays.gaps, 2)
-    denominator = one_minus_pow(arrays.gaps, 2 * stride)
-    mtilde = arrays.weights * np.sqrt(numerator / denominator)
+    mtilde = _stride_window(arrays, stride).weights
 
-    regenerated = mtilde * np.sqrt(denominator)
+    regenerated = mtilde * np.sqrt(one_minus_pow(arrays.gaps, 2 * stride))
     deviation = np.abs(regenerated - arrays.phi)
     allowance = 4.0 * np.spacing(np.abs(arrays.phi))
     if np.any(deviation > allowance):

@@ -35,6 +35,7 @@ from .orbit import (
     phi_norm_squared,
     system_arrays,
     _progression_matrix,
+    _stride_window,
 )
 from .sequences import InvariantViolation
 
@@ -259,13 +260,13 @@ def woven_frame_operator(
     _require_weavable(system)
     arrays = system_arrays(system, dimension)
     stride = pattern.stride
-    total = _progression_matrix(arrays, stride)
+    total = _progression_matrix(_stride_window(arrays, stride))
     if pattern.period is not None:
         period = pattern.period
         # swap the whole k >= J tail: remove offset-0 classes, re-add as chosen;
         # every term is a congruence of the stride-N or the stride-NP base
         total -= conjugate_by_powers(total.copy(), arrays, stride * start_index)
-        cycle = _progression_matrix(arrays, stride * period)
+        cycle = _progression_matrix(_stride_window(arrays, stride * period))
         for residue in range(period):
             k0 = start_index + ((residue - start_index) % period)
             total += conjugate_by_powers(cycle.copy(), arrays, stride * k0 + pattern.offsets[residue])

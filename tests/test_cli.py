@@ -461,20 +461,27 @@ def test_subsample_sweep_csv(tmp_path):
 
 
 def test_subsample_sweep_builds_one_base_per_stride(tmp_path, monkeypatch):
-    # 4 strides and 22 schemes: each row conjugates a copy of its stride's base
+    # 4 strides and 22 schemes: each row conjugates a copy of its stride's base,
+    # the operator of that stride's derived window
     from carleson_frames import orbit
 
-    built, build = [], orbit._progression_matrix
+    derived, bases, derive, build = [], [], orbit._stride_window, orbit._progression_matrix
 
-    def counted(arrays, step):
-        built.append(step)
-        return build(arrays, step)
+    def counted_window(arrays, stride):
+        derived.append((stride, derive(arrays, stride)))
+        return derived[-1][1]
 
-    monkeypatch.setattr(orbit, "_progression_matrix", counted)
+    def counted_base(window):
+        bases.append(window)
+        return build(window)
+
+    monkeypatch.setattr(orbit, "_stride_window", counted_window)
+    monkeypatch.setattr(orbit, "_progression_matrix", counted_base)
     out = tmp_path / "sweep.json"
     code = run_cli("subsample-sweep", "--alpha", "1.9", "--N", "1,2,3,5", "--K", "0,3", "--M", "60", "--out", str(out))
     assert code == 0
-    assert built == [1, 2, 3, 5]
+    assert [stride for stride, _ in derived] == [1, 2, 3, 5]
+    assert len(bases) == 4 and all(base is window for base, (_, window) in zip(bases, derived))
     rows = read_json(out)["result"]["rows"]
     assert [(r["stride"], r["offset"], r["start"]) for r in rows] == [
         (stride, offset, start) for stride in (1, 2, 3, 5) for start in (0, 3) for offset in range(stride)

@@ -208,16 +208,25 @@ def test_lower_bound_relative_accuracy_against_mpmath(stride, offset, start, dim
     assert estimate.a_est == pytest.approx(exact, rel=rel, abs=0.0)
 
 
-@pytest.mark.parametrize("dim", [30, 40, 50])
-def test_two_point_bounds_match_mpmath(dim):
+@pytest.mark.parametrize(
+    "dim,stride", [(30, 1), (40, 1), (50, 1), (30, 3), (40, 3), (50, 3)],
+    ids=["30", "40", "50", "N3-30", "N3-40", "N3-50"],
+)
+def test_two_point_bounds_match_mpmath(dim, stride):
     # the mixed-sign pairs of q, -q and lambda_k = 1 - 2^-k: 1 - w is 2 - x
     # from the gap x = 1 - |w|, where the old 1 - q (-lambda_k) rounded and
-    # the pairs near the circle lost up to -log10(2^-k) digits
+    # the pairs near the circle lost up to -log10(2^-k) digits; at N = 3 the
+    # derived window's mu = lambda^3 keeps the signs, so its pairs mix too.
+    # There A is 1e-7 of B, and eigvalsh's absolute floor of about eps B sets
+    # A's error: at most 0.83 eps B, measured before and after the reduction
     pytest.importorskip("mpmath")
     system = OrbitSystem(TwoPointAugmented(0.3, GeometricApproach(2.0)), ConstantWeights(1.0))
-    estimate = frame_bounds(system, SubsampleScheme(1), dim)
-    a, b = mpmath_frame_bounds([0.3, -0.3] + [1.0 - 2.0**-k for k in range(1, dim - 1)], 1)
-    assert estimate.a_est == pytest.approx(a, rel=1e-10, abs=0.0)
+    estimate = frame_bounds(system, SubsampleScheme(stride), dim)
+    a, b = mpmath_frame_bounds([0.3, -0.3] + [1.0 - 2.0**-k for k in range(1, dim - 1)], stride)
+    if stride == 1:
+        assert estimate.a_est == pytest.approx(a, rel=1e-10, abs=0.0)
+    else:
+        assert estimate.a_est == pytest.approx(a, rel=0.0, abs=2.0 * np.finfo(np.float64).eps * b)
     assert estimate.b_est == pytest.approx(b, rel=1e-13, abs=0.0)
 
 
@@ -356,23 +365,20 @@ def _old_progression_matrix(arrays, first_exponent, step):
     return coeffs * complex_pow(w, first_exponent) / (1.0 - complex_pow(w, step))
 
 
-def _unblocked_progression_matrix(arrays, step):
-    """The stride base S_(N,0,0) from whole-matrix outer products: 1 - w^step
-    is x = 1 - |w|^step from the gaps, 2 - x on a real window's mixed-sign
-    pairs at odd step, x + (1 - x)(2 sin^2(step D/2) - i sin(step D)) on a
-    complex window."""
+def _unblocked_progression_matrix(arrays):
+    """A window's orbit operator from whole-matrix outer products: 1 - w is
+    x = 1 - |w| from the gaps, 2 - x on a real window's mixed-sign pairs,
+    x + (1 - x)(2 sin^2(D/2) - i sin D) on a complex window."""
     lam = arrays.lam
-    h = np.add.outer(arrays.gaps, arrays.gaps) - np.outer(arrays.gaps, arrays.gaps)
-    x = one_minus_pow(h, step)
+    x = np.add.outer(arrays.gaps, arrays.gaps) - np.outer(arrays.gaps, arrays.gaps)
     if np.any(lam.imag):
         coeffs = np.outer(arrays.phi, arrays.phi.conj())
-        turn = step * np.subtract.outer(np.angle(lam), np.angle(lam))
+        turn = np.subtract.outer(np.angle(lam), np.angle(lam))
         x = x + (1.0 - x) * (2.0 * np.sin(0.5 * turn) ** 2 - 1j * np.sin(turn))
     else:
         phi = arrays.phi if np.any(arrays.phi.imag) else arrays.phi.real
         coeffs = np.outer(phi, phi.conj())
-        if step % 2:
-            x = np.where(np.not_equal.outer(lam.real < 0.0, lam.real < 0.0), 2.0 - x, x)
+        x = np.where(np.not_equal.outer(lam.real < 0.0, lam.real < 0.0), 2.0 - x, x)
     with np.errstate(over="ignore", invalid="ignore"):
         return coeffs * (1.0 / x)
 
@@ -398,14 +404,15 @@ BLOCK_SYSTEMS = {
 @pytest.mark.parametrize("rows_per_block", [None, 1, 4])
 def test_blocked_assembly_matches_unblocked_bit_for_bit(monkeypatch, kind, rows_per_block):
     # one block, one-row blocks and ragged four-row blocks (30 = 7 * 4 + 2),
-    # for the base and for its congruence
+    # for the base of each derived window and for its congruence
     dim = 30
     if rows_per_block is not None:
         monkeypatch.setattr(numerics, "_CHUNK_TERMS", rows_per_block * dim + dim - 1)
     arrays = system_arrays(BLOCK_SYSTEMS[kind], dim)
-    for exponent, step in ((0, 1), (1, 2), (11, 3), (0, 5)):
-        base = orbit._progression_matrix(arrays, step)
-        reference = _unblocked_progression_matrix(arrays, step)
+    for exponent, stride in ((0, 1), (1, 2), (11, 3), (0, 5)):
+        window = orbit._stride_window(arrays, stride)
+        base = orbit._progression_matrix(window)
+        reference = _unblocked_progression_matrix(window)
         assert base.dtype == reference.dtype
         assert base.tobytes() == reference.tobytes()
         conjugated = orbit.conjugate_by_powers(base, arrays, exponent)
@@ -415,33 +422,71 @@ def test_blocked_assembly_matches_unblocked_bit_for_bit(monkeypatch, kind, rows_
 
 @pytest.mark.parametrize("kind", sorted(BLOCK_SYSTEMS))
 def test_congruence_against_the_old_formula(kind):
-    # A real positive window's (N, 0, 0) keeps the old formula's doubles; for
-    # p = j + N K > 0 the powers lambda_m^p conj(lambda_n)^p replace
-    # (lambda_m conj(lambda_n))^p, and both forms carry a relative rounding
-    # error of about p eps / 2. Measured on these systems: at most 2.24 p
-    # ulps of the old entry. On any other window the old 1 - w^N by
-    # subtraction loses about eps / x relative, x = 1 - |w|^N <= |1 - w^N|:
-    # measured, the new entries lie within 1.03 (p + N + 1) eps |old| / x of
-    # the old ones (spiral; 0.69 for the two-point window), and the stated
-    # relative tolerance is twice that.
+    # A real positive window's (1, 0, 0) keeps the old formula's doubles, and
+    # its (N, 0, 0) lies within 4 ulps of them (4 measured): the derived
+    # window's 1 - |mu_m mu_n| is formed from h = 1 - |lambda|^N, the old one
+    # as 1 - |lambda_m lambda_n|^N from the pair's gap, each within 2 ulps of
+    # the exact value. For p = j + N K > 0 the powers lambda_m^p
+    # conj(lambda_n)^p replace (lambda_m conj(lambda_n))^p, and both forms
+    # carry a relative rounding error of about p eps / 2. Measured on these
+    # systems: at most 4 p ulps of the old entry, reached at p = 1 with N > 1,
+    # where the base's own move adds (2.24 p before the derived window). On
+    # any other window the old 1 - w^N by subtraction loses about eps / x
+    # relative, x = 1 - |w|^N <= |1 - w^N|: measured, the new entries lie
+    # within 0.83 (p + N + 1) eps |old| / x of the old ones (spiral; 0.50 for
+    # the two-point window; 1.03 and 0.69 before the derived window), and the
+    # stated tolerance is 2 (p + N + 1) eps |old| / x.
     dim = 30
     arrays = system_arrays(BLOCK_SYSTEMS[kind], dim)
     positive = not np.any(arrays.lam.imag) and np.all(arrays.lam.real > 0.0)
     h = np.add.outer(arrays.gaps, arrays.gaps) - np.outer(arrays.gaps, arrays.gaps)
     for stride in (1, 2, 3, 5):
-        base = orbit._progression_matrix(arrays, stride)
+        base = orbit._progression_matrix(orbit._stride_window(arrays, stride))
         tolerance = 2.0 * np.finfo(np.float64).eps / one_minus_pow(h, stride)
         for offset, start in itertools.product(range(stride), (0, 1, 3, 20)):
             p = offset + stride * start
             old = _old_progression_matrix(arrays, p, stride)
-            if positive and p == 0:
+            if positive and p == 0 and stride == 1:
                 assert base.tobytes() == old.tobytes()
+                continue
+            if positive and p == 0:
+                assert np.all(np.abs(base - old) <= 4 * np.spacing(np.abs(old)))
                 continue
             new = orbit.conjugate_by_powers(base.copy(), arrays, p)
             if positive:
                 assert np.all(np.abs(new - old) <= 4 * p * np.spacing(np.abs(old)))
             else:
                 assert np.all(np.abs(new - old) <= (p + stride + 1) * tolerance * np.abs(old))
+
+
+@pytest.mark.parametrize("kind,stride", [
+    (kind, stride) for kind in sorted(BLOCK_SYSTEMS) for stride in (2, 3, 5) if kind != "two_point" or stride % 2
+])
+def test_a_stride_base_is_the_orbit_operator_of_the_powered_system(kind, stride):
+    # the paper's reduction: {T^(Nk) phi} is the orbit of T^N, the powered
+    # system carrying mtilde, so its (1, 0, 0) operator is the stride base up
+    # to the rounding of phi = mtilde sqrt(1 - |mu|^2) in the powered window:
+    # 4 eps |S_mn| per entry, 2.4 eps measured (complex weights at N = 5).
+    # The two-point system's mu repeats at even N, which validation refuses
+    system, dim = BLOCK_SYSTEMS[kind], 30
+    mtilde, _ = retilde_weights(system, stride, dim)
+    weights = ExplicitWeights(tuple(mtilde), system.weights.c1 / math.sqrt(2 * stride), system.weights.c2)
+    powered = OrbitSystem(PowerSequence(system.lambdas, stride), weights)
+    reference = frame_operator_matrix(powered, SubsampleScheme(1), dim)
+    base = orbit._progression_matrix(orbit._stride_window(system_arrays(system, dim), stride))
+    assert base.dtype == reference.dtype
+    assert np.all(np.abs(base - reference) <= 4 * np.finfo(np.float64).eps * np.abs(reference))
+
+
+def test_a_repeated_mu_still_builds_its_operator():
+    # at even N the two-point system's mu holds q^2 twice, the paper's
+    # counterexample: the derived window is not validated, so the stride base
+    # builds, and its two equal rows leave A at the eigensolver's floor
+    system = OrbitSystem(TwoPointAugmented(0.3, GeometricApproach(2.0)), ConstantWeights(1.0))
+    window = orbit._stride_window(system_arrays(system, 40), 2)
+    assert window.lam[0] == window.lam[1] == 0.3**2
+    estimate = frame_bounds(system, SubsampleScheme(2), 40)
+    assert 0.0 <= estimate.a_est <= 1e-14 * estimate.b_est
 
 
 @pytest.mark.parametrize("kind", sorted(BLOCK_SYSTEMS))
@@ -551,15 +596,18 @@ def test_a_sweep_with_two_usable_cpus_starts_no_thread(monkeypatch):
 def test_a_point_on_the_circle_in_the_last_block_is_a_non_finite_operator(monkeypatch, rows_per_block):
     # a hand-built window with a point on the circle, which validation
     # would reject: its diagonal denominator 1 - |i|^2 is exactly zero, and
-    # the eigen stage rejects the entry that quotient leaves
+    # the eigen stage rejects the entry that quotient leaves; the derived
+    # window's weight c / 0 there is formed without a warning
     if rows_per_block is not None:
         monkeypatch.setattr(numerics, "_CHUNK_TERMS", rows_per_block * 5)
     lam = np.array([0.5, 0.25j, -0.5, 0.125, 1j])
     arrays = orbit.SystemArrays(
         lam, 1.0 - np.abs(lam), np.ones(5, complex), np.full(5, 0.5 + 0j), np.ones(5), np.log(np.abs(lam))
     )
+    window = orbit._stride_window(arrays, 2)
+    assert not np.isfinite(window.weights[-1])
     with np.errstate(divide="ignore"), pytest.raises(numerics.EigensolverError, match="non-finite"):
-        orbit._bounds(orbit._progression_matrix(arrays, 2))
+        orbit._bounds(orbit._progression_matrix(window))
 
 
 def test_assembly_memory_is_one_operator_plus_blocks():

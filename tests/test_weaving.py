@@ -35,7 +35,7 @@ from carleson_frames import (
 )
 from carleson_frames import cli, numerics, weaving
 from carleson_frames.numerics import complex_pow
-from carleson_frames.orbit import _progression_matrix, conjugate_by_powers, system_arrays
+from carleson_frames.orbit import _progression_matrix, _stride_window, conjugate_by_powers, system_arrays
 from carleson_frames.reporting import canonical_json
 from carleson_frames.weaving import _coordinate_tail_bound, _exact_row_sums
 from oracles import (
@@ -500,12 +500,12 @@ def _woven_out_of_place(system, pattern, start, dimension):
     """The woven operator summed as `total = total +- block`, one new matrix per step."""
     arrays = system_arrays(system, dimension)
     stride = pattern.stride
-    total = _progression_matrix(arrays, stride)
+    total = _progression_matrix(_stride_window(arrays, stride))
     if pattern.period is not None:
-        total = total - conjugate_by_powers(_progression_matrix(arrays, stride), arrays, stride * start)
+        total = total - conjugate_by_powers(_progression_matrix(_stride_window(arrays, stride)), arrays, stride * start)
         for residue in range(pattern.period):
             k0 = start + ((residue - start) % pattern.period)
-            cycle = _progression_matrix(arrays, stride * pattern.period)
+            cycle = _progression_matrix(_stride_window(arrays, stride * pattern.period))
             total = total + conjugate_by_powers(cycle, arrays, stride * k0 + pattern.offsets[residue])
         return total
     swapped = [k for k in range(start, len(pattern.offsets)) if pattern.offsets[k]]
