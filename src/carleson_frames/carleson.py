@@ -72,22 +72,21 @@ def _tail_errors(seq: LambdaSequence, gaps: np.ndarray, k_trunc: int) -> list:
 
 def _factor_block(window, n: np.ndarray) -> np.ndarray:
     """Factors |lambda_k - lambda_n| / |1 - conj(lambda_k) lambda_n| over the
-    window, one row per n, with 1 at k = n (log(1) = 0 adds nothing). Real
-    pairs read signed gaps s = 1 - lambda, but two negative points their
-    modulus gaps (2 - g rounds), and a pair with a point below modulus 1/2
-    its values (the gaps round)."""
+    window, one row per n, with 1 at k = n (log(1) = 0 adds nothing). A real
+    pair is |g_k - g_n| / `one_minus_products`, g the modulus gaps, but its
+    numerator comes from the values if the signs differ (|lambda_k| + |lambda_n|)
+    or a point lies below modulus 1/2 (the gaps round)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        if window.signed_gaps is not None:
-            s, g, v = window.signed_gaps, window.gaps, window.values
-            difference, pair = np.abs(np.subtract.outer(s[n - 1], s)), one_minus_products(s[n - 1], s)
-            # patched in place: a where() over the whole block took 1.6-1.9x as long
-            rows, columns = np.flatnonzero(v[n - 1] < 0.0), np.flatnonzero(v < 0.0)
-            block, a, b = np.ix_(rows, columns), g[n - 1][rows], g[columns]
-            difference[block], pair[block] = np.abs(np.subtract.outer(a, b)), one_minus_products(a, b)
-            rows, columns = np.flatnonzero(np.abs(v[n - 1]) < 0.5), np.flatnonzero(np.abs(v) < 0.5)
-            difference[rows] = np.abs(np.subtract.outer(v[n - 1][rows], v))
-            difference[:, columns] = np.abs(np.subtract.outer(v[n - 1], v[columns]))
-            factors = difference / pair
+        if not np.iscomplexobj(window.values):
+            g, v, row_values = window.gaps, window.values, window.values[n - 1]
+            difference = np.abs(np.subtract.outer(g[n - 1], g))
+            if v.min() < 0.0:  # patched only here: run on every block, it cost 10 %
+                mixed = np.not_equal.outer(row_values < 0.0, v < 0.0)
+                np.abs(np.subtract.outer(row_values, v), out=difference, where=mixed)
+            rows, columns = np.flatnonzero(np.abs(row_values) < 0.5), np.flatnonzero(np.abs(v) < 0.5)
+            difference[rows] = np.abs(np.subtract.outer(row_values[rows], v))
+            difference[:, columns] = np.abs(np.subtract.outer(row_values, v[columns]))
+            factors = difference / one_minus_products(v, g, n - 1)
         else:
             re, im = window.values.real, window.values.imag
             a, b = re[n - 1, None], im[n - 1, None]
@@ -99,12 +98,12 @@ def _factor_block(window, n: np.ndarray) -> np.ndarray:
 def _products(seq: LambdaSequence, window, rows: range, k_trunc: int) -> tuple:
     """ProductEntry(n, P_n, tail_error) for each n in `rows`, P_n over the window.
 
-    Real sequences go through signed gaps, which keeps the factors exact when
-    the points crowd the circle; complex ones use the direct formula in real
-    arithmetic that rounds like Python's complex numbers. A repeated point
-    gives a zero factor, log 0 = -inf, hence P_n = 0. Rows are evaluated in
-    blocks of at most _CHUNK_TERMS factors, so memory stays linear in the
-    window length.
+    Real windows go through the modulus gaps and the shared pair term, which
+    keeps the factors exact when the points crowd the circle; complex ones use
+    the direct formula in real arithmetic that rounds like Python's complex
+    numbers. A repeated point gives a zero factor, log 0 = -inf, hence P_n = 0.
+    Rows are evaluated in blocks of at most _CHUNK_TERMS factors, so memory
+    stays linear in the window length.
     """
     values = []
     for block in _row_blocks(len(rows), window.gaps.size):

@@ -1,6 +1,7 @@
 """Dense Hermitian numerics: extremal eigenvalues with a residual certificate,
 correctly rounded summation, integer powers by binary exponentiation, and
-1 - (1 - gap)^p without cancellation near the unit circle.
+1 - (1 - gap)^p and every window's pair term 1 - lambda_m lambda_n without
+cancellation near the unit circle.
 
 The public functions never write their inputs and are safe to call
 concurrently. The eigen stage takes one operator per call, on the calling
@@ -224,12 +225,16 @@ def complex_pow(z, p: int):
         base = base * base
 
 
-def one_minus_products(a, b) -> np.ndarray:
-    """1 - (1 - a_m)(1 - b_n) as a_m + b_n - a_m b_n, one row per row gap a_m:
-    the pair term 1 - lambda_m lambda_n of real points lambda = 1 - gap,
-    accurate where they crowd 1 and the product itself would round to 1."""
-    out = np.add.outer(a, b)
-    out -= np.multiply.outer(a, b)
+def one_minus_products(values, gaps, rows) -> np.ndarray:
+    """1 - |lambda_m||lambda_n| as g_m + g_n - g_m g_n for the window points m in
+    `rows` (a slice or indices) against all n, from the modulus gaps g, accurate
+    where the product itself rounds to 1: on a real window 1 - lambda_m lambda_n,
+    2 minus it where the signs differ; on a complex one sign-free."""
+    out = np.add.outer(gaps[rows], gaps)
+    out -= np.multiply.outer(gaps[rows], gaps)
+    if not np.iscomplexobj(values) and values.min() < 0.0:  # lambda_m lambda_n = -|...|
+        negative = values < 0.0
+        np.subtract(2.0, out, out=out, where=np.not_equal.outer(negative[rows], negative))
     return out
 
 

@@ -171,26 +171,23 @@ def _progression_matrix(arrays: SystemArrays) -> np.ndarray:
     """Frame operator of a window's orbit {T^t phi}_{t>=0} in closed form,
     S[m, n] = c_m conj(c_n) / (1 - w), w = lambda_m conj(lambda_n); a stride
     base S_(N,0,0) is that of `_stride_window(arrays, N)`. 1 - w is built from
-    modulus gaps, no term cancelling: x = 1 - |w|, then 2 - x on a real window's
-    mixed-sign pairs, or x + (1 - x)(2 sin^2(D/2) - i sin D), D = theta_m - theta_n,
-    on a complex one. Rows go in blocks of at most _CHUNK_TERMS entries, the
-    result the only matrix-sized array; a real positive block is built in its
-    output rows by the operations of coeffs * (1 / one_minus_products(...))."""
+    modulus gaps, no term cancelling: `one_minus_products` gives a real window's
+    pair term and x = 1 - |w| on a complex one, then x + (1 - x)(2 sin^2(D/2) - i sin D),
+    D = theta_m - theta_n. Rows go in blocks of at most _CHUNK_TERMS entries, the
+    result the only matrix-sized array; a real block is built in its output rows
+    by the operations of coeffs * (1 / one_minus_products(...))."""
     lam, gaps, phi = arrays.lam, arrays.gaps, arrays.phi
     angles = np.angle(lam) if np.iscomplexobj(lam) else None
-    negative = lam < 0.0 if angles is None and np.any(lam < 0.0) else None
     out, conj_phi = np.empty((phi.size, phi.size), dtype=np.result_type(phi, lam)), phi.conj()
     # huge weights overflow the coefficients and subnormal gaps the quotient;
     # the eigen stage rejects the inf or NaN entries that result
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_blocks(phi.size, phi.size):
-            denominator = one_minus_products(gaps[rows], gaps)
+            denominator = one_minus_products(lam, gaps, rows)
             if angles is not None:
                 turn = np.subtract.outer(angles[rows], angles)
                 half = np.sin(0.5 * turn)
                 denominator = denominator + (1.0 - denominator) * (2.0 * half * half - 1j * np.sin(turn))
-            elif negative is not None:  # w = -|w|
-                np.subtract(2.0, denominator, out=denominator, where=np.not_equal.outer(negative[rows], negative))
             np.divide(1.0, denominator, out=denominator)
             block = np.multiply.outer(phi[rows], conj_phi, out=out[rows])
             block *= denominator

@@ -261,12 +261,11 @@ class ExplicitWeights(Weights):
 
 
 class ValidationReport(NamedTuple):
-    """Read-only values, modulus gaps and (real windows) signed gaps 1 - lambda_k
-    of the checked indices, and the first repeated pair (i, k), i < k, if any."""
+    """Read-only values and modulus gaps of the checked indices, and the first
+    repeated pair (i, k), i < k, if any."""
 
     values: np.ndarray
     gaps: np.ndarray
-    signed_gaps: np.ndarray | None
     first_duplicate: tuple[int, int] | None
 
 
@@ -276,12 +275,12 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
     repeated pair is reported, not raised.
 
     Pure and idempotent. A window whose imaginary parts are all zero is real:
-    it holds float64 values and their signed gaps, whatever the kind. Its
-    distinctness is decided on the modulus gaps and signs so that generator
-    kinds stay resolvable far beyond the range where the values themselves
-    round to 1.0, but on the values below modulus 1/2, where the gaps round.
-    Strictly decreasing signed gaps, as every real positive kind has, prove
-    distinctness without a sort.
+    it holds float64 values, whatever the kind. Its distinctness is decided on
+    the modulus gaps and signs so that generator kinds stay resolvable far
+    beyond the range where the values themselves round to 1.0, but on the
+    values below modulus 1/2, where the gaps round. Real positive points of
+    strictly decreasing gaps, as every increasing positive kind has, are
+    distinct without a sort.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -291,17 +290,15 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
     if outside is not None:
         raise InvariantViolation(f"|lambda_{outside}| >= 1 leaves the open unit disc")
     values = np.ascontiguousarray(_real_part_if_real(values))
-    signed = None if np.iscomplexobj(values) else np.where(values >= 0.0, gaps, 2.0 - gaps)
-    for array in (gaps, values, signed):
-        if array is not None:
-            array.setflags(write=False)
+    for array in (gaps, values):
+        array.setflags(write=False)
 
-    if signed is not None and np.all(signed[:-1] > signed[1:]):
-        first_dup = None  # strictly decreasing keys are distinct: no sort needed
+    if _increasing_positive(values, gaps):
+        first_dup = None  # strictly decreasing gaps of positive points: no sort needed
     else:
         # real keys in three spaces apart by their imaginary part: values below
         # modulus 1/2 (0j), else the modulus gaps of positive (1j) and negative (2j) points
-        keys = values if signed is None else np.where(
+        keys = values if np.iscomplexobj(values) else np.where(
             np.abs(values) < 0.5, values, gaps + np.where(values > 0.0, 1j, 2j)
         )
         if not seq.exact_values:  # a zero or subnormal value or gap may be rounded: it tells no points apart
@@ -310,4 +307,4 @@ def validate(seq: LambdaSequence, n_max: int) -> ValidationReport:
         _, first_seen, key_of = np.unique(keys, return_index=True, return_inverse=True, equal_nan=False)
         repeat = _first(first_seen[key_of] != np.arange(limit))
         first_dup = None if repeat is None else (int(first_seen[key_of[repeat - 1]]) + 1, repeat)
-    return ValidationReport(values, gaps, signed, first_dup)
+    return ValidationReport(values, gaps, first_dup)

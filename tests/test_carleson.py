@@ -215,7 +215,7 @@ def test_finite_head_verdicts(seq, n_max, k_trunc, verdict, certified_c):
     ],
 )
 def test_near_duplicate_points_are_no_refutation(values, product):
-    # the signed gaps of the first two points round to one double
+    # 1 - lambda of the first two points rounds to one double
     report = carleson_inf_estimate(ExplicitSequence(values), 3, 3)
     assert report.verdict is Verdict.INCONCLUSIVE
     for entry in report.products[:2]:
@@ -305,18 +305,38 @@ def test_out_of_disc_row_point_is_reported_before_its_factors():
 
 
 def test_a_complex_kind_with_real_values_takes_the_real_products():
-    # (sqrt(1 - 2^-k) i)^2 is real, near -1: the window holds float64 values and
-    # signed gaps, and the products read those gaps, as a real kind's do
+    # (sqrt(1 - 2^-k) i)^2 is real, near -1: the window holds float64 values,
+    # and the products read its modulus gaps, as a real kind's do
     mpmath = pytest.importorskip("mpmath")
     base = tuple(math.sqrt(1.0 - 2.0**-k) * 1j for k in range(1, 31))
     seq = PowerSequence(ExplicitSequence(base), 2)
     window = validate(seq, 30)
     assert window.values.dtype == np.float64
-    assert window.signed_gaps is not None
+    assert np.all(window.values < 0.0)
     with mpmath.workdps(80):
         exact = [mpmath.mpc(b.real, b.imag) ** 2 for b in base]  # the exact squares of the base doubles
     for entry in carleson_inf_estimate(seq, 30, 30).products:
         assert entry.value == pytest.approx(mpmath_carleson_product(exact, entry.n), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "seq,n_max,k_trunc",
+    [
+        pytest.param(TwoPointAugmented(0.3, GEO2), 12, 80, id="two-point"),
+        pytest.param(TwoPointAugmented(0.2, TwoPointAugmented(0.8, GeometricApproach(1.2))), 15, 120, id="two-two-point"),
+        pytest.param(ExplicitSequence(tuple((-1) ** k * (1.0 - 1.7**-k) for k in range(1, 41))), 20, 40, id="alternating"),
+    ],
+)
+def test_mixed_sign_products_match_mpmath(seq, n_max, k_trunc):
+    # the window's points to 60 digits: the value below modulus 1/2, where it is
+    # exact, else sign x (1 - gap), which holds where the value rounds to 1
+    mpmath = pytest.importorskip("mpmath")
+    window = validate(seq, k_trunc)
+    with mpmath.workdps(60):
+        points = [mpmath.mpf(v) if abs(v) < 0.5 else math.copysign(1.0, v) * (1 - mpmath.mpf(g))
+                  for v, g in zip(window.values.tolist(), window.gaps.tolist())]
+    for entry in carleson_inf_estimate(seq, n_max, k_trunc).products:
+        assert entry.value == pytest.approx(mpmath_carleson_product(points, entry.n, dps=60), rel=1e-14)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -241,22 +242,35 @@ def test_one_minus_pow_no_cancellation_for_tiny_gaps():
 
 
 def test_one_minus_products_matches_exact_rationals():
-    # row and column gaps from 1e-300 to 1, and points crowding 1 from below,
-    # each term against the exact 1 - (1 - a)(1 - b) of its double inputs
+    # gaps from 1e-300 to 1, and points crowding 1 from below, each term of
+    # rows 0..-4 against the exact 1 - (1 - g_m)(1 - g_n) of its double gaps
     rng = np.random.default_rng(11)
-    a, b = (
-        np.concatenate([[1e-300, 1.0], 10.0 ** rng.uniform(-300, 0, 30), 1.0 - 10.0 ** rng.uniform(-16, 0, 8)])
-        for _ in range(2)
-    )
-    terms = numerics.one_minus_products(a[:-3], b)
-    assert terms.shape == (a.size - 3, b.size)
+    gaps = np.concatenate([[1e-300, 1.0], 10.0 ** rng.uniform(-300, 0, 30), 1.0 - 10.0 ** rng.uniform(-16, 0, 8)])
+    terms = numerics.one_minus_products(1.0 - gaps, gaps, slice(0, gaps.size - 3))
+    assert terms.shape == (gaps.size - 3, gaps.size)
     for m, n in np.ndindex(terms.shape):
-        exact = 1 - (1 - Fraction(a[m])) * (1 - Fraction(b[n]))
+        exact = 1 - (1 - Fraction(gaps[m])) * (1 - Fraction(gaps[n]))
         assert abs(Fraction(terms[m, n]) - exact) <= 2 * Fraction(np.spacing(float(exact)))
     # the product of the points themselves rounds to 1 and leaves no digit
     gap = 1e-300
     assert 1.0 - (1.0 - gap) * (1.0 - gap) == 0.0
-    assert numerics.one_minus_products(np.array([gap]), np.array([gap]))[0, 0] == 2.0 * gap
+    assert numerics.one_minus_products(np.array([1.0 - gap]), np.array([gap]), [0])[0, 0] == 2.0 * gap
+    # a real window of both signs: 1 - v_m v_n of its points v, whose moduli
+    # from 1/2 up are exactly 1 - g; the rows are indices
+    values = np.concatenate([[0.5, -0.5], 1.0 - 10.0 ** rng.uniform(-15, np.log10(0.5), 24)])
+    values *= rng.choice([-1.0, 1.0], values.size)
+    gaps = 1.0 - np.abs(values)
+    rows = np.array([0, 1, 5, 6, 7, 20])
+    terms = numerics.one_minus_products(values, gaps, rows)
+    for (i, m), n in itertools.product(enumerate(rows), range(values.size)):
+        exact = 1 - Fraction(values[m]) * Fraction(values[n])
+        assert abs(Fraction(terms[i, n]) - exact) <= 2 * Fraction(np.spacing(float(exact)))
+    # a complex window's term is 1 - |lambda_m||lambda_n|, whatever the signs
+    points = (1.0 - gaps) * np.exp(1j * rng.uniform(-np.pi, np.pi, gaps.size))
+    terms = numerics.one_minus_products(points, gaps, rows)
+    for (i, m), n in itertools.product(enumerate(rows), range(gaps.size)):
+        exact = 1 - (1 - Fraction(gaps[m])) * (1 - Fraction(gaps[n]))
+        assert abs(Fraction(terms[i, n]) - exact) <= 2 * Fraction(np.spacing(float(exact)))
 
 
 def test_nan_residual_is_not_swallowed(monkeypatch):

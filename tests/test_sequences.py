@@ -17,6 +17,7 @@ from carleson_frames import (
     TwoPointAugmented,
     validate,
 )
+from carleson_frames.numerics import one_minus_products
 from carleson_frames.orbit import system_arrays
 from oracles import first_duplicate_by_sort
 
@@ -50,7 +51,9 @@ def test_gap_stays_exact_far_beyond_double_resolution():
     # the value itself rounds to 1.0 long before k = 200; the gaps must not
     window = validate(GeometricApproach(2.0), 200)
     assert window.values[199] == 1.0
-    assert window.gaps[199] == window.signed_gaps[199] == 2.0 ** (-200)
+    assert window.gaps[199] == 2.0 ** (-200)
+    # and so does the pair term 1 - lambda^2 = 2^-199 - 2^-400 read from them
+    assert one_minus_products(window.values, window.gaps, [199])[0, 199] == 2.0 ** (-199)
 
 
 @given(st.integers(min_value=1, max_value=60))
@@ -85,13 +88,6 @@ def test_even_power_of_real_sequence_is_positive():
     assert np.all(window.values > 0.0)
     assert not seq.increasing_positive
     assert validate(seq, 2).values.tolist() == [0.09 + 0j, 0.09 + 0j]
-
-
-def test_signed_gap():
-    signed = validate(TwoPointAugmented(0.3, GeometricApproach(2.0)), 2).signed_gaps
-    assert signed[0] == pytest.approx(0.7)
-    assert signed[1] == pytest.approx(1.3)  # 1 - (-0.3)
-    assert validate(ExplicitSequence((0.3j,)), 1).signed_gaps is None  # real sequences only
 
 
 @pytest.mark.parametrize(
@@ -135,15 +131,15 @@ def test_validate_detects_collision_with_base():
 
 def test_validate_is_idempotent():
     # NamedTuple equality on arrays is ambiguous: compare their bytes
-    seq = GeometricApproach(3.0)
+    seq = TwoPointAugmented(0.3, GeometricApproach(3.0))
     first, second = validate(seq, 20), validate(seq, 20)
-    for name in ("values", "gaps", "signed_gaps"):
+    for name in ("values", "gaps"):
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
     assert first.first_duplicate == second.first_duplicate
 
 
 def test_validate_deep_geometric_distinctness():
-    # signed-gap keys keep indices distinct even where values round to 1.0
+    # modulus-gap keys keep indices distinct even where values round to 1.0
     report = validate(GeometricApproach(2.0), 300)
     assert report.first_duplicate is None
 
@@ -165,7 +161,7 @@ def _windows(draw):
         source = draw(st.integers(min_value=0, max_value=len(points) - 1))
         target = draw(st.integers(min_value=source + 1, max_value=len(points)))
         point = complex(points[source])
-        if draw(st.booleans()):  # distinct, though below modulus 1/2 its signed gap may round alike
+        if draw(st.booleans()):  # distinct, though below modulus 1/2 its 1 - lambda may round alike
             point = complex(math.nextafter(point.real, 1.0), point.imag)
         points.insert(target, point)
     return points
@@ -177,7 +173,7 @@ def _distinctness_keys(report, exact=True):
     gap, tagged apart from the values and by the sign of the point. Where the
     values are computed (`exact` false), a zero or subnormal value may be a
     rounded one: its key is NaN, which equals no other key."""
-    if report.signed_gaps is None:
+    if np.iscomplexobj(report.values):
         keys = report.values.tolist()
     else:
         keys = [complex(v.real, 0.0) if abs(v.real) < 0.5 else complex(g, 1.0 if v.real > 0.0 else 2.0)
@@ -197,8 +193,8 @@ def test_validate_distinctness_equals_the_sort_based_reference(points, n_max):
 @pytest.mark.parametrize("a, b", [(0.1, 0.10000000000000002), (-0.75, -0.7500000000000001), (0.49999999999999994, 0.5)])
 def test_validate_keeps_points_that_share_a_signed_gap_distinct(a, b):
     # 1 - a and 1 - b round to one double
+    assert 1.0 - a == 1.0 - b
     report = validate(ExplicitSequence((a, b, 0.9)), 3)
-    assert report.signed_gaps[0] == report.signed_gaps[1]
     assert report.first_duplicate is None
     assert validate(ExplicitSequence((a, 0.9, b, a)), 4).first_duplicate == (1, 4)
 

@@ -26,6 +26,7 @@ from carleson_frames import (
     validate,
 )
 from carleson_frames import cli, orbit
+from carleson_frames.numerics import one_minus_products
 from carleson_frames.orbit import phi_norm_squared, system_arrays
 
 from oracles import scalar_point
@@ -43,15 +44,18 @@ KINDS = [
 
 @pytest.mark.parametrize("seq", KINDS, ids=lambda seq: type(seq).__name__)
 def test_window_matches_scalar_accessors_bit_for_bit(seq):
-    # the signed gaps 1 - lambda_k of real windows: the scalar modulus gap where
-    # lambda_k >= 0 and 2 minus it where lambda_k < 0; complex windows have none
+    # a real window's values and gaps are the scalar ones, and so is its pair
+    # term: g_m + g_n - g_m g_n, 2 minus it where the signs differ; a complex
+    # power's values may round otherwise (see the test below)
     window = validate(seq, 60)
     if np.iscomplexobj(window.values):
-        assert window.signed_gaps is None
         return
-    points = [scalar_point(seq, k) for k in range(1, window.gaps.size + 1)]
-    signed = [gap if value.real >= 0.0 else 2.0 - gap for value, gap in points]
-    assert np.array(signed).tobytes() == window.signed_gaps.tobytes()
+    values, gaps = zip(*(scalar_point(seq, k) for k in range(1, window.gaps.size + 1)))
+    assert np.array([value.real for value in values]).tobytes() == window.values.tobytes()
+    assert np.array(gaps).tobytes() == window.gaps.tobytes()
+    pair = [[g + h - g * h if (v.real < 0.0) == (w.real < 0.0) else 2.0 - (g + h - g * h)
+             for w, h in zip(values, gaps)] for v, g in zip(values, gaps)]
+    assert np.array(pair).tobytes() == one_minus_products(window.values, window.gaps, slice(None)).tobytes()
 
 
 REFERENCE_CASES = (
@@ -107,7 +111,7 @@ def test_windows_evaluate_each_closed_form_once(monkeypatch):
 def test_window_arrays_are_read_only():
     window = validate(TwoPointAugmented(0.3, GeometricApproach(2.0)), 10)
     arrays = system_arrays(OrbitSystem(GeometricApproach(2.0), ConstantWeights(1.0)), 10)
-    for array in (window.values, window.gaps, window.signed_gaps, *arrays):
+    for array in (window.values, window.gaps, *arrays):
         with pytest.raises(ValueError):
             array[0] = 0.5
 
